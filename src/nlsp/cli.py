@@ -307,14 +307,8 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
         raise CliError("dense matrix must be square")
     if not np.allclose(arr, arr.T, atol=1e-12):
         raise CliError("dense matrix must be symmetric")
-    order = arr.shape[0]
-    entries = {
-        (i, j): float(arr[i, j])
-        for i in range(order)
-        for j in range(i, order)
-        if arr[i, j] != 0.0
-    }
-    return SymmetricMatrix(order, entries)
+    upper = np.triu(arr)  # the upper triangle wins within the tolerance
+    return SymmetricMatrix(upper + np.triu(upper, 1).T)
 
 
 def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:

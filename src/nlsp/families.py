@@ -14,7 +14,8 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import networkx as nx
 import numpy as np
@@ -48,59 +49,73 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# networkx conversion
+# edge arrays
 
-def _index_map(nodes: Iterable) -> dict:
-    return {v: i for i, v in enumerate(sorted(nodes))}
+def _simple_graph(n: int, a: np.ndarray, b: np.ndarray, directed: bool) -> Graph:
+    """Unit-weight graph from emitted (a, b) vertex pairs.
 
-
-def _from_nx_undirected(g: "nx.Graph") -> Graph:
-    idx = _index_map(g.nodes())
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, float]] = []
-    for u, v in g.edges():
-        if u == v:
-            continue
-        a, b = idx[u], idx[v]
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        edges.append((a, b, 1.0))
-    return Graph(len(idx), tuple(edges), directed=False)
+    Self-loops, parallel duplicates, and the reverse of an already kept edge
+    are dropped: each unordered pair keeps its first emission, in emission
+    order.  Undirected pairs are stored as (min, max); directed pairs keep
+    the orientation they were emitted with.
+    """
+    keep = a != b
+    a, b = a[keep], b[keep]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    if directed:
+        lo, hi = a, b
+    return _unit(n, lo[first], hi[first], directed)
 
 
-def _from_nx_directed(g: "nx.DiGraph") -> Graph:
-    # Self-loops, parallel duplicates, and the reverse of an already kept
-    # edge are dropped in emission order; generator insertion order is
-    # deterministic, so so is the surviving orientation.
-    idx = _index_map(g.nodes())
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int, float]] = []
-    for u, v in g.edges():
-        if u == v:
-            continue
-        a, b = idx[u], idx[v]
-        if (a, b) in seen or (b, a) in seen:
-            continue
-        seen.add((a, b))
-        edges.append((a, b, 1.0))
-    return Graph(len(idx), tuple(edges), directed=True)
+def _unit(n: int, u: np.ndarray, v: np.ndarray, directed: bool = False) -> Graph:
+    return Graph(n, u, v, np.ones(len(u)), directed)
+
+
+def _from_nx(g: "nx.Graph", directed: bool) -> Graph:
+    # Nodes are relabeled by rank in sorted order; edges keep the generator's
+    # emission order, which is deterministic.
+    idx = {v: i for i, v in enumerate(sorted(g.nodes()))}
+    flat = np.fromiter(
+        map(idx.__getitem__, chain.from_iterable(g.edges())),
+        dtype=np.int64,
+        count=2 * g.number_of_edges(),
+    )
+    return _simple_graph(len(idx), flat[0::2], flat[1::2], directed)
 
 
 # ---------------------------------------------------------------------------
 # hand-built constructions
 
-def _hypercube(n: int) -> Graph:
+def _complete(n: int) -> Graph:
+    return _unit(n, *np.triu_indices(n, 1))
+
+
+def _turan(n: int) -> Graph:
+    """Complete bipartite graph on parts 0..n//2-1 and n//2..n-1: the
+    2-partite Turan graph, edges in nx.turan_graph(n, 2) order."""
+    half = n // 2
+    u = np.repeat(np.arange(half), n - half)
+    v = np.tile(np.arange(half, n), half)
+    return _unit(n, u, v)
+
+
+def _gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """G(n, p) with one uniform draw per vertex pair in (0,1), (0,2), ...
+    order: the stream and edge order of nx.gnp_random_graph(n, p, seed=rng)."""
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < p
+    return _unit(n, u[keep], v[keep])
+
+
+def _hypercube(n: int, directed: bool = False) -> Graph:
+    # (v, v | 2^b) for v ascending, then b ascending, where bit b of v is 0;
+    # directed edges point toward the endpoint of larger Hamming weight
     size = 1 << n
-    edges = []
-    for v in range(size):
-        for b in range(n):
-            u = v | (1 << b)
-            if u != v:
-                edges.append((v, u, 1.0))
-    return Graph(size, tuple(edges), directed=False)
+    v = np.repeat(np.arange(size), n)
+    u = v | (1 << np.tile(np.arange(n), size))
+    keep = u != v
+    return _unit(size, v[keep], u[keep], directed)
 
 
 def _generalized_hypercube(m: int, a: int) -> Graph:
@@ -109,14 +124,15 @@ def _generalized_hypercube(m: int, a: int) -> Graph:
     if a < 2 or m < 1:
         raise ValueError("generalized hypercube needs a >= 2, m >= 1")
     size = a**m
-    edges = []
-    for v in range(size):
-        for pos in range(m):
-            p = a**pos
-            digit = (v // p) % a
-            for other in range(digit + 1, a):
-                edges.append((v, v + (other - digit) * p, 1.0))
-    return Graph(size, tuple(edges), directed=False)
+    # candidates (v, pos, other) in row-major order; keep other > digit
+    v = np.arange(size)[:, None, None]
+    p = (a ** np.arange(m))[None, :, None]
+    other = np.arange(a)[None, None, :]
+    digit = (v // p) % a
+    keep = np.broadcast_to(other > digit, (size, m, a))
+    u = np.broadcast_to(v, keep.shape)[keep]
+    w = np.broadcast_to(v + (other - digit) * p, keep.shape)[keep]
+    return _unit(size, u, w)
 
 
 def _modified_mgg(n: int) -> Graph:
@@ -124,38 +140,14 @@ def _modified_mgg(n: int) -> Graph:
     edges dropped.  Vertex (x, y) gets label x*n + y."""
     if n < 2:
         raise ValueError("grid side must be at least 2")
-    seen: set[tuple[int, int]] = set()
-    edges = []
-    for x in range(n):
-        for y in range(n):
-            a = x * n + y
-            for tx, ty in (
-                ((x + 2 * y) % n, y),
-                ((x + 2 * y + 1) % n, y),
-                (x, (y + 2 * x) % n),
-                (x, (y + 2 * x + 1) % n),
-            ):
-                b = tx * n + ty
-                if a == b:
-                    continue
-                key = (min(a, b), max(a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                edges.append((*key, 1.0))
-    return Graph(n * n, tuple(edges), directed=False)
-
-
-def _directed_hypercube(n: int) -> Graph:
-    # edge toward the endpoint of larger Hamming weight
-    size = 1 << n
-    edges = []
-    for v in range(size):
-        for b in range(n):
-            u = v | (1 << b)
-            if u != v:
-                edges.append((v, u, 1.0))
-    return Graph(size, tuple(edges), directed=True)
+    x, y = np.divmod(np.arange(n * n), n)
+    targets = np.column_stack((
+        ((x + 2 * y) % n) * n + y,
+        ((x + 2 * y + 1) % n) * n + y,
+        x * n + (y + 2 * x) % n,
+        x * n + (y + 2 * x + 1) % n,
+    ))
+    return _simple_graph(n * n, np.repeat(x * n + y, 4), targets.ravel(), directed=False)
 
 
 def _is_prime(q: int) -> bool:
@@ -174,13 +166,11 @@ def _is_prime(q: int) -> bool:
 def _paley(q: int) -> Graph:
     if not _is_prime(q) or q % 4 != 3:
         raise ValueError(f"paley needs a prime = 3 (mod 4), got {q}")
-    residues = {pow(x, 2, q) for x in range(1, q)}
-    edges = []
-    for u in range(q):
-        for w in range(q):
-            if u != w and (u - w) % q in residues:
-                edges.append((u, w, 1.0))
-    return Graph(q, tuple(edges), directed=True)
+    residues = np.zeros(q, dtype=bool)
+    residues[[pow(x, 2, q) for x in range(1, q)]] = True
+    u, w = np.divmod(np.arange(q * q), q)
+    keep = (u != w) & residues[(u - w) % q]
+    return _unit(q, u[keep], w[keep], directed=True)
 
 
 def _adjacency_lambda2(g: "nx.Graph") -> float:
@@ -197,8 +187,8 @@ def _expander(n: int, rng: np.random.Generator) -> BuildResult:
     for _ in range(EXPANDER_RETRY_LIMIT):
         cand = nx.random_regular_graph(6, n, seed=rng)
         if _adjacency_lambda2(cand) <= RAMANUJAN_BOUND + 1e-9:
-            return _from_nx_undirected(cand)
-    g = _from_nx_undirected(cand)
+            return _from_nx(cand, directed=False)
+    g = _from_nx(cand, directed=False)
     return g, (f"no Ramanujan graph within {EXPANDER_RETRY_LIMIT} retries at n={n}",)
 
 
@@ -231,7 +221,9 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
     n = g.n_vertices
     if n < 3:
         raise ValueError("repair needs at least 3 vertices")
-    edges: dict[tuple[int, int], float] = {(u, v): w for u, v, w in g.edges}
+    edges: dict[tuple[int, int], float] = dict(
+        zip(zip(g.u.tolist(), g.v.tolist()), g.w.tolist())
+    )
     indeg = [0] * n
     outdeg = [0] * n
     for u, v in edges:
@@ -334,7 +326,7 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
             if outdeg[snk] == 0:
                 serve_sink(snk, everyone)
 
-    return Graph(n, tuple((u, v, w) for (u, v), w in edges.items()), directed=True)
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()], directed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +349,35 @@ def apply_weight_rule(g: Graph, rule: str, family_id: str) -> Graph:
         raise ValueError(f"unknown weight rule {rule!r}")
     if rule == "unit":
         return g
+    j = np.maximum(g.u, g.v)
     if family_id == "hypercube":
-        def weigh(u: int, v: int) -> float:
-            j = max(u, v)
-            if rule == "log_rule":
-                return 1.0 / math.log(j + 5)
-            if rule == "linear_rule":
-                return 1.0 / float(j + 1)
-            return 1.0 / float(j * j + 1)
+        if rule == "log_rule":
+            w = 1.0 / _math_log(j + 5)
+        elif rule == "linear_rule":
+            w = 1.0 / (j + 1)
+        else:
+            w = 1.0 / (j * j + 1)
     elif family_id == "modified_mgg":
-        def weigh(u: int, v: int) -> float:
-            b = max(u, v) + 1
-            if rule == "log_rule":
-                return math.log(b) + 1.0
-            if rule == "linear_rule":
-                return float(b)
-            return float(b * b)
+        b = j + 1
+        if rule == "log_rule":
+            w = _math_log(b) + 1.0
+        elif rule == "linear_rule":
+            w = b.astype(float)
+        else:
+            w = (b * b).astype(float)
     else:
         raise ValueError(f"weight rules are defined for hypercube and modified_mgg, not {family_id}")
-    return Graph(
-        g.n_vertices,
-        tuple((u, v, weigh(u, v)) for u, v, _ in g.edges),
-        directed=g.directed,
-    )
+    return Graph(g.n_vertices, g.u, g.v, w, directed=g.directed)
+
+
+def _math_log(x: np.ndarray) -> np.ndarray:
+    """Elementwise natural log through ``math.log``, once per distinct value.
+
+    numpy's vectorized log can differ from libm's in the last bit, and the
+    weights must not depend on which one a build uses.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +423,11 @@ def _dir(fid, growth, build, schedule, params=None, rand=False):
 
 
 def _nx_und(fn):
-    return lambda n, params, rng: _from_nx_undirected(fn(n, params, rng))
+    return lambda n, params, rng: _from_nx(fn(n, params, rng), directed=False)
 
 
 def _nx_dir(fn):
-    return lambda n, params, rng: _from_nx_directed(fn(n, params, rng))
+    return lambda n, params, rng: _from_nx(fn(n, params, rng), directed=True)
 
 
 _CATALOG_ENTRIES = [
@@ -448,8 +446,8 @@ _CATALOG_ENTRIES = [
          _nx_und(lambda n, p, r: nx.grid_2d_graph(2**n, 2**n)), range(2, 9)),
     _und("hexagonal", _N1, _nx_und(lambda n, p, r: nx.hexagonal_lattice_graph(n, 101)), range(1, 31)),
     _und("triangular", _N1, _nx_und(lambda n, p, r: nx.triangular_lattice_graph(n, 101)), range(1, 101)),
-    _und("complete", _N1, _nx_und(lambda n, p, r: nx.complete_graph(n)), range(2, 5005)),
-    _und("turan", _N1, _nx_und(lambda n, p, r: nx.turan_graph(n, 2)), range(5, 5004)),
+    _und("complete", _N1, lambda n, p, r: _complete(n), range(2, 5005)),
+    _und("turan", _N1, lambda n, p, r: _turan(n), range(5, 5004)),
     _und("harary_kn", _N1, _nx_und(lambda n, p, r: nx.hkn_harary_graph(3, n)), range(5, 5010)),
     _und("harary_mn", _N1, _nx_und(lambda n, p, r: nx.hnm_harary_graph(n, n + 1)), range(5, 5010)),
     _und("ladder", _N1, _nx_und(lambda n, p, r: nx.ladder_graph(n)), range(5, 2501)),
@@ -469,7 +467,7 @@ _CATALOG_ENTRIES = [
          range(5, 5006), seed=19, rand=True),
     _und("random_regular", _N1, _nx_und(lambda n, p, r: nx.random_regular_graph(4, n, seed=r)),
          range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
-    _und("gnp", _N1, _nx_und(lambda n, p, r: nx.gnp_random_graph(n, 0.8, seed=r)),
+    _und("gnp", _N1, lambda n, p, r: _gnp(n, 0.8, r),
          range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
     _und("gaussian_random_partition", _N1,
          _nx_und(lambda n, p, r: nx.gaussian_random_partition_graph(n, 5, 5, 0.5, 0.4, seed=r)),
@@ -495,7 +493,8 @@ _CATALOG_ENTRIES = [
          range(10, 2001), seed=19, rand=True),
     # -- directed, deterministic --------------------------------------------
     _dir("paley", GrowthClass.poly(3), lambda n, p, r: _paley(n), _primes_3_mod_4(139)),
-    _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _directed_hypercube(n), range(2, 15)),
+    _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _hypercube(n, directed=True),
+         range(2, 15)),
     # -- directed, random (seed 19) -----------------------------------------
     _dir("gn", _N1, _nx_dir(lambda n, p, r: nx.gn_graph(n, kernel=lambda d: d, seed=r)),
          range(5, 5000), rand=True),

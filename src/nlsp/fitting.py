@@ -235,13 +235,3 @@ def upper_envelope(
         return Envelope(tuple(xs), tuple(ys), True, tuple(kept_x), tuple(kept_y))
     return Envelope(tuple(kept_x), tuple(kept_y), False, tuple(kept_x), tuple(kept_y))
 
-
-def declared_or_fitted_size_growth(spec) -> GrowthClass:
-    """Generator-declared system-size growth for a family spec.
-
-    The declared class is exact from the construction; fitting N(n) remains
-    available through fit_series as a cross-check only.
-    """
-    from .families import catalog_entry
-
-    return catalog_entry(spec.family_id).resolved_size_growth(spec.params)

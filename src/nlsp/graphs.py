@@ -1,181 +1,178 @@
 """Graph representation and the matrices derived from it.
 
-Vertices are dense indices 0..n-1.  Matrices use sparse triplet storage with
-deterministic ordering; dense numpy conversion happens only at the eigensolver
-boundary.
+Vertices are dense indices 0..n-1.  A graph is three parallel numpy arrays
+(tail, head, weight) in a fixed edge order, validated as a whole.  Matrices
+are scipy CSR arrays in canonical form (sorted column indices, no duplicate
+or explicit zero entries), assembled from the edge arrays in one pass; dense
+numpy conversion happens only at the eigensolver boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass
+from itertools import chain
+from typing import IO, Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 EdgeInput = tuple[int, int] | tuple[int, int, float]
 
 
-@dataclass(frozen=True)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple weighted graph with canonical 0..n-1 vertex labels.
 
-    Undirected edges are stored with u < v.  No self-loops, no duplicate
-    edges, strictly positive weights.  A directed graph may contain both
-    (u, v) and (v, u); families that forbid bi-directed pairs enforce that
-    at generation time.
+    Edge k runs from ``u[k]`` to ``v[k]`` with weight ``w[k]``.  Undirected
+    edges are stored with u < v.  No self-loops, no duplicate edges,
+    strictly positive weights.  A directed graph may contain both (u, v) and
+    (v, u); families that forbid bi-directed pairs enforce that at
+    generation time.  The arrays are read-only copies.
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     directed: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+        n = int(self.n_vertices)
+        u = _frozen(np.array(self.u, dtype=np.int64).reshape(-1))
+        v = _frozen(np.array(self.v, dtype=np.int64).reshape(-1))
+        w = _frozen(np.array(self.w, dtype=float).reshape(-1))
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range for {self.n_vertices} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w} on edge ({u},{v})")
-            key = (u, v) if self.directed else (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            if not self.directed and u > v:
-                raise ValueError("undirected edges must be stored with u < v")
+        if not u.size == v.size == w.size:
+            raise ValueError("u, v and w must have the same length")
+        bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"edge ({u[k]},{v[k]}) out of range for {n} vertices")
+        bad = np.flatnonzero(u == v)
+        if bad.size:
+            raise ValueError(f"self-loop at vertex {u[bad[0]]}")
+        bad = np.flatnonzero(w <= 0)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"non-positive weight {w[k]} on edge ({u[k]},{v[k]})")
+        if self.directed:
+            keys = u * n + v
+        else:
+            keys = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(keys, kind="stable")
+        repeats = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        if repeats.size:
+            k = order[repeats[0] + 1]
+            raise ValueError(f"duplicate edge ({u[k]},{v[k]})")
+        if not self.directed and (u > v).any():
+            raise ValueError("undirected edges must be stored with u < v")
 
     @staticmethod
     def from_edges(n_vertices: int, edges: Iterable[EdgeInput], directed: bool = False) -> "Graph":
-        """Build a graph, normalizing edge tuples and defaulting weights to 1."""
-        out: list[tuple[int, int, float]] = []
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
-            w = float(e[2]) if len(e) > 2 else 1.0
-            if not directed and u > v:
-                u, v = v, u
-            out.append((u, v, w))
-        return Graph(n_vertices, tuple(out), directed)
+        """Build a graph from (u, v) or (u, v, w) rows, weights defaulting to 1.
+
+        Undirected rows are stored with their endpoints in ascending order.
+        """
+        rows = list(edges)
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        if ((lens < 2) | (lens > 3)).any():
+            raise ValueError("edges must be (u, v) or (u, v, w) rows")
+        flat = np.fromiter(chain.from_iterable(rows), dtype=float, count=int(lens.sum()))
+        start = np.cumsum(lens) - lens
+        u = flat[start].astype(np.int64)
+        v = flat[start + 1].astype(np.int64)
+        w = np.ones(len(rows))
+        weighted = lens == 3
+        w[weighted] = flat[start[weighted] + 2]
+        if not directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        return Graph(n_vertices, u, v, w, directed)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.u.size)
 
-
-class SymmetricMatrix:
-    """Real symmetric matrix in sparse triplet form, upper-triangle storage."""
-
-    def __init__(self, order: int, entries: dict[tuple[int, int], float]):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        data: dict[tuple[int, int], float] = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < order and 0 <= j < order):
-                raise ValueError(f"entry ({i},{j}) out of range")
-            key = (i, j) if i <= j else (j, i)
-            if key in data and data[key] != v:
-                raise ValueError(f"conflicting values for symmetric entry {key}")
-            if v != 0.0:
-                data[key] = v
-        self._data = data
-
-    def entry(self, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        return self._data.get(key, 0.0)
-
-    def items(self) -> Iterator[tuple[int, int, float]]:
-        """Upper-triangle entries in deterministic (row, col) order."""
-        for (i, j) in sorted(self._data):
-            yield i, j, self._data[(i, j)]
-
-    def row_nnz(self) -> list[int]:
-        counts = [0] * self.order
-        for i, j, _ in self.items():
-            counts[i] += 1
-            if i != j:
-                counts[j] += 1
-        return counts
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.order, self.order))
-        for i, j, v in self.items():
-            dense[i, j] = v
-            dense[j, i] = v
-        return dense
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(u, v, w) Python tuples in stored order, for exchange and display;
+        computations use the arrays."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, SymmetricMatrix)
-            and self.order == other.order
-            and self._data == other._data
+            isinstance(other, Graph)
+            and self.n_vertices == other.n_vertices
+            and self.directed == other.directed
+            and np.array_equal(self.u, other.u)
+            and np.array_equal(self.v, other.v)
+            and np.array_equal(self.w, other.w)
         )
 
 
 class RectMatrix:
-    """Real rectangular matrix in sparse triplet form."""
+    """Real matrix held as a canonical CSR array in ``csr``.
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], float]):
-        if rows < 1 or cols < 1:
+    Accepts anything ``scipy.sparse.csr_array`` does: a dense array or any
+    sparse format; duplicate entries are summed and explicit zeros dropped.
+    """
+
+    def __init__(self, a) -> None:
+        csr = sp.csr_array(a, dtype=float, copy=True)
+        if csr.ndim != 2 or min(csr.shape) < 1:
             raise ValueError("dimensions must be >= 1")
-        self.rows = rows
-        self.cols = cols
-        data: dict[tuple[int, int], float] = {}
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i},{j}) out of range")
-            if v != 0.0:
-                data[(i, j)] = v
-        self._data = data
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        self.csr = csr
+        self.rows, self.cols = csr.shape
 
     def entry(self, i: int, j: int) -> float:
-        return self._data.get((i, j), 0.0)
-
-    def items(self) -> Iterator[tuple[int, int, float]]:
-        for (i, j) in sorted(self._data):
-            yield i, j, self._data[(i, j)]
+        return float(self.csr[i, j])
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols))
-        for i, j, v in self.items():
-            dense[i, j] = v
-        return dense
+        return self.csr.toarray()
 
 
-def adjacency_matrix(g: Graph) -> SymmetricMatrix:
-    """Weighted adjacency matrix Q with zero diagonal (undirected only)."""
-    if g.directed:
-        raise ValueError("adjacency matrix is defined for undirected graphs")
-    return SymmetricMatrix(g.n_vertices, {(u, v): w for u, v, w in g.edges})
+class SymmetricMatrix(RectMatrix):
+    """Real symmetric matrix; both triangles are stored."""
 
-
-def degree_matrix(g: Graph) -> SymmetricMatrix:
-    """Diagonal matrix of weighted degrees (undirected only)."""
-    if g.directed:
-        raise ValueError("degree matrix is defined for undirected graphs")
-    deg = [0.0] * g.n_vertices
-    for u, v, w in g.edges:
-        deg[u] += w
-        deg[v] += w
-    return SymmetricMatrix(g.n_vertices, {(i, i): d for i, d in enumerate(deg)})
+    def __init__(self, a) -> None:
+        super().__init__(a)
+        if self.rows != self.cols:
+            raise ValueError(f"symmetric matrix must be square, got {self.rows}x{self.cols}")
+        if (self.csr != self.csr.T).nnz:
+            raise ValueError("matrix is not symmetric")
+        self.order = self.rows
 
 
 def laplacian(g: Graph) -> SymmetricMatrix:
-    """Weighted Laplacian L = D - Q (undirected only)."""
+    """Weighted Laplacian L = D - Q (undirected only).
+
+    Degrees are accumulated in stored edge order, each edge adding its
+    weight to u then to v, so the diagonal does not depend on how the
+    matrix is assembled.
+    """
     if g.directed:
         raise ValueError("laplacian is defined for undirected graphs")
-    entries: dict[tuple[int, int], float] = {}
-    deg = [0.0] * g.n_vertices
-    for u, v, w in g.edges:
-        deg[u] += w
-        deg[v] += w
-        entries[(u, v)] = -w
-    for i, d in enumerate(deg):
-        if d != 0.0:
-            entries[(i, i)] = d
-    return SymmetricMatrix(g.n_vertices, entries)
+    n = g.n_vertices
+    ends = np.column_stack((g.u, g.v)).ravel()
+    deg = np.bincount(ends, weights=np.repeat(g.w, 2), minlength=n)
+    diag = np.arange(n)
+    # Lower triangle, diagonal, upper triangle: when the edges are sorted by
+    # (u, v), every row then arrives in column order and needs no sort.
+    rows = np.concatenate((g.v, diag, g.u))
+    cols = np.concatenate((g.u, diag, g.v))
+    vals = np.concatenate((-g.w, deg, -g.w))
+    return SymmetricMatrix(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
 
 
 def incidence_matrix(g: Graph) -> RectMatrix:
@@ -183,17 +180,19 @@ def incidence_matrix(g: Graph) -> RectMatrix:
     +1 at the terminal vertex, columns in stored edge order (directed only)."""
     if not g.directed:
         raise ValueError("incidence matrix is defined for directed graphs")
-    entries: dict[tuple[int, int], float] = {}
-    for col, (u, v, _) in enumerate(g.edges):
-        entries[(u, col)] = -1.0
-        entries[(v, col)] = 1.0
-    return RectMatrix(g.n_vertices, max(g.n_edges, 1), entries)
+    m = g.n_edges
+    cols = np.arange(m)
+    vals = np.concatenate((np.full(m, -1.0), np.ones(m)))
+    coo = sp.coo_array(
+        (vals, (np.concatenate((g.u, g.v)), np.concatenate((cols, cols)))),
+        shape=(g.n_vertices, max(m, 1)),
+    )
+    return RectMatrix(coo)
 
 
 def hermitian_dilation(b: RectMatrix) -> SymmetricMatrix:
     """Symmetric block matrix [[0, B], [B^T, 0]] of order rows + cols."""
-    entries = {(i, b.rows + j): v for i, j, v in b.items()}
-    return SymmetricMatrix(b.rows + b.cols, entries)
+    return SymmetricMatrix(sp.block_array([[None, b.csr], [b.csr.T, None]]))
 
 
 def next_power_of_two(n: int) -> int:
@@ -214,10 +213,7 @@ def pad_to_power_of_two(m: SymmetricMatrix, fill: float) -> SymmetricMatrix:
     target = next_power_of_two(m.order)
     if target == m.order:
         return m
-    entries = {(i, j): v for i, j, v in m.items()}
-    for k in range(m.order, target):
-        entries[(k, k)] = fill
-    return SymmetricMatrix(target, entries)
+    return SymmetricMatrix(sp.block_diag((m.csr, fill * sp.eye_array(target - m.order))))
 
 
 def write_edge_list(g: Graph, fh: IO[str]) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .graphs import (
     Graph,
@@ -314,12 +316,12 @@ def check_aqf(l: SymmetricMatrix, i: int, j: int) -> AqfCertificate:
     for k in (i, j):
         if not 0 <= k < l.order:
             raise ValueError(f"vertex {k} out of range for order {l.order}")
-    holds = l.entry(i, i) == l.entry(j, j) and all(
-        l.entry(p, i) == l.entry(p, j)
-        for p in range(l.order)
-        if p != i and p != j
-    )
-    value = l.entry(i, i) - l.entry(i, j) if holds else None
+    col_i = l.csr[[i], :].toarray()[0]  # row i is column i by symmetry
+    col_j = l.csr[[j], :].toarray()[0]
+    others = np.ones(l.order, dtype=bool)
+    others[[i, j]] = False
+    holds = bool(col_i[i] == col_j[j] and np.array_equal(col_i[others], col_j[others]))
+    value = float(col_i[i] - col_i[j]) if holds else None
     return AqfCertificate(holds=holds, i=i, j=j, eigenvalue=value)
 
 
@@ -341,8 +343,13 @@ def augment_for_aqf(g: Graph, attach: Sequence[int]) -> Graph:
         if not 0 <= u < g.n_vertices:
             raise ValueError(f"attach vertex {u} out of range")
     n = g.n_vertices
-    extra = [(u, n, 1.0) for u in verts] + [(u, n + 1, 1.0) for u in verts]
-    grown = Graph(n + 2, g.edges + tuple(extra), directed=False)
+    k = len(verts)
+    grown = Graph(
+        n + 2,
+        np.concatenate((g.u, verts, verts)),
+        np.concatenate((g.v, np.full(k, n), np.full(k, n + 1))),
+        np.concatenate((g.w, np.ones(2 * k))),
+    )
     probe = np.zeros(n + 2)
     probe[n], probe[n + 1] = 1.0, -1.0
     dense = laplacian(grown).to_dense()
@@ -388,27 +395,14 @@ def one_qubit_effective_resistance(lam: float, cfg: HhlConfig) -> float:
 
 def _abs_row_bound(m: SymmetricMatrix) -> float:
     """Gershgorin-style bound max_i sum_j |m_ij| on eigenvalue magnitudes."""
-    sums = [0.0] * m.order
-    for i, j, v in m.items():
-        sums[i] += abs(v)
-        if i != j:
-            sums[j] += abs(v)
-    return max(sums)
+    # The CSR mat-vec adds each row's entries left to right in column order,
+    # a fixed summation order.
+    return float((abs(m.csr) @ np.ones(m.order)).max())
 
 
 def _connected(g: Graph) -> bool:
-    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for u, v, _ in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n_vertices
+    adj = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_vertices,) * 2)
+    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def effective_resistance(

@@ -303,3 +303,34 @@ def test_repaired_variant_postconditions():
 def test_repair_flag_rejected_for_undirected():
     with pytest.raises(ValueError):
         make_spec("gnp", repair=True)
+
+
+def _nx_edge_list(g: nx.Graph) -> list[tuple[int, int]]:
+    return [(min(u, v), max(u, v)) for u, v in g.edges()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_complete_matches_networkx(n):
+    g = generate(make_spec("complete", schedule=(n,)), n).graph
+    assert g.n_vertices == n
+    assert [(u, v) for u, v, _ in g.edges] == _nx_edge_list(nx.complete_graph(n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 11, 40])
+def test_turan_matches_networkx(n):
+    g = generate(make_spec("turan", schedule=(n,)), n).graph
+    assert g.n_vertices == n
+    assert [(u, v) for u, v, _ in g.edges] == _nx_edge_list(nx.turan_graph(n, 2))
+
+
+@pytest.mark.parametrize("n", [5, 9, 30, 101])
+@pytest.mark.parametrize("seed", [23, 4])
+def test_gnp_matches_networkx_stream(n, seed):
+    # Same PCG64 stream, one draw per vertex pair in combinations order: any
+    # change to networkx's draw order fails here instead of shifting records.
+    from nlsp.families import _rng
+
+    g = generate(make_spec("gnp", schedule=(n,), seed=seed), n).graph
+    ref = nx.gnp_random_graph(n, 0.8, seed=_rng(derive_seed(seed, "gnp", n)))
+    assert g.n_vertices == ref.number_of_nodes() == n
+    assert [(u, v) for u, v, _ in g.edges] == _nx_edge_list(ref)

@@ -87,7 +87,7 @@ class TestConfig:
 
 class TestSolveExact:
     def test_identity_inversion(self):
-        ident = SymmetricMatrix(2, {(0, 0): 1.0, (1, 1): 1.0})
+        ident = SymmetricMatrix(np.diag([1.0, 1.0]))
         cfg = HhlConfig(n_r=4, t=math.pi, C=0.2)  # lambda~ = 1/2, representable
         out = hhl_solve(ident, [1.0, 0.0], cfg)
         assert out.p_success == pytest.approx((0.2 / 0.5) ** 2, abs=1e-12)
@@ -98,7 +98,7 @@ class TestSolveExact:
         )
 
     def test_p_success_closed_form_on_representable_spectrum(self):
-        diag = SymmetricMatrix(4, {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 4.0, (3, 3): 7.0})
+        diag = SymmetricMatrix(np.diag([1.0, 2.0, 4.0, 7.0]))
         b = np.array([1.0, 2.0, -1.0, 0.5])
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=1.0 / 8.0)
         out = hhl_solve(diag, b, cfg)
@@ -258,18 +258,18 @@ class TestFixedClockQubits:
         assert detect_fixed_clock_qubits(lap, b, cfg) == {(0, 1), (1, 0), (2, 0), (3, 0)}
 
     def test_shared_high_bits_fixed(self):
-        diag = SymmetricMatrix(2, {(0, 0): 5.0, (1, 1): 4.0})
+        diag = SymmetricMatrix(np.diag([5.0, 4.0]))
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=0.4)  # bins 101 and 100
         got = detect_fixed_clock_qubits(diag, [1.0, 1.0], cfg)
         assert got == {(0, 1), (1, 0)}
 
     def test_even_mixture_fixes_nothing(self):
-        diag = SymmetricMatrix(2, {(0, 0): 1.0, (1, 1): 6.0})
+        diag = SymmetricMatrix(np.diag([1.0, 6.0]))
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=0.1)  # bins 001 and 110
         assert detect_fixed_clock_qubits(diag, [1.0, 1.0], cfg) == set()
 
     def test_threshold_validation(self):
-        diag = SymmetricMatrix(2, {(0, 0): 1.0, (1, 1): 2.0})
+        diag = SymmetricMatrix(np.diag([1.0, 2.0]))
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=0.1)
         with pytest.raises(ValueError, match="p_th"):
             detect_fixed_clock_qubits(diag, [1.0, 0.0], cfg, p_th=0.5)

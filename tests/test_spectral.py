@@ -62,7 +62,7 @@ def test_full_spectrum_hypercube3():
 
 
 def test_full_spectrum_trivial_and_residual():
-    assert full_spectrum(SymmetricMatrix(1, {(0, 0): 3.5})) == pytest.approx([3.5])
+    assert full_spectrum(SymmetricMatrix([[3.5]])) == pytest.approx([3.5])
     dense = laplacian(ladder(6)).to_dense()
     vals, vecs = np.linalg.eigh(dense)
     norm = np.linalg.norm(dense, 2)
@@ -90,7 +90,7 @@ def test_extreme_eigs_examples():
 
 def test_extreme_eigs_zero_matrix():
     with pytest.raises(ValueError, match="effectively zero"):
-        extreme_eigs(SymmetricMatrix(3, {}), DEFAULT_CUTOFF)
+        extreme_eigs(SymmetricMatrix(np.zeros((3, 3))), DEFAULT_CUTOFF)
 
 
 def test_condition_number_families():
@@ -119,9 +119,9 @@ def test_sparsity_examples():
     assert sparsity(laplacian(grid)) == 5
     b = incidence_matrix(directed_c4())
     assert sparsity(hermitian_dilation(b)) == 2
-    row_nnz = [sum(1 for i, _, _ in b.items() if i == r) for r in range(b.rows)]
-    col_nnz = [sum(1 for _, j, _ in b.items() if j == c) for c in range(b.cols)]
-    assert sparsity(hermitian_dilation(b)) == max(max(row_nnz), max(col_nnz))
+    nonzero = b.to_dense() != 0
+    row_nnz, col_nnz = nonzero.sum(axis=1), nonzero.sum(axis=0)
+    assert sparsity(hermitian_dilation(b)) == max(row_nnz.max(), col_nnz.max())
 
 
 def test_sparsity_invariant_under_padding():
@@ -147,7 +147,7 @@ def test_kappa_invariant_under_rescaling():
     ]
     for m in mats:
         lo, hi = extreme_eigs(m, DEFAULT_CUTOFF)
-        scaled = SymmetricMatrix(m.order, {(i, j): 10.0 * v for i, j, v in m.items()})
+        scaled = SymmetricMatrix(10.0 * m.csr)
         lo10, hi10 = extreme_eigs(scaled, DEFAULT_CUTOFF * 10.0)
         assert hi10 / lo10 == pytest.approx(hi / lo, rel=1e-12)
 
@@ -164,7 +164,7 @@ def test_dilation_kappa_vs_svd_oracle():
         rows = int(rng.integers(2, 33))
         cols = int(rng.integers(2, 33))
         dense = rng.normal(size=(rows, cols))
-        b = RectMatrix(rows, cols, {(i, j): dense[i, j] for i in range(rows) for j in range(cols)})
+        b = RectMatrix(dense)
         kappa = condition_number(hermitian_dilation(b), 1e-9)
         sigma = np.linalg.svd(dense, compute_uv=False)
         nz = sigma[sigma > 1e-9]

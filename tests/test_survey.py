@@ -208,6 +208,27 @@ class TestPersistence:
         assert first == second
 
 
+def test_bitwise_reproduction_iterative_path(tmp_path):
+    # Orders above dense_limit take shift-invert Lanczos; its start vector is
+    # fixed, so a second run writes the same bytes.
+    config = SurveyConfig(
+        families=(
+            make_spec("hypercube", schedule=range(2, 12)),
+            make_spec("gn", schedule=range(100, 900, 100), seed=19),
+        ),
+        dense_limit=300,
+        solvers=("HHL",),
+        output_dir=str(tmp_path / "first"),
+    )
+    first = run_survey(config)
+    assert len(first.record_rows()) == 18
+    assert any(row.system_size > 300 for row in first.record_rows())
+    run_survey(dataclasses.replace(config, output_dir=str(tmp_path / "second")))
+    assert (tmp_path / "first" / "records.csv").read_bytes() == (
+        tmp_path / "second" / "records.csv"
+    ).read_bytes()
+
+
 class TestRandomFamilyRows:
     def test_derived_seed_recorded(self, tmp_path):
         config = SurveyConfig(
