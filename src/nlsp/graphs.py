@@ -149,7 +149,12 @@ class SymmetricMatrix(RectMatrix):
         super().__init__(a)
         if self.rows != self.cols:
             raise ValueError(f"symmetric matrix must be square, got {self.rows}x{self.cols}")
-        if (self.csr != self.csr.T).nnz:
+        # Canonical CSR is unique, so m is symmetric exactly when its arrays
+        # equal those of its sorted transpose (a NaN entry compares unequal).
+        t = self.csr.T.tocsr()
+        t.sort_indices()
+        if not all(np.array_equal(getattr(self.csr, k), getattr(t, k))
+                   for k in ("indptr", "indices", "data")):
             raise ValueError("matrix is not symmetric")
         self.order = self.rows
 

@@ -1,26 +1,31 @@
-"""Condition number, sparsity, and eigenvalue-cutoff diagnostics.
+"""Condition number and sparsity of survey system matrices.
 
-Every system matrix arrives as canonical CSR (``SymmetricMatrix.csr``).  The
-dense symmetric eigensolver, on ``csr.toarray()``, is the reference path up
-to a size limit (default 3000, overridable through the ``NLSP_DENSE_LIMIT``
-environment variable); above it, extreme eigenvalues come from a Lanczos
-solver on the CSR array itself, with shift-invert for the small end of the
-spectrum and a fixed start vector so repeated runs agree bit for bit.
-Sparsity is read off the CSR row pointer.
+Every system is measured on one order-n PSD matrix G: the Laplacian L, or
+B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
+eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
+squaring leaves σmin a relative error of about ε·κ²/2.  G's kernel
+dimension c is counted, as its number of connected components, and the
+smallest nonzero eigenvalue is the (c+1)-th smallest: from the dense
+eigensolver up to a size limit (default 3000; a per-call argument, or
+``NLSP_DENSE_LIMIT`` as the process default), above it from one
+shift-invert Lanczos call with a fixed start vector, so repeated runs agree
+bit for bit.  Sparsity is read off the CSR index arrays.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .graphs import SymmetricMatrix
+from .graphs import RectMatrix, SymmetricMatrix
 
 DEFAULT_CUTOFF = 1e-6
-AUDIT_CUTOFF = 1e-10
 DEFAULT_DENSE_LIMIT = 3000
 _ITERATIVE_TOL = 1e-8
 # Seed of the Lanczos start vector.  A random start (not the all-ones vector,
@@ -29,9 +34,13 @@ _START_SEED = 2025
 
 
 def dense_limit() -> int:
-    """Largest order handled by the dense eigensolver (env-overridable)."""
+    """Process-default largest order handled by the dense eigensolver."""
     raw = os.environ.get("NLSP_DENSE_LIMIT")
     return int(raw) if raw else DEFAULT_DENSE_LIMIT
+
+
+def _limit(override: Optional[int]) -> int:
+    return dense_limit() if override is None else override
 
 
 @dataclass(frozen=True)
@@ -53,71 +62,55 @@ class SpectralRecord:
             raise ValueError("sparsity must lie in 1..system_size")
 
 
-@dataclass(frozen=True)
-class CutoffSensitivity:
-    """Minimum nonzero eigenvalue under the working and audit cutoffs."""
-
-    system_size: int
-    min_eig_at_1e6: float
-    min_eig_at_1e10: float
-    delta: float
-
-    @property
-    def flagged(self) -> bool:
-        return self.delta > 0.0
-
-
-def full_spectrum(m: SymmetricMatrix) -> np.ndarray:
+def full_spectrum(m: SymmetricMatrix, dense_limit: Optional[int] = None) -> np.ndarray:
     """All eigenvalues, ascending.  Refuses orders above the dense limit."""
-    limit = dense_limit()
+    limit = _limit(dense_limit)
     if m.order > limit:
-        raise ValueError(
-            f"order {m.order} exceeds dense limit {limit}; use extreme_eigs"
-        )
+        raise ValueError(f"order {m.order} exceeds dense limit {limit}; use extreme_eigs")
     return np.linalg.eigvalsh(m.to_dense())
 
 
-def extreme_eigs(m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF) -> tuple[float, float]:
-    """(smallest |eigenvalue| above cutoff, largest |eigenvalue|)."""
+def extreme_eigs(
+    m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF, *,
+    kernel: Optional[int] = None, dense_limit: Optional[int] = None,
+) -> tuple[float, float]:
+    """(smallest nonzero |eigenvalue|, largest |eigenvalue|).
+
+    ``kernel`` is the null-space dimension of a PSD m: the smallest nonzero
+    eigenvalue is the (kernel+1)-th, and orders above the dense limit take
+    Lanczos.  Without it, m is any symmetric matrix up to the dense limit,
+    and eigenvalues of magnitude at most ``cutoff`` count as zero.
+    """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    if m.order <= dense_limit():
-        eigs = np.abs(full_spectrum(m))
-        lam_max = float(eigs.max())
-        if lam_max <= cutoff:
+    if kernel is None:
+        eigs = np.abs(full_spectrum(m, dense_limit))
+        nonzero = eigs[eigs > cutoff]
+        if not nonzero.size:
             raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-        lam_min = float(eigs[eigs > cutoff].min())
-        return lam_min, lam_max
-    return _extreme_eigs_iterative(m, cutoff)
+        return float(nonzero.min()), float(eigs.max())
+    if kernel >= m.order:
+        raise ValueError("effectively zero matrix: no nonzero eigenvalue")
+    if m.order > _limit(dense_limit):
+        return _extreme_eigs_iterative(m, kernel)
+    eigs = np.linalg.eigvalsh(m.to_dense())
+    return float(eigs[kernel]), float(eigs[-1])
 
 
-def _extreme_eigs_iterative(m: SymmetricMatrix, cutoff: float) -> tuple[float, float]:
+def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, float]:
     a = m.csr
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).uniform(-1.0, 1.0, m.order)
     lam_max = float(
-        np.abs(
-            spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)
-        ).max()
+        spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)[0]
     )
-    if lam_max <= cutoff:
-        raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-    # Shift-invert near zero; the small negative shift keeps the factored
-    # matrix nonsingular for PSD Laplacians. k grows until an eigenvalue
-    # clears the cutoff (the kernel can have high multiplicity for dilations).
-    sigma = -0.01 * lam_max
-    k = 2
-    while True:
-        k = min(k, m.order - 1)
-        vals = spla.eigsh(
-            a, k=k, sigma=sigma, which="LM", v0=v0, tol=_ITERATIVE_TOL,
-            return_eigenvectors=False,
-        )
-        above = np.abs(vals)[np.abs(vals) > cutoff]
-        if above.size:
-            return float(above.min()), lam_max
-        if k >= m.order - 1:
-            raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-        k *= 2
+    # Shift-invert about a small negative shift: m is PSD, so m - σI is
+    # nonsingular, and the kernel + 1 eigenvalues nearest σ are the kernel's
+    # zeros and the smallest nonzero eigenvalue.
+    vals = spla.eigsh(
+        a, k=kernel + 1, sigma=-0.01 * lam_max, which="LM", v0=v0, tol=_ITERATIVE_TOL,
+        return_eigenvectors=False,
+    )
+    return float(vals.max()), lam_max
 
 
 def condition_number(m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF) -> float:
@@ -125,33 +118,41 @@ def condition_number(m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF) -> floa
     return lam_max / lam_min
 
 
-def sparsity(m: SymmetricMatrix) -> int:
-    """Maximum number of structurally nonzero entries in any row."""
-    return int(np.diff(m.csr.indptr).max())
+def sparsity(m: RectMatrix) -> int:
+    """Maximum number of structurally nonzero entries in any row of the
+    Hermitian system: m itself when symmetric, else its dilation
+    [[0, m], [mᵀ, 0]], whose rows are m's rows and columns."""
+    rows = int(np.diff(m.csr.indptr).max())
+    if isinstance(m, SymmetricMatrix):
+        return rows
+    return max(rows, int(np.bincount(m.csr.indices, minlength=m.cols).max()))
 
 
-def cutoff_sensitivity(m: SymmetricMatrix) -> CutoffSensitivity:
-    """Minimum nonzero eigenvalue at cutoffs 1e-6 and 1e-10 (dense path)."""
-    eigs = np.abs(full_spectrum(m))
-    mins = []
-    for cut in (DEFAULT_CUTOFF, AUDIT_CUTOFF):
-        above = eigs[eigs > cut]
-        if above.size == 0:
-            raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-        mins.append(float(above.min()))
-    return CutoffSensitivity(
-        system_size=m.order,
-        min_eig_at_1e6=mins[0],
-        min_eig_at_1e10=mins[1],
-        delta=abs(mins[0] - mins[1]),
-    )
-
-
-def measure(m: SymmetricMatrix, matrix_kind: str, cutoff: float = DEFAULT_CUTOFF) -> SpectralRecord:
-    """Assemble the SpectralRecord for one system matrix."""
-    lam_min, lam_max = extreme_eigs(m, cutoff)
+def measure(
+    m: RectMatrix, matrix_kind: str, cutoff: float = DEFAULT_CUTOFF,
+    dense_limit: Optional[int] = None,
+) -> SpectralRecord:
+    """SpectralRecord of a Laplacian L, or of the dilation [[0, B], [Bᵀ, 0]]
+    of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ).  The kernel
+    dimension is the number of connected components, exact for L (positive
+    weights) and B·Bᵀ.  ``cutoff`` is recorded and picks no eigenvalue.
+    """
+    if matrix_kind == "laplacian":
+        g, size = m, m.order
+    elif matrix_kind == "incidence":
+        if isinstance(m, SymmetricMatrix):
+            raise ValueError("an incidence system is measured from B, not a symmetric matrix")
+        g, size = SymmetricMatrix(m.csr @ m.csr.T), m.rows + m.cols
+    else:
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+    # G's pattern is symmetric, so its strong components are its components;
+    # "strong" skips the symmetrized copy that an undirected count makes.
+    kernel = int(connected_components(g.csr, directed=True, connection="strong")[0])
+    lam_min, lam_max = extreme_eigs(g, cutoff, kernel=kernel, dense_limit=dense_limit)
+    if matrix_kind == "incidence":
+        lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(
-        system_size=m.order,
+        system_size=size,
         lambda_min_nz=lam_min,
         lambda_max=lam_max,
         kappa=lam_max / lam_min,

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 from . import __version__
 from .families import FamilySpec, catalog_entry, derive_seed, generate, make_spec
 from .fitting import FitResult, _growth_of, fit_series, upper_envelope
-from .graphs import SymmetricMatrix, hermitian_dilation, incidence_matrix, laplacian
+from .graphs import RectMatrix, incidence_matrix, laplacian
 from .growth import CompositionError, GrowthClass, compose
 from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver, ratio_R
 from .spectral import DEFAULT_CUTOFF, SpectralRecord, measure
@@ -62,15 +62,13 @@ def geometric_scan(
     return tuple(points)
 
 
-def system_matrix(instance) -> SymmetricMatrix:
-    """Hermitian system matrix of a generated instance.
-
-    Laplacian families solve L x = b directly; incidence families solve the
-    dilated system [[0, B], [B^T, 0]].
-    """
+def system_matrix(instance) -> RectMatrix:
+    """System matrix of a generated instance: the Laplacian L, or the
+    incidence matrix B of a family that solves the dilated system
+    [[0, B], [B^T, 0]], which ``measure`` characterizes through B·Bᵀ."""
     if instance.spec.matrix_kind == "laplacian":
         return laplacian(instance.graph)
-    return hermitian_dilation(incidence_matrix(instance.graph))
+    return incidence_matrix(instance.graph)
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ class SurveyConfig:
     base_seed is provenance for configs loaded from JSON, where it seeds
     every random family that carries no explicit per-family seed; specs
     passed in directly are used as-is.  output_dir None keeps the run
-    in memory.
+    in memory.  A smallest nonzero eigenvalue at or below cutoff is flagged
+    in the family's notes.  dense_limit None takes the process default.
     """
 
     families: tuple[FamilySpec, ...]
@@ -385,14 +384,22 @@ class _Measured(NamedTuple):
     elapsed_s: float
 
 
-def _measure_instance(spec: FamilySpec, n: int, cutoff: float) -> _Measured:
+def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> _Measured:
     start = time.perf_counter()
     try:
         instance = generate(spec, n)
-        record = measure(system_matrix(instance), spec.matrix_kind, cutoff)
+        record = measure(
+            system_matrix(instance), spec.matrix_kind, config.cutoff, config.dense_limit
+        )
     except Exception as exc:  # per-instance failures are recorded, not fatal
         return _Measured(n, None, f"{type(exc).__name__}: {exc}", (), time.perf_counter() - start)
-    return _Measured(n, record, None, instance.warnings, time.perf_counter() - start)
+    warnings = instance.warnings
+    if record.lambda_min_nz <= config.cutoff:
+        warnings += (
+            f"smallest nonzero eigenvalue {record.lambda_min_nz!r} is at or below "
+            f"the cutoff {config.cutoff!r}",
+        )
+    return _Measured(n, record, None, warnings, time.perf_counter() - start)
 
 
 def _fit_family(
@@ -454,8 +461,6 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     Instances are measured on a bounded worker pool; assembly and all file
     writes happen on the calling thread in canonical (family, n) order, so
     re-running an identical config reproduces records.csv byte for byte.
-    config.dense_limit is applied by setting NLSP_DENSE_LIMIT for the
-    duration of the run.
     """
     keys = config.family_keys()
     jobs = [
@@ -464,23 +469,10 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         for n in spec.schedule
     ]
     workers = max_workers or min(4, os.cpu_count() or 1)
-    saved_limit = os.environ.get("NLSP_DENSE_LIMIT")
-    if config.dense_limit is not None:
-        os.environ["NLSP_DENSE_LIMIT"] = str(config.dense_limit)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda job: (job[0], _measure_instance(job[1], job[2], config.cutoff)),
-                    jobs,
-                )
-            )
-    finally:
-        if config.dense_limit is not None:
-            if saved_limit is None:
-                os.environ.pop("NLSP_DENSE_LIMIT", None)
-            else:
-                os.environ["NLSP_DENSE_LIMIT"] = saved_limit
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(
+            pool.map(lambda job: (job[0], _measure_instance(job[1], job[2], config)), jobs)
+        )
 
     by_family: dict[int, list[_Measured]] = {i: [] for i in range(len(config.families))}
     for idx, m in results:
@@ -700,7 +692,7 @@ def seed_sensitivity(config: SurveyConfig, seeds: Sequence[int]) -> SeedSensitiv
             measured = []
             errors = 0
             for n in reseeded.schedule:
-                m = _measure_instance(reseeded, n, config.cutoff)
+                m = _measure_instance(reseeded, n, config)
                 if m.record is None:
                     errors += 1
                     continue

@@ -120,7 +120,7 @@ def test_criterion_05_incidence_dilation():
     expected = [math.sqrt(2), math.sqrt(2), 2.0]
     assert singulars[0] < 1e-9
     assert max(abs(s - e) for s, e in zip(singulars[1:], expected)) < 1e-9
-    rec = measure(hermitian_dilation(b), "incidence")
+    rec = measure(b, "incidence")
     assert abs(rec.kappa - math.sqrt(2)) < 1e-9
     _ok(5, f"nonzero singular values (sqrt2, sqrt2, 2), dilation kappa "
            f"{rec.kappa:.12f}, zero column sums")

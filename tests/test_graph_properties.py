@@ -1,29 +1,34 @@
 """Randomized properties of the array graph core and its CSR matrices.
 
 Every assembled matrix is compared bit for bit with a plain numpy build made
-entry by entry from the edge list, and must be in canonical CSR form.
+entry by entry from the edge list, and must be in canonical CSR form.  The
+measured κ is compared with a numpy eigensolve or SVD of that build.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from nlsp.graphs import (
     Graph,
+    SymmetricMatrix,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
     next_power_of_two,
     pad_to_power_of_two,
 )
-from nlsp.spectral import sparsity
+from nlsp.spectral import measure, sparsity
 
 weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+tiny_weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def graphs(draw, directed=None):
+def graphs(draw, directed=None, weights=weights):
     """Random simple graph; undirected input rows come in either orientation."""
     if directed is None:
         directed = draw(st.booleans())
@@ -107,6 +112,59 @@ def test_pad_equals_block_build(g, fill):
 def test_sparsity_is_max_row_nnz(g):
     m = laplacian(g) if not g.directed else hermitian_dilation(incidence_matrix(g))
     assert sparsity(m) == int((m.to_dense() != 0).sum(axis=1).max())
+    if g.directed:
+        assert sparsity(incidence_matrix(g)) == sparsity(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(weights=tiny_weights), st.booleans())
+def test_measured_kappa_equals_numpy_reference(g, iterative):
+    # Reference: the smallest nonzero eigenvalue of L, or singular value of
+    # B, sits just past the c zero modes that connected_components counts.
+    n = g.n_vertices
+    adjacency = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(n, n))
+    c = connected_components(adjacency, directed=False)[0]
+    if g.directed:
+        m, kind = incidence_matrix(g), "incidence"
+    else:
+        m, kind = laplacian(g), "laplacian"
+    if c == n:
+        with pytest.raises(ValueError, match="effectively zero"):
+            measure(m, kind)
+        return
+    if g.directed:
+        s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
+        want = s[0] / s[n - c - 1]
+    else:
+        e = np.linalg.eigvalsh(laplacian_by_hand(g))
+        want = e[-1] / e[c]
+    # eigsh needs c + 1 < n eigenvalues below the order
+    limit = 1 if iterative and c + 1 < n else None
+    rec = measure(m, kind, dense_limit=limit)
+    # Backward-stable eigensolvers fix λmin only to O(ε·λmax), a relative
+    # O(ε·κ); measuring σmin through B·Bᵀ squares that.
+    scale = want**2 if g.directed else want
+    assert abs(rec.kappa - want) <= 1e3 * np.finfo(float).eps * scale * want
+    assert rec.system_size == n + (m.cols if g.directed else 0)
+
+
+entries = st.sampled_from([0.0, 1.0, -2.5, 3.0, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(entries, min_size=n * n, max_size=n * n)))
+def test_symmetric_matrix_accepts_exactly_the_symmetric(values):
+    n = int(round(len(values) ** 0.5))
+    a = np.array(values).reshape(n, n)
+    # elementwise equality makes a NaN entry unequal to its mirror
+    if np.array_equal(a, a.T):
+        assert np.array_equal(SymmetricMatrix(sp.coo_array(a)).to_dense(), a)
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricMatrix(a)
+    finite = np.nan_to_num(a, nan=0.0)
+    sym = finite + finite.T
+    assert np.array_equal(SymmetricMatrix(sym).to_dense(), sym)
 
 
 @settings(max_examples=100, deadline=None)

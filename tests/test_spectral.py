@@ -14,10 +14,8 @@ from nlsp.graphs import (
     pad_to_power_of_two,
 )
 from nlsp.spectral import (
-    AUDIT_CUTOFF,
     DEFAULT_CUTOFF,
     condition_number,
-    cutoff_sensitivity,
     extreme_eigs,
     full_spectrum,
     measure,
@@ -50,6 +48,23 @@ def directed_c4() -> Graph:
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
 
 
+def directed_path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], directed=True)
+
+
+def two_ladders() -> Graph:
+    """ladder(5) and ladder(7) side by side plus an isolated vertex: 3 components."""
+    a, b = ladder(5), ladder(7)
+    edges = list(zip(a.u, a.v)) + [(10 + u, 10 + v) for u, v in zip(b.u, b.v)]
+    return Graph.from_edges(25, edges)
+
+
+def path_cycle_point() -> Graph:
+    """Directed path on 0..9, directed cycle on 10..15, isolated 16: 3 components."""
+    edges = [(i, i + 1) for i in range(9)] + [(10 + i, 10 + (i + 1) % 6) for i in range(6)]
+    return Graph.from_edges(17, edges, directed=True)
+
+
 def test_full_spectrum_k4():
     eigs = full_spectrum(laplacian(complete(4)))
     assert eigs == pytest.approx([0, 4, 4, 4], abs=1e-9)
@@ -74,6 +89,9 @@ def test_full_spectrum_refuses_large(monkeypatch):
     monkeypatch.setenv("NLSP_DENSE_LIMIT", "5")
     with pytest.raises(ValueError, match="extreme_eigs"):
         full_spectrum(laplacian(ladder(4)))
+    # without a counted kernel, extreme_eigs has no iterative path either
+    with pytest.raises(ValueError, match="exceeds dense limit 7"):
+        extreme_eigs(laplacian(ladder(4)), dense_limit=7)
 
 
 def test_extreme_eigs_examples():
@@ -129,14 +147,6 @@ def test_sparsity_invariant_under_padding():
     assert sparsity(pad_to_power_of_two(m, 2.0)) == sparsity(m)
 
 
-def test_cutoff_sensitivity():
-    cs = cutoff_sensitivity(laplacian(complete(8)))
-    assert cs.delta == 0.0
-    assert not cs.flagged
-    assert cs.min_eig_at_1e6 == pytest.approx(8.0, abs=1e-9)
-    assert cs.system_size == 8
-
-
 def test_kappa_invariant_under_rescaling():
     mats = [
         laplacian(complete(5)),
@@ -181,25 +191,54 @@ def test_measure_record_fields():
     assert rec.kappa == pytest.approx(rec.lambda_max / rec.lambda_min_nz)
 
 
-def test_iterative_path_matches_dense(monkeypatch):
+def test_iterative_path_matches_dense():
     g = ladder(40)
-    dense_lo, dense_hi = extreme_eigs(laplacian(g))
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "50")
-    iter_lo, iter_hi = extreme_eigs(laplacian(g))
-    assert iter_hi == pytest.approx(dense_hi, rel=1e-7)
-    assert iter_lo == pytest.approx(dense_lo, rel=1e-7)
-    h = hermitian_dilation(incidence_matrix(directed_c4()))
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "3")
-    it = extreme_eigs(h)
-    assert it == pytest.approx((math.sqrt(2), 2.0), rel=1e-7)
+    dense = measure(laplacian(g), "laplacian")
+    it = measure(laplacian(g), "laplacian", dense_limit=50)
+    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-7)
+    it = measure(incidence_matrix(directed_c4()), "incidence", dense_limit=3)
+    assert (it.lambda_min_nz, it.lambda_max) == pytest.approx((math.sqrt(2), 2.0), rel=1e-7)
 
 
-def test_iterative_cross_validation_at_overlap_scale(monkeypatch):
+def test_iterative_cross_validation_at_overlap_scale():
     # Dense vs Lanczos on an instance in the 2000-3000 overlap window.
-    g = ladder(1010)
-    m = laplacian(g)
-    dense_lo, dense_hi = extreme_eigs(m)
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "100")
-    iter_lo, iter_hi = extreme_eigs(m)
-    assert iter_hi == pytest.approx(dense_hi, rel=1e-6)
-    assert iter_lo == pytest.approx(dense_lo, rel=1e-6)
+    m = laplacian(ladder(1010))
+    dense = measure(m, "laplacian")
+    it = measure(m, "laplacian", dense_limit=100)
+    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-6)
+    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "system, kind",
+    [
+        (lambda: laplacian(two_ladders()), "laplacian"),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence"),
+        (lambda: incidence_matrix(directed_path(1200)), "incidence"),
+    ],
+    ids=["two-ladders", "path-cycle-point", "directed-path-1200"],
+)
+def test_dense_and_lanczos_agree(system, kind):
+    m = system()
+    dense = measure(m, kind)
+    it = measure(m, kind, dense_limit=1)
+    assert it.kappa == pytest.approx(dense.kappa, rel=1e-7)
+    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-7)
+    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+    assert (it.system_size, it.sparsity) == (dense.system_size, dense.sparsity)
+
+
+def test_directed_path_kappa_closed_form():
+    # B B^T is the path Laplacian, eigenvalues 2 - 2cos(πk/n): κ = cot(π/2n).
+    rec = measure(incidence_matrix(directed_path(1200)), "incidence")
+    assert rec.kappa == pytest.approx(1 / math.tan(math.pi / 2400), rel=1e-9)
+    assert (rec.system_size, rec.sparsity) == (2399, 2)
+
+
+def test_measure_rejects_a_dilation_as_incidence():
+    b = incidence_matrix(directed_c4())
+    with pytest.raises(ValueError, match="measured from B"):
+        measure(hermitian_dilation(b), "incidence")
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        measure(b, "dilation")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from nlsp.families import derive_seed, make_spec
+from nlsp.graphs import Graph
 from nlsp.survey import (
     CSV_COLUMNS,
     SurveyConfig,
@@ -270,6 +271,31 @@ class TestSkips:
         # six points remain: fits and verdicts still come out
         assert result.outcomes[0].verdicts["HHL"].category == "best"
 
+    def test_eigenvalue_at_or_below_cutoff_is_flagged_not_dropped(self, monkeypatch):
+        import nlsp.survey as survey_mod
+
+        real_generate = survey_mod.generate
+
+        def faint(spec, n):
+            inst = real_generate(spec, n)
+            g = inst.graph
+            return dataclasses.replace(inst, graph=Graph(g.n_vertices, g.u, g.v, g.w * 1e-8))
+
+        monkeypatch.setattr(survey_mod, "generate", faint)
+        config = SurveyConfig(
+            families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),), solvers=("HHL",)
+        )
+        result = run_survey(config)
+        outcome = result.outcomes[0]
+        assert outcome.errors == ()
+        for n, rec in outcome.records:
+            # hypercube Q_n: λ = 2k·1e-8, so κ = n as at unit weight
+            assert rec.kappa == pytest.approx(n, rel=1e-9)
+            assert rec.lambda_min_nz == pytest.approx(2e-8, rel=1e-9)
+        flagged = [note for note in outcome.notes if "at or below the cutoff" in note]
+        assert len(flagged) == 4
+        assert result.report_dict()["families"]["hypercube"]["notes"][:4] == flagged
+
     def test_too_few_records_yields_no_verdict(self, monkeypatch):
         import nlsp.survey as survey_mod
 
@@ -317,6 +343,26 @@ class TestSeedSensitivity:
         )
         report = seed_sensitivity(config, (10, 23, 50))
         assert report.stable("barabasi_albert")
+
+    def test_config_dense_limit_reaches_the_eigensolver(self, monkeypatch):
+        import nlsp.spectral as spectral_mod
+
+        calls = []
+        real_eigsh = spectral_mod.spla.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_mod.spla, "eigsh", counting)
+        config = SurveyConfig(
+            families=(make_spec("gnp", schedule=(20, 30, 40, 50)),),
+            dense_limit=10,
+            solvers=("HHL",),
+        )
+        seed_sensitivity(config, (1, 2))
+        # each of the 2 x 4 connected instances: k=1 for λmax, k=c+1=2 for λmin
+        assert calls == [1, 2] * 8
 
     def test_deterministic_family_rejected(self):
         config = SurveyConfig(families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),))
