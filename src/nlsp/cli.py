@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .families import catalog_entry
-from .fitting import fit_series, upper_envelope
 from .graphs import (
     SymmetricMatrix,
     hermitian_dilation,
@@ -26,7 +25,7 @@ from .graphs import (
     pad_to_power_of_two,
     read_edge_list,
 )
-from .growth import CompositionError, compose
+from .growth import CompositionError
 from .hhl import (
     DEFAULT_CLOCK_QUBITS,
     HhlConfig,
@@ -37,7 +36,6 @@ from .hhl import (
     traffic_flow,
 )
 from .solvers import crossover as numeric_crossover
-from .solvers import evaluate_advantage
 from .superfamily import (
     SLICE_KINDS,
     column_slice,
@@ -54,8 +52,10 @@ from .survey import (
     DEFAULT_SOLVERS,
     MIN_FIT_POINTS,
     SCHEMA_VERSION,
+    classify_fits,
     config_from_dict,
     fit_from_dict,
+    fit_growth,
     fit_to_dict,
     geometric_scan,
     read_records_csv,
@@ -129,31 +129,25 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
         family_id = _family_id_of_key(key)
         entry = catalog_entry(family_id)
         block: dict = {"family": family_id, "n_records": len(group)}
+        families[key] = block
         if len(group) < MIN_FIT_POINTS:
             block["error"] = f"needs {MIN_FIT_POINTS} records, has {len(group)}"
             failures += 1
-            families[key] = block
             continue
-        sizes = [float(r.system_size) for r in group]
-        kappas = [r.kappa for r in group]
-        sparsities = [float(r.sparsity) for r in group]
-        flagged = False
-        if entry.random:
-            k_env = upper_envelope(sizes, kappas)
-            s_env = upper_envelope(sizes, sparsities)
-            flagged = k_env.flagged or s_env.flagged
-            sizes_k, kappas = k_env.xs, k_env.ys
-            sizes_s, sparsities = s_env.xs, s_env.ys
-        else:
-            sizes_k, sizes_s = sizes, sizes
         try:
-            block["kappa_fit"] = fit_to_dict(fit_series(sizes_k, kappas, "kappa"))
-            block["s_fit"] = fit_to_dict(fit_series(sizes_s, sparsities, "sparsity"))
-            block["envelope_flagged"] = flagged
+            kappa_fit, s_fit, flagged = fit_growth(
+                entry.random,
+                [r.system_size for r in group],
+                [r.kappa for r in group],
+                [r.sparsity for r in group],
+            )
         except ValueError as exc:
             block["error"] = f"fit failed: {exc}"
             failures += 1
-        families[key] = block
+            continue
+        block["kappa_fit"] = fit_to_dict(kappa_fit)
+        block["s_fit"] = fit_to_dict(s_fit)
+        block["envelope_flagged"] = flagged
     doc = {"schema": SCHEMA_VERSION, "families": families}
     if args.out:
         with open(args.out, "w") as f:
@@ -189,26 +183,24 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
         s_fit = fit_from_dict(block["s_fit"])
         entry = catalog_entry(_family_id_of_key(key))
         size_growth = entry.resolved_size_growth(entry.default_params)
-        try:
-            kappa_n = compose(kappa_fit.growth, size_growth)
-            s_n = compose(s_fit.growth, size_growth)
+        try:  # an empty scan: crossovers are the crossover command's job
+            kappa_n, s_n, verdicts, _ = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
         except CompositionError as exc:
             out["families"][key] = {"error": f"composition failed: {exc}"}
             failures += 1
             continue
-        verdicts = {}
-        for name in solvers:
-            v = evaluate_advantage(name, size_growth, kappa_n, s_n)
-            verdicts[name] = {
-                "category": v.category,
-                "ratio_class": str(v.ratio_class),
-                "futile": v.futile,
-            }
         out["families"][key] = {
             "size_growth": str(size_growth),
             "kappa_n": str(kappa_n),
             "s_n": str(s_n),
-            "verdicts": verdicts,
+            "verdicts": {
+                name: {
+                    "category": v.category,
+                    "ratio_class": str(v.ratio_class),
+                    "futile": v.futile,
+                }
+                for name, v in verdicts.items()
+            },
         }
     _emit(out)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -224,14 +216,8 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
-        kappa_fit = fit_from_dict(block["kappa_fit"])
-        s_fit = fit_from_dict(block["s_fit"])
-        # extrapolated fits are clamped at the physical floor kappa, s >= 1
         n_cross = numeric_crossover(
-            args.solver,
-            lambda x: max(1.0, kappa_fit.predict(x)),
-            lambda x: max(1.0, s_fit.predict(x)),
-            scan,
+            args.solver, fit_from_dict(block["kappa_fit"]), fit_from_dict(block["s_fit"]), scan
         )
         out["families"][key] = {"crossover_N": n_cross}
     _emit(out)

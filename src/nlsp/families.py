@@ -562,6 +562,10 @@ class FamilySpec:
             raise ValueError(f"{self.family_id} has no weight rules")
         if self.matrix_kind != entry.matrix_kind:
             raise ValueError(f"{self.family_id} uses {entry.matrix_kind} systems")
+        allowed = set(entry.default_params) | ({"repair"} if entry.directed else set())
+        unknown = sorted(set(self.params) - allowed)
+        if unknown:
+            raise ValueError(f"{self.family_id} has no params {unknown}; it takes {sorted(allowed)}")
         if self.size_growth != entry.resolved_size_growth(self.params):
             raise ValueError("declared size growth does not match the construction")
 
@@ -635,9 +639,3 @@ def generate(spec: FamilySpec, n: int) -> FamilyInstance:
         system_size=system_size,
         warnings=warnings,
     )
-
-
-def enumerate_schedule(spec: FamilySpec) -> list[FamilyInstance]:
-    if not spec.schedule:
-        raise ValueError("schedule is empty")
-    return [generate(spec, n) for n in spec.schedule]

@@ -153,11 +153,12 @@ def ratio_R(solver: str, n_size: float, kappa_fit, s_fit) -> float:
     """Numeric runtime ratio t_CLS / t_solver at system size N.
 
     kappa_fit and s_fit are FitResults (or any callables) giving the fitted
-    kappa(N) and s(N) with coefficients.  A zero solver runtime (phase
-    randomisation at kappa exactly 1) yields +inf.
+    kappa(N) and s(N) with coefficients.  A fit extrapolated past its data
+    can dip below the physical floor kappa, s >= 1; it is clamped there.  A
+    zero solver runtime (phase randomisation at kappa exactly 1) yields +inf.
     """
-    kappa = _eval_fit(kappa_fit, n_size)
-    s = _eval_fit(s_fit, n_size)
+    kappa = max(1.0, _eval_fit(kappa_fit, n_size))
+    s = max(1.0, _eval_fit(s_fit, n_size))
     t_cls = CLS.runtime(n_size, kappa, s)
     t_q = get_solver(solver).runtime(n_size, kappa, s)
     return math.inf if t_q == 0.0 else t_cls / t_q

@@ -103,6 +103,8 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, flo
     lam_max = float(
         spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)[0]
     )
+    if kernel + 1 == m.order:  # λmax is the only nonzero eigenvalue
+        return lam_max, lam_max
     # Shift-invert about a small negative shift: m is PSD, so m - σI is
     # nonsingular, and the kernel + 1 eigenvalues nearest σ are the kernel's
     # zeros and the smallest nonzero eigenvalue.

@@ -32,18 +32,6 @@ from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver
 from .spectral import DEFAULT_CUTOFF, SpectralRecord, measure
 
 SCHEMA_VERSION = 1
-CSV_COLUMNS = (
-    "family",
-    "n",
-    "system_size",
-    "matrix_kind",
-    "kappa",
-    "lambda_min_nz",
-    "lambda_max",
-    "sparsity",
-    "cutoff",
-    "seed",
-)
 DEFAULT_SOLVERS = ("HHL", "CKS(1)", "DREAM")
 MIN_FIT_POINTS = 4
 
@@ -209,6 +197,13 @@ class RecordRow(NamedTuple):
     seed: Optional[int]
 
 
+CSV_COLUMNS = RecordRow._fields
+# one parser per column; only the seed of a deterministic family is empty
+_COLUMN_PARSERS = (
+    str, int, int, str, float, float, float, int, float, lambda raw: int(raw) if raw else None,
+)
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     family: str
@@ -260,6 +255,23 @@ class FamilyOutcome:
     errors: tuple[tuple[int, str], ...]
     notes: tuple[str, ...]
 
+    def record_rows(self) -> list[RecordRow]:
+        return [
+            RecordRow(
+                family=self.key,
+                n=n,
+                system_size=rec.system_size,
+                matrix_kind=rec.matrix_kind,
+                kappa=rec.kappa,
+                lambda_min_nz=rec.lambda_min_nz,
+                lambda_max=rec.lambda_max,
+                sparsity=rec.sparsity,
+                cutoff=rec.cutoff,
+                seed=_instance_seed(self.spec, n),
+            )
+            for n, rec in self.records
+        ]
+
 
 @dataclass(frozen=True)
 class SurveyResult:
@@ -268,25 +280,7 @@ class SurveyResult:
     manifest: SurveyManifest
 
     def record_rows(self) -> list[RecordRow]:
-        rows = []
-        for outcome in self.outcomes:
-            spec = outcome.spec
-            for n, rec in outcome.records:
-                rows.append(
-                    RecordRow(
-                        family=outcome.key,
-                        n=n,
-                        system_size=rec.system_size,
-                        matrix_kind=rec.matrix_kind,
-                        kappa=rec.kappa,
-                        lambda_min_nz=rec.lambda_min_nz,
-                        lambda_max=rec.lambda_max,
-                        sparsity=rec.sparsity,
-                        cutoff=rec.cutoff,
-                        seed=_instance_seed(spec, n),
-                    )
-                )
-        return rows
+        return [row for outcome in self.outcomes for row in outcome.record_rows()]
 
     def report_dict(self) -> dict:
         """Fits and verdicts keyed by family; a verdict never appears
@@ -299,17 +293,8 @@ class SurveyResult:
                 "weight_rule": outcome.spec.weight_rule,
                 "size_growth": str(outcome.spec.size_growth),
                 "records": [
-                    {
-                        "n": n,
-                        "system_size": rec.system_size,
-                        "kappa": rec.kappa,
-                        "lambda_min_nz": rec.lambda_min_nz,
-                        "lambda_max": rec.lambda_max,
-                        "sparsity": rec.sparsity,
-                        "cutoff": rec.cutoff,
-                        "seed": _instance_seed(outcome.spec, n),
-                    }
-                    for n, rec in outcome.records
+                    {k: v for k, v in row._asdict().items() if k not in ("family", "matrix_kind")}
+                    for row in outcome.record_rows()
                 ],
                 "errors": [{"n": n, "error": msg} for n, msg in outcome.errors],
                 "notes": list(outcome.notes),
@@ -402,57 +387,53 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> _Measur
     return _Measured(n, record, None, warnings, time.perf_counter() - start)
 
 
-def _fit_family(
-    spec: FamilySpec,
-    measured: Sequence[tuple[int, SpectralRecord]],
-    solvers: Sequence[str],
-    scan: Sequence[float],
-) -> tuple[Optional[FitResult], Optional[FitResult], bool, dict, dict, list[str]]:
-    notes: list[str] = []
-    empty: tuple[Optional[FitResult], Optional[FitResult], bool, dict, dict, list[str]]
-    empty = (None, None, False, {}, {}, notes)
-    if len(measured) < MIN_FIT_POINTS:
-        notes.append(f"only {len(measured)} records; fits need {MIN_FIT_POINTS}")
-        return empty
-    sizes = [float(rec.system_size) for _, rec in measured]
-    kappas = [rec.kappa for _, rec in measured]
-    sparsities = [float(rec.sparsity) for _, rec in measured]
+def fit_growth(
+    random: bool,
+    sizes: Sequence[float],
+    kappas: Sequence[float],
+    sparsities: Sequence[float],
+) -> tuple[FitResult, FitResult, bool]:
+    """(κ(N) fit, s(N) fit, envelope_flagged) of one family's records in
+    increasing N.
+
+    A random family fits the upper envelope of each scatter; the flag is set
+    when an envelope keeps fewer than 4 points and the whole series is fit.
+    Raises ValueError when either series cannot be fit.
+    """
+    k_xs, k_ys, s_xs, s_ys = sizes, kappas, sizes, sparsities
     flagged = False
-    if catalog_entry(spec.family_id).random:
-        # random families: fit the upper envelope of the scatter
+    if random:
         k_env = upper_envelope(sizes, kappas)
         s_env = upper_envelope(sizes, sparsities)
         flagged = k_env.flagged or s_env.flagged
-        k_xs, k_ys = k_env.xs, k_env.ys
-        s_xs, s_ys = s_env.xs, s_env.ys
-    else:
-        k_xs, k_ys = tuple(sizes), tuple(kappas)
-        s_xs, s_ys = tuple(sizes), tuple(sparsities)
-    try:
-        kappa_fit = fit_series(k_xs, k_ys, "kappa")
-        s_fit = fit_series(s_xs, s_ys, "sparsity")
-    except ValueError as exc:
-        notes.append(f"fit failed: {exc}")
-        return empty
-    try:
-        kappa_n = compose(kappa_fit.growth, spec.size_growth)
-        s_n = compose(s_fit.growth, spec.size_growth)
-    except CompositionError as exc:
-        notes.append(f"composition failed: {exc}")
-        return (kappa_fit, s_fit, flagged, {}, {}, notes)
+        k_xs, k_ys, s_xs, s_ys = k_env.xs, k_env.ys, s_env.xs, s_env.ys
+    return fit_series(k_xs, k_ys, "kappa"), fit_series(s_xs, s_ys, "sparsity"), flagged
+
+
+def classify_fits(
+    kappa_fit: FitResult,
+    s_fit: FitResult,
+    size_growth: GrowthClass,
+    solvers: Sequence[str],
+    scan: Sequence[float],
+) -> tuple[GrowthClass, GrowthClass, dict[str, AdvantageVerdict], dict[str, Optional[float]]]:
+    """(κ(n), s(n), verdicts, crossovers): both fits composed with the size
+    growth N(n), then one verdict and one numeric crossover per solver.
+
+    The crossover scan keeps the points of ``scan`` where the runtime models
+    are defined, N >= 3.  Raises CompositionError when a fit does not compose.
+    """
+    kappa_n = compose(kappa_fit.growth, size_growth)
+    s_n = compose(s_fit.growth, size_growth)
+    scan = [x for x in scan if x >= 3.0]
     verdicts = {}
     crossovers = {}
-    scan = [x for x in scan if x >= 3.0]  # runtime models need loglog(N) > 0
-    # fits extrapolated far past the data range can dip below the physical
-    # floor kappa, s >= 1; the scan clamps there
-    k_curve = lambda x: max(1.0, kappa_fit.predict(x))  # noqa: E731
-    s_curve = lambda x: max(1.0, s_fit.predict(x))  # noqa: E731
     for name in solvers:
-        crossovers[name] = crossover(name, k_curve, s_curve, scan)
+        crossovers[name] = crossover(name, kappa_fit, s_fit, scan)
         verdicts[name] = evaluate_advantage(
-            name, spec.size_growth, kappa_n, s_n, crossover_N=crossovers[name]
+            name, size_growth, kappa_n, s_n, crossover_N=crossovers[name]
         )
-    return (kappa_fit, s_fit, flagged, verdicts, crossovers, notes)
+    return kappa_n, s_n, verdicts, crossovers
 
 
 def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> SurveyResult:
@@ -502,10 +483,27 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
                     elapsed_s=round(m.elapsed_s, 6),
                 )
             )
-        kappa_fit, s_fit, flagged, verdicts, crossovers, fit_notes = _fit_family(
-            spec, measured, config.solvers, config.scan_range
-        )
-        notes.extend(fit_notes)
+        kappa_fit = s_fit = None
+        flagged, verdicts, crossovers = False, {}, {}
+        if len(measured) < MIN_FIT_POINTS:
+            notes.append(f"only {len(measured)} records; fits need {MIN_FIT_POINTS}")
+        else:
+            try:
+                kappa_fit, s_fit, flagged = fit_growth(
+                    catalog_entry(spec.family_id).random,
+                    [rec.system_size for _, rec in measured],
+                    [rec.kappa for _, rec in measured],
+                    [rec.sparsity for _, rec in measured],
+                )
+            except ValueError as exc:
+                notes.append(f"fit failed: {exc}")
+        if kappa_fit is not None:
+            try:
+                _, _, verdicts, crossovers = classify_fits(
+                    kappa_fit, s_fit, spec.size_growth, config.solvers, config.scan_range
+                )
+            except CompositionError as exc:
+                notes.append(f"composition failed: {exc}")
         outcomes.append(
             FamilyOutcome(
                 key=key,
@@ -538,47 +536,25 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
 # persistence
 
 def write_records_csv(path: Union[str, Path], rows: Sequence[RecordRow]) -> None:
+    """csv writes a float as its repr and None as an empty field."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.n,
-                    row.system_size,
-                    row.matrix_kind,
-                    repr(row.kappa),
-                    repr(row.lambda_min_nz),
-                    repr(row.lambda_max),
-                    row.sparsity,
-                    repr(row.cutoff),
-                    "" if row.seed is None else row.seed,
-                ]
-            )
+        writer.writerows(rows)
 
 
 def read_records_csv(path: Union[str, Path]) -> list[RecordRow]:
-    rows = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+        reader = csv.reader(f)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected records header in {path}")
+        rows = []
         for raw in reader:
-            rows.append(
-                RecordRow(
-                    family=raw["family"],
-                    n=int(raw["n"]),
-                    system_size=int(raw["system_size"]),
-                    matrix_kind=raw["matrix_kind"],
-                    kappa=float(raw["kappa"]),
-                    lambda_min_nz=float(raw["lambda_min_nz"]),
-                    lambda_max=float(raw["lambda_max"]),
-                    sparsity=int(raw["sparsity"]),
-                    cutoff=float(raw["cutoff"]),
-                    seed=int(raw["seed"]) if raw["seed"] else None,
-                )
-            )
+            if not raw:
+                continue
+            if len(raw) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: {len(raw)} fields")
+            rows.append(RecordRow(*(parse(x) for parse, x in zip(_COLUMN_PARSERS, raw))))
     return rows
 
 
@@ -611,6 +587,8 @@ def _write_series(plots: Path, outcome: FamilyOutcome, solvers: Sequence[str]) -
         writer = csv.writer(f)
         writer.writerow(["N"] + [f"R_{s}" for s in solvers])
         for _, rec in outcome.records:
+            if rec.system_size < 3:  # runtime models need loglog(N) > 0
+                continue
             n_size = float(rec.system_size)
             writer.writerow(
                 [rec.system_size]
@@ -684,24 +662,16 @@ def seed_sensitivity(config: SurveyConfig, seeds: Sequence[int]) -> SeedSensitiv
     for spec in config.families:
         if not catalog_entry(spec.family_id).random:
             raise ValueError(f"{spec.family_id} is deterministic; seeds have no effect")
-    keys = config.family_keys()
-    table: dict[str, dict[int, dict[str, Optional[str]]]] = {k: {} for k in keys}
+    table: dict[str, dict[int, dict[str, Optional[str]]]] = {k: {} for k in config.family_keys()}
     for seed in seeds:
-        for key, spec in zip(keys, config.families):
-            reseeded = dataclasses.replace(spec, seed=seed)
-            measured = []
-            errors = 0
-            for n in reseeded.schedule:
-                m = _measure_instance(reseeded, n, config)
-                if m.record is None:
-                    errors += 1
-                    continue
-                measured.append((m.n, m.record))
-            _, _, _, verdicts, _, _ = _fit_family(
-                reseeded, measured, config.solvers, config.scan_range
-            )
-            table[key][seed] = {
-                name: (verdicts[name].category if name in verdicts else None)
+        reseeded = tuple(dataclasses.replace(spec, seed=seed) for spec in config.families)
+        # one worker keeps the measurements in schedule order
+        result = run_survey(
+            dataclasses.replace(config, families=reseeded, output_dir=None), max_workers=1
+        )
+        for outcome in result.outcomes:
+            table[outcome.key][seed] = {
+                name: (outcome.verdicts[name].category if name in outcome.verdicts else None)
                 for name in config.solvers
             }
     report = SeedSensitivityReport(seeds=seeds, solvers=config.solvers, families=table)

@@ -98,6 +98,43 @@ class TestSurveyCommands:
         doc = read_json(capsys)
         assert doc["families"]["hypercube"]["crossover_N"] == pytest.approx(8388608.0)
 
+    def test_fit_classify_crossover_agree_with_the_survey_report(self, tmp_path, capsys):
+        # deterministic, weighted, random Laplacian (flagged envelope) and
+        # random incidence (envelope drops points) families
+        doc = {
+            "schema": 1,
+            "output_dir": str(tmp_path / "out"),
+            "families": [
+                {"family": "ladder", "schedule": [5, 10, 15, 20, 25, 30]},
+                {"family": "hypercube", "schedule": [3, 4, 5, 6, 7, 8], "weight_rule": "log_rule"},
+                {"family": "gnp", "schedule": list(range(20, 101, 10)), "seed": 3},
+                {"family": "gn", "schedule": list(range(20, 101, 10)), "seed": 19},
+            ],
+        }
+        config = tmp_path / "survey.json"
+        config.write_text(json.dumps(doc))
+        assert main(["survey", "run", str(config)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["families"]
+        fits = tmp_path / "fits.json"
+        records = str(tmp_path / "out" / "records.csv")
+        assert main(["survey", "fit", records, "--out", str(fits)]) == EXIT_OK
+        capsys.readouterr()
+        fitted = json.loads(fits.read_text())["families"]
+        assert main(["survey", "classify", str(fits)]) == EXIT_OK
+        classified = read_json(capsys)["families"]
+        assert main(["survey", "crossover", str(fits), "--solver", "HHL"]) == EXIT_OK
+        crossed = read_json(capsys)["families"]
+
+        assert list(fitted) == list(report) == ["ladder", "hypercube:log_rule", "gnp", "gn"]
+        assert report["gnp"]["envelope_flagged"]
+        assert report["gn"]["kappa_fit"]["n_points"] < 9
+        for key, block in report.items():
+            for field in ("kappa_fit", "s_fit", "envelope_flagged"):
+                assert fitted[key][field] == block[field]
+            categories = {name: v["category"] for name, v in block["verdicts"].items()}
+            assert {n: v["category"] for n, v in classified[key]["verdicts"].items()} == categories
+            assert crossed[key]["crossover_N"] == block["verdicts"]["HHL"]["crossover_N"]
+
     def test_run_output_dir_override(self, tmp_path, config_file, capsys):
         override = tmp_path / "elsewhere"
         code = main(["survey", "run", str(config_file), "--output-dir", str(override)])

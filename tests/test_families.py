@@ -9,7 +9,6 @@ from nlsp.families import (
     apply_weight_rule,
     catalog_entry,
     derive_seed,
-    enumerate_schedule,
     generate,
     list_families,
     make_spec,
@@ -74,10 +73,15 @@ def test_weight_rule_limited_to_weightable_families():
     assert spec.weight_rule == "linear_rule"
 
 
-def test_enumerate_empty_schedule_errors():
-    spec = make_spec("hypercube", schedule=[])
-    with pytest.raises(ValueError):
-        enumerate_schedule(spec)
+def test_unknown_params_rejected():
+    with pytest.raises(ValueError, match=r"gnp has no params \['p'\]"):
+        make_spec("gnp", params={"p": 0.1})
+    with pytest.raises(ValueError, match="no params"):
+        make_spec("generalized_hypercube", params={"a": 3, "m": 2})
+    with pytest.raises(ValueError, match="no params"):
+        make_spec("hypercube", params={"repair": True})
+    assert make_spec("generalized_hypercube", params={"a": 3}).params == {"a": 3}
+    assert make_spec("gn", params={"repair": True}) == make_spec("gn", repair=True)
 
 
 def test_generate_outside_schedule_errors():
@@ -92,10 +96,10 @@ def test_derived_seeds_distinct():
     assert derive_seed(23, "gnp", 5) == derive_seed(23, "gnp", 5)
 
 
-def test_enumerate_schedule_deterministic():
+def test_schedule_generation_deterministic():
     spec = make_spec("gnp", schedule=[5, 9, 13])
-    a = enumerate_schedule(spec)
-    b = enumerate_schedule(spec)
+    a = [generate(spec, n) for n in spec.schedule]
+    b = [generate(spec, n) for n in spec.schedule]
     assert [i.graph.edges for i in a] == [i.graph.edges for i in b]
     assert [i.system_size for i in a] == [i.graph.n_vertices for i in a]
 

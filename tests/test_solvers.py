@@ -87,6 +87,12 @@ def test_hhl_outperformance_condition():
         assert (r > 1) == (lhs < rhs)
 
 
+def test_ratio_floors_fitted_values_at_one():
+    # an extrapolated fit below the physical floor counts as kappa = s = 1
+    floored = ratio_R("HHL", 10.0, lambda _: 1.0, lambda _: 1.0)
+    assert ratio_R("HHL", 10.0, lambda _: 0.5, lambda _: 0.9999999999999992) == floored
+
+
 def test_phase_rand_sparsity_cancels():
     for s in (3.0, 7.0, 19.0):
         r = ratio_R("PHASE_RAND", 5000.0, lambda _: 9.0, lambda _, s=s: s)

@@ -216,8 +216,10 @@ def test_iterative_cross_validation_at_overlap_scale():
         (lambda: laplacian(two_ladders()), "laplacian"),
         (lambda: incidence_matrix(path_cycle_point()), "incidence"),
         (lambda: incidence_matrix(directed_path(1200)), "incidence"),
+        # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
+        (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian"),
     ],
-    ids=["two-ladders", "path-cycle-point", "directed-path-1200"],
+    ids=["two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20"],
 )
 def test_dense_and_lanczos_agree(system, kind):
     m = system()

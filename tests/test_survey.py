@@ -230,6 +230,25 @@ def test_bitwise_reproduction_iterative_path(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family, schedule, params",
+    [
+        ("complete", range(2, 8), None),  # N = 2 at n = 2
+        ("generalized_hypercube", None, None),  # default schedule: N = 2 at m = 1
+        ("generalized_hypercube", range(1, 7), {"a": 3}),  # κ fit 1 - 8e-16 at N = 3
+    ],
+    ids=["complete", "generalized-hypercube", "generalized-hypercube-a3"],
+)
+def test_ratio_series_of_small_systems(tmp_path, family, schedule, params):
+    spec = make_spec(family, schedule=schedule, params=params)
+    result = run_survey(SurveyConfig(families=(spec,), output_dir=str(tmp_path)))
+    outcome = result.outcomes[0]
+    assert set(outcome.verdicts) == set(result.config.solvers)
+    lines = (tmp_path / "plots" / f"{outcome.key}_ratio.csv").read_text().splitlines()
+    sizes = [rec.system_size for _, rec in outcome.records]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [N for N in sizes if N >= 3]
+
+
 class TestRandomFamilyRows:
     def test_derived_seed_recorded(self, tmp_path):
         config = SurveyConfig(
