@@ -114,6 +114,13 @@ def _family_id_of_key(key: str) -> str:
     return key.split("#")[0].split(":")[0]
 
 
+def _catalog_entry(family_id: str):
+    try:
+        return catalog_entry(family_id)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_survey_fit(args: argparse.Namespace) -> int:
     try:
         rows = read_records_csv(args.records)
@@ -127,7 +134,7 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
     for key, group in grouped.items():
         group.sort(key=lambda r: r.n)
         family_id = _family_id_of_key(key)
-        entry = catalog_entry(family_id)
+        entry = _catalog_entry(family_id)
         block: dict = {"family": family_id, "n_records": len(group)}
         families[key] = block
         if len(group) < MIN_FIT_POINTS:
@@ -181,7 +188,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             continue
         kappa_fit = fit_from_dict(block["kappa_fit"])
         s_fit = fit_from_dict(block["s_fit"])
-        entry = catalog_entry(_family_id_of_key(key))
+        entry = _catalog_entry(_family_id_of_key(key))
         size_growth = entry.resolved_size_growth(entry.default_params)
         try:  # an empty scan: crossovers are the crossover command's job
             kappa_n, s_n, verdicts, _ = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())

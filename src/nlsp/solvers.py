@@ -1,10 +1,11 @@
 """Runtime models for the classical baseline and the quantum linear solvers.
 
 Every model fixes the precision by substituting 1/eps = log(system size), uses
-natural logarithms, and sets all prefactors to 1.  Each solver carries a
-numeric evaluator t(N, kappa, s) and a symbolic evaluator over growth classes
-in the family index n (size, kappa and s growths already composed into the
-n domain).
+natural logarithms, and sets all prefactors to 1.  Each model is one formula
+cost(N, kappa, s, op), where ``op`` supplies ``log`` and ``sqrt``: evaluated
+on floats it is the runtime t(N, kappa, s); evaluated on growth classes in
+the family index n (size, kappa and s growths already composed into the n
+domain) it is the runtime's growth class.
 """
 
 from __future__ import annotations
@@ -12,121 +13,76 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .growth import GrowthClass
 
-Half = Fraction(1, 2)
+
+class Ops(NamedTuple):
+    """The operations a runtime formula applies beyond * and integer powers."""
+
+    log: Callable[[Any], Any]
+    sqrt: Callable[[Any], Any]
+
+
+# math.sqrt, not ** 0.5: sqrt is correctly rounded, pow need not be.
+_FLOAT_OPS = Ops(math.log, math.sqrt)
+_CLASS_OPS = Ops(GrowthClass.log_class, lambda c: c ** Fraction(1, 2))
+
+Cost = Callable[[Any, Any, Any, Ops], Any]
 
 
 @dataclass(frozen=True)
 class SolverModel:
     name: str
-    numeric: Callable[[float, float, float], float]
-    symbolic: Callable[[GrowthClass, GrowthClass, GrowthClass], GrowthClass]
+    cost: Cost
 
     def runtime(self, n_size: float, kappa: float, s: float) -> float:
         if n_size < 3:
             raise ValueError("runtime model needs system size >= 3 so loglog > 0")
         if kappa < 1 or s < 1:
             raise ValueError("kappa and s must be >= 1")
-        return self.numeric(float(n_size), float(kappa), float(s))
+        return self.cost(float(n_size), float(kappa), float(s), _FLOAT_OPS)
 
     def runtime_class(
         self, size: GrowthClass, kappa: GrowthClass, s: GrowthClass
     ) -> GrowthClass:
-        return self.symbolic(size, kappa, s)
+        return self.cost(size, kappa, s, _CLASS_OPS)
 
 
-def _cls_num(n: float, k: float, s: float) -> float:
-    return n * s * math.sqrt(k) * math.log(math.log(n))
+def _hhl_vtaa(n, k, s, op: Ops):
+    log_n = op.log(n)
+    return log_n**4 * s**2 * k * op.log(k * log_n) ** 3 * op.log(log_n) ** 2
 
 
-def _cls_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size * s * k**Half * size.loglog_class()
+def _cks(order: int) -> Cost:
+    """CKS(order), the Childs-Kothari-Somma solver; AQC(order) shares it."""
+
+    def cost(n, k, s, op: Ops):
+        log_n = op.log(n)
+        return log_n * s * k * op.log(s * k * log_n) ** order
+
+    return cost
 
 
-def _hhl_num(n: float, k: float, s: float) -> float:
-    return math.log(n) ** 2 * s**2 * k**3
-
-
-def _hhl_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size.log_class() ** 2 * s**2 * k**3
-
-
-def _hhl_aa_num(n: float, k: float, s: float) -> float:
-    return math.log(n) ** 2 * s**2 * k**2
-
-
-def _hhl_aa_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size.log_class() ** 2 * s**2 * k**2
-
-
-def _vtaa_num(n: float, k: float, s: float) -> float:
-    log_n = math.log(n)
-    return (
-        log_n**4 * s**2 * k * math.log(k * log_n) ** 3 * math.log(log_n) ** 2
-    )
-
-
-def _vtaa_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    log_n = size.log_class()
-    return log_n**4 * s**2 * k * (k * log_n).log_class() ** 3 * size.loglog_class() ** 2
-
-
-def _psi_num(n: float, k: float, s: float) -> float:
-    return math.log(n) ** 2 * s**2 * k
-
-
-def _psi_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size.log_class() ** 2 * s**2 * k
-
-
-def _prm_num(n: float, k: float, s: float) -> float:
-    return math.log(n) ** 2 * s * k * math.log(k)
-
-
-def _prm_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size.log_class() ** 2 * s * k * k.log_class()
-
-
-def _cks_num(order: int) -> Callable[[float, float, float], float]:
-    def run(n: float, k: float, s: float) -> float:
-        log_n = math.log(n)
-        return log_n * s * k * math.log(s * k * log_n) ** order
-
-    return run
-
-
-def _cks_sym(order: int) -> Callable[[GrowthClass, GrowthClass, GrowthClass], GrowthClass]:
-    def run(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-        log_n = size.log_class()
-        return log_n * s * k * (s * k * log_n).log_class() ** order
-
-    return run
-
-
-def _dream_num(n: float, k: float, s: float) -> float:
-    return math.log(n) * math.sqrt(s) * k * math.log(math.log(n))
-
-
-def _dream_sym(size: GrowthClass, k: GrowthClass, s: GrowthClass) -> GrowthClass:
-    return size.log_class() * s**Half * k * size.loglog_class()
-
-
-CLS = SolverModel("CLS", _cls_num, _cls_sym)
+CLS = SolverModel("CLS", lambda n, k, s, op: n * s * op.sqrt(k) * op.log(op.log(n)))
 
 SOLVERS: dict[str, SolverModel] = {
-    "HHL": SolverModel("HHL", _hhl_num, _hhl_sym),
-    "HHL_AA": SolverModel("HHL_AA", _hhl_aa_num, _hhl_aa_sym),
-    "HHL_VTAA": SolverModel("HHL_VTAA", _vtaa_num, _vtaa_sym),
-    "PSI_HHL": SolverModel("PSI_HHL", _psi_num, _psi_sym),
-    "PHASE_RAND": SolverModel("PHASE_RAND", _prm_num, _prm_sym),
-    "DREAM": SolverModel("DREAM", _dream_num, _dream_sym),
+    model.name: model
+    for model in (
+        SolverModel("HHL", lambda n, k, s, op: op.log(n) ** 2 * s**2 * k**3),
+        SolverModel("HHL_AA", lambda n, k, s, op: op.log(n) ** 2 * s**2 * k**2),
+        SolverModel("HHL_VTAA", _hhl_vtaa),
+        SolverModel("PSI_HHL", lambda n, k, s, op: op.log(n) ** 2 * s**2 * k),
+        SolverModel("PHASE_RAND", lambda n, k, s, op: op.log(n) ** 2 * s * k * op.log(k)),
+        SolverModel(
+            "DREAM", lambda n, k, s, op: op.log(n) * op.sqrt(s) * k * op.log(op.log(n))
+        ),
+    )
 }
 for _k in (1, 2, 3):
-    SOLVERS[f"CKS({_k})"] = SolverModel(f"CKS({_k})", _cks_num(_k), _cks_sym(_k))
-    SOLVERS[f"AQC({_k})"] = SolverModel(f"AQC({_k})", _cks_num(_k), _cks_sym(_k))
+    for _name in (f"CKS({_k})", f"AQC({_k})"):
+        SOLVERS[_name] = SolverModel(_name, _cks(_k))
 
 
 def get_solver(name: str) -> SolverModel:
@@ -184,9 +140,7 @@ def ratio_class(
     solver: str, size_growth: GrowthClass, kappa_growth: GrowthClass, s_growth: GrowthClass
 ) -> GrowthClass:
     """Symbolic prefactor-free ratio t_CLS / t_solver in the family index n."""
-    t_cls = CLS.runtime_class(size_growth, kappa_growth, s_growth)
-    t_q = get_solver(solver).runtime_class(size_growth, kappa_growth, s_growth)
-    return t_cls / t_q
+    return evaluate_advantage(solver, size_growth, kappa_growth, s_growth).ratio_class
 
 
 def kmp_reference_ratio(n: int) -> float:
@@ -254,7 +208,8 @@ def evaluate_advantage(
     s_growth: GrowthClass,
     crossover_N: Optional[float] = None,
 ) -> AdvantageVerdict:
-    """ratio_class + classify in one step for a named quantum solver."""
+    """Verdict on the symbolic ratio t_CLS / t_solver for a named quantum
+    solver; the one place that ratio is formed (``ratio_class`` reads it)."""
     model = get_solver(solver)
     t_q = model.runtime_class(size_growth, kappa_growth, s_growth)
     ratio = CLS.runtime_class(size_growth, kappa_growth, s_growth) / t_q

@@ -71,7 +71,7 @@ def full_spectrum(m: SymmetricMatrix, dense_limit: Optional[int] = None) -> np.n
 
 
 def extreme_eigs(
-    m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF, *,
+    m: SymmetricMatrix, cutoff: Optional[float] = None, *,
     kernel: Optional[int] = None, dense_limit: Optional[int] = None,
 ) -> tuple[float, float]:
     """(smallest nonzero |eigenvalue|, largest |eigenvalue|).
@@ -79,12 +79,15 @@ def extreme_eigs(
     ``kernel`` is the null-space dimension of a PSD m: the smallest nonzero
     eigenvalue is the (kernel+1)-th, and orders above the dense limit take
     Lanczos.  Without it, m is any symmetric matrix up to the dense limit,
-    and eigenvalues of magnitude at most ``cutoff`` count as zero.
+    and eigenvalues of magnitude at most ``cutoff`` count as zero; the
+    default is numpy's rank tolerance, order·ε·max|λ|.
     """
-    if cutoff <= 0:
+    if cutoff is not None and cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if kernel is None:
         eigs = np.abs(full_spectrum(m, dense_limit))
+        if cutoff is None:
+            cutoff = m.order * np.finfo(float).eps * eigs.max()
         nonzero = eigs[eigs > cutoff]
         if not nonzero.size:
             raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
@@ -115,7 +118,8 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, flo
     return float(vals.max()), lam_max
 
 
-def condition_number(m: SymmetricMatrix, cutoff: float = DEFAULT_CUTOFF) -> float:
+def condition_number(m: SymmetricMatrix, cutoff: Optional[float] = None) -> float:
+    """λmax / λmin over the nonzero |eigenvalues|, zero as in ``extreme_eigs``."""
     lam_min, lam_max = extreme_eigs(m, cutoff)
     return lam_max / lam_min
 

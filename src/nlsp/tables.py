@@ -28,6 +28,9 @@ def _exp(base: int) -> GrowthClass:
 
 
 CATEGORY_LABEL = {"best": "exp", "better": "poly", "good": "sub-linear", "bad": "none"}
+# The printed label columns and the solver each is derived from, in the order
+# of a row's hhl_label, cks_label and dream_label.
+COLUMNS = (("HHL", "HHL"), ("CKS/AQC", "CKS(1)"), ("DREAM", "DREAM"))
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,10 @@ def row_verdicts(row: TableRow) -> dict[str, AdvantageVerdict]:
 
 def computed_labels(row: TableRow) -> dict[str, str]:
     """Labels the symbolic machinery derives for the three printed columns."""
-    out = {}
-    for column, solver in (("HHL", "HHL"), ("CKS/AQC", "CKS(1)"), ("DREAM", "DREAM")):
-        verdict = evaluate_advantage(solver, row.size, row.kappa, row.s)
-        out[column] = CATEGORY_LABEL[verdict.category]
-    return out
+    return {
+        column: CATEGORY_LABEL[evaluate_advantage(solver, row.size, row.kappa, row.s).category]
+        for column, solver in COLUMNS
+    }
 
 
 @dataclass(frozen=True)
@@ -134,11 +136,8 @@ class RowResult:
 
     @property
     def expected(self) -> dict[str, str]:
-        return {
-            "HHL": self.row.hhl_label,
-            "CKS/AQC": self.row.cks_label,
-            "DREAM": self.row.dream_label,
-        }
+        labels = (self.row.hhl_label, self.row.cks_label, self.row.dream_label)
+        return {column: label for (column, _), label in zip(COLUMNS, labels)}
 
     @property
     def matches(self) -> bool:
@@ -175,10 +174,9 @@ class TableReport:
 
     def to_text(self) -> str:
         lines = []
-        header = (
-            f"{'family':34} {'kappa':10} {'s':10} {'size':10} "
-            f"{'HHL':12} {'CKS/AQC':12} {'DREAM':12} match"
-        )
+        header = f"{'family':34} {'kappa':10} {'s':10} {'size':10} " + "".join(
+            f"{column:12} " for column, _ in COLUMNS
+        ) + "match"
         for table in (2, 3):
             lines.append(f"-- matrix table {table} --")
             lines.append(header)
@@ -187,9 +185,9 @@ class TableReport:
                     continue
                 lines.append(
                     f"{r.row.row_id:34} {str(r.row.kappa):10} {str(r.row.s):10} "
-                    f"{str(r.row.size):10} {r.computed['HHL']:12} "
-                    f"{r.computed['CKS/AQC']:12} {r.computed['DREAM']:12} "
-                    f"{'ok' if r.matches else 'MISMATCH'}"
+                    f"{str(r.row.size):10} "
+                    + "".join(f"{r.computed[column]:12} " for column, _ in COLUMNS)
+                    + ("ok" if r.matches else "MISMATCH")
                 )
         lines.append(f"{self.matched}/{self.total} rows reproduced")
         return "\n".join(lines)

@@ -173,6 +173,23 @@ class TestSurveyCommands:
         doc = read_json(capsys)
         assert "error" in doc["families"]["hypercube"]
 
+    def test_unknown_family_is_config_error(self, tmp_path, capsys):
+        rows = [
+            RecordRow("hypercube", n, 2**n, "laplacian", float(n), 2.0, 2.0 * n, n + 1, 1e-6, None)
+            for n in (3, 4, 5, 6)
+        ]
+        path, fits = tmp_path / "records.csv", tmp_path / "fits.json"
+        write_records_csv(path, rows)
+        assert main(["survey", "fit", str(path), "--out", str(fits)]) == EXIT_OK
+        doc = json.loads(fits.read_text())
+        doc["families"] = {"no_such_family": doc["families"]["hypercube"]}
+        fits.write_text(json.dumps(doc))
+        write_records_csv(path, [row._replace(family="no_such_family") for row in rows])
+        capsys.readouterr()
+        for argv in (["survey", "fit", str(path)], ["survey", "classify", str(fits)]):
+            assert main(argv) == EXIT_CONFIG
+            assert "error: unknown family 'no_such_family'" in capsys.readouterr().err
+
     def test_classify_unknown_family_filter(self, tmp_path, capsys):
         fits = tmp_path / "fits.json"
         fits.write_text(json.dumps({"schema": 1, "families": {}}))

@@ -38,24 +38,52 @@ def test_runtime_boundaries():
         get_solver("grover")
 
 
-def test_runtime_formulas_spot_values():
-    n_size, k, s = 1000.0, 7.0, 3.0
+def _paper_formulas(n_size, k, s):
+    """Each model's runtime as the paper writes it, 1/eps = log N."""
     log_n = math.log(n_size)
     ll = math.log(log_n)
-    assert runtime("CLS", n_size, k, s) == pytest.approx(n_size * s * math.sqrt(k) * ll)
-    assert runtime("HHL", n_size, k, s) == pytest.approx(log_n**2 * s**2 * k**3)
-    assert runtime("HHL_AA", n_size, k, s) == pytest.approx(log_n**2 * s**2 * k**2)
-    assert runtime("HHL_VTAA", n_size, k, s) == pytest.approx(
-        log_n**4 * s**2 * k * math.log(k * log_n) ** 3 * ll**2
-    )
-    assert runtime("PSI_HHL", n_size, k, s) == pytest.approx(log_n**2 * s**2 * k)
-    assert runtime("PHASE_RAND", n_size, k, s) == pytest.approx(log_n**2 * s * k * math.log(k))
+    out = {
+        "CLS": n_size * s * math.sqrt(k) * ll,
+        "HHL": log_n**2 * s**2 * k**3,
+        "HHL_AA": log_n**2 * s**2 * k**2,
+        "HHL_VTAA": log_n**4 * s**2 * k * math.log(k * log_n) ** 3 * ll**2,
+        "PSI_HHL": log_n**2 * s**2 * k,
+        "PHASE_RAND": log_n**2 * s * k * math.log(k),
+        "DREAM": log_n * math.sqrt(s) * k * ll,
+    }
     for order in (1, 2, 3):
-        assert runtime(f"CKS({order})", n_size, k, s) == pytest.approx(
+        out[f"CKS({order})"] = out[f"AQC({order})"] = (
             log_n * s * k * math.log(s * k * log_n) ** order
         )
-        assert runtime(f"AQC({order})", n_size, k, s) == runtime(f"CKS({order})", n_size, k, s)
-    assert runtime("DREAM", n_size, k, s) == pytest.approx(log_n * math.sqrt(s) * k * ll)
+    return out
+
+
+def test_runtime_formulas_spot_values():
+    assert set(_paper_formulas(10.0, 2.0, 2.0)) == {"CLS", *SOLVERS}
+    for n_size in (3.0, 1000.0, 1e9):
+        for k in (1.0, 7.0, 1e4):
+            for s in (1.0, 3.0, 50.0):
+                for name, want in _paper_formulas(n_size, k, s).items():
+                    assert runtime(name, n_size, k, s) == want, (name, n_size, k, s)
+
+
+def test_runtime_classes_of_every_model():
+    # size 2^n, kappa = s = n: log N = n, loglog N = log n
+    expected = {
+        "CLS": "2^n * n^(3/2) * log(n)",
+        "HHL": "n^7",
+        "HHL_AA": "n^6",
+        "HHL_VTAA": "n^7 * log(n)^5",
+        "PSI_HHL": "n^5",
+        "PHASE_RAND": "n^4 * log(n)",
+        "DREAM": "n^(5/2) * log(n)",
+    }
+    for order, tail in ((1, "log(n)"), (2, "log(n)^2"), (3, "log(n)^3")):
+        expected[f"CKS({order})"] = expected[f"AQC({order})"] = f"n^3 * {tail}"
+    assert set(expected) == {"CLS", *SOLVERS}
+    for name, want in expected.items():
+        model = CLS if name == "CLS" else SOLVERS[name]
+        assert str(model.runtime_class(EXP2, N1, N1)) == want, name
 
 
 def test_ratio_consistency_random_triples():

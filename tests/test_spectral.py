@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nlsp.families import generate, make_spec
 from nlsp.graphs import (
     Graph,
     RectMatrix,
@@ -109,6 +110,8 @@ def test_extreme_eigs_examples():
 def test_extreme_eigs_zero_matrix():
     with pytest.raises(ValueError, match="effectively zero"):
         extreme_eigs(SymmetricMatrix(np.zeros((3, 3))), DEFAULT_CUTOFF)
+    with pytest.raises(ValueError, match="effectively zero"):
+        extreme_eigs(SymmetricMatrix(np.zeros((3, 3))))
 
 
 def test_condition_number_families():
@@ -120,6 +123,15 @@ def test_condition_number_families():
     k20 = condition_number(laplacian(ladder(20)))
     k40 = condition_number(laplacian(ladder(40)))
     assert 3.0 < k40 / k20 < 5.0
+
+
+def test_condition_number_keeps_eigenvalues_below_the_absolute_cutoff():
+    # λ₂ = 7.55e-7 of the quadratic-rule hypercube at n=11 is below 1e-6; the
+    # default rank tolerance keeps it, as measure's counted kernel does.
+    spec = make_spec("hypercube", schedule=(11,), weight_rule="quadratic_rule")
+    lap = laplacian(generate(spec, 11).graph)
+    assert condition_number(lap) == pytest.approx(1662885.0194372106, rel=1e-9)
+    assert condition_number(lap, DEFAULT_CUTOFF) == pytest.approx(1196211.018797857, rel=1e-9)
 
 
 def test_sparsity_examples():
