@@ -186,10 +186,17 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
+        entry = _catalog_entry(_family_id_of_key(key))
+        if callable(entry.size_growth):  # N(n) needs params the fits file lacks
+            out["families"][key] = {
+                "error": f"size growth of {entry.family_id} depends on its params, which "
+                "records.csv does not carry; read the verdicts in the run's report.json"
+            }
+            failures += 1
+            continue
         kappa_fit = fit_from_dict(block["kappa_fit"])
         s_fit = fit_from_dict(block["s_fit"])
-        entry = _catalog_entry(_family_id_of_key(key))
-        size_growth = entry.resolved_size_growth(entry.default_params)
+        size_growth = entry.size_growth
         try:  # an empty scan: crossovers are the crossover command's job
             kappa_n, s_n, verdicts, _ = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
         except CompositionError as exc:

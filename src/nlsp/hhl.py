@@ -33,7 +33,7 @@ from .graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from .spectral import DEFAULT_CUTOFF
+from .spectral import DEFAULT_CUTOFF, zero_tolerance
 
 # A full run stores order * 2^n_r complex amplitudes implicitly; the budget
 # counts state + clock + ancilla qubits.
@@ -144,7 +144,7 @@ class HhlOutcome:
 
 
 def _eig_prepare(
-    a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float
+    a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """Shared QPE front end: eigensystem, amplitudes, clock kernel, bins."""
     order = a.order
@@ -163,8 +163,9 @@ def _eig_prepare(
         raise ValueError("b must be nonzero")
     lam, basis = np.linalg.eigh(a.to_dense())
     lam_t = lam * cfg.t / (2.0 * math.pi)
-    nonzero = np.abs(lam) > cutoff
-    signed = bool((lam < -cutoff).any())
+    tol = zero_tolerance(lam, cutoff)
+    nonzero = np.abs(lam) > tol
+    signed = bool((lam < -tol).any())
     if nonzero.any():
         live = np.abs(lam_t[nonzero])
         top = float(live.max())
@@ -199,14 +200,15 @@ def hhl_solve(
     a: SymmetricMatrix,
     b: Sequence[float],
     cfg: HhlConfig,
-    cutoff: float = DEFAULT_CUTOFF,
+    cutoff: float | None = None,
 ) -> HhlOutcome:
     """Run the simulated circuit: QPE, inversion rotation, QPE undo, post-select.
 
     The rotation angle on clock value c is 2 arcsin(C / bin(c)), clamped to
     a full flip when a leakage bin undercuts C, and zero on the all-zeros
     bin so null-space components acquire no success amplitude.  Eigenvalues
-    within ``cutoff`` of zero count as null.
+    at or below ``zero_tolerance(eigs, cutoff)`` in magnitude count as null:
+    numpy's rank tolerance by default, or an explicit absolute cutoff.
     """
     _, basis, beta, b_norm, weights, bins = _eig_prepare(a, b, cfg, cutoff)
     sines = np.zeros_like(bins)
@@ -268,14 +270,14 @@ def detect_fixed_clock_qubits(
     b: Sequence[float],
     cfg: HhlConfig,
     p_th: float = MQF_THRESHOLD,
-    cutoff: float = DEFAULT_CUTOFF,
+    cutoff: float | None = None,
 ) -> set[tuple[int, int]]:
     """Clock qubits whose post-QPE marginal clears the fixing threshold.
 
     Returns (qubit, bit) pairs with qubit 0 the most significant clock bit.
     A qubit is fixable when one bit value carries marginal probability at
     least p_th, in which case its controlled gates can be replaced by
-    classically conditioned ones.
+    classically conditioned ones.  Null eigenvalues are as in ``hhl_solve``.
     """
     if not 0.5 < p_th <= 1.0:
         raise ValueError("p_th must lie in (1/2, 1]")

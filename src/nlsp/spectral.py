@@ -6,16 +6,14 @@ eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(
 squaring leaves σmin a relative error of about ε·κ²/2.  G's kernel
 dimension c is counted, as its number of connected components, and the
 smallest nonzero eigenvalue is the (c+1)-th smallest: from the dense
-eigensolver up to a size limit (default 3000; a per-call argument, or
-``NLSP_DENSE_LIMIT`` as the process default), above it from one
-shift-invert Lanczos call with a fixed start vector, so repeated runs agree
-bit for bit.  Sparsity is read off the CSR index arrays.
+eigensolver up to a size limit (a per-call argument, 3000 when None),
+above it from one shift-invert Lanczos call with a fixed start vector, so
+repeated runs agree bit for bit.  Sparsity is read off the CSR index arrays.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,13 +32,18 @@ _START_SEED = 2025
 
 
 def dense_limit() -> int:
-    """Process-default largest order handled by the dense eigensolver."""
-    raw = os.environ.get("NLSP_DENSE_LIMIT")
-    return int(raw) if raw else DEFAULT_DENSE_LIMIT
+    """Largest order the dense eigensolver takes when no limit is passed."""
+    return DEFAULT_DENSE_LIMIT
 
 
-def _limit(override: Optional[int]) -> int:
-    return dense_limit() if override is None else override
+def zero_tolerance(eigs: np.ndarray, cutoff: Optional[float] = None) -> float:
+    """Magnitude at or below which an eigenvalue of ``eigs`` counts as zero:
+    ``cutoff``, or numpy's rank tolerance order·ε·max|λ| when None."""
+    if cutoff is None:
+        return eigs.size * np.finfo(float).eps * float(np.abs(eigs).max())
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    return cutoff
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class SpectralRecord:
     lambda_max: float
     kappa: float
     sparsity: int
-    cutoff: float
     matrix_kind: str
 
     def __post_init__(self) -> None:
@@ -63,38 +65,23 @@ class SpectralRecord:
 
 
 def full_spectrum(m: SymmetricMatrix, dense_limit: Optional[int] = None) -> np.ndarray:
-    """All eigenvalues, ascending.  Refuses orders above the dense limit."""
-    limit = _limit(dense_limit)
+    """All eigenvalues, ascending.  Refuses orders above the dense limit
+    (3000 when None)."""
+    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
     if m.order > limit:
         raise ValueError(f"order {m.order} exceeds dense limit {limit}; use extreme_eigs")
     return np.linalg.eigvalsh(m.to_dense())
 
 
 def extreme_eigs(
-    m: SymmetricMatrix, cutoff: Optional[float] = None, *,
-    kernel: Optional[int] = None, dense_limit: Optional[int] = None,
+    m: SymmetricMatrix, *, kernel: int, dense_limit: Optional[int] = None
 ) -> tuple[float, float]:
-    """(smallest nonzero |eigenvalue|, largest |eigenvalue|).
-
-    ``kernel`` is the null-space dimension of a PSD m: the smallest nonzero
-    eigenvalue is the (kernel+1)-th, and orders above the dense limit take
-    Lanczos.  Without it, m is any symmetric matrix up to the dense limit,
-    and eigenvalues of magnitude at most ``cutoff`` count as zero; the
-    default is numpy's rank tolerance, order·ε·max|λ|.
-    """
-    if cutoff is not None and cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if kernel is None:
-        eigs = np.abs(full_spectrum(m, dense_limit))
-        if cutoff is None:
-            cutoff = m.order * np.finfo(float).eps * eigs.max()
-        nonzero = eigs[eigs > cutoff]
-        if not nonzero.size:
-            raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-        return float(nonzero.min()), float(eigs.max())
+    """(smallest nonzero, largest) eigenvalue of a PSD m whose null space
+    has dimension ``kernel``: the (kernel+1)-th and the last.  Orders above
+    the dense limit (3000 when None) take Lanczos."""
     if kernel >= m.order:
         raise ValueError("effectively zero matrix: no nonzero eigenvalue")
-    if m.order > _limit(dense_limit):
+    if m.order > (DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit):
         return _extreme_eigs_iterative(m, kernel)
     eigs = np.linalg.eigvalsh(m.to_dense())
     return float(eigs[kernel]), float(eigs[-1])
@@ -119,9 +106,13 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, flo
 
 
 def condition_number(m: SymmetricMatrix, cutoff: Optional[float] = None) -> float:
-    """λmax / λmin over the nonzero |eigenvalues|, zero as in ``extreme_eigs``."""
-    lam_min, lam_max = extreme_eigs(m, cutoff)
-    return lam_max / lam_min
+    """max|λ| / min nonzero |λ| of any symmetric m up to order 3000, where
+    |λ| at or below ``zero_tolerance(eigs, cutoff)`` counts as zero."""
+    eigs = np.abs(full_spectrum(m))
+    nonzero = eigs[eigs > zero_tolerance(eigs, cutoff)]
+    if not nonzero.size:
+        raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
+    return float(eigs.max()) / float(nonzero.min())
 
 
 def sparsity(m: RectMatrix) -> int:
@@ -135,13 +126,13 @@ def sparsity(m: RectMatrix) -> int:
 
 
 def measure(
-    m: RectMatrix, matrix_kind: str, cutoff: float = DEFAULT_CUTOFF,
-    dense_limit: Optional[int] = None,
+    m: RectMatrix, matrix_kind: str, *, dense_limit: Optional[int] = None
 ) -> SpectralRecord:
     """SpectralRecord of a Laplacian L, or of the dilation [[0, B], [Bᵀ, 0]]
     of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ).  The kernel
     dimension is the number of connected components, exact for L (positive
-    weights) and B·Bᵀ.  ``cutoff`` is recorded and picks no eigenvalue.
+    weights) and B·Bᵀ.  Orders above ``dense_limit`` (3000 when None) take
+    Lanczos.
     """
     if matrix_kind == "laplacian":
         g, size = m, m.order
@@ -154,7 +145,7 @@ def measure(
     # G's pattern is symmetric, so its strong components are its components;
     # "strong" skips the symmetrized copy that an undirected count makes.
     kernel = int(connected_components(g.csr, directed=True, connection="strong")[0])
-    lam_min, lam_max = extreme_eigs(g, cutoff, kernel=kernel, dense_limit=dense_limit)
+    lam_min, lam_max = extreme_eigs(g, kernel=kernel, dense_limit=dense_limit)
     if matrix_kind == "incidence":
         lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(
@@ -163,6 +154,5 @@ def measure(
         lambda_max=lam_max,
         kappa=lam_max / lam_min,
         sparsity=sparsity(m),
-        cutoff=cutoff,
         matrix_kind=matrix_kind,
     )

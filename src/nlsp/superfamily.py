@@ -63,8 +63,8 @@ class CellMeasurements(NamedTuple):
 def cell_measurements(a: int, m: int) -> CellMeasurements:
     """Measure kappa and s of the G_a^m Laplacian, asserting the predictions.
 
-    Cells larger than the dense eigensolver limit are not eigensolved; the
-    predicted values come back flagged as unmeasured.
+    Cells larger than the dense eigensolver limit (3000 vertices) are not
+    eigensolved; the predicted values come back flagged as unmeasured.
     """
     cell = TableauCell(a, m)
     if cell.n_vertices > dense_limit():

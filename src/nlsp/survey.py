@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -66,8 +67,9 @@ class SurveyConfig:
     base_seed is provenance for configs loaded from JSON, where it seeds
     every random family that carries no explicit per-family seed; specs
     passed in directly are used as-is.  output_dir None keeps the run
-    in memory.  A smallest nonzero eigenvalue at or below cutoff is flagged
-    in the family's notes.  dense_limit None takes the process default.
+    in memory.  cutoff only flags: a smallest nonzero eigenvalue at or
+    below it gets a note in the family's notes, and records.csv echoes it.
+    Orders above dense_limit (3000 when None) take Lanczos.
     """
 
     families: tuple[FamilySpec, ...]
@@ -255,23 +257,6 @@ class FamilyOutcome:
     errors: tuple[tuple[int, str], ...]
     notes: tuple[str, ...]
 
-    def record_rows(self) -> list[RecordRow]:
-        return [
-            RecordRow(
-                family=self.key,
-                n=n,
-                system_size=rec.system_size,
-                matrix_kind=rec.matrix_kind,
-                kappa=rec.kappa,
-                lambda_min_nz=rec.lambda_min_nz,
-                lambda_max=rec.lambda_max,
-                sparsity=rec.sparsity,
-                cutoff=rec.cutoff,
-                seed=_instance_seed(self.spec, n),
-            )
-            for n, rec in self.records
-        ]
-
 
 @dataclass(frozen=True)
 class SurveyResult:
@@ -280,7 +265,24 @@ class SurveyResult:
     manifest: SurveyManifest
 
     def record_rows(self) -> list[RecordRow]:
-        return [row for outcome in self.outcomes for row in outcome.record_rows()]
+        return [row for outcome in self.outcomes for row in self._rows(outcome)]
+
+    def _rows(self, outcome: FamilyOutcome) -> list[RecordRow]:
+        return [
+            RecordRow(
+                family=outcome.key,
+                n=n,
+                system_size=rec.system_size,
+                matrix_kind=rec.matrix_kind,
+                kappa=rec.kappa,
+                lambda_min_nz=rec.lambda_min_nz,
+                lambda_max=rec.lambda_max,
+                sparsity=rec.sparsity,
+                cutoff=self.config.cutoff,
+                seed=_instance_seed(outcome.spec, n),
+            )
+            for n, rec in outcome.records
+        ]
 
     def report_dict(self) -> dict:
         """Fits and verdicts keyed by family; a verdict never appears
@@ -294,7 +296,7 @@ class SurveyResult:
                 "size_growth": str(outcome.spec.size_growth),
                 "records": [
                     {k: v for k, v in row._asdict().items() if k not in ("family", "matrix_kind")}
-                    for row in outcome.record_rows()
+                    for row in self._rows(outcome)
                 ],
                 "errors": [{"n": n, "error": msg} for n, msg in outcome.errors],
                 "notes": list(outcome.notes),
@@ -374,7 +376,7 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> _Measur
     try:
         instance = generate(spec, n)
         record = measure(
-            system_matrix(instance), spec.matrix_kind, config.cutoff, config.dense_limit
+            system_matrix(instance), spec.matrix_kind, dense_limit=config.dense_limit
         )
     except Exception as exc:  # per-instance failures are recorded, not fatal
         return _Measured(n, None, f"{type(exc).__name__}: {exc}", (), time.perf_counter() - start)
@@ -443,31 +445,20 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     writes happen on the calling thread in canonical (family, n) order, so
     re-running an identical config reproduces records.csv byte for byte.
     """
-    keys = config.family_keys()
-    jobs = [
-        (idx, spec, n)
-        for idx, spec in enumerate(config.families)
-        for n in spec.schedule
-    ]
+    jobs = [(spec, n) for spec in config.families for n in spec.schedule]
     workers = max_workers or min(4, os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda job: (job[0], _measure_instance(job[1], job[2], config)), jobs)
-        )
-
-    by_family: dict[int, list[_Measured]] = {i: [] for i in range(len(config.families))}
-    for idx, m in results:
-        by_family[idx].append(m)
+        # map yields in job order: by family, then by the strictly increasing n
+        results = pool.map(lambda job: _measure_instance(*job, config), jobs)
 
     outcomes = []
     entries: list[ManifestEntry] = []
     skipped: list[SkipEntry] = []
-    for idx, spec in enumerate(config.families):
-        key = keys[idx]
+    for key, spec in zip(config.family_keys(), config.families):
         notes: list[str] = []
         measured: list[tuple[int, SpectralRecord]] = []
         errors: list[tuple[int, str]] = []
-        for m in sorted(by_family[idx], key=lambda m: m.n):
+        for m in itertools.islice(results, len(spec.schedule)):
             if m.error is not None:
                 errors.append((m.n, m.error))
                 skipped.append(SkipEntry(key, m.n, m.error))

@@ -135,6 +135,33 @@ class TestSurveyCommands:
             assert {n: v["category"] for n, v in classified[key]["verdicts"].items()} == categories
             assert crossed[key]["crossover_N"] == block["verdicts"]["HHL"]["crossover_N"]
 
+    def test_classify_refuses_a_size_growth_set_by_params(self, tmp_path, capsys):
+        # records.csv carries no params, so N(n) = 3^n of a=3 cannot be told
+        # from the default a=2; the verdicts live in report.json
+        doc = {
+            "schema": 1,
+            "output_dir": str(tmp_path / "out"),
+            "families": [
+                {"family": "generalized_hypercube", "schedule": [1, 2, 3, 4, 5, 6],
+                 "params": {"a": 3}},
+                {"family": "hypercube", "schedule": [2, 3, 4, 5, 6, 7]},
+            ],
+        }
+        config = tmp_path / "survey.json"
+        config.write_text(json.dumps(doc))
+        assert main(["survey", "run", str(config)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["families"]
+        assert report["generalized_hypercube"]["size_growth"] == "3^n"
+        fits = tmp_path / "fits.json"
+        records = str(tmp_path / "out" / "records.csv")
+        assert main(["survey", "fit", records, "--out", str(fits)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["survey", "classify", str(fits)]) == EXIT_PARTIAL
+        classified = read_json(capsys)["families"]
+        assert set(classified["generalized_hypercube"]) == {"error"}
+        assert "report.json" in classified["generalized_hypercube"]["error"]
+        assert classified["hypercube"]["verdicts"]["HHL"]["category"] == "best"
+
     def test_run_output_dir_override(self, tmp_path, config_file, capsys):
         override = tmp_path / "elsewhere"
         code = main(["survey", "run", str(config_file), "--output-dir", str(override)])

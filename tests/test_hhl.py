@@ -388,6 +388,22 @@ class TestEffectiveResistance:
         got = effective_resistance(complete_graph(6), 0, 1, "hhl", default_config(10, 10.0))
         assert got == pytest.approx(1.0 / 3.0, rel=1e-2)
 
+    @pytest.mark.parametrize("n_r", [4, 8, 10])
+    def test_weak_link_is_not_a_null_mode(self, n_r):
+        # λ₂ ≈ 1e-7 lies below the absolute cutoff 1e-6 but is no null mode:
+        # under the default rank tolerance it stays live, and the default
+        # config's rotation constant cannot invert it.
+        g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 2e-7), (2, 3, 1.0)])
+        assert effective_resistance(g, 0, 3) == pytest.approx(5.0e6 + 2.0, rel=1e-6)
+        with pytest.raises(ValueError, match="C out of range"):
+            effective_resistance(g, 0, 3, "hhl", default_config(n_r, 4.0))
+        lap = laplacian(g)
+        b = [1.0, 0.0, 0.0, -1.0]
+        with pytest.raises(ValueError, match="C out of range"):
+            detect_fixed_clock_qubits(lap, b, default_config(n_r, 4.0))
+        # an explicit cutoff keeps the absolute rule
+        assert hhl_solve(lap, b, default_config(n_r, 4.0), cutoff=1e-6).p_success > 0
+
     def test_validation(self):
         two = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="disconnected"):

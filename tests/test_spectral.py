@@ -86,32 +86,41 @@ def test_full_spectrum_trivial_and_residual():
         assert np.linalg.norm(dense @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-8 * max(norm, 1.0)
 
 
-def test_full_spectrum_refuses_large(monkeypatch):
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "5")
+def test_full_spectrum_refuses_large():
     with pytest.raises(ValueError, match="extreme_eigs"):
-        full_spectrum(laplacian(ladder(4)))
-    # without a counted kernel, extreme_eigs has no iterative path either
-    with pytest.raises(ValueError, match="exceeds dense limit 7"):
-        extreme_eigs(laplacian(ladder(4)), dense_limit=7)
+        full_spectrum(laplacian(ladder(4)), dense_limit=5)
+    # condition_number has no iterative path: it refuses orders above 3000
+    with pytest.raises(ValueError, match="exceeds dense limit 3000"):
+        condition_number(laplacian(ladder(1501)))
 
 
 def test_extreme_eigs_examples():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert extreme_eigs(laplacian(c4)) == pytest.approx((2.0, 4.0), abs=1e-9)
+    assert extreme_eigs(laplacian(c4), kernel=1) == pytest.approx((2.0, 4.0), abs=1e-9)
+    assert condition_number(laplacian(c4)) == pytest.approx(2.0, abs=1e-9)
+    # the dilation is indefinite: its |λ| extremes are those measure reads off B·Bᵀ
     h = hermitian_dilation(incidence_matrix(directed_c4()))
-    lam_min, lam_max = extreme_eigs(h)
-    assert (lam_min, lam_max) == pytest.approx((math.sqrt(2), 2.0), abs=1e-9)
+    rec = measure(incidence_matrix(directed_c4()), "incidence")
+    assert (rec.lambda_min_nz, rec.lambda_max) == pytest.approx((math.sqrt(2), 2.0), abs=1e-9)
     assert condition_number(h) == pytest.approx(math.sqrt(2), abs=1e-9)
     k2 = laplacian(Graph.from_edges(2, [(0, 1)]))
-    assert extreme_eigs(k2) == pytest.approx((2.0, 2.0))
+    assert extreme_eigs(k2, kernel=1) == pytest.approx((2.0, 2.0))
     assert condition_number(k2) == pytest.approx(1.0)
 
 
 def test_extreme_eigs_zero_matrix():
+    zero = SymmetricMatrix(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="effectively zero"):
-        extreme_eigs(SymmetricMatrix(np.zeros((3, 3))), DEFAULT_CUTOFF)
+        condition_number(zero, DEFAULT_CUTOFF)
     with pytest.raises(ValueError, match="effectively zero"):
-        extreme_eigs(SymmetricMatrix(np.zeros((3, 3))))
+        condition_number(zero)
+    with pytest.raises(ValueError, match="effectively zero"):
+        extreme_eigs(zero, kernel=3)
+
+
+def test_extreme_eigs_requires_a_kernel():
+    with pytest.raises(TypeError, match="kernel"):
+        extreme_eigs(laplacian(ladder(4)))
 
 
 def test_condition_number_families():
@@ -168,10 +177,9 @@ def test_kappa_invariant_under_rescaling():
         laplacian(Graph.from_edges(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 3.0)])),
     ]
     for m in mats:
-        lo, hi = extreme_eigs(m, DEFAULT_CUTOFF)
+        kappa = condition_number(m, DEFAULT_CUTOFF)
         scaled = SymmetricMatrix(10.0 * m.csr)
-        lo10, hi10 = extreme_eigs(scaled, DEFAULT_CUTOFF * 10.0)
-        assert hi10 / lo10 == pytest.approx(hi / lo, rel=1e-12)
+        assert condition_number(scaled, DEFAULT_CUTOFF * 10.0) == pytest.approx(kappa, rel=1e-12)
 
 
 def test_connected_laplacians_single_zero_mode():
@@ -199,7 +207,7 @@ def test_measure_record_fields():
     assert rec.kappa == pytest.approx(3.0, rel=1e-9)
     assert rec.sparsity == 4
     assert rec.matrix_kind == "laplacian"
-    assert rec.cutoff == DEFAULT_CUTOFF
+    assert not hasattr(rec, "cutoff")
     assert rec.kappa == pytest.approx(rec.lambda_max / rec.lambda_min_nz)
 
 

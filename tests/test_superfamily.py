@@ -77,10 +77,10 @@ def test_g2m_spectrum_binomial_multiplicities():
     assert np.allclose(vals, expected, atol=1e-9)
 
 
-def test_over_limit_cell_returns_predictions(monkeypatch):
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "8")
-    meas = cell_measurements(3, 2)
-    assert meas == CellMeasurements(2.0, 5, 9, False)
+def test_over_limit_cell_returns_predictions():
+    # G_2^12 has 4096 vertices, above the dense limit of 3000
+    meas = cell_measurements(2, 12)
+    assert meas == CellMeasurements(12.0, 13, 4096, False)
 
 
 def test_slice_constructors():
@@ -167,11 +167,11 @@ def test_tableau_csv_roundtrip():
     assert float(first[4]) == pytest.approx(1.0)
 
 
-def test_tableau_csv_blank_when_unmeasured(monkeypatch):
-    monkeypatch.setenv("NLSP_DENSE_LIMIT", "4")
-    cells = tableau(3, 2)
+def test_tableau_csv_blank_when_unmeasured():
+    # G_5^5 has 3125 vertices, the only cell of this tableau above 3000
+    cells = tableau(5, 5)
     buf = io.StringIO()
     write_tableau_csv(buf, cells)
     rows = buf.getvalue().strip().splitlines()[1:]
-    big = [r for r in rows if r.startswith("3,2")]
-    assert big == ["3,2,9,2,,5,"]
+    blank = [r for r in rows if ",," in r]
+    assert blank == ["5,5,3125,5,,21,"]

@@ -1,5 +1,6 @@
 """Survey orchestration: config plumbing, pipeline verdicts, persistence."""
 
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -37,6 +38,21 @@ def survey_result(tmp_path_factory):
         output_dir=str(out),
     )
     return run_survey(config)
+
+
+def faint_weights(monkeypatch):
+    """Scale every generated edge weight by 1e-8: λmin drops to 1e-8 of its
+    unit-weight value while κ stays the same."""
+    import nlsp.survey as survey_mod
+
+    real_generate = survey_mod.generate
+
+    def faint(spec, n):
+        inst = real_generate(spec, n)
+        g = inst.graph
+        return dataclasses.replace(inst, graph=Graph(g.n_vertices, g.u, g.v, g.w * 1e-8))
+
+    monkeypatch.setattr(survey_mod, "generate", faint)
 
 
 def outcome_of(result, key):
@@ -230,6 +246,26 @@ def test_bitwise_reproduction_iterative_path(tmp_path):
     ).read_bytes()
 
 
+def test_environment_does_not_change_records(tmp_path, monkeypatch):
+    # Every setting comes from the config: no NLSP_<KEY> variable reaches a
+    # measurement.  With a dense limit of 50, gn would take Lanczos.
+    config = SurveyConfig(
+        families=(
+            make_spec("gn", schedule=(100, 200, 300), seed=3),
+            make_spec("grid_2d", schedule=range(3, 8)),
+        ),
+        solvers=("HHL",),
+        output_dir=str(tmp_path / "plain"),
+    )
+    run_survey(config)
+    for key, value in (("dense_limit", "50"), ("cutoff", "0.5")):
+        monkeypatch.setenv(f"NLSP_{key.upper()}", value)
+    run_survey(dataclasses.replace(config, output_dir=str(tmp_path / "env")))
+    assert (tmp_path / "plain" / "records.csv").read_bytes() == (
+        tmp_path / "env" / "records.csv"
+    ).read_bytes()
+
+
 @pytest.mark.parametrize(
     "family, schedule, params",
     [
@@ -291,16 +327,7 @@ class TestSkips:
         assert result.outcomes[0].verdicts["HHL"].category == "best"
 
     def test_eigenvalue_at_or_below_cutoff_is_flagged_not_dropped(self, monkeypatch):
-        import nlsp.survey as survey_mod
-
-        real_generate = survey_mod.generate
-
-        def faint(spec, n):
-            inst = real_generate(spec, n)
-            g = inst.graph
-            return dataclasses.replace(inst, graph=Graph(g.n_vertices, g.u, g.v, g.w * 1e-8))
-
-        monkeypatch.setattr(survey_mod, "generate", faint)
+        faint_weights(monkeypatch)
         config = SurveyConfig(
             families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),), solvers=("HHL",)
         )
@@ -314,6 +341,20 @@ class TestSkips:
         flagged = [note for note in outcome.notes if "at or below the cutoff" in note]
         assert len(flagged) == 4
         assert result.report_dict()["families"]["hypercube"]["notes"][:4] == flagged
+
+    def test_config_cutoff_fills_the_records_and_the_flags(self, tmp_path, monkeypatch):
+        faint_weights(monkeypatch)  # λmin = 2e-8, below the cutoff
+        config = SurveyConfig(
+            families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),),
+            cutoff=1e-7,
+            solvers=("HHL",),
+            output_dir=str(tmp_path),
+        )
+        result = run_survey(config)
+        with open(tmp_path / "records.csv", newline="") as f:
+            assert [row["cutoff"] for row in csv.DictReader(f)] == ["1e-07"] * 4
+        notes = result.outcomes[0].notes
+        assert len([n for n in notes if "at or below the cutoff 1e-07" in n]) == 4
 
     def test_too_few_records_yields_no_verdict(self, monkeypatch):
         import nlsp.survey as survey_mod
