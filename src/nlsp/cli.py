@@ -107,7 +107,7 @@ def cmd_survey_run(args: argparse.Namespace) -> int:
         )
     if config.output_dir:
         print(f"outputs in {config.output_dir}")
-    return EXIT_PARTIAL if result.manifest.skipped else EXIT_OK
+    return EXIT_PARTIAL if any(o.errors for o in result.outcomes) else EXIT_OK
 
 
 def _family_id_of_key(key: str) -> str:
@@ -198,7 +198,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
         s_fit = fit_from_dict(block["s_fit"])
         size_growth = entry.size_growth
         try:  # an empty scan: crossovers are the crossover command's job
-            kappa_n, s_n, verdicts, _ = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
+            kappa_n, s_n, verdicts = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
         except CompositionError as exc:
             out["families"][key] = {"error": f"composition failed: {exc}"}
             failures += 1
@@ -378,12 +378,7 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
         outcome = hhl_solve(matrix, b, cfg)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    amplitude = (
-        outcome.b_norm
-        * outcome.scale
-        * float(np.sqrt(outcome.p_success * outcome.clock_zero_weight))
-    )
-    reconstruction = amplitude * outcome.solution_state
+    reconstruction = outcome.solution
     oracle = np.linalg.pinv(matrix.to_dense()) @ b
     # global sign of the statevector is unobservable; align before comparing
     if float(reconstruction @ oracle) < 0:

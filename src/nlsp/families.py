@@ -385,16 +385,25 @@ def _math_log(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One family: directed families solve incidence systems, and random
+    families carry a default seed."""
+
     family_id: str
     matrix_kind: str  # laplacian | incidence
-    directed: bool
-    random: bool
     size_growth: Union[GrowthClass, Callable[[Mapping], GrowthClass]]
     build: Callable[..., BuildResult]
     default_schedule: tuple[int, ...]
     default_params: Mapping = field(default_factory=dict)
     default_seed: Optional[int] = None
     weightable: bool = False
+
+    @property
+    def directed(self) -> bool:
+        return self.matrix_kind == "incidence"
+
+    @property
+    def random(self) -> bool:
+        return self.default_seed is not None
 
     def resolved_size_growth(self, params: Mapping) -> GrowthClass:
         if callable(self.size_growth):
@@ -411,15 +420,14 @@ _N2 = GrowthClass.poly(2)
 _EXP2 = GrowthClass.exponential(2)
 
 
-def _und(fid, growth, build, schedule, params=None, seed=None, rand=False, weightable=False):
-    return CatalogEntry(fid, "laplacian", False, rand, growth, build,
+def _und(fid, growth, build, schedule, params=None, seed=None, weightable=False):
+    return CatalogEntry(fid, "laplacian", growth, build,
                         tuple(schedule), params or {}, seed, weightable)
 
 
 def _dir(fid, growth, build, schedule, params=None, rand=False):
     seed = DEFAULT_DIRECTED_SEED if rand else None
-    return CatalogEntry(fid, "incidence", True, rand, growth, build,
-                        tuple(schedule), params or {}, seed)
+    return CatalogEntry(fid, "incidence", growth, build, tuple(schedule), params or {}, seed)
 
 
 def _nx_und(fn):
@@ -434,7 +442,7 @@ _CATALOG_ENTRIES = [
     # -- undirected, deterministic ------------------------------------------
     _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15), weightable=True),
     CatalogEntry(
-        "generalized_hypercube", "laplacian", False, False,
+        "generalized_hypercube", "laplacian",
         lambda params: GrowthClass.exponential(int(params["a"])),
         lambda n, p, r: _generalized_hypercube(n, int(p["a"])),
         tuple(range(1, 8)), {"a": 2}, None, False,
@@ -459,38 +467,38 @@ _CATALOG_ENTRIES = [
     _und("binomial_tree", _EXP2, _nx_und(lambda n, p, r: nx.binomial_tree(n)), range(2, 15)),
     # -- undirected, random (seed 23 unless noted) --------------------------
     _und("random_regular_expander", _N1, lambda n, p, r: _expander(n, r),
-         range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("barabasi_albert", _N1, _nx_und(lambda n, p, r: nx.barabasi_albert_graph(n, 3, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("newman_watts_strogatz", _N1,
          _nx_und(lambda n, p, r: nx.newman_watts_strogatz_graph(n, 3, 1.0, seed=r)),
-         range(5, 5006), seed=19, rand=True),
+         range(5, 5006), seed=19),
     _und("random_regular", _N1, _nx_und(lambda n, p, r: nx.random_regular_graph(4, n, seed=r)),
-         range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
     _und("gnp", _N1, lambda n, p, r: _gnp(n, 0.8, r),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("gaussian_random_partition", _N1,
          _nx_und(lambda n, p, r: nx.gaussian_random_partition_graph(n, 5, 5, 0.5, 0.4, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("geographical_threshold", _N1,
          _nx_und(lambda n, p, r: nx.geographical_threshold_graph(n, 10, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("soft_random_geometric", _N1,
          _nx_und(lambda n, p, r: nx.soft_random_geometric_graph(n, 1.0, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("thresholded_random_geometric", _N1,
          _nx_und(lambda n, p, r: nx.thresholded_random_geometric_graph(n, 1.0, 2.0, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _und("planted_partition", _N1,
          _nx_und(lambda n, p, r: nx.planted_partition_graph(2, n, 0.5, 0.4, seed=r)),
-         range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED),
     _und("random_geometric", _N1, _nx_und(lambda n, p, r: nx.random_geometric_graph(n, 1.0, seed=r)),
-         range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED),
     _und("uniform_random_intersection", _N1,
          _nx_und(lambda n, p, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
-         range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED, rand=True),
+         range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
     _und("random_lobster", _N1, _nx_und(lambda n, p, r: nx.random_lobster(n, 0.6, 0.5, seed=r)),
-         range(10, 2001), seed=19, rand=True),
+         range(10, 2001), seed=19),
     # -- directed, deterministic --------------------------------------------
     _dir("paley", GrowthClass.poly(3), lambda n, p, r: _paley(n), _primes_3_mod_4(139)),
     _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _hypercube(n, directed=True),
@@ -542,12 +550,14 @@ def list_families() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family's schedule, params, base seed and weight rule.  Its matrix
+    kind and size growth N(n) are read from the catalog entry and params.
+    A repair spec needs a seed, since the rewiring draws from one."""
+
     family_id: str
     params: Mapping
     seed: Optional[int]
     schedule: tuple[int, ...]
-    matrix_kind: str
-    size_growth: GrowthClass
     weight_rule: str = "unit"
 
     def __post_init__(self) -> None:
@@ -560,25 +570,40 @@ class FamilySpec:
             raise ValueError(f"unknown weight rule {self.weight_rule!r}")
         if self.weight_rule != "unit" and not entry.weightable:
             raise ValueError(f"{self.family_id} has no weight rules")
-        if self.matrix_kind != entry.matrix_kind:
-            raise ValueError(f"{self.family_id} uses {entry.matrix_kind} systems")
         allowed = set(entry.default_params) | ({"repair"} if entry.directed else set())
         unknown = sorted(set(self.params) - allowed)
         if unknown:
             raise ValueError(f"{self.family_id} has no params {unknown}; it takes {sorted(allowed)}")
-        if self.size_growth != entry.resolved_size_growth(self.params):
-            raise ValueError("declared size growth does not match the construction")
+        if self.params.get("repair") and self.seed is None:
+            raise ValueError("repair requires a seed")
+
+    @property
+    def matrix_kind(self) -> str:
+        return catalog_entry(self.family_id).matrix_kind
+
+    @property
+    def size_growth(self) -> GrowthClass:
+        return catalog_entry(self.family_id).resolved_size_growth(self.params)
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
+    """One generated graph; seed is the per-instance seed its random draws
+    used, None for a deterministic family."""
+
     spec: FamilySpec
     n: int
     graph: Graph
-    n_vertices: int
-    n_edges: int
-    system_size: int
+    seed: Optional[int]
     warnings: tuple[str, ...] = ()
+
+    @property
+    def n_vertices(self) -> int:
+        return self.graph.n_vertices
+
+    @property
+    def n_edges(self) -> int:
+        return self.graph.n_edges
 
 
 def make_spec(
@@ -598,14 +623,11 @@ def make_spec(
         if not entry.directed:
             raise ValueError("source/sink repair applies to directed families")
         merged["repair"] = True
-    use_seed = seed if seed is not None else entry.default_seed
     return FamilySpec(
         family_id=family_id,
         params=merged,
-        seed=use_seed,
+        seed=seed if seed is not None else entry.default_seed,
         schedule=tuple(schedule if schedule is not None else entry.default_schedule),
-        matrix_kind=entry.matrix_kind,
-        size_growth=entry.resolved_size_growth(merged),
         weight_rule=weight_rule,
     )
 
@@ -614,28 +636,15 @@ def generate(spec: FamilySpec, n: int) -> FamilyInstance:
     if n not in spec.schedule:
         raise ValueError(f"n={n} not in schedule for {spec.family_id}")
     entry = catalog_entry(spec.family_id)
-    rng = _rng(derive_seed(spec.seed, spec.family_id, n)) if entry.random else None
-    built = entry.build(n, spec.params, rng)
+    seed = derive_seed(spec.seed, spec.family_id, n) if entry.random else None
+    built = entry.build(n, spec.params, None if seed is None else _rng(seed))
     warnings: tuple[str, ...] = ()
     if isinstance(built, tuple):
         graph, warnings = built
     else:
         graph = built
     if spec.params.get("repair"):
-        if spec.seed is None:
-            raise ValueError("repair requires a seed")
         graph = repair_sources_sinks(graph, derive_seed(spec.seed, spec.family_id + "/repair", n))
     if spec.weight_rule != "unit":
         graph = apply_weight_rule(graph, spec.weight_rule, spec.family_id)
-    system_size = graph.n_vertices
-    if spec.matrix_kind == "incidence":
-        system_size += graph.n_edges
-    return FamilyInstance(
-        spec=spec,
-        n=n,
-        graph=graph,
-        n_vertices=graph.n_vertices,
-        n_edges=graph.n_edges,
-        system_size=system_size,
-        warnings=warnings,
-    )
+    return FamilyInstance(spec=spec, n=n, graph=graph, seed=seed, warnings=warnings)

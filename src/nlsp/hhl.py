@@ -33,7 +33,7 @@ from .graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from .spectral import DEFAULT_CUTOFF, zero_tolerance
+from .spectral import zero_tolerance
 
 # A full run stores order * 2^n_r complex amplitudes implicitly; the budget
 # counts state + clock + ancilla qubits.
@@ -119,11 +119,11 @@ class HhlOutcome:
 
     The unnormalized pseudo-inverse solution of A x = b/|b| is recovered
     as scale * sqrt(p_success * clock_zero_weight) * solution_state;
-    multiply by b_norm to undo the amplitude encoding of the caller's
-    right-hand side.  clock_zero_weight is the fraction of post-selected
-    probability whose clock register reads all zeros; it is exactly 1 when
-    the inversion is bin-exact, in which case the reconstruction is the
-    plain scale * sqrt(p_success) * solution_state.
+    multiplying by b_norm undoes the amplitude encoding of the caller's
+    right-hand side, which gives ``solution``.  clock_zero_weight is the
+    fraction of post-selected probability whose clock register reads all
+    zeros; it is exactly 1 when the inversion is bin-exact, in which case
+    the reconstruction is the plain scale * sqrt(p_success) * solution_state.
     """
 
     p_success: float
@@ -141,6 +141,12 @@ class HhlOutcome:
             raise ValueError("solution_state must be normalized within 1e-10")
         if self.scale <= 0 or self.b_norm <= 0:
             raise ValueError("scale and b_norm must be positive")
+
+    @property
+    def solution(self) -> np.ndarray:
+        """The reconstructed pseudo-inverse solution of A x = b."""
+        amplitude = self.b_norm * self.scale * math.sqrt(self.p_success * self.clock_zero_weight)
+        return amplitude * self.solution_state
 
 
 def _eig_prepare(
@@ -367,8 +373,8 @@ def one_qubit_hhl(lam: float, cfg: HhlConfig) -> float:
     example through check_aqf): every clock qubit is fixed, the circuit is
     one RY on the ancilla, and p = (C / lambda~)^2.
     """
-    if lam <= DEFAULT_CUTOFF:
-        raise ValueError(f"eigenvalue {lam:.6g} below cutoff {DEFAULT_CUTOFF}")
+    if not lam > 0:
+        raise ValueError(f"eigenvalue {lam:.6g} is not positive")
     lam_t = lam * cfg.t / (2.0 * math.pi)
     if lam_t >= 1.0:
         raise ValueError(
@@ -500,11 +506,7 @@ def traffic_flow(
         rhs = np.zeros(padded.order)
         rhs[: g.n_vertices] = c
         outcome = hhl_solve(padded, rhs, cfg)
-        amp = outcome.b_norm * outcome.scale * math.sqrt(
-            outcome.p_success * outcome.clock_zero_weight
-        )
-        start = g.n_vertices
-        y = amp * np.asarray(outcome.solution_state[start : start + g.n_edges])
+        y = outcome.solution[g.n_vertices : g.n_vertices + g.n_edges]
     else:
         raise ValueError(f"unknown method {method!r}")
     lanes = tuple(int(k) for k in np.flatnonzero(y < -1e-9))

@@ -5,8 +5,9 @@ fits condition number and sparsity against system size, composes the fits
 with the declared size growth, and classifies each configured quantum
 solver.  Results are persisted as records.csv (one row per instance),
 report.json (fits and verdicts), manifest.json (provenance and timings),
-and plot-ready CSV series.  Instance failures are recorded in the manifest
-and skipped; the run continues.
+and plot-ready CSV series.  Every view is built from one InstanceResult per
+scheduled instance; a failed instance is recorded there, skipped by the
+fits, and the run continues.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
-from .families import FamilySpec, catalog_entry, derive_seed, generate, make_spec
+from .families import FamilySpec, catalog_entry, generate, make_spec
 from .fitting import FitResult, _growth_of, fit_series, upper_envelope
 from .graphs import RectMatrix, incidence_matrix, laplacian
 from .growth import CompositionError, GrowthClass, compose
@@ -207,55 +208,56 @@ _COLUMN_PARSERS = (
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    family: str
-    n: int
-    seed: Optional[int]
-    system_size: int
-    elapsed_s: float
-
-
-@dataclass(frozen=True)
-class SkipEntry:
-    family: str
-    n: int
-    error: str
-
-
-@dataclass(frozen=True)
 class SurveyManifest:
-    """Provenance: every output row traces to exactly one entry here."""
+    """Run provenance.  manifest.json adds one entry per measured instance
+    and one skip per failed instance, both built from the outcomes."""
 
     config_hash: str
     tool_version: str
     created: str
-    entries: tuple[ManifestEntry, ...]
-    skipped: tuple[SkipEntry, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "created": self.created,
-            "entries": [dataclasses.asdict(e) for e in self.entries],
-            "skipped": [dataclasses.asdict(s) for s in self.skipped],
-        }
+
+@dataclass(frozen=True)
+class InstanceResult:
+    """One scheduled instance: its record, or the error that stopped it.
+    seed is the instance's own seed, None for a deterministic family or a
+    failed instance; warnings become the family's notes."""
+
+    n: int
+    seed: Optional[int]
+    record: Optional[SpectralRecord]
+    error: Optional[str]
+    warnings: tuple[str, ...]
+    elapsed_s: float
 
 
 @dataclass(frozen=True)
 class FamilyOutcome:
-    """Everything the survey derived for one family spec."""
+    """Everything the survey derived for one family spec: one result per
+    scheduled n, the fits, and one verdict per solver (each carrying its
+    crossover_N).  fit_notes say why a fit or a verdict is missing."""
 
     key: str
     spec: FamilySpec
-    records: tuple[tuple[int, SpectralRecord], ...]
+    instances: tuple[InstanceResult, ...]
     kappa_fit: Optional[FitResult]
     s_fit: Optional[FitResult]
     envelope_flagged: bool
     verdicts: Mapping[str, AdvantageVerdict]
-    crossovers: Mapping[str, Optional[float]]
-    errors: tuple[tuple[int, str], ...]
-    notes: tuple[str, ...]
+    fit_notes: tuple[str, ...]
+
+    @property
+    def records(self) -> tuple[tuple[int, SpectralRecord], ...]:
+        return tuple((i.n, i.record) for i in self.instances if i.record is not None)
+
+    @property
+    def errors(self) -> tuple[tuple[int, str], ...]:
+        return tuple((i.n, i.error) for i in self.instances if i.error is not None)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        warned = tuple(f"n={i.n}: {w}" for i in self.instances for w in i.warnings)
+        return warned + self.fit_notes
 
 
 @dataclass(frozen=True)
@@ -271,18 +273,33 @@ class SurveyResult:
         return [
             RecordRow(
                 family=outcome.key,
-                n=n,
-                system_size=rec.system_size,
-                matrix_kind=rec.matrix_kind,
-                kappa=rec.kappa,
-                lambda_min_nz=rec.lambda_min_nz,
-                lambda_max=rec.lambda_max,
-                sparsity=rec.sparsity,
+                n=i.n,
+                system_size=i.record.system_size,
+                matrix_kind=i.record.matrix_kind,
+                kappa=i.record.kappa,
+                lambda_min_nz=i.record.lambda_min_nz,
+                lambda_max=i.record.lambda_max,
+                sparsity=i.record.sparsity,
                 cutoff=self.config.cutoff,
-                seed=_instance_seed(outcome.spec, n),
+                seed=i.seed,
             )
-            for n, rec in outcome.records
+            for i in outcome.instances
+            if i.record is not None
         ]
+
+    def manifest_dict(self) -> dict:
+        """manifest.json: an entry per measured instance and a skip per
+        failed one, in (family, n) order."""
+        pairs = [(o.key, i) for o in self.outcomes for i in o.instances]
+        entries = [
+            {"family": key, "n": i.n, "seed": i.seed, "system_size": i.record.system_size,
+             "elapsed_s": round(i.elapsed_s, 6)}
+            for key, i in pairs if i.record is not None
+        ]
+        skipped = [
+            {"family": key, "n": i.n, "error": i.error} for key, i in pairs if i.error is not None
+        ]
+        return {**dataclasses.asdict(self.manifest), "entries": entries, "skipped": skipped}
 
     def report_dict(self) -> dict:
         """Fits and verdicts keyed by family; a verdict never appears
@@ -311,7 +328,7 @@ class SurveyResult:
                             "category": v.category,
                             "ratio_class": str(v.ratio_class),
                             "futile": v.futile,
-                            "crossover_N": outcome.crossovers.get(name),
+                            "crossover_N": v.crossover_N,
                         }
                         for name, v in outcome.verdicts.items()
                     }
@@ -357,21 +374,7 @@ def fit_from_dict(data: Mapping) -> FitResult:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _instance_seed(spec: FamilySpec, n: int) -> Optional[int]:
-    if not catalog_entry(spec.family_id).random:
-        return None
-    return derive_seed(spec.seed, spec.family_id, n)
-
-
-class _Measured(NamedTuple):
-    n: int
-    record: Optional[SpectralRecord]
-    error: Optional[str]
-    warnings: tuple[str, ...]
-    elapsed_s: float
-
-
-def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> _Measured:
+def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> InstanceResult:
     start = time.perf_counter()
     try:
         instance = generate(spec, n)
@@ -379,14 +382,15 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> _Measur
             system_matrix(instance), spec.matrix_kind, dense_limit=config.dense_limit
         )
     except Exception as exc:  # per-instance failures are recorded, not fatal
-        return _Measured(n, None, f"{type(exc).__name__}: {exc}", (), time.perf_counter() - start)
+        error = f"{type(exc).__name__}: {exc}"
+        return InstanceResult(n, None, None, error, (), time.perf_counter() - start)
     warnings = instance.warnings
     if record.lambda_min_nz <= config.cutoff:
         warnings += (
             f"smallest nonzero eigenvalue {record.lambda_min_nz!r} is at or below "
             f"the cutoff {config.cutoff!r}",
         )
-    return _Measured(n, record, None, warnings, time.perf_counter() - start)
+    return InstanceResult(n, instance.seed, record, None, warnings, time.perf_counter() - start)
 
 
 def fit_growth(
@@ -418,9 +422,9 @@ def classify_fits(
     size_growth: GrowthClass,
     solvers: Sequence[str],
     scan: Sequence[float],
-) -> tuple[GrowthClass, GrowthClass, dict[str, AdvantageVerdict], dict[str, Optional[float]]]:
-    """(κ(n), s(n), verdicts, crossovers): both fits composed with the size
-    growth N(n), then one verdict and one numeric crossover per solver.
+) -> tuple[GrowthClass, GrowthClass, dict[str, AdvantageVerdict]]:
+    """(κ(n), s(n), verdicts): both fits composed with the size growth N(n),
+    then one verdict per solver, carrying its numeric crossover_N.
 
     The crossover scan keeps the points of ``scan`` where the runtime models
     are defined, N >= 3.  Raises CompositionError when a fit does not compose.
@@ -428,14 +432,13 @@ def classify_fits(
     kappa_n = compose(kappa_fit.growth, size_growth)
     s_n = compose(s_fit.growth, size_growth)
     scan = [x for x in scan if x >= 3.0]
-    verdicts = {}
-    crossovers = {}
-    for name in solvers:
-        crossovers[name] = crossover(name, kappa_fit, s_fit, scan)
-        verdicts[name] = evaluate_advantage(
-            name, size_growth, kappa_n, s_n, crossover_N=crossovers[name]
+    verdicts = {
+        name: evaluate_advantage(
+            name, size_growth, kappa_n, s_n, crossover_N=crossover(name, kappa_fit, s_fit, scan)
         )
-    return kappa_n, s_n, verdicts, crossovers
+        for name in solvers
+    }
+    return kappa_n, s_n, verdicts
 
 
 def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> SurveyResult:
@@ -452,45 +455,27 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         results = pool.map(lambda job: _measure_instance(*job, config), jobs)
 
     outcomes = []
-    entries: list[ManifestEntry] = []
-    skipped: list[SkipEntry] = []
     for key, spec in zip(config.family_keys(), config.families):
+        instances = tuple(itertools.islice(results, len(spec.schedule)))
+        measured = [i.record for i in instances if i.record is not None]
         notes: list[str] = []
-        measured: list[tuple[int, SpectralRecord]] = []
-        errors: list[tuple[int, str]] = []
-        for m in itertools.islice(results, len(spec.schedule)):
-            if m.error is not None:
-                errors.append((m.n, m.error))
-                skipped.append(SkipEntry(key, m.n, m.error))
-                continue
-            measured.append((m.n, m.record))
-            notes.extend(f"n={m.n}: {w}" for w in m.warnings)
-            entries.append(
-                ManifestEntry(
-                    family=key,
-                    n=m.n,
-                    seed=_instance_seed(spec, m.n),
-                    system_size=m.record.system_size,
-                    elapsed_s=round(m.elapsed_s, 6),
-                )
-            )
         kappa_fit = s_fit = None
-        flagged, verdicts, crossovers = False, {}, {}
+        flagged, verdicts = False, {}
         if len(measured) < MIN_FIT_POINTS:
             notes.append(f"only {len(measured)} records; fits need {MIN_FIT_POINTS}")
         else:
             try:
                 kappa_fit, s_fit, flagged = fit_growth(
                     catalog_entry(spec.family_id).random,
-                    [rec.system_size for _, rec in measured],
-                    [rec.kappa for _, rec in measured],
-                    [rec.sparsity for _, rec in measured],
+                    [rec.system_size for rec in measured],
+                    [rec.kappa for rec in measured],
+                    [rec.sparsity for rec in measured],
                 )
             except ValueError as exc:
                 notes.append(f"fit failed: {exc}")
         if kappa_fit is not None:
             try:
-                _, _, verdicts, crossovers = classify_fits(
+                _, _, verdicts = classify_fits(
                     kappa_fit, s_fit, spec.size_growth, config.solvers, config.scan_range
                 )
             except CompositionError as exc:
@@ -499,14 +484,12 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
             FamilyOutcome(
                 key=key,
                 spec=spec,
-                records=tuple(measured),
+                instances=instances,
                 kappa_fit=kappa_fit,
                 s_fit=s_fit,
                 envelope_flagged=flagged,
                 verdicts=verdicts,
-                crossovers=crossovers,
-                errors=tuple(errors),
-                notes=tuple(notes),
+                fit_notes=tuple(notes),
             )
         )
 
@@ -514,8 +497,6 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         config_hash=config_hash(config),
         tool_version=__version__,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        entries=tuple(entries),
-        skipped=tuple(skipped),
     )
     result = SurveyResult(config=config, outcomes=tuple(outcomes), manifest=manifest)
     if config.output_dir is not None:
@@ -556,7 +537,7 @@ def persist(result: SurveyResult, out_dir: Path) -> None:
         json.dump(result.report_dict(), f, indent=2)
         f.write("\n")
     with open(out_dir / "manifest.json", "w") as f:
-        json.dump(result.manifest.as_dict(), f, indent=2)
+        json.dump(result.manifest_dict(), f, indent=2)
         f.write("\n")
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)

@@ -6,6 +6,7 @@ import pytest
 
 from nlsp.families import (
     CATALOG,
+    FamilySpec,
     apply_weight_rule,
     catalog_entry,
     derive_seed,
@@ -16,6 +17,8 @@ from nlsp.families import (
 )
 from nlsp.graphs import Graph
 from nlsp.growth import GrowthClass
+from nlsp.spectral import measure
+from nlsp.survey import system_matrix
 
 
 def degree_profile(g: Graph) -> tuple[list[int], list[int]]:
@@ -25,6 +28,11 @@ def degree_profile(g: Graph) -> tuple[list[int], list[int]]:
         outdeg[u] += 1
         indeg[v] += 1
     return indeg, outdeg
+
+
+def system_size(inst) -> int:
+    """N of an instance's system, as the survey measures it."""
+    return measure(system_matrix(inst), inst.spec.matrix_kind).system_size
 
 
 def assert_no_bidirected(g: Graph) -> None:
@@ -55,15 +63,24 @@ def test_schedule_must_increase():
 def test_random_family_requires_seed():
     spec = make_spec("barabasi_albert")
     assert spec.seed == 23
-    with pytest.raises(ValueError):
-        make_spec("barabasi_albert", seed=None).__class__(
-            family_id="barabasi_albert",
-            params={},
-            seed=None,
-            schedule=(5, 6),
-            matrix_kind="laplacian",
-            size_growth=GrowthClass.poly(1),
-        )
+    with pytest.raises(ValueError, match="is random and requires a seed"):
+        FamilySpec(family_id="barabasi_albert", params={}, seed=None, schedule=(5, 6))
+
+
+def test_repair_spec_without_a_seed_is_refused():
+    # deterministic directed families have no default seed to rewire with
+    with pytest.raises(ValueError, match="repair requires a seed"):
+        make_spec("directed_hypercube", repair=True)
+    with pytest.raises(ValueError, match="repair requires a seed"):
+        FamilySpec("paley", {"repair": True}, None, (3, 7))
+    spec = make_spec("directed_hypercube", repair=True, seed=5, schedule=(3, 4))
+    assert generate(spec, 3).n_vertices == 8
+
+
+def test_instance_seed_is_the_derived_seed():
+    spec = make_spec("gnp", schedule=(5, 9), seed=7)
+    assert [generate(spec, n).seed for n in (5, 9)] == [derive_seed(7, "gnp", n) for n in (5, 9)]
+    assert generate(make_spec("hypercube"), 3).seed is None
 
 
 def test_weight_rule_limited_to_weightable_families():
@@ -101,7 +118,7 @@ def test_schedule_generation_deterministic():
     a = [generate(spec, n) for n in spec.schedule]
     b = [generate(spec, n) for n in spec.schedule]
     assert [i.graph.edges for i in a] == [i.graph.edges for i in b]
-    assert [i.system_size for i in a] == [i.graph.n_vertices for i in a]
+    assert [system_size(i) for i in a] == [i.graph.n_vertices for i in a]
 
 
 # -- deterministic constructions ----------------------------------------------
@@ -132,7 +149,7 @@ def test_generalized_hypercube_m1_is_complete():
 
 def test_directed_hypercube_single_source_sink():
     inst = generate(make_spec("directed_hypercube"), 3)
-    assert (inst.n_vertices, inst.n_edges, inst.system_size) == (8, 12, 20)
+    assert (inst.n_vertices, inst.n_edges, system_size(inst)) == (8, 12, 20)
     indeg, outdeg = degree_profile(inst.graph)
     assert [v for v in range(8) if indeg[v] == 0] == [0]
     assert [v for v in range(8) if outdeg[v] == 0] == [7]
@@ -173,7 +190,7 @@ def test_paley_quadratic_residue_structure():
     assert spec.schedule[:4] == (3, 7, 11, 19)
     inst = generate(spec, 7)
     assert inst.n_edges == 21
-    assert inst.system_size == 28
+    assert system_size(inst) == 28
     assert_no_bidirected(inst.graph)
     residues = {1, 2, 4}
     for u, v, _ in inst.graph.edges:

@@ -16,7 +16,6 @@ from nlsp.graphs import (
 )
 from nlsp.hhl import (
     HhlConfig,
-    HhlOutcome,
     augment_for_aqf,
     check_aqf,
     default_config,
@@ -40,15 +39,6 @@ def cycle4() -> Graph:
 
 def directed_cycle4() -> Graph:
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
-
-
-def reconstruct(outcome: HhlOutcome) -> np.ndarray:
-    return (
-        outcome.b_norm
-        * outcome.scale
-        * math.sqrt(outcome.p_success * outcome.clock_zero_weight)
-        * outcome.solution_state
-    )
 
 
 class TestConfig:
@@ -93,7 +83,7 @@ class TestSolveExact:
         assert out.p_success == pytest.approx((0.2 / 0.5) ** 2, abs=1e-12)
         assert abs(out.solution_state[0]) == pytest.approx(1.0, abs=1e-12)
         assert out.clock_zero_weight == pytest.approx(1.0, abs=1e-12)
-        assert reconstruct(out) * np.sign(out.solution_state[0]) == pytest.approx(
+        assert out.solution * np.sign(out.solution_state[0]) == pytest.approx(
             [1.0, 0.0], abs=1e-8
         )
 
@@ -114,7 +104,7 @@ class TestSolveExact:
         cfg = HhlConfig(n_r=5, t=math.pi / 4.0, C=0.3)  # lambda=4 -> 1/2
         out = hhl_solve(lap, b, cfg)
         oracle = np.linalg.pinv(lap.to_dense()) @ b
-        assert np.abs(reconstruct(out) - oracle).max() < 1e-8
+        assert np.abs(out.solution - oracle).max() < 1e-8
 
     def test_reconstruction_matches_pinv_on_hypercube2(self):
         g = generate(make_spec("hypercube", schedule=(2,)), 2).graph
@@ -124,7 +114,7 @@ class TestSolveExact:
         cfg = HhlConfig(n_r=6, t=math.pi / 4.0, C=0.2)  # lambda~ in {1/4, 1/2}
         out = hhl_solve(lap, b, cfg)
         oracle = np.linalg.pinv(lap.to_dense()) @ b
-        assert np.abs(reconstruct(out) - oracle).max() < 1e-8
+        assert np.abs(out.solution - oracle).max() < 1e-8
 
     def test_eigenvector_input_returns_b(self):
         # Full circuit on an exactly representable eigenvector: the state
@@ -358,10 +348,18 @@ class TestOneQubit:
             got = one_qubit_effective_resistance(float(n), cfg)
             assert got == pytest.approx(expected, abs=1e-10)
 
+    def test_small_eigenvalue_with_a_config_placed_below_it(self):
+        # C = 0.9·λ·t/2π, so p = 0.9² whatever the absolute size of λ
+        p = one_qubit_hhl(5e-7, default_config(10, 1.0, 5e-7))
+        assert p == pytest.approx(0.81, rel=1e-12)
+
     def test_validation(self):
         cfg = default_config(4, 10.0)
-        with pytest.raises(ValueError, match="cutoff"):
+        with pytest.raises(ValueError, match="C out of range"):
             one_qubit_hhl(1e-9, cfg)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="not positive"):
+                one_qubit_hhl(lam, cfg)
         with pytest.raises(ValueError, match="C out of range"):
             one_qubit_hhl(6.0, HhlConfig(n_r=4, t=cfg.t, C=0.9))
         with pytest.raises(ValueError, match="bound violated"):

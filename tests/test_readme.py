@@ -32,7 +32,7 @@ def test_readme_config_runs(text, tmp_path):
     doc = json.loads(text)
     doc["output_dir"] = str(tmp_path)
     result = run_survey(config_from_dict(doc))
-    assert not result.manifest.skipped
+    assert not result.manifest_dict()["skipped"]
     for outcome in result.outcomes:
         assert set(outcome.verdicts) == set(result.config.solvers), outcome.key
     assert (tmp_path / "report.json").is_file()

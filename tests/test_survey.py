@@ -55,6 +55,20 @@ def faint_weights(monkeypatch):
     monkeypatch.setattr(survey_mod, "generate", faint)
 
 
+def fail_at_n4(monkeypatch):
+    """Make generation raise for every instance with n = 4."""
+    import nlsp.survey as survey_mod
+
+    real_generate = survey_mod.generate
+
+    def flaky(spec, n):
+        if n == 4:
+            raise RuntimeError("synthetic failure")
+        return real_generate(spec, n)
+
+    monkeypatch.setattr(survey_mod, "generate", flaky)
+
+
 def outcome_of(result, key):
     return next(o for o in result.outcomes if o.key == key)
 
@@ -146,13 +160,13 @@ class TestPipelineVerdicts:
         outcome = outcome_of(survey_result, "hypercube")
         assert outcome.verdicts["HHL"].category == "best"
         assert str(outcome.kappa_fit.growth) == "log(n)"
-        assert outcome.crossovers["HHL"] is not None
+        assert outcome.verdicts["HHL"].crossover_N is not None
 
     def test_ladder_bad_under_hhl_and_dream(self, survey_result):
         outcome = outcome_of(survey_result, "ladder")
         assert outcome.verdicts["HHL"].category == "bad"
         assert outcome.verdicts["DREAM"].category == "bad"
-        assert outcome.crossovers["HHL"] is None
+        assert outcome.verdicts["HHL"].crossover_N is None
 
     def test_sudoku_better_with_polylog_fits(self, survey_result):
         # the kappa series saturates toward a constant, so the selected
@@ -168,7 +182,7 @@ class TestPersistence:
         rows = read_records_csv(Path(survey_result.config.output_dir) / "records.csv")
         expected = sum(len(s.schedule) for s in survey_result.config.families)
         assert len(rows) == expected
-        assert len(survey_result.manifest.skipped) == 0
+        assert len(survey_result.manifest_dict()["skipped"]) == 0
 
     def test_csv_round_trip(self, survey_result):
         path = Path(survey_result.config.output_dir) / "records.csv"
@@ -183,7 +197,7 @@ class TestPersistence:
         assert header == ",".join(CSV_COLUMNS)
 
     def test_every_row_traceable_to_manifest(self, survey_result):
-        provenance = {(e.family, e.n) for e in survey_result.manifest.entries}
+        provenance = {(e["family"], e["n"]) for e in survey_result.manifest_dict()["entries"]}
         for row in survey_result.record_rows():
             assert (row.family, row.n) in provenance
 
@@ -297,22 +311,13 @@ class TestRandomFamilyRows:
         assert [r.seed for r in rows] == [
             derive_seed(7, "barabasi_albert", n) for n in (10, 20, 30, 40)
         ]
-        for entry in result.manifest.entries:
-            assert entry.seed is not None
+        for entry in result.manifest_dict()["entries"]:
+            assert entry["seed"] is not None
 
 
 class TestSkips:
     def test_failed_instances_recorded_and_run_continues(self, tmp_path, monkeypatch):
-        import nlsp.survey as survey_mod
-
-        real_generate = survey_mod.generate
-
-        def flaky(spec, n):
-            if n == 4:
-                raise RuntimeError("synthetic failure")
-            return real_generate(spec, n)
-
-        monkeypatch.setattr(survey_mod, "generate", flaky)
+        fail_at_n4(monkeypatch)
         config = SurveyConfig(
             families=(make_spec("hypercube", schedule=range(2, 9)),),
             solvers=("HHL",),
@@ -321,10 +326,32 @@ class TestSkips:
         result = run_survey(config)
         rows = read_records_csv(tmp_path / "records.csv")
         assert len(rows) == 7 - 1
-        assert [s.n for s in result.manifest.skipped] == [4]
-        assert "synthetic failure" in result.manifest.skipped[0].error
+        skipped = result.manifest_dict()["skipped"]
+        assert [s["n"] for s in skipped] == [4]
+        assert "synthetic failure" in skipped[0]["error"]
         # six points remain: fits and verdicts still come out
         assert result.outcomes[0].verdicts["HHL"].category == "best"
+
+    def test_written_manifest_has_one_entry_per_row_and_one_skip(self, tmp_path, monkeypatch):
+        fail_at_n4(monkeypatch)
+        config = SurveyConfig(
+            families=(
+                make_spec("hypercube", schedule=range(2, 9)),
+                make_spec("gnp", schedule=(5, 6, 7, 8), seed=3),
+            ),
+            solvers=("HHL",),
+            output_dir=str(tmp_path),
+        )
+        run_survey(config)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        rows = read_records_csv(tmp_path / "records.csv")
+        assert [(e["family"], e["n"], e["seed"], e["system_size"]) for e in manifest["entries"]] == [
+            (r.family, r.n, r.seed, r.system_size) for r in rows
+        ]
+        assert len(rows) == 6 + 4
+        assert manifest["skipped"] == [
+            {"family": "hypercube", "n": 4, "error": "RuntimeError: synthetic failure"}
+        ]
 
     def test_eigenvalue_at_or_below_cutoff_is_flagged_not_dropped(self, monkeypatch):
         faint_weights(monkeypatch)
