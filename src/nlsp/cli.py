@@ -9,6 +9,7 @@ completed but recorded partial failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -17,37 +18,21 @@ from typing import Optional
 import numpy as np
 
 from .families import catalog_entry
-from .graphs import (
-    SymmetricMatrix,
-    hermitian_dilation,
-    incidence_matrix,
-    laplacian,
-    pad_to_power_of_two,
-    read_edge_list,
-)
+from .graphs import SymmetricMatrix, pad_to_power_of_two, read_edge_list
 from .growth import CompositionError
 from .hhl import (
     DEFAULT_CLOCK_QUBITS,
     HhlConfig,
-    _abs_row_bound,
+    abs_row_bound,
     default_config,
     effective_resistance,
+    graph_config,
+    graph_system,
     hhl_solve,
     traffic_flow,
 )
 from .solvers import crossover as numeric_crossover
-from .superfamily import (
-    SLICE_KINDS,
-    column_slice,
-    iso_s_slice,
-    main_diagonal_slice,
-    row_slice,
-    slice_verdict,
-    sub_diagonal_slice,
-    super_diagonal_slice,
-    tableau,
-    write_tableau_csv,
-)
+from .superfamily import SLICE_KINDS, SLICES, slice_verdict, tableau, write_tableau_csv
 from .survey import (
     DEFAULT_SOLVERS,
     MIN_FIT_POINTS,
@@ -96,7 +81,7 @@ def cmd_survey_run(args: argparse.Namespace) -> int:
         doc["output_dir"] = args.output_dir
     try:
         config = config_from_dict(doc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad config: {exc}") from exc
     result = run_survey(config, max_workers=args.workers)
     for outcome in result.outcomes:
@@ -207,14 +192,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             "size_growth": str(size_growth),
             "kappa_n": str(kappa_n),
             "s_n": str(s_n),
-            "verdicts": {
-                name: {
-                    "category": v.category,
-                    "ratio_class": str(v.ratio_class),
-                    "futile": v.futile,
-                }
-                for name, v in verdicts.items()
-            },
+            "verdicts": {name: v.as_dict() for name, v in verdicts.items()},
         }
     _emit(out)
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -255,32 +233,15 @@ def cmd_superfamily_tableau(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
+def cmd_superfamily_slice(args: argparse.Namespace) -> int:
+    build = SLICES[args.kind]
+    params = {}
+    for name in inspect.signature(build).parameters:
         if getattr(args, name) is None:
             raise CliError(f"slice kind {args.kind!r} requires --{name.replace('_', '-')}")
-
-
-def cmd_superfamily_slice(args: argparse.Namespace) -> int:
+        params[name] = getattr(args, name)
     try:
-        if args.kind == "row":
-            _require(args, "m", "a_max")
-            sl = row_slice(args.m, args.a_max)
-        elif args.kind == "column":
-            _require(args, "a", "m_max")
-            sl = column_slice(args.a, args.m_max)
-        elif args.kind == "main_diagonal":
-            _require(args, "a_max")
-            sl = main_diagonal_slice(args.a_max)
-        elif args.kind == "super_diagonal":
-            _require(args, "d", "a_max")
-            sl = super_diagonal_slice(args.d, args.a_max)
-        elif args.kind == "sub_diagonal":
-            _require(args, "d", "a_max")
-            sl = sub_diagonal_slice(args.d, args.a_max)
-        else:
-            _require(args, "s")
-            sl = iso_s_slice(args.s)
+        sl = build(**params)
         verdict = slice_verdict(sl, args.solver)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -290,9 +251,7 @@ def cmd_superfamily_slice(args: argparse.Namespace) -> int:
             "parameter": sl.parameter,
             "cells": [[c.a, c.m] for c in sl.cells],
             "solver": args.solver,
-            "category": verdict.category,
-            "ratio_class": str(verdict.ratio_class),
-            "futile": verdict.futile,
+            **verdict.as_dict(),
         }
     )
     return EXIT_OK
@@ -302,7 +261,10 @@ def cmd_superfamily_slice(args: argparse.Namespace) -> int:
 # hhl group
 
 def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"dense matrix must be an array of reals: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CliError("dense matrix must be square")
     if not np.allclose(arr, arr.T, atol=1e-12):
@@ -323,12 +285,10 @@ def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:
         if kind not in ("laplacian", "incidence"):
             raise CliError("matrix_kind must be 'laplacian' or 'incidence'")
         graph = _load_graph(spec["edge_list"])
-        if kind == "laplacian":
-            matrix = laplacian(graph)
-            signed_hint = False
-        else:
-            matrix = hermitian_dilation(incidence_matrix(graph))
-            signed_hint = True
+        if graph.directed != (kind == "incidence"):
+            need = "a directed" if kind == "incidence" else "an undirected"
+            raise CliError(f"matrix_kind {kind!r} needs {need} graph")
+        matrix, signed_hint = graph_system(graph), graph.directed
     else:
         raise CliError("matrix needs either 'dense' or 'edge_list'")
     return matrix, signed_hint
@@ -355,7 +315,7 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
             shots=raw.get("shots"),
             seed=raw.get("seed"),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad solver config: {exc}") from exc
 
 
@@ -364,10 +324,13 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     matrix, signed_hint = _problem_matrix(doc)
     if "b" not in doc:
         raise CliError("problem file needs 'b'")
-    b = np.asarray(doc["b"], dtype=float)
+    try:
+        b = np.asarray(doc["b"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"b must be a vector of reals: {exc}") from exc
     if b.shape != (matrix.order,):
         raise CliError(f"b must have length {matrix.order}")
-    bound = _abs_row_bound(matrix)
+    bound = abs_row_bound(matrix)
     if bound <= 0:
         raise CliError("zero matrix has no invertible part")
     if doc.get("pad"):
@@ -409,14 +372,10 @@ def _load_graph(path: str):
 def cmd_hhl_reff(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     method = "oracle" if args.oracle else "hhl"
-    cfg = None
-    if method == "hhl":
-        bound = _abs_row_bound(laplacian(graph))
-        try:
-            cfg = default_config(args.n_r, bound, shots=args.shots, seed=args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
     try:
+        cfg = None if args.oracle else graph_config(
+            graph, args.n_r, shots=args.shots, seed=args.seed
+        )
         value = effective_resistance(graph, args.i, args.j, method, cfg)
         oracle = effective_resistance(graph, args.i, args.j)
     except ValueError as exc:
@@ -435,15 +394,12 @@ def cmd_hhl_reff(args: argparse.Namespace) -> int:
 
 
 def _parse_injections(raw: str) -> list[float]:
-    path = Path(raw)
-    if path.exists():
-        data = _load_json(raw)
-        if not isinstance(data, list):
-            raise CliError("injection file must hold a JSON array")
-        return [float(x) for x in data]
+    data = _load_json(raw) if Path(raw).exists() else raw.split(",")
+    if not isinstance(data, list):
+        raise CliError("injection file must hold a JSON array")
     try:
-        return [float(tok) for tok in raw.split(",")]
-    except ValueError as exc:
+        return [float(x) for x in data]
+    except (TypeError, ValueError) as exc:
         raise CliError(f"injections must be a file or comma-separated reals: {exc}") from exc
 
 
@@ -451,14 +407,8 @@ def cmd_hhl_traffic(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     injections = _parse_injections(args.injections)
     method = "oracle" if args.oracle else "hhl"
-    cfg = None
-    if method == "hhl":
-        dilated = hermitian_dilation(incidence_matrix(graph))
-        try:
-            cfg = default_config(args.n_r, _abs_row_bound(dilated), signed=True)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
     try:
+        cfg = None if args.oracle else graph_config(graph, args.n_r)
         result = traffic_flow(graph, injections, method, cfg)
         oracle = traffic_flow(graph, injections)
     except ValueError as exc:

@@ -235,10 +235,12 @@ def read_edge_list(fh: IO[str]) -> Graph:
     directed = header[0] == "directed"
     n = int(header[1])
     edges: list[EdgeInput] = []
-    for line in fh:
+    for lineno, line in enumerate(fh, start=2):
         parts = line.split()
         if not parts:
             continue
+        if len(parts) < 2:
+            raise ValueError(f"edge-list line {lineno}: expected 'u v [w]', got {line.strip()!r}")
         u, v = int(parts[0]), int(parts[1])
         w = float(parts[2]) if len(parts) > 2 else 1.0
         edges.append((u, v, w))

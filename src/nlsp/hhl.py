@@ -149,6 +149,35 @@ class HhlOutcome:
         return amplitude * self.solution_state
 
 
+def _check_window(live: np.ndarray, signed: bool, c: float) -> None:
+    """The scaled nonzero eigenvalue magnitudes ``live`` must fit the clock
+    window, [0, 1) or (-1/2, 1/2) when ``signed``, and none may undercut C."""
+    top = float(live.max())
+    if signed and top >= 0.5:
+        raise ValueError(
+            "scaled-eigenvalue bound violated: |lambda t / 2 pi| must stay below "
+            f"1/2 when negative eigenvalues are present (got {top:.6g}); reduce t"
+        )
+    if not signed and top >= 1.0:
+        raise ValueError(
+            "scaled-eigenvalue bound violated: lambda t / 2 pi must stay below 1 "
+            f"(got {top:.6g}); reduce t"
+        )
+    if c > float(live.min()) * _C_SLACK:
+        raise ValueError(
+            f"C out of range: {c:.6g} exceeds the smallest scaled "
+            f"eigenvalue {float(live.min()):.6g}"
+        )
+
+
+def _sampled(p: float, cfg: HhlConfig) -> float:
+    """p in exact mode; else the success fraction of cfg.shots binomial draws."""
+    if cfg.shots is None:
+        return p
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    return float(rng.binomial(cfg.shots, min(p, 1.0)) / cfg.shots)
+
+
 def _eig_prepare(
     a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
@@ -173,23 +202,7 @@ def _eig_prepare(
     nonzero = np.abs(lam) > tol
     signed = bool((lam < -tol).any())
     if nonzero.any():
-        live = np.abs(lam_t[nonzero])
-        top = float(live.max())
-        if signed and top >= 0.5:
-            raise ValueError(
-                "scaled-eigenvalue bound violated: |lambda t / 2 pi| must stay below "
-                f"1/2 when negative eigenvalues are present (got {top:.6g}); reduce t"
-            )
-        if not signed and top >= 1.0:
-            raise ValueError(
-                "scaled-eigenvalue bound violated: lambda t / 2 pi must stay below 1 "
-                f"(got {top:.6g}); reduce t"
-            )
-        if cfg.C > float(live.min()) * _C_SLACK:
-            raise ValueError(
-                f"C out of range: {cfg.C:.6g} exceeds the smallest scaled "
-                f"eigenvalue {float(live.min()):.6g}"
-            )
+        _check_window(np.abs(lam_t[nonzero]), signed, cfg.C)
     beta = basis.T @ (vec / b_norm)
     tbins = cfg.n_bins
     ticks = np.arange(tbins)
@@ -230,12 +243,8 @@ def hhl_solve(
         raise ValueError("b lies entirely in the null space (p_success below 1e-14)")
     state = unnorm / norm
     state.setflags(write=False)
-    p_out = p_exact
-    if cfg.shots is not None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        p_out = float(rng.binomial(cfg.shots, min(p_exact, 1.0)) / cfg.shots)
     return HhlOutcome(
-        p_success=p_out,
+        p_success=_sampled(p_exact, cfg),
         solution_state=state,
         scale=cfg.t / (2.0 * math.pi * cfg.C),
         b_norm=b_norm,
@@ -376,19 +385,8 @@ def one_qubit_hhl(lam: float, cfg: HhlConfig) -> float:
     if not lam > 0:
         raise ValueError(f"eigenvalue {lam:.6g} is not positive")
     lam_t = lam * cfg.t / (2.0 * math.pi)
-    if lam_t >= 1.0:
-        raise ValueError(
-            f"scaled-eigenvalue bound violated: lambda t / 2 pi = {lam_t:.6g}; reduce t"
-        )
-    if cfg.C > lam_t * _C_SLACK:
-        raise ValueError(
-            f"C out of range: {cfg.C:.6g} exceeds the scaled eigenvalue {lam_t:.6g}"
-        )
-    p = (cfg.C / lam_t) ** 2
-    if cfg.shots is not None:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        p = float(rng.binomial(cfg.shots, min(p, 1.0)) / cfg.shots)
-    return float(p)
+    _check_window(np.array([lam_t]), False, cfg.C)
+    return float(_sampled((cfg.C / lam_t) ** 2, cfg))
 
 
 def one_qubit_effective_resistance(lam: float, cfg: HhlConfig) -> float:
@@ -401,11 +399,55 @@ def one_qubit_effective_resistance(lam: float, cfg: HhlConfig) -> float:
     return 2.0 * cfg.t / (2.0 * math.pi * cfg.C) * math.sqrt(p)
 
 
-def _abs_row_bound(m: SymmetricMatrix) -> float:
+def abs_row_bound(m: SymmetricMatrix) -> float:
     """Gershgorin-style bound max_i sum_j |m_ij| on eigenvalue magnitudes."""
     # The CSR mat-vec adds each row's entries left to right in column order,
     # a fixed summation order.
     return float((abs(m.csr) @ np.ones(m.order)).max())
+
+
+def graph_system(g: Graph) -> SymmetricMatrix:
+    """The matrix the simulator solves for a graph: the Laplacian, or for a
+    digraph the Hermitian dilation [[0, B], [B^T, 0]] of its incidence matrix."""
+    if g.directed:
+        return hermitian_dilation(incidence_matrix(g))
+    return laplacian(g)
+
+
+def graph_config(
+    g: Graph,
+    n_r: int = DEFAULT_CLOCK_QUBITS,
+    *,
+    shots: int | None = None,
+    seed: int | None = None,
+) -> HhlConfig:
+    """The default clock for ``graph_system(g)``: ``default_config`` at the
+    absolute row bound, in the signed window for a digraph, whose dilation
+    has eigenvalues of both signs."""
+    return _default_clock(g, abs_row_bound(graph_system(g)), n_r, shots, seed)
+
+
+def _default_clock(
+    g: Graph, bound: float, n_r: int, shots: int | None = None, seed: int | None = None
+) -> HhlConfig:
+    """graph_config's recipe, for a caller that already holds the bound."""
+    return default_config(n_r, bound, signed=g.directed, shots=shots, seed=seed)
+
+
+def _graph_solve(
+    g: Graph, rhs: np.ndarray, cfg: HhlConfig | None
+) -> tuple[HhlOutcome, np.ndarray]:
+    """Simulate ``graph_system(g)`` padded to a power-of-two order, with rhs
+    zero-extended to match; ``cfg=None`` takes graph_config's clock at
+    DEFAULT_CLOCK_QUBITS.  Returns the outcome and the extended rhs."""
+    system = graph_system(g)
+    bound = abs_row_bound(system)
+    padded = pad_to_power_of_two(system, bound)
+    if cfg is None:
+        cfg = _default_clock(g, bound, DEFAULT_CLOCK_QUBITS)
+    vec = np.zeros(padded.order)
+    vec[: len(rhs)] = rhs
+    return hhl_solve(padded, vec, cfg), vec
 
 
 def _connected(g: Graph) -> bool:
@@ -425,9 +467,9 @@ def effective_resistance(
     The oracle path evaluates (delta_i - delta_j)^T L+ (delta_i - delta_j)
     with a dense pseudo-inverse.  The hhl path pads the Laplacian to a
     power-of-two order, runs the simulator, and reads the resistance off a
-    probe overlap; with ``cfg=None`` the evolution time comes from the
-    Gershgorin bound (twice the largest weighted degree), so ill
-    conditioned graphs may need a caller-supplied config with a tighter C.
+    probe overlap; ``cfg=None`` takes ``graph_config(g)``, whose evolution
+    time comes from the row bound (twice the largest weighted degree), so
+    ill conditioned graphs may need a caller-supplied config with a tighter C.
     The input b sums to zero, hence is orthogonal to the all-ones null
     vector of a connected Laplacian.
     """
@@ -440,20 +482,13 @@ def effective_resistance(
             raise ValueError(f"vertex {k} out of range")
     if not _connected(g):
         raise ValueError("disconnected graph: effective resistance undefined")
-    lap = laplacian(g)
     rhs = np.zeros(g.n_vertices)
     rhs[i], rhs[j] = 1.0, -1.0
     if method == "oracle":
-        return float(rhs @ np.linalg.pinv(lap.to_dense()) @ rhs)
+        return float(rhs @ np.linalg.pinv(laplacian(g).to_dense()) @ rhs)
     if method != "hhl":
         raise ValueError(f"unknown method {method!r}")
-    bound = _abs_row_bound(lap)
-    padded = pad_to_power_of_two(lap, bound)
-    if cfg is None:
-        cfg = default_config(DEFAULT_CLOCK_QUBITS, bound)
-    vec = np.zeros(padded.order)
-    vec[: g.n_vertices] = rhs
-    outcome = hhl_solve(padded, vec, cfg)
+    outcome, vec = _graph_solve(g, rhs, cfg)
     # r = b^T L+ b with |b|^2 = 2 and the normalized b as probe.
     return 2.0 * extract_overlap(outcome, vec / math.sqrt(2.0))
 
@@ -479,7 +514,8 @@ def traffic_flow(
     c = -delta_u + delta_w.  Balance is required; c with a component
     outside the column space of B (in particular, nonzero total) is
     rejected.  The hhl path solves the Hermitian dilation [[0, B], [B^T,
-    0]] in signed clock mode and reads y off the edge block.  Negative
+    0]] in signed clock mode (``cfg=None`` takes ``graph_config(g)``) and
+    reads y off the edge block.  Negative
     flow entries are physically suspect (lane counts are nonnegative) and
     are reported, not rejected.
     """
@@ -490,23 +526,14 @@ def traffic_flow(
         raise ValueError(f"injections must have length {g.n_vertices}")
     if float(np.linalg.norm(c)) == 0.0:
         return TrafficFlowResult(flow=np.zeros(g.n_edges), negative_lanes=())
-    inc = incidence_matrix(g)
-    dense_b = inc.to_dense()
+    dense_b = incidence_matrix(g).to_dense()
     y_ref = np.linalg.lstsq(dense_b, c, rcond=None)[0]
     if float(np.linalg.norm(dense_b @ y_ref - c)) > 1e-8:
         raise ValueError("imbalanced injections: no exact flow satisfies them")
     if method == "oracle":
         y = y_ref[: g.n_edges]
     elif method == "hhl":
-        dil = hermitian_dilation(inc)
-        bound = _abs_row_bound(dil)
-        padded = pad_to_power_of_two(dil, bound)
-        if cfg is None:
-            cfg = default_config(DEFAULT_CLOCK_QUBITS, bound, signed=True)
-        rhs = np.zeros(padded.order)
-        rhs[: g.n_vertices] = c
-        outcome = hhl_solve(padded, rhs, cfg)
-        y = outcome.solution[g.n_vertices : g.n_vertices + g.n_edges]
+        y = _graph_solve(g, c, cfg)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
     else:
         raise ValueError(f"unknown method {method!r}")
     lanes = tuple(int(k) for k in np.flatnonzero(y < -1e-9))

@@ -164,6 +164,15 @@ class AdvantageVerdict:
     futile: bool
     crossover_N: Optional[float] = None
 
+    def as_dict(self) -> dict:
+        """The JSON form of the verdict: category, ratio class and futility.
+        A caller that scanned for a crossover adds crossover_N itself."""
+        return {
+            "category": self.category,
+            "ratio_class": str(self.ratio_class),
+            "futile": self.futile,
+        }
+
 
 def classify(
     ratio: GrowthClass,

@@ -21,8 +21,6 @@ from .growth import GrowthClass
 from .solvers import AdvantageVerdict, evaluate_advantage
 from .spectral import dense_limit, measure
 
-SLICE_KINDS = ("row", "column", "main_diagonal", "super_diagonal", "sub_diagonal", "iso_s")
-
 KAPPA_TOL = 1e-9
 
 
@@ -168,6 +166,18 @@ def iso_s_slice(s: int) -> TableauSlice:
         if (s - 1) % d == 0 and d / math.log(d + 1) < s - 1:
             cells.append(TableauCell(d + 1, (s - 1) // d))
     return TableauSlice("iso_s", s, tuple(cells))
+
+
+# Each slice kind's constructor; its parameter names are the CLI flags.
+SLICES = {
+    "row": row_slice,
+    "column": column_slice,
+    "main_diagonal": main_diagonal_slice,
+    "super_diagonal": super_diagonal_slice,
+    "sub_diagonal": sub_diagonal_slice,
+    "iso_s": iso_s_slice,
+}
+SLICE_KINDS = tuple(SLICES)
 
 
 def slice_verdict(sl: TableauSlice, solver: str = "HHL") -> AdvantageVerdict:

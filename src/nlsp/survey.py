@@ -324,12 +324,7 @@ class SurveyResult:
                 block["envelope_flagged"] = outcome.envelope_flagged
                 if outcome.verdicts:
                     block["verdicts"] = {
-                        name: {
-                            "category": v.category,
-                            "ratio_class": str(v.ratio_class),
-                            "futile": v.futile,
-                            "crossover_N": v.crossover_N,
-                        }
+                        name: {**v.as_dict(), "crossover_N": v.crossover_N}
                         for name, v in outcome.verdicts.items()
                     }
             families[outcome.key] = block

@@ -6,7 +6,17 @@ import math
 import pytest
 
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
-from nlsp.graphs import Graph, write_edge_list
+from nlsp.graphs import Graph, read_edge_list, write_edge_list
+from nlsp.hhl import default_config, effective_resistance, traffic_flow
+from nlsp.superfamily import (
+    column_slice,
+    iso_s_slice,
+    main_diagonal_slice,
+    row_slice,
+    slice_verdict,
+    sub_diagonal_slice,
+    super_diagonal_slice,
+)
 from nlsp.survey import write_records_csv, read_records_csv, RecordRow
 
 
@@ -189,6 +199,19 @@ class TestSurveyCommands:
         assert main(["survey", "run", str(bad)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dense_limit", "x"), ("cutoff", "1e-6"), ("schedule", 5)],
+    )
+    def test_run_badly_typed_config_value(self, tmp_path, key, value, capsys):
+        family = {"family": "hypercube", "schedule": [2, 3, 4, 5]}
+        doc = {"schema": 1, "families": [family]}
+        (family if key == "schedule" else doc)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["survey", "run", str(path)]) == EXIT_CONFIG
+        assert "error: bad config:" in capsys.readouterr().err
+
     def test_fit_with_too_few_records(self, tmp_path, capsys):
         rows = [
             RecordRow("hypercube", n, 2**n, "laplacian", float(n), 2.0, 2.0 * n, n + 1, 1e-6, None)
@@ -243,6 +266,31 @@ class TestSuperfamilyCommands:
         doc = read_json(capsys)
         assert doc["category"] == "better"
         assert doc["cells"][0] == [2, 2]
+
+    @pytest.mark.parametrize(
+        "flags, sl",
+        [
+            (["--kind", "row", "--m", "2", "--a-max", "6"], row_slice(2, 6)),
+            (["--kind", "column", "--a", "3", "--m-max", "5"], column_slice(3, 5)),
+            (["--kind", "main_diagonal", "--a-max", "6"], main_diagonal_slice(6)),
+            (["--kind", "super_diagonal", "--d", "1", "--a-max", "6"], super_diagonal_slice(1, 6)),
+            (["--kind", "sub_diagonal", "--d", "2", "--a-max", "6"], sub_diagonal_slice(2, 6)),
+            (["--kind", "iso_s", "--s", "7"], iso_s_slice(7)),
+        ],
+        ids=lambda x: x[1] if isinstance(x, list) else None,
+    )
+    def test_slice_each_kind_matches_the_library(self, flags, sl, capsys):
+        assert main(["superfamily", "slice", *flags, "--solver", "DREAM"]) == EXIT_OK
+        verdict = slice_verdict(sl, "DREAM")
+        assert read_json(capsys) == {
+            "kind": sl.kind,
+            "parameter": sl.parameter,
+            "cells": [[c.a, c.m] for c in sl.cells],
+            "solver": "DREAM",
+            "category": verdict.category,
+            "ratio_class": str(verdict.ratio_class),
+            "futile": verdict.futile,
+        }
 
     def test_slice_missing_parameter(self, capsys):
         assert main(["superfamily", "slice", "--kind", "row", "--a-max", "6"]) == EXIT_CONFIG
@@ -300,6 +348,51 @@ class TestHhlCommands:
         assert main(["hhl", "solve", str(path)]) == EXIT_OK
         assert read_json(capsys)["oracle_delta"] < 1e-10
 
+    @pytest.mark.parametrize(
+        "matrix, b, config, message",
+        [
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "shots": "100"},
+             "bad solver config"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "lambda_min": "2"},
+             "bad solver config"),
+            ({"dense": [[2.0, 0.0], [0.0]]}, [1.0, 1.0], {"n_r": 3}, "dense matrix"),
+            ({"kind": "laplacian"}, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
+            ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
+        ],
+        ids=["shots-text", "lambda_min-text", "ragged-dense", "b-text", "kind-mismatch"],
+    )
+    def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
+        if "kind" in matrix:
+            matrix = {"edge_list": c4_file, "matrix_kind": matrix["kind"]}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"matrix": matrix, "b": b, "config": config}))
+        assert main(["hhl", "solve", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_solve_incidence_kind_needs_a_directed_graph(self, tmp_path, dc4_file, capsys):
+        problem = {
+            "matrix": {"edge_list": dc4_file, "matrix_kind": "laplacian"},
+            "b": [1.0, -1.0, 0.0, 0.0],
+            "config": {"n_r": 6},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["hhl", "solve", str(path)]) == EXIT_CONFIG
+        assert "needs an undirected graph" in capsys.readouterr().err
+
+    def test_short_edge_list_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_text("undirected 3\n0 1\n2\n")
+        assert main(["hhl", "reff", str(path), "--i", "0", "--j", "1"]) == EXIT_CONFIG
+        assert "line 3" in capsys.readouterr().err
+
+    def test_graph_of_the_wrong_direction(self, c4_file, dc4_file, capsys):
+        assert main(["hhl", "reff", dc4_file, "--i", "0", "--j", "1"]) == EXIT_CONFIG
+        assert "undirected graphs" in capsys.readouterr().err
+        assert main(["hhl", "traffic", c4_file, "--", "-1,1,0,0"]) == EXIT_CONFIG
+        assert "directed graphs" in capsys.readouterr().err
+
     def test_reff_oracle_and_hhl(self, c4_file, capsys):
         assert main(["hhl", "reff", c4_file, "--i", "0", "--j", "1", "--oracle"]) == EXIT_OK
         doc = read_json(capsys)
@@ -308,6 +401,16 @@ class TestHhlCommands:
         doc = read_json(capsys)
         assert doc["effective_resistance"] == pytest.approx(0.75, rel=1e-2)
         assert doc["oracle_delta"] < 1e-2
+
+    def test_reff_matches_the_library_on_the_row_bound_clock(self, c4_file, capsys):
+        argv = ["hhl", "reff", c4_file, "--i", "0", "--j", "2"]
+        assert main(argv + ["--n-r", "8", "--shots", "500", "--seed", "3"]) == EXIT_OK
+        with open(c4_file) as f:
+            g = read_edge_list(f)
+        # the 4-cycle Laplacian's largest absolute row sum is 2 + 1 + 1
+        cfg = default_config(8, 4.0, shots=500, seed=3)
+        want = effective_resistance(g, 0, 2, "hhl", cfg)
+        assert read_json(capsys)["effective_resistance"] == want
 
     def test_reff_same_vertex_rejected(self, c4_file, capsys):
         assert main(["hhl", "reff", c4_file, "--i", "1", "--j", "1", "--oracle"]) == EXIT_CONFIG
@@ -324,8 +427,20 @@ class TestHhlCommands:
         assert code == EXIT_OK
         assert read_json(capsys)["oracle_delta"] < 2e-3
 
+    def test_traffic_matches_the_library_on_the_row_bound_clock(self, dc4_file, capsys):
+        assert main(["hhl", "traffic", dc4_file, "--n-r", "9", "--", "-1,1,0,0"]) == EXIT_OK
+        with open(dc4_file) as f:
+            g = read_edge_list(f)
+        # every row of the directed 4-cycle's dilation holds two entries of size 1
+        cfg = default_config(9, 2.0, signed=True)
+        want = traffic_flow(g, [-1.0, 1.0, 0.0, 0.0], "hhl", cfg).flow
+        assert read_json(capsys)["flow"] == [float(x) for x in want]
+
     def test_traffic_injection_file_and_imbalance(self, tmp_path, dc4_file, capsys):
         inj = tmp_path / "inj.json"
         inj.write_text("[1.0, 0.0, 0.0, 0.0]")
         assert main(["hhl", "traffic", dc4_file, "--oracle", str(inj)]) == EXIT_CONFIG
         assert "imbalanced" in capsys.readouterr().err
+        inj.write_text('[1.0, "x", 0.0, 0.0]')
+        assert main(["hhl", "traffic", dc4_file, "--oracle", str(inj)]) == EXIT_CONFIG
+        assert "comma-separated reals" in capsys.readouterr().err

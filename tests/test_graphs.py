@@ -210,3 +210,5 @@ def test_edge_list_round_trip():
     bad = io.StringIO("mixed 4\n0 1 1\n")
     with pytest.raises(ValueError):
         read_edge_list(bad)
+    with pytest.raises(ValueError, match="line 3"):
+        read_edge_list(io.StringIO("undirected 3\n0 1\n2\n"))

@@ -1,12 +1,14 @@
 """Every ``python`` block of README.md runs as written, and every ``json``
 block is a survey config that runs to verdicts."""
 
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from nlsp.superfamily import SLICES
 from nlsp.survey import config_from_dict, run_survey
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +38,10 @@ def test_readme_config_runs(text, tmp_path):
     for outcome in result.outcomes:
         assert set(outcome.verdicts) == set(result.config.solvers), outcome.key
     assert (tmp_path / "report.json").is_file()
+
+
+@pytest.mark.parametrize("kind", SLICES)
+def test_readme_lists_each_slice_kinds_flags(kind):
+    names = inspect.signature(SLICES[kind]).parameters
+    flags = ", ".join(f"`--{name.replace('_', '-')}`" for name in names)
+    assert re.search(rf"^- `{kind}` \(.*\): {flags}[;.]$", README.read_text(), re.M)
