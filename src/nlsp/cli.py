@@ -31,7 +31,7 @@ from .hhl import (
     hhl_solve,
     traffic_flow,
 )
-from .solvers import crossover as numeric_crossover
+from .solvers import crossover as numeric_crossover, get_solver
 from .superfamily import SLICE_KINDS, SLICES, slice_verdict, tableau, write_tableau_csv
 from .survey import (
     DEFAULT_SOLVERS,
@@ -151,6 +151,15 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
+def _known_solvers(names: list[str]) -> list[str]:
+    for name in names:
+        try:
+            get_solver(name)
+        except KeyError as exc:
+            raise CliError(exc.args[0]) from exc
+    return names
+
+
 def _iter_fitted_families(doc: dict, only: Optional[str]):
     families = doc.get("families", {})
     if only is not None:
@@ -163,7 +172,7 @@ def _iter_fitted_families(doc: dict, only: Optional[str]):
 
 def cmd_survey_classify(args: argparse.Namespace) -> int:
     doc = _load_json(args.fits)
-    solvers = args.solver or list(DEFAULT_SOLVERS)
+    solvers = _known_solvers(args.solver or list(DEFAULT_SOLVERS))
     out: dict = {"solvers": solvers, "families": {}}
     failures = 0
     for key, block in _iter_fitted_families(doc, args.family):
@@ -199,6 +208,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_survey_crossover(args: argparse.Namespace) -> int:
+    _known_solvers([args.solver])
     doc = _load_json(args.fits)
     scan = geometric_scan(4.0, args.max_n, 2.0)
     out: dict = {"solver": args.solver, "max_N": args.max_n, "families": {}}
@@ -234,6 +244,7 @@ def cmd_superfamily_tableau(args: argparse.Namespace) -> int:
 
 
 def cmd_superfamily_slice(args: argparse.Namespace) -> int:
+    _known_solvers([args.solver])
     build = SLICES[args.kind]
     params = {}
     for name in inspect.signature(build).parameters:

@@ -68,6 +68,11 @@ class HhlConfig:
             raise ValueError("rotation constant C must be positive")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be a positive count")
+        if self.seed is not None and (
+            isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
+            raise ValueError(f"seed must be a non-negative int or None, got {self.seed!r}")
 
     @property
     def n_bins(self) -> int:

@@ -8,7 +8,10 @@ dimension c is counted, as its number of connected components, and the
 smallest nonzero eigenvalue is the (c+1)-th smallest: from the dense
 eigensolver up to a size limit (a per-call argument, 3000 when None),
 above it from one shift-invert Lanczos call with a fixed start vector, so
-repeated runs agree bit for bit.  Sparsity is read off the CSR index arrays.
+repeated runs agree bit for bit.  That call solves with G − σI, factored
+once by sparse LU under a symmetric minimum-degree ordering (minimum degree
+on Aᵀ + A), which keeps the fill of G's symmetric pattern low.  Sparsity is
+read off the CSR index arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -97,10 +101,15 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, flo
         return lam_max, lam_max
     # Shift-invert about a small negative shift: m is PSD, so m - σI is
     # nonsingular, and the kernel + 1 eigenvalues nearest σ are the kernel's
-    # zeros and the smallest nonzero eigenvalue.
+    # zeros and the smallest nonzero eigenvalue.  m - σI is factored once,
+    # ordered by minimum degree on its symmetric pattern: eigsh's own splu
+    # orders columns by COLAMD, whose LU of an order-2000 Laplacian can hold
+    # half of N² entries.
+    sigma = -0.01 * lam_max
+    lu = spla.splu((a - sigma * sp.eye_array(m.order)).tocsc(), permc_spec="MMD_AT_PLUS_A")
     vals = spla.eigsh(
-        a, k=kernel + 1, sigma=-0.01 * lam_max, which="LM", v0=v0, tol=_ITERATIVE_TOL,
-        return_eigenvectors=False,
+        a, k=kernel + 1, sigma=sigma, which="LM", v0=v0, tol=_ITERATIVE_TOL,
+        OPinv=spla.LinearOperator(a.shape, matvec=lu.solve), return_eigenvectors=False,
     )
     return float(vals.max()), lam_max
 

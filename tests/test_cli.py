@@ -240,6 +240,13 @@ class TestSurveyCommands:
             assert main(argv) == EXIT_CONFIG
             assert "error: unknown family 'no_such_family'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "crossover"])
+    def test_unknown_solver_is_config_error(self, tmp_path, command, capsys):
+        fits = tmp_path / "fits.json"
+        fits.write_text(json.dumps({"schema": 1, "families": {}}))
+        assert main(["survey", command, str(fits), "--solver", "nope"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: unknown solver 'nope'")
+
     def test_classify_unknown_family_filter(self, tmp_path, capsys):
         fits = tmp_path / "fits.json"
         fits.write_text(json.dumps({"schema": 1, "families": {}}))
@@ -295,6 +302,11 @@ class TestSuperfamilyCommands:
     def test_slice_missing_parameter(self, capsys):
         assert main(["superfamily", "slice", "--kind", "row", "--a-max", "6"]) == EXIT_CONFIG
         assert "requires --m" in capsys.readouterr().err
+
+    def test_slice_unknown_solver(self, capsys):
+        argv = ["superfamily", "slice", "--kind", "row", "--m", "4", "--a-max", "4"]
+        assert main(argv + ["--solver", "nope"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: unknown solver 'nope'")
 
     def test_slice_first_row_excluded(self, capsys):
         code = main(["superfamily", "slice", "--kind", "row", "--m", "1", "--a-max", "6"])
@@ -355,11 +367,15 @@ class TestHhlCommands:
              "bad solver config"),
             ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "lambda_min": "2"},
              "bad solver config"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 4, "shots": 100, "seed": "3"},
+             "seed must be a non-negative int"),
             ({"dense": [[2.0, 0.0], [0.0]]}, [1.0, 1.0], {"n_r": 3}, "dense matrix"),
             ({"kind": "laplacian"}, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
             ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
         ],
-        ids=["shots-text", "lambda_min-text", "ragged-dense", "b-text", "kind-mismatch"],
+        ids=[
+            "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "kind-mismatch",
+        ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
         if "kind" in matrix:

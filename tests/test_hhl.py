@@ -51,6 +51,10 @@ class TestConfig:
             HhlConfig(n_r=4, t=1.0, C=0.0)
         with pytest.raises(ValueError, match="shots"):
             HhlConfig(n_r=4, t=1.0, C=0.1, shots=0)
+        for seed in ("3", 3.0, True, -1):
+            with pytest.raises(ValueError, match="seed must be a non-negative int"):
+                HhlConfig(n_r=4, t=1.0, C=0.1, shots=100, seed=seed)
+        assert HhlConfig(n_r=4, t=1.0, C=0.1, seed=np.int64(3)).seed == 3
 
     def test_default_psd_places_bound_on_top_bin(self):
         cfg = default_config(4, 8.0)

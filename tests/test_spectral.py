@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nlsp import spectral
 from nlsp.families import generate, make_spec
 from nlsp.graphs import (
     Graph,
@@ -230,25 +231,53 @@ def test_iterative_cross_validation_at_overlap_scale():
     assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-6)
 
 
+def family_graph(family: str, n: int, **kw) -> Graph:
+    return generate(make_spec(family, schedule=(n,), **kw), n).graph
+
+
 @pytest.mark.parametrize(
-    "system, kind",
+    "system, kind, rtol",
     [
-        (lambda: laplacian(two_ladders()), "laplacian"),
-        (lambda: incidence_matrix(path_cycle_point()), "incidence"),
-        (lambda: incidence_matrix(directed_path(1200)), "incidence"),
+        (lambda: laplacian(two_ladders()), "laplacian", 1e-7),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1e-7),
+        (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7),
         # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
-        (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian"),
+        (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7),
+        # a scale-free graph and an expander: a column ordering that ignores
+        # the symmetric pattern fills the factor of G - σI
+        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "laplacian", 1e-10),
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-10),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10),
     ],
-    ids=["two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20"],
+    ids=[
+        "two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20",
+        "barabasi-albert-600", "modified-mgg-20", "gn-400",
+    ],
 )
-def test_dense_and_lanczos_agree(system, kind):
+def test_dense_and_lanczos_agree(system, kind, rtol):
     m = system()
     dense = measure(m, kind)
     it = measure(m, kind, dense_limit=1)
-    assert it.kappa == pytest.approx(dense.kappa, rel=1e-7)
-    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-7)
-    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
+    assert it.kappa == pytest.approx(dense.kappa, rel=rtol)
+    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=rtol)
+    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=rtol)
     assert (it.system_size, it.sparsity) == (dense.system_size, dense.sparsity)
+
+
+def test_lanczos_factor_keeps_fill_low(monkeypatch):
+    # Under minimum degree on Aᵀ + A the LU of G - σI holds about 22k entries
+    # on this order-600 Laplacian; under scipy's default COLAMD, about 173k.
+    factors, real_splu = [], spectral.spla.splu
+
+    def splu(*args, **kwargs):
+        factors.append(real_splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    m = laplacian(family_graph("barabasi_albert", 600, seed=3))
+    measure(m, "laplacian", dense_limit=1)
+    assert len(factors) == 1
+    assert factors[0].L.nnz + factors[0].U.nnz < 0.1 * m.order**2
 
 
 def test_directed_path_kappa_closed_form():
