@@ -83,7 +83,10 @@ def cmd_survey_run(args: argparse.Namespace) -> int:
         config = config_from_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad config: {exc}") from exc
-    result = run_survey(config, max_workers=args.workers)
+    try:
+        result = run_survey(config, max_workers=args.workers)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     for outcome in result.outcomes:
         categories = {name: v.category for name, v in outcome.verdicts.items()}
         print(
@@ -161,13 +164,26 @@ def _known_solvers(names: list[str]) -> list[str]:
 
 
 def _iter_fitted_families(doc: dict, only: Optional[str]):
-    families = doc.get("families", {})
+    families = doc.get("families", {}) if isinstance(doc, dict) else None
+    if not isinstance(families, dict):
+        raise CliError("fits file needs a 'families' object")
     if only is not None:
         if only not in families:
             raise CliError(f"family {only!r} not in fits file")
         families = {only: families[only]}
     for key, block in families.items():
+        if not isinstance(block, dict):
+            raise CliError(f"family {key!r}: fits block must be an object")
         yield key, block
+
+
+def _read_fits(key: str, block: dict):
+    try:
+        return fit_from_dict(block["kappa_fit"]), fit_from_dict(block["s_fit"])
+    except KeyError as exc:
+        raise CliError(f"family {key!r}: fit lacks field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise CliError(f"family {key!r}: malformed fit: {exc}") from exc
 
 
 def cmd_survey_classify(args: argparse.Namespace) -> int:
@@ -188,8 +204,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             }
             failures += 1
             continue
-        kappa_fit = fit_from_dict(block["kappa_fit"])
-        s_fit = fit_from_dict(block["s_fit"])
+        kappa_fit, s_fit = _read_fits(key, block)
         size_growth = entry.size_growth
         try:  # an empty scan: crossovers are the crossover command's job
             kappa_n, s_n, verdicts = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
@@ -210,7 +225,10 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
 def cmd_survey_crossover(args: argparse.Namespace) -> int:
     _known_solvers([args.solver])
     doc = _load_json(args.fits)
-    scan = geometric_scan(4.0, args.max_n, 2.0)
+    try:
+        scan = geometric_scan(4.0, args.max_n, 2.0)
+    except ValueError as exc:
+        raise CliError(f"bad --max-N {args.max_n:g}: {exc}") from exc
     out: dict = {"solver": args.solver, "max_N": args.max_n, "families": {}}
     failures = 0
     for key, block in _iter_fitted_families(doc, args.family):
@@ -218,9 +236,7 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
-        n_cross = numeric_crossover(
-            args.solver, fit_from_dict(block["kappa_fit"]), fit_from_dict(block["s_fit"]), scan
-        )
+        n_cross = numeric_crossover(args.solver, *_read_fits(key, block), scan)
         out["families"][key] = {"crossover_N": n_cross}
     _emit(out)
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -215,15 +215,17 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
     paired off, with leftover vertices served by random partners.  Additions
     and reversals never create a bi-directed pair, and the vertex count is
     unchanged.  Idempotent: a clean graph comes back as-is.
+
+    Each step is written once, for a vertex that needs an outgoing edge; the
+    incoming case swaps the two ends of every arc (``arc``).  Edges live in a
+    dict for its membership tests and insertion order, the returned order.
     """
     if not g.directed:
         raise ValueError("repair applies to directed graphs")
     n = g.n_vertices
     if n < 3:
         raise ValueError("repair needs at least 3 vertices")
-    edges: dict[tuple[int, int], float] = dict(
-        zip(zip(g.u.tolist(), g.v.tolist()), g.w.tolist())
-    )
+    edges = dict(zip(zip(g.u.tolist(), g.v.tolist()), g.w.tolist()))
     indeg = [0] * n
     outdeg = [0] * n
     for u, v in edges:
@@ -231,102 +233,70 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
         indeg[v] += 1
     rng = _rng(seed)
 
-    def has(u: int, v: int) -> bool:
-        return (u, v) in edges
+    def arc(a: int, b: int, out: bool) -> tuple[int, int]:
+        return (a, b) if out else (b, a)
 
     def add(u: int, v: int) -> None:
         edges[(u, v)] = 1.0
         outdeg[u] += 1
         indeg[v] += 1
 
-    def reverse(u: int, v: int) -> None:
-        del edges[(u, v)]
-        outdeg[u] -= 1
-        indeg[v] -= 1
-        add(v, u)
+    def serve(v: int, pool: Sequence[int], out: bool) -> None:
+        # give v an outgoing edge (an incoming one if not out).  Reversing
+        # the edge w→v is allowed only when w keeps an outgoing and v an
+        # incoming edge, else the reversal re-creates the defect it fixes;
+        # in particular v's only edge is never reversed.
+        def ok(w: int) -> bool:
+            if w == v:
+                return False
+            a, b = arc(w, v, out)
+            if (a, b) in edges:
+                return outdeg[a] > 1 and indeg[b] > 1
+            return arc(v, w, out) not in edges
+
+        w = _draw_from(rng, pool, ok)
+        if w is None:
+            return
+        a, b = arc(w, v, out)
+        if (a, b) in edges:
+            del edges[(a, b)]
+            outdeg[a] -= 1
+            indeg[b] -= 1
+        add(*arc(v, w, out))
 
     everyone = list(range(n))
     for v in range(n):
-        if indeg[v] + outdeg[v] != 1:
-            continue
-        if indeg[v] == 1:
-            u = next(a for (a, b) in edges if b == v)
-            y = _draw_from(rng, everyone, lambda y: y not in (v, u) and not has(y, v))
-            if y is not None:
-                add(v, y)
-        else:
-            u = next(b for (a, b) in edges if a == v)
-            y = _draw_from(rng, everyone, lambda y: y not in (v, u) and not has(v, y))
-            if y is not None:
-                add(y, v)
+        if indeg[v] + outdeg[v] == 1:
+            serve(v, everyone, out=indeg[v] == 1)
 
     sources = [v for v in range(n) if indeg[v] == 0]
     sinks = [v for v in range(n) if outdeg[v] == 0]
-
-    def serve_sink(v: int, pool: Sequence[int]) -> None:
-        # give sink v an outgoing edge; reversing an incoming edge is allowed
-        # only when its tail keeps positive out-degree and v keeps positive
-        # in-degree (else the reversal re-creates the defect it fixes)
-        def ok(w: int) -> bool:
-            if w == v:
-                return False
-            if has(w, v):
-                return outdeg[w] > 1 and indeg[v] > 1
-            return not has(v, w)
-
-        w = _draw_from(rng, pool, ok)
-        if w is None:
-            return
-        if has(w, v):
-            reverse(w, v)
-        else:
-            add(v, w)
-
-    def serve_source(v: int, pool: Sequence[int]) -> None:
-        def ok(w: int) -> bool:
-            if w == v:
-                return False
-            if has(v, w):
-                return indeg[w] > 1 and outdeg[v] > 1
-            return not has(w, v)
-
-        w = _draw_from(rng, pool, ok)
-        if w is None:
-            return
-        if has(v, w):
-            reverse(v, w)
-        else:
-            add(w, v)
-
     if not sources and not sinks:
         log.debug("there are no source and sink vertices in the graph")
-    elif not sources:
-        non_sinks = [v for v in range(n) if outdeg[v] > 0]
-        for v in sinks:
-            serve_sink(v, non_sinks)
-    elif not sinks:
-        non_sources = [v for v in range(n) if indeg[v] > 0]
-        for v in sources:
-            serve_source(v, non_sources)
+    elif not sources or not sinks:
+        # one-sided: serve each sink (or source) from the vertices that
+        # already have the missing kind of edge
+        out = not sources
+        deg = outdeg if out else indeg
+        pool = [v for v in range(n) if deg[v] > 0]
+        for v in sinks if out else sources:
+            serve(v, pool, out)
     else:
         # walk both lists in parallel: a single sink-to-source edge fixes
         # each pair unless it would collide with an existing edge; whatever
         # is left over draws random partners from the other list
         for src, snk in zip(sources, sinks):
-            if src != snk and not has(snk, src) and not has(src, snk):
+            if src != snk and (snk, src) not in edges and (src, snk) not in edges:
                 add(snk, src)
-        for src in sources:
-            if indeg[src] == 0:
-                serve_source(src, sinks)
-            if indeg[src] == 0:
-                serve_source(src, everyone)
-        for snk in sinks:
-            if outdeg[snk] == 0:
-                serve_sink(snk, sources)
-            if outdeg[snk] == 0:
-                serve_sink(snk, everyone)
+        for defective, partners, out in ((sources, sinks, False), (sinks, sources, True)):
+            deg = outdeg if out else indeg
+            for v in defective:
+                for pool in (partners, everyone):
+                    if deg[v] == 0:
+                        serve(v, pool, out)
 
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()], directed=True)
+    uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return Graph(n, uv[:, 0], uv[:, 1], list(edges.values()), directed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def _eig_prepare(
     vec = np.asarray(b, dtype=float)
     if vec.shape != (order,):
         raise ValueError(f"b must be a vector of length {order}")
+    if not np.isfinite(vec).all():
+        raise ValueError("b must be finite")
     b_norm = float(np.linalg.norm(vec))
     if b_norm == 0.0:
         raise ValueError("b must be nonzero")
@@ -529,6 +531,8 @@ def traffic_flow(
     c = np.asarray(injections, dtype=float)
     if c.shape != (g.n_vertices,):
         raise ValueError(f"injections must have length {g.n_vertices}")
+    if not np.isfinite(c).all():
+        raise ValueError("injections must be finite")
     if float(np.linalg.norm(c)) == 0.0:
         return TrafficFlowResult(flow=np.zeros(g.n_edges), negative_lanes=())
     dense_b = incidence_matrix(g).to_dense()

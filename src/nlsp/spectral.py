@@ -144,6 +144,8 @@ def measure(
     Lanczos.
     """
     if matrix_kind == "laplacian":
+        if not isinstance(m, SymmetricMatrix):
+            raise ValueError("a Laplacian system is measured from L, not a rectangular matrix")
         g, size = m, m.order
     elif matrix_kind == "incidence":
         if isinstance(m, SymmetricMatrix):

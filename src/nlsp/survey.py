@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,8 +43,8 @@ def geometric_scan(
     start: float = 4.0, stop: float = 1e12, factor: float = 2.0
 ) -> tuple[float, ...]:
     """Geometric grid of system sizes for numeric crossover scans."""
-    if not (start > 0 and stop >= start and factor > 1):
-        raise ValueError("need start > 0, stop >= start, factor > 1")
+    if not (start > 0 and math.isfinite(stop) and stop >= start and factor > 1):
+        raise ValueError("need start > 0, finite stop >= start, factor > 1")
     points = []
     x = start
     while x <= stop:
@@ -442,7 +443,11 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     Instances are measured on a bounded worker pool; assembly and all file
     writes happen on the calling thread in canonical (family, n) order, so
     re-running an identical config reproduces records.csv byte for byte.
+    The pool holds ``max_workers`` threads, at least 1; None takes
+    min(4, cores).
     """
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     jobs = [(spec, n) for spec in config.families for n in spec.schedule]
     workers = max_workers or min(4, os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

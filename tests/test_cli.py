@@ -254,6 +254,42 @@ class TestSurveyCommands:
             main(["survey", "classify", str(fits), "--family", "ghost"]) == EXIT_CONFIG
         )
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_run_rejects_fewer_than_one_worker(self, config_file, workers, capsys):
+        assert main(["survey", "run", str(config_file), "--workers", workers]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: max_workers must be at least 1")
+
+    @pytest.mark.parametrize("max_n", ["2", "nan"])
+    def test_crossover_rejects_a_scan_bound_below_its_start(self, tmp_path, max_n, capsys):
+        fits = tmp_path / "fits.json"
+        fits.write_text(json.dumps({"schema": 1, "families": {}}))
+        argv = ["survey", "crossover", str(fits), "--solver", "HHL", "--max-N", max_n]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: bad --max-N")
+
+    @pytest.mark.parametrize("command", ["classify", "crossover"])
+    @pytest.mark.parametrize(
+        "families, message",
+        [
+            ([1, 2], "fits file needs a 'families' object"),
+            ({"hypercube": "fits"}, "family 'hypercube': fits block must be an object"),
+            (
+                {"hypercube": {
+                    "kappa_fit": {"model": "polylog", "degree": 1, "sse": 0.0, "score": 0.0,
+                                  "n_points": 4, "kind": "kappa"},
+                    "s_fit": {},
+                }},
+                "family 'hypercube': fit lacks field 'coefficients'",
+            ),
+        ],
+        ids=["families-list", "block-text", "no-coefficients"],
+    )
+    def test_malformed_fits_file(self, tmp_path, command, families, message, capsys):
+        fits = tmp_path / "fits.json"
+        fits.write_text(json.dumps({"schema": 1, "families": families}))
+        assert main(["survey", command, str(fits), "--solver", "HHL"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSuperfamilyCommands:
     def test_tableau_stdout_and_csv(self, tmp_path, capsys):
@@ -371,10 +407,12 @@ class TestHhlCommands:
              "seed must be a non-negative int"),
             ({"dense": [[2.0, 0.0], [0.0]]}, [1.0, 1.0], {"n_r": 3}, "dense matrix"),
             ({"kind": "laplacian"}, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
+            ({"kind": "laplacian"}, [1.0, math.nan, 0.0, -1.0], {"n_r": 6}, "b must be finite"),
             ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
         ],
         ids=[
-            "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "kind-mismatch",
+            "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "b-nan",
+            "kind-mismatch",
         ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
@@ -451,6 +489,11 @@ class TestHhlCommands:
         cfg = default_config(9, 2.0, signed=True)
         want = traffic_flow(g, [-1.0, 1.0, 0.0, 0.0], "hhl", cfg).flow
         assert read_json(capsys)["flow"] == [float(x) for x in want]
+
+    @pytest.mark.parametrize("flag", ["--oracle", "--n-r=6"])
+    def test_traffic_non_finite_injections(self, dc4_file, flag, capsys):
+        assert main(["hhl", "traffic", dc4_file, flag, "--", "nan,0,0,0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: injections must be finite\n"
 
     def test_traffic_injection_file_and_imbalance(self, tmp_path, dc4_file, capsys):
         inj = tmp_path / "inj.json"

@@ -1,7 +1,9 @@
+import hashlib
 import logging
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from nlsp.families import (
@@ -319,6 +321,36 @@ def test_repaired_variant_postconditions():
             assert all(d > 0 for d in indeg), (fid, n)
             assert all(d > 0 for d in outdeg), (fid, n)
             assert_no_bidirected(inst.graph)
+
+
+def _edges_digest(graphs) -> str:
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(repr(g.edges).encode())
+    return h.hexdigest()
+
+
+def test_repaired_edges_match_their_recorded_digest():
+    # Pins the exact edges, in order, that the repair returns: the seeded
+    # digraphs of acceptance criterion 8, and four repaired families.
+    rng = np.random.default_rng(8)
+    suite = []
+    for trial in range(200):
+        n = int(rng.integers(5, 51))
+        p = float(rng.uniform(0.05, 0.3))
+        raw = nx.gnp_random_graph(n, p, seed=int(rng.integers(1 << 31)), directed=True)
+        g = Graph.from_edges(n, list(raw.edges()), directed=True)
+        suite.append(repair_sources_sinks(g, seed=trial))
+    assert _edges_digest(suite) == (
+        "b2c6cb070441f7ea5c1ffe2e0abf3d8af47f5093c37b442b3328b0d23ca97f62"
+    )
+    families = []
+    for fid in ("gn", "gnr", "scale_free", "paley"):
+        spec = make_spec(fid, repair=True, seed=5)
+        families += [generate(spec, n).graph for n in spec.schedule[:40:8]]
+    assert _edges_digest(families) == (
+        "bebcd1b045061dbe5f519dba190194e1a0301cce18f43dca129e5237ea60db36"
+    )
 
 
 def test_repair_flag_rejected_for_undirected():

@@ -176,6 +176,8 @@ class TestSolveValidation:
             hhl_solve(lap, [1.0, -1.0], cfg)
         with pytest.raises(ValueError, match="nonzero"):
             hhl_solve(lap, [0.0, 0.0, 0.0, 0.0], cfg)
+        with pytest.raises(ValueError, match="finite"):
+            hhl_solve(lap, [1.0, math.nan, 0.0, -1.0], cfg)
 
 
 class TestConvergence:
@@ -267,6 +269,8 @@ class TestFixedClockQubits:
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=0.1)
         with pytest.raises(ValueError, match="p_th"):
             detect_fixed_clock_qubits(diag, [1.0, 0.0], cfg, p_th=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            detect_fixed_clock_qubits(diag, [1.0, math.inf], cfg)
 
 
 class TestAqf:
@@ -456,6 +460,9 @@ class TestTrafficFlow:
             traffic_flow(directed_cycle4(), [1.0, -1.0])
         with pytest.raises(ValueError, match="method"):
             traffic_flow(directed_cycle4(), [-1.0, 1.0, 0.0, 0.0], "quantum")
+        for method in ("oracle", "hhl"):
+            with pytest.raises(ValueError, match="finite"):
+                traffic_flow(directed_cycle4(), [math.nan, 0.0, 0.0, 0.0], method)
 
     def test_dilated_cycle_spectrum(self):
         dil = hermitian_dilation(incidence_matrix(directed_cycle4()))

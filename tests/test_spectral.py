@@ -291,5 +291,7 @@ def test_measure_rejects_a_dilation_as_incidence():
     b = incidence_matrix(directed_c4())
     with pytest.raises(ValueError, match="measured from B"):
         measure(hermitian_dilation(b), "incidence")
+    with pytest.raises(ValueError, match="measured from L"):
+        measure(b, "laplacian")
     with pytest.raises(ValueError, match="unknown matrix kind"):
         measure(b, "dilation")

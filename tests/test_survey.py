@@ -403,6 +403,12 @@ class TestSkips:
         report = result.report_dict()
         assert "verdicts" not in report["families"]["hypercube"]
 
+    def test_fewer_than_one_worker_rejected(self):
+        config = SurveyConfig(families=(make_spec("hypercube", schedule=(2, 3)),))
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="max_workers must be at least 1"):
+                run_survey(config, max_workers=workers)
+
 
 class TestSeedSensitivity:
     def test_directed_gaussian_all_better_and_stable(self):
