@@ -294,6 +294,8 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
         raise CliError(f"dense matrix must be an array of reals: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CliError("dense matrix must be square")
+    if not np.isfinite(arr).all():
+        raise CliError("dense matrix must be finite")
     if not np.allclose(arr, arr.T, atol=1e-12):
         raise CliError("dense matrix must be symmetric")
     upper = np.triu(arr)  # the upper triangle wins within the tolerance

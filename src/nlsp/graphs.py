@@ -30,9 +30,9 @@ class Graph:
 
     Edge k runs from ``u[k]`` to ``v[k]`` with weight ``w[k]``.  Undirected
     edges are stored with u < v.  No self-loops, no duplicate edges,
-    strictly positive weights.  A directed graph may contain both (u, v) and
-    (v, u); families that forbid bi-directed pairs enforce that at
-    generation time.  The arrays are read-only copies.
+    strictly positive finite weights.  A directed graph may contain both
+    (u, v) and (v, u); families that forbid bi-directed pairs enforce that
+    at generation time.  The arrays are read-only copies.
     """
 
     n_vertices: int
@@ -61,6 +61,10 @@ class Graph:
         bad = np.flatnonzero(u == v)
         if bad.size:
             raise ValueError(f"self-loop at vertex {u[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"non-finite weight {w[k]} on edge ({u[k]},{v[k]})")
         bad = np.flatnonzero(w <= 0)
         if bad.size:
             k = bad[0]

@@ -1,11 +1,17 @@
 """Statevector simulation of HHL with clock-register fixing shortcuts.
 
-The simulator works in the eigenbasis of the system matrix.  The clock
-register after phase estimation is reproduced exactly through its discrete
-Fourier kernel, so finite-resolution leakage (the source of HHL error for
-eigenvalues that do not land on a clock bin) is modeled without building
-gate-level circuits.  Post-selection statistics, the inversion rotation,
-and feature extraction then follow from closed-form sums over clock bins.
+The simulator works in the eigenbasis of the system matrix, found block by
+block: a row without off-diagonal entries (the fill * I padding to a
+power-of-two order, an isolated vertex) is an eigenpair as it stands and
+never enters the eigensolver, each connected component of the rest gets
+its own dense eigensolve, and a digraph's dilation [[0, B], [B^T, 0]] takes
+its eigenpairs from one SVD of B.  The clock register after phase
+estimation is reproduced exactly through the closed-form Fejer kernel of
+the discrete Fourier transform, so finite-resolution leakage (the source
+of HHL error for eigenvalues that do not land on a clock bin) is modeled
+without building gate-level circuits; it is evaluated only for modes that
+b reaches.  Post-selection statistics, the inversion rotation, and feature
+extraction then follow from closed-form sums over clock bins.
 
 Zero modes of the matrix are never inverted: the all-zeros clock bin gets
 rotation angle zero, which is what makes the reconstructed vector converge
@@ -27,10 +33,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import (
     Graph,
+    RectMatrix,
     SymmetricMatrix,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
+    next_power_of_two,
     pad_to_power_of_two,
 )
 from .spectral import zero_tolerance
@@ -183,11 +191,20 @@ def _sampled(p: float, cfg: HhlConfig) -> float:
     return float(rng.binomial(cfg.shots, min(p, 1.0)) / cfg.shots)
 
 
-def _eig_prepare(
-    a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-    """Shared QPE front end: eigensystem, amplitudes, clock kernel, bins."""
-    order = a.order
+class _Modes(NamedTuple):
+    """Orthonormal eigenpairs of one invariant block of the system matrix:
+    eigenvalues ``lam`` whose vectors live on the matrix rows ``rows`` (an
+    index array or a slice), as the columns of ``vectors``, or as the unit
+    vectors of those rows when ``vectors`` is None."""
+
+    rows: np.ndarray | slice
+    lam: np.ndarray
+    vectors: np.ndarray | None
+
+
+def _unit_rhs(order: int, b: Sequence[float], cfg: HhlConfig) -> tuple[np.ndarray, float]:
+    """b / |b| and |b|, once the order, qubit budget and b itself pass the
+    checks that precede every eigensolve."""
     if order & (order - 1):
         raise ValueError(f"matrix order {order} is not a power of two; pad first")
     n_b = order.bit_length() - 1
@@ -203,23 +220,95 @@ def _eig_prepare(
     b_norm = float(np.linalg.norm(vec))
     if b_norm == 0.0:
         raise ValueError("b must be nonzero")
-    lam, basis = np.linalg.eigh(a.to_dense())
+    return vec / b_norm, b_norm
+
+
+def _eigenpairs(a: SymmetricMatrix) -> list[_Modes]:
+    """Eigenpairs of ``a``, one dense eigensolve per connected component of
+    its pattern.  A row without off-diagonal entries (the fill * I padding
+    of ``pad_to_power_of_two``, an isolated vertex) is the eigenpair
+    (a_kk, e_k) as it stands and never reaches ``eigh``."""
+    _, labels = connected_components(a.csr, directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    alone = np.flatnonzero(sizes[labels] == 1)
+    modes = [_Modes(alone, a.csr.diagonal()[alone], None)] if alone.size else []
+    for label in np.flatnonzero(sizes > 1):
+        rows = np.flatnonzero(labels == label)
+        lam, vectors = np.linalg.eigh(a.csr[rows][:, rows].toarray())
+        modes.append(_Modes(rows, lam, vectors))
+    return modes
+
+
+def _dilation_eigenpairs(inc: RectMatrix, fill: float, order: int) -> list[_Modes]:
+    """Eigenpairs of ``hermitian_dilation(inc)`` padded to ``order`` with
+    ``fill``, from one SVD inc = U diag(s) V^T (Jordan-Wielandt): +-s_i on
+    (u_i, +-v_i) / sqrt 2, the |rows - cols| surplus columns of U or V as
+    zero modes, and (fill, e_k) on the padding rows."""
+    n, m = inc.rows, inc.cols
+    u, s, vt = np.linalg.svd(inc.to_dense())
+    r = s.size
+    vectors = np.zeros((n + m, n + m))
+    vectors[:n, :r] = vectors[:n, r : 2 * r] = math.sqrt(0.5) * u[:, :r]
+    vectors[n:, :r] = math.sqrt(0.5) * vt[:r].T
+    vectors[n:, r : 2 * r] = -vectors[n:, :r]
+    if n > m:
+        vectors[:n, 2 * r :] = u[:, r:]
+    else:
+        vectors[n:, 2 * r :] = vt[r:].T
+    lam = np.concatenate((s, -s, np.zeros(abs(n - m))))
+    padding = np.full(order - n - m, fill)
+    return [_Modes(slice(0, n + m), lam, vectors), _Modes(slice(n + m, order), padding, None)]
+
+
+def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
+    """Row j holds the post-QPE clock distribution of a mode with scaled
+    eigenvalue ``phase[j]`` = lambda_j t / 2 pi over the T = 2^n_r bins.
+
+    That is the Fejer kernel sin^2(pi T d) / (T^2 sin^2(pi d)) of the offset
+    d = phase - k / T from bin k.  With T phase = q + f, q the nearest
+    integer, the numerator is sin^2(pi f) on every bin, and the kernel's
+    period 1 in d lets the integer offset q - k be taken in [-T/2, T/2), so
+    every sine argument lies within [-pi/2, pi/2].  A zero denominator
+    (phase exactly on bin k) is the limit 1.
+    """
+    tbins = 2**n_r
+    half = tbins // 2
+    scaled = phase * tbins
+    whole = np.rint(scaled)
+    frac = scaled - whole
+    weights = np.subtract.outer(np.mod(whole + half, tbins) - half, np.arange(tbins, dtype=float))
+    weights[weights < -half] += tbins
+    weights += frac[:, None]
+    weights *= math.pi / tbins
+    np.sin(weights, out=weights)
+    np.square(weights, out=weights)
+    on_bin = weights == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide((np.sin(math.pi * frac) ** 2 / tbins**2)[:, None], weights, out=weights)
+    weights[on_bin] = 1.0
+    return weights
+
+
+def _qpe(
+    modes: list[_Modes], unit: np.ndarray, cfg: HhlConfig, cutoff: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Shared QPE front end: the window and C checks on every eigenvalue,
+    the amplitudes beta of the unit right-hand side, the indices ``live``
+    of the modes with beta != 0, their clock weights, and whether the clock
+    reads signed values."""
+    lam = np.concatenate([mode.lam for mode in modes])
     lam_t = lam * cfg.t / (2.0 * math.pi)
     tol = zero_tolerance(lam, cutoff)
     nonzero = np.abs(lam) > tol
     signed = bool((lam < -tol).any())
     if nonzero.any():
         _check_window(np.abs(lam_t[nonzero]), signed, cfg.C)
-    beta = basis.T @ (vec / b_norm)
-    tbins = cfg.n_bins
-    ticks = np.arange(tbins)
-    # Row j of the kernel holds the exact QPE clock amplitudes of mode j.
-    kernel = np.fft.fft(np.exp(2j * math.pi * np.outer(lam_t, ticks))) / tbins
-    weights = np.abs(kernel) ** 2
-    bins = ticks / tbins
-    if signed:
-        bins = np.where(ticks >= tbins // 2, (ticks - tbins) / tbins, bins)
-    return lam, basis, beta, b_norm, weights, bins
+    beta = np.concatenate([
+        unit[mode.rows] if mode.vectors is None else mode.vectors.T @ unit[mode.rows]
+        for mode in modes
+    ])
+    live = np.flatnonzero(beta)
+    return beta, live, _clock_weights(lam_t[live], cfg.n_r), signed
 
 
 def hhl_solve(
@@ -236,15 +325,35 @@ def hhl_solve(
     at or below ``zero_tolerance(eigs, cutoff)`` in magnitude count as null:
     numpy's rank tolerance by default, or an explicit absolute cutoff.
     """
-    _, basis, beta, b_norm, weights, bins = _eig_prepare(a, b, cfg, cutoff)
+    unit, b_norm = _unit_rhs(a.order, b, cfg)
+    return _simulate(_eigenpairs(a), unit, b_norm, cfg, cutoff)
+
+
+def _simulate(
+    modes: list[_Modes], unit: np.ndarray, b_norm: float, cfg: HhlConfig, cutoff: float | None
+) -> HhlOutcome:
+    """hhl_solve on a matrix given by its eigenpairs."""
+    beta, live, weights, signed = _qpe(modes, unit, cfg, cutoff)
+    tbins = cfg.n_bins
+    ticks = np.arange(tbins)
+    bins = ticks / tbins
+    if signed:
+        bins = np.where(ticks >= tbins // 2, (ticks - tbins) / tbins, bins)
     sines = np.zeros_like(bins)
     sines[1:] = np.clip(cfg.C / bins[1:], -1.0, 1.0)
     ancilla = weights @ (sines**2)  # per-mode success probability
     zero_clock = weights @ sines  # per-mode amplitude left on the all-zeros clock
-    p_exact = float((np.abs(beta) ** 2) @ ancilla)
+    p_exact = float(beta[live] ** 2 @ ancilla)
     if p_exact < _NULL_SUCCESS:
         raise ValueError("b lies entirely in the null space (p_success below 1e-14)")
-    unnorm = basis @ (beta * zero_clock)
+    coef = np.zeros_like(beta)
+    coef[live] = beta[live] * zero_clock
+    unnorm = np.empty_like(unit)
+    start = 0
+    for mode in modes:
+        part = coef[start : start + mode.lam.size]
+        start += mode.lam.size
+        unnorm[mode.rows] = part if mode.vectors is None else mode.vectors @ part
     norm = float(np.linalg.norm(unnorm))
     if norm == 0.0:
         raise ValueError("b lies entirely in the null space (p_success below 1e-14)")
@@ -303,8 +412,7 @@ def detect_fixed_clock_qubits(
     """
     if not 0.5 < p_th <= 1.0:
         raise ValueError("p_th must lie in (1/2, 1]")
-    _, _, beta, _, weights, _ = _eig_prepare(a, b, cfg, cutoff)
-    histogram = (np.abs(beta) ** 2) @ weights
+    histogram = _clock_histogram(a, b, cfg, cutoff)
     ticks = np.arange(cfg.n_bins)
     fixed: set[tuple[int, int]] = set()
     for q in range(cfg.n_r):
@@ -315,6 +423,15 @@ def detect_fixed_clock_qubits(
         elif 1.0 - p_one >= p_th:
             fixed.add((q, 0))
     return fixed
+
+
+def _clock_histogram(
+    a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float | None
+) -> np.ndarray:
+    """Probability of each clock value after QPE on the state b / |b|."""
+    unit, _ = _unit_rhs(a.order, b, cfg)
+    beta, live, weights, _ = _qpe(_eigenpairs(a), unit, cfg, cutoff)
+    return beta[live] ** 2 @ weights
 
 
 @dataclass(frozen=True)
@@ -442,19 +559,25 @@ def _default_clock(
 
 
 def _graph_solve(
-    g: Graph, rhs: np.ndarray, cfg: HhlConfig | None
+    g: Graph, rhs: np.ndarray, cfg: HhlConfig | None, inc: RectMatrix | None = None
 ) -> tuple[HhlOutcome, np.ndarray]:
     """Simulate ``graph_system(g)`` padded to a power-of-two order, with rhs
     zero-extended to match; ``cfg=None`` takes graph_config's clock at
-    DEFAULT_CLOCK_QUBITS.  Returns the outcome and the extended rhs."""
-    system = graph_system(g)
+    DEFAULT_CLOCK_QUBITS.  A digraph passes its incidence matrix ``inc``,
+    whose SVD gives the dilation's eigenpairs.  Returns the outcome and the
+    extended rhs."""
+    system = hermitian_dilation(inc) if g.directed else laplacian(g)
     bound = abs_row_bound(system)
-    padded = pad_to_power_of_two(system, bound)
     if cfg is None:
         cfg = _default_clock(g, bound, DEFAULT_CLOCK_QUBITS)
-    vec = np.zeros(padded.order)
+    order = next_power_of_two(system.order)
+    vec = np.zeros(order)
     vec[: len(rhs)] = rhs
-    return hhl_solve(padded, vec, cfg), vec
+    if not g.directed:
+        return hhl_solve(pad_to_power_of_two(system, bound), vec, cfg), vec
+    unit, b_norm = _unit_rhs(order, vec, cfg)
+    modes = _dilation_eigenpairs(inc, bound, order)
+    return _simulate(modes, unit, b_norm, cfg, None), vec
 
 
 def _connected(g: Graph) -> bool:
@@ -535,14 +658,15 @@ def traffic_flow(
         raise ValueError("injections must be finite")
     if float(np.linalg.norm(c)) == 0.0:
         return TrafficFlowResult(flow=np.zeros(g.n_edges), negative_lanes=())
-    dense_b = incidence_matrix(g).to_dense()
+    inc = incidence_matrix(g)
+    dense_b = inc.to_dense()
     y_ref = np.linalg.lstsq(dense_b, c, rcond=None)[0]
     if float(np.linalg.norm(dense_b @ y_ref - c)) > 1e-8:
         raise ValueError("imbalanced injections: no exact flow satisfies them")
     if method == "oracle":
         y = y_ref[: g.n_edges]
     elif method == "hhl":
-        y = _graph_solve(g, c, cfg)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
+        y = _graph_solve(g, c, cfg, inc)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
     else:
         raise ValueError(f"unknown method {method!r}")
     lanes = tuple(int(k) for k in np.flatnonzero(y < -1e-9))

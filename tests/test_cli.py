@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlsp
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from nlsp.graphs import Graph, read_edge_list, write_edge_list
 from nlsp.hhl import default_config, effective_resistance, traffic_flow
@@ -408,11 +413,13 @@ class TestHhlCommands:
             ({"dense": [[2.0, 0.0], [0.0]]}, [1.0, 1.0], {"n_r": 3}, "dense matrix"),
             ({"kind": "laplacian"}, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
             ({"kind": "laplacian"}, [1.0, math.nan, 0.0, -1.0], {"n_r": 6}, "b must be finite"),
+            ({"dense": [[math.nan, 0.0], [0.0, 1.0]]}, [1.0, 1.0], {"n_r": 3},
+             "dense matrix must be finite"),
             ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
         ],
         ids=[
             "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "b-nan",
-            "kind-mismatch",
+            "dense-nan", "kind-mismatch",
         ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
@@ -440,6 +447,21 @@ class TestHhlCommands:
         path.write_text("undirected 3\n0 1\n2\n")
         assert main(["hhl", "reff", str(path), "--i", "0", "--j", "1"]) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_edge_weight(self, tmp_path, weight):
+        path = tmp_path / "bad.edges"
+        path.write_text(f"undirected 3\n0 1 {weight}\n1 2 1\n")
+        # An unchecked infinite weight made the classical pseudo-inverse
+        # hang, so the command runs in a child process under a timeout.
+        done = subprocess.run(
+            [sys.executable, "-m", "nlsp", "hhl", "reff", str(path), "--i", "0", "--j", "2",
+             "--oracle"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(nlsp.__file__).parents[1])},
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.startswith("error:") and "non-finite weight" in done.stderr
 
     def test_graph_of_the_wrong_direction(self, c4_file, dc4_file, capsys):
         assert main(["hhl", "reff", dc4_file, "--i", "0", "--j", "1"]) == EXIT_CONFIG

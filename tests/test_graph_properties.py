@@ -5,6 +5,8 @@ entry by entry from the edge list, and must be in canonical CSR form.  The
 measured κ is compared with a numpy eigensolve or SVD of that build.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -188,6 +190,9 @@ def test_graph_rejects_invalid_edges(g, data):
         k = data.draw(st.integers(0, g.n_edges - 1))
         bad = data.draw(st.sampled_from([0.0, -1.0, -1e-300]))
         with pytest.raises(ValueError, match="non-positive"):
+            build(u, v, w[:k] + [bad] + w[k + 1:])
+        bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        with pytest.raises(ValueError, match="non-finite"):
             build(u, v, w[:k] + [bad] + w[k + 1:])
         with pytest.raises(ValueError, match="duplicate"):
             build(u + [u[k]], v + [v[k]], w + [1.0])

@@ -212,3 +212,9 @@ def test_edge_list_round_trip():
         read_edge_list(bad)
     with pytest.raises(ValueError, match="line 3"):
         read_edge_list(io.StringIO("undirected 3\n0 1\n2\n"))
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_edge_list_non_finite_weight(weight):
+    with pytest.raises(ValueError, match=f"non-finite weight {weight} on edge \\(0,1\\)"):
+        read_edge_list(io.StringIO(f"undirected 3\n0 1 {weight}\n1 2 1\n"))

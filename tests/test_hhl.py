@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsp.families import generate, make_spec
 from nlsp.graphs import (
@@ -16,17 +18,25 @@ from nlsp.graphs import (
 )
 from nlsp.hhl import (
     HhlConfig,
+    _clock_histogram,
+    _clock_weights,
+    _dilation_eigenpairs,
+    _eigenpairs,
+    _graph_solve,
+    abs_row_bound,
     augment_for_aqf,
     check_aqf,
     default_config,
     detect_fixed_clock_qubits,
     effective_resistance,
     extract_overlap,
+    graph_system,
     hhl_solve,
     one_qubit_effective_resistance,
     one_qubit_hhl,
     traffic_flow,
 )
+from nlsp.spectral import zero_tolerance
 
 
 def complete_graph(n: int) -> Graph:
@@ -477,3 +487,213 @@ class TestTrafficFlow:
         got = traffic_flow(directed_cycle4(), [-1.0, 1.0, 0.0, 0.0], "hhl", cfg)
         assert np.abs(got.flow - oracle.flow).max() < 2e-3
         assert got.negative_lanes == (1, 2, 3)
+
+
+def fourier_clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
+    """|DFT of the clock state after QPE|^2, mode by mode."""
+    tbins = 2**n_r
+    amplitudes = np.fft.fft(np.exp(2j * math.pi * np.outer(phase, np.arange(tbins)))) / tbins
+    return np.abs(amplitudes) ** 2
+
+
+class TestClockWeights:
+    @pytest.mark.parametrize("n_r", [4, 10])
+    def test_closed_form_matches_the_fourier_kernel(self, n_r):
+        tbins = 2**n_r
+        on_bin = np.array([0, 1, 3, tbins // 2 - 1, -1, -tbins // 2 + 1]) / tbins
+        wrap = np.array([-0.5, -0.5 + 1e-9, 0.5 - 1e-9, 0.5 - 0.5 / tbins, -0.5 - 0.5 / tbins])
+        rng = np.random.default_rng(n_r)
+        phase = np.concatenate((on_bin, [-0.0, 1e-17], wrap, rng.uniform(-0.5, 1.0, 200)))
+        got = _clock_weights(phase, n_r)
+        assert np.abs(got - fourier_clock_weights(phase, n_r)).max() <= 1e-12
+        assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-14
+        hot = np.rint(on_bin * tbins).astype(int) % tbins
+        assert np.array_equal(got[: on_bin.size], np.eye(tbins)[hot])
+
+
+def reference_outcome(a: np.ndarray, vec: np.ndarray, cfg: HhlConfig):
+    """(p_success, clock_zero_weight, solution, clock histogram) from a full
+    eigensolve of the dense matrix and the Fourier clock kernel."""
+    lam, basis = np.linalg.eigh(a)
+    lam_t = lam * cfg.t / (2.0 * math.pi)
+    signed = bool((lam < -zero_tolerance(lam)).any())
+    b_norm = float(np.linalg.norm(vec))
+    beta = basis.T @ (vec / b_norm)
+    weights = fourier_clock_weights(lam_t, cfg.n_r)
+    ticks = np.arange(cfg.n_bins)
+    bins = np.where(signed & (ticks >= cfg.n_bins // 2), ticks - cfg.n_bins, ticks) / cfg.n_bins
+    sines = np.zeros(cfg.n_bins)
+    sines[1:] = np.clip(cfg.C / bins[1:], -1.0, 1.0)
+    p_success = float(beta**2 @ (weights @ sines**2))
+    unnorm = basis @ (beta * (weights @ sines))
+    zero_weight = float(unnorm @ unnorm) / p_success
+    scale = cfg.t / (2.0 * math.pi * cfg.C)
+    solution = b_norm * scale * unnorm
+    return p_success, zero_weight, solution, beta**2 @ weights
+
+
+def bin_exact_config(lam_min: float, bound: float, signed: bool, n_r: int) -> HhlConfig:
+    """t = 2 pi / 2^p puts every integer eigenvalue up to ``bound`` on a
+    clock bin inside the window."""
+    p = 0
+    while 2**p <= (2.0 * bound if signed else bound):
+        p += 1
+    assert p <= n_r
+    return HhlConfig(n_r=n_r, t=2.0 * math.pi / 2**p, C=lam_min / 2**p)
+
+
+def union(draw, blocks, directed):
+    """Disjoint union of (n_vertices, edges) blocks under a random vertex
+    permutation and a random edge order."""
+    n = sum(size for size, _ in blocks)
+    perm = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for size, block in blocks:
+        edges += [(perm[base + a], perm[base + b], w) for a, b, w in block]
+        base += size
+    return Graph.from_edges(n, draw(st.permutations(edges)), directed)
+
+
+def complete(a, w=1.0):
+    return a, [(i, j, w) for i in range(a) for j in range(i + 1, a)]
+
+
+@st.composite
+def exact_laplacians(draw):
+    """Unions of complete graphs K_a with integer weight w: spectrum {0, a w}."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: max(s) > 1))
+    return union(draw, [complete(a, draw(st.integers(1, 3))) for a in sizes], False)
+
+
+@st.composite
+def random_laplacians(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weight = st.floats(0.25, 4.0)
+    return Graph.from_edges(n, [(a, b, draw(weight)) for a, b in chosen])
+
+
+def star(k, out):
+    return k + 1, [(0, j, 1.0) if o else (j, 0, 1.0) for j, o in zip(range(1, k + 1), out)]
+
+
+# Digraph blocks with integer singular values: oriented stars with 3 and 8
+# leaves (1 and sqrt(k + 1)), the 2-cycle (0, 2), the complete digraph on 8
+# vertices (0, 4; 56 arcs), an isolated vertex.
+EXACT_DIGRAPHS = {
+    "star3": ["star3"],  # n > m, padded
+    "star8+vertex": ["star8", "vertex"],  # n > m, padded
+    "digon+digon": ["digon", "digon"],  # n = m, no padding
+    "digon+star3": ["digon", "star3"],  # n > m, padded
+    "K8": ["K8"],  # n < m, no padding
+    "K8+star3": ["K8", "star3"],  # n < m, padded
+}
+
+
+@st.composite
+def exact_digraphs(draw, names):
+    blocks = []
+    for name in names:
+        if name.startswith("star"):
+            k = int(name[4:])
+            blocks.append(star(k, draw(st.lists(st.booleans(), min_size=k, max_size=k))))
+        elif name == "digon":
+            blocks.append((2, [(0, 1, 1.0), (1, 0, 1.0)]))
+        elif name == "K8":
+            blocks.append((8, [(i, j, 1.0) for i in range(8) for j in range(8) if i != j]))
+        else:
+            blocks.append((1, []))
+    return union(draw, blocks, True)
+
+
+@st.composite
+def random_digraphs(draw, n, m):
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True))
+    return Graph.from_edges(n, chosen, directed=True)
+
+
+def assert_eigensystem(modes, a: np.ndarray) -> None:
+    """The blocks of eigenpairs form an orthonormal eigenbasis of ``a``."""
+    basis = np.zeros_like(a)
+    lam, start = [], 0
+    for mode in modes:
+        cols = slice(start, start + mode.lam.size)
+        basis[mode.rows, cols] = np.eye(mode.lam.size) if mode.vectors is None else mode.vectors
+        lam.append(mode.lam)
+        start += mode.lam.size
+    assert start == a.shape[0]
+    assert np.abs(basis.T @ basis - np.eye(start)).max() <= 1e-12
+    scale = max(1.0, float(np.abs(a).max()))
+    assert np.abs(basis @ np.diag(np.concatenate(lam)) @ basis.T - a).max() <= 1e-12 * scale
+
+
+def assert_matches_reference(g: Graph, rhs: np.ndarray, exact: bool, n_r: int) -> None:
+    """The block eigenpairs of graph_system(g) padded, and _graph_solve,
+    hhl_solve and the clock histogram on it, against one eigensolve of the
+    whole padded matrix."""
+    system = graph_system(g)
+    bound = abs_row_bound(system)
+    padded = pad_to_power_of_two(system, bound)
+    assert_eigensystem(_eigenpairs(padded), padded.to_dense())
+    if g.directed:
+        modes = _dilation_eigenpairs(incidence_matrix(g), bound, padded.order)
+        assert_eigensystem(modes, padded.to_dense())
+    lam = np.abs(np.linalg.eigvalsh(padded.to_dense()))
+    lam_min = float(lam[lam > zero_tolerance(lam)].min())
+    if exact:
+        cfg = bin_exact_config(round(lam_min), bound, g.directed, n_r)
+    else:
+        cfg = default_config(n_r, bound, lam_min, signed=g.directed)
+    inc = incidence_matrix(g) if g.directed else None
+    got, vec = _graph_solve(g, rhs, cfg, inc)
+    p_success, zero_weight, solution, histogram = reference_outcome(padded.to_dense(), vec, cfg)
+    tol = 1e-10 * max(1.0, float(np.abs(solution).max()))
+    for out in (got, hhl_solve(padded, vec, cfg)):
+        assert out.p_success == pytest.approx(p_success, abs=1e-10)
+        assert out.clock_zero_weight == pytest.approx(zero_weight, abs=1e-10)
+        assert np.abs(out.solution - solution).max() <= tol
+    if exact:
+        assert got.clock_zero_weight == pytest.approx(1.0, abs=1e-10)
+    assert np.abs(_clock_histogram(padded, vec, cfg, None) - histogram).max() <= 1e-12
+
+
+rhs_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestBlockEigensystem:
+    """Padding rows and isolated vertices taken as they stand, components
+    solved apart and a digraph's dilation from the SVD of B agree with one
+    eigensolve of the whole padded matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=exact_laplacians(), seed=rhs_seeds)
+    def test_bin_exact_laplacians(self, g, seed):
+        rhs = np.random.default_rng(seed).standard_normal(g.n_vertices)
+        assert_matches_reference(g, rhs, exact=True, n_r=6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=random_laplacians(), seed=rhs_seeds, n_r=st.sampled_from([4, 7]))
+    def test_random_weighted_laplacians(self, g, seed, n_r):
+        rhs = np.random.default_rng(seed).standard_normal(g.n_vertices)
+        assert_matches_reference(g, rhs, exact=False, n_r=n_r)
+
+    @pytest.mark.parametrize("names", EXACT_DIGRAPHS.values(), ids=EXACT_DIGRAPHS.keys())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=rhs_seeds)
+    def test_bin_exact_digraphs(self, names, data, seed):
+        g = data.draw(exact_digraphs(names))
+        rhs = np.random.default_rng(seed).standard_normal(g.n_vertices + g.n_edges)
+        assert_matches_reference(g, rhs, exact=True, n_r=7)
+
+    # (n, m): n > m, n = m and n < m, each with n + m a power of two
+    # (no padding) and not.
+    @pytest.mark.parametrize("n, m", [(5, 3), (6, 3), (4, 4), (5, 5), (3, 5), (4, 7)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=rhs_seeds, n_r=st.sampled_from([4, 7]))
+    def test_random_digraphs(self, n, m, data, seed, n_r):
+        g = data.draw(random_digraphs(n, m))
+        rhs = np.random.default_rng(seed).standard_normal(n + m)
+        assert_matches_reference(g, rhs, exact=False, n_r=n_r)
+
