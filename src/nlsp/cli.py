@@ -35,7 +35,6 @@ from .solvers import crossover as numeric_crossover, get_solver
 from .superfamily import SLICE_KINDS, SLICES, slice_verdict, tableau, write_tableau_csv
 from .survey import (
     DEFAULT_SOLVERS,
-    MIN_FIT_POINTS,
     SCHEMA_VERSION,
     classify_fits,
     config_from_dict,
@@ -120,22 +119,12 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
     families = {}
     failures = 0
     for key, group in grouped.items():
-        group.sort(key=lambda r: r.n)
         family_id = _family_id_of_key(key)
         entry = _catalog_entry(family_id)
         block: dict = {"family": family_id, "n_records": len(group)}
         families[key] = block
-        if len(group) < MIN_FIT_POINTS:
-            block["error"] = f"needs {MIN_FIT_POINTS} records, has {len(group)}"
-            failures += 1
-            continue
         try:
-            kappa_fit, s_fit, flagged = fit_growth(
-                entry.random,
-                [r.system_size for r in group],
-                [r.kappa for r in group],
-                [r.sparsity for r in group],
-            )
+            kappa_fit, s_fit, flagged = fit_growth(entry.random, group)
         except ValueError as exc:
             block["error"] = f"fit failed: {exc}"
             failures += 1

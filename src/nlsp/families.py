@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -518,6 +519,11 @@ def list_families() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # specs and generation
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is no size."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family's schedule, params, base seed and weight rule.  Its matrix
@@ -532,6 +538,9 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         entry = catalog_entry(self.family_id)
+        bad = [n for n in self.schedule if not is_integer(n)]
+        if bad:
+            raise ValueError(f"schedule entries must be integers, got {bad[0]!r}")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
         if entry.random and self.seed is None:

@@ -21,6 +21,7 @@ MODEL_ORDER = ("constant", "polylog", "polynomial", "exponential")
 MAX_DEGREE = 3
 TIE_WINDOW = 2.0
 ENVELOPE_WINDOW = 5
+MIN_POINTS = 4  # fewest points a series or an envelope is fit on
 
 
 class InadmissibleSeriesError(ValueError):
@@ -33,7 +34,8 @@ class FitResult:
 
     coefficients are ascending: [a_0, ..., a_p] for polynomial/polylog in the
     respective basis, [c] for constant, and [a0, a1, a2] for the exponential
-    a2*exp(a1*x) + a0.
+    a2*exp(a1*x) + a0.  growth is the model's growth class, derived from
+    model, degree and coefficients.
     """
 
     model: str
@@ -42,9 +44,18 @@ class FitResult:
     sse: float
     score: float
     n_points: int
-    growth: GrowthClass
     kind: str
     max_round_deviation: float | None = None
+
+    @property
+    def growth(self) -> GrowthClass:
+        if self.model == "constant":
+            return GrowthClass.constant()
+        if self.model == "polylog":
+            return GrowthClass.log_power(self.degree)
+        if self.model == "polynomial":
+            return GrowthClass.poly(self.degree)
+        return GrowthClass.from_rate(self.coefficients[1])
 
     @property
     def flagged(self) -> bool:
@@ -67,14 +78,9 @@ def _evaluator(model: str, coeffs: Sequence[float]) -> Callable[[float], float]:
     raise ValueError(f"unknown model {model}")
 
 
-def _growth_of(model: str, degree: int, coeffs: Sequence[float]) -> GrowthClass:
-    if model == "constant":
-        return GrowthClass.constant()
-    if model == "polylog":
-        return GrowthClass.log_power(degree)
-    if model == "polynomial":
-        return GrowthClass.poly(degree)
-    return GrowthClass.from_rate(coeffs[1])
+def _require_points(count: int) -> None:
+    if count < MIN_POINTS:
+        raise ValueError(f"fits need {MIN_POINTS} points, got {count}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +170,7 @@ def fit_series(xs: Sequence[float], ys: Sequence[float], kind: str) -> FitResult
         raise ValueError("kind must be 'kappa' or 'sparsity'")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
-    if len(x) < 4:
-        raise ValueError("need at least 4 points")
+    _require_points(len(x))
     if not np.all(np.diff(x) > 0):
         raise ValueError("xs must be strictly increasing")
     if np.any(y <= 0):
@@ -195,7 +200,6 @@ def fit_series(xs: Sequence[float], ys: Sequence[float], kind: str) -> FitResult
         sse=chosen.sse,
         score=chosen_score,
         n_points=n,
-        growth=_growth_of(chosen.model, chosen.degree, chosen.coefficients),
         kind=kind,
         max_round_deviation=max_dev,
     )
@@ -204,9 +208,9 @@ def fit_series(xs: Sequence[float], ys: Sequence[float], kind: str) -> FitResult
 class Envelope(NamedTuple):
     """Envelope-filtered series.
 
-    xs/ys is what downstream fitting should consume: the surviving points, or
-    the untouched input (flagged) when fewer than 4 survive.  kept_xs/kept_ys
-    always hold the raw survivors of the staircase rule.
+    xs/ys is what downstream fitting should consume: the surviving points,
+    or the untouched input (flagged) when fewer than MIN_POINTS survive.
+    kept_xs/kept_ys always hold the raw survivors of the staircase rule.
     """
 
     xs: tuple[float, ...]
@@ -224,14 +228,13 @@ def upper_envelope(
     A point survives iff it attains the maximum of the trailing window ending
     at it.
     """
-    if len(xs) < 4:
-        raise ValueError("need at least 4 points")
+    _require_points(len(xs))
     kept_x, kept_y = [], []
     for i, (x, y) in enumerate(zip(xs, ys)):
         if y >= max(ys[max(0, i - window + 1) : i + 1]):
             kept_x.append(x)
             kept_y.append(y)
-    if len(kept_x) < 4:
+    if len(kept_x) < MIN_POINTS:
         return Envelope(tuple(xs), tuple(ys), True, tuple(kept_x), tuple(kept_y))
     return Envelope(tuple(kept_x), tuple(kept_y), False, tuple(kept_x), tuple(kept_y))
 

@@ -243,7 +243,7 @@ def read_edge_list(fh: IO[str]) -> Graph:
         parts = line.split()
         if not parts:
             continue
-        if len(parts) < 2:
+        if not 2 <= len(parts) <= 3:
             raise ValueError(f"edge-list line {lineno}: expected 'u v [w]', got {line.strip()!r}")
         u, v = int(parts[0]), int(parts[1])
         w = float(parts[2]) if len(parts) > 2 else 1.0

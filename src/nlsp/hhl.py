@@ -290,7 +290,7 @@ def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
 
 
 def _qpe(
-    modes: list[_Modes], unit: np.ndarray, cfg: HhlConfig, cutoff: float | None
+    modes: list[_Modes], unit: np.ndarray, cfg: HhlConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Shared QPE front end: the window and C checks on every eigenvalue,
     the amplitudes beta of the unit right-hand side, the indices ``live``
@@ -298,7 +298,7 @@ def _qpe(
     reads signed values."""
     lam = np.concatenate([mode.lam for mode in modes])
     lam_t = lam * cfg.t / (2.0 * math.pi)
-    tol = zero_tolerance(lam, cutoff)
+    tol = zero_tolerance(lam)
     nonzero = np.abs(lam) > tol
     signed = bool((lam < -tol).any())
     if nonzero.any():
@@ -311,29 +311,22 @@ def _qpe(
     return beta, live, _clock_weights(lam_t[live], cfg.n_r), signed
 
 
-def hhl_solve(
-    a: SymmetricMatrix,
-    b: Sequence[float],
-    cfg: HhlConfig,
-    cutoff: float | None = None,
-) -> HhlOutcome:
+def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutcome:
     """Run the simulated circuit: QPE, inversion rotation, QPE undo, post-select.
 
     The rotation angle on clock value c is 2 arcsin(C / bin(c)), clamped to
     a full flip when a leakage bin undercuts C, and zero on the all-zeros
     bin so null-space components acquire no success amplitude.  Eigenvalues
-    at or below ``zero_tolerance(eigs, cutoff)`` in magnitude count as null:
-    numpy's rank tolerance by default, or an explicit absolute cutoff.
+    at or below numpy's rank tolerance, ``zero_tolerance(eigs)``, in
+    magnitude count as null.
     """
     unit, b_norm = _unit_rhs(a.order, b, cfg)
-    return _simulate(_eigenpairs(a), unit, b_norm, cfg, cutoff)
+    return _simulate(_eigenpairs(a), unit, b_norm, cfg)
 
 
-def _simulate(
-    modes: list[_Modes], unit: np.ndarray, b_norm: float, cfg: HhlConfig, cutoff: float | None
-) -> HhlOutcome:
+def _simulate(modes: list[_Modes], unit: np.ndarray, b_norm: float, cfg: HhlConfig) -> HhlOutcome:
     """hhl_solve on a matrix given by its eigenpairs."""
-    beta, live, weights, signed = _qpe(modes, unit, cfg, cutoff)
+    beta, live, weights, signed = _qpe(modes, unit, cfg)
     tbins = cfg.n_bins
     ticks = np.arange(tbins)
     bins = ticks / tbins
@@ -401,7 +394,6 @@ def detect_fixed_clock_qubits(
     b: Sequence[float],
     cfg: HhlConfig,
     p_th: float = MQF_THRESHOLD,
-    cutoff: float | None = None,
 ) -> set[tuple[int, int]]:
     """Clock qubits whose post-QPE marginal clears the fixing threshold.
 
@@ -412,7 +404,7 @@ def detect_fixed_clock_qubits(
     """
     if not 0.5 < p_th <= 1.0:
         raise ValueError("p_th must lie in (1/2, 1]")
-    histogram = _clock_histogram(a, b, cfg, cutoff)
+    histogram = _clock_histogram(a, b, cfg)
     ticks = np.arange(cfg.n_bins)
     fixed: set[tuple[int, int]] = set()
     for q in range(cfg.n_r):
@@ -425,12 +417,10 @@ def detect_fixed_clock_qubits(
     return fixed
 
 
-def _clock_histogram(
-    a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig, cutoff: float | None
-) -> np.ndarray:
+def _clock_histogram(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> np.ndarray:
     """Probability of each clock value after QPE on the state b / |b|."""
     unit, _ = _unit_rhs(a.order, b, cfg)
-    beta, live, weights, _ = _qpe(_eigenpairs(a), unit, cfg, cutoff)
+    beta, live, weights, _ = _qpe(_eigenpairs(a), unit, cfg)
     return beta[live] ** 2 @ weights
 
 
@@ -577,7 +567,7 @@ def _graph_solve(
         return hhl_solve(pad_to_power_of_two(system, bound), vec, cfg), vec
     unit, b_norm = _unit_rhs(order, vec, cfg)
     modes = _dilation_eigenpairs(inc, bound, order)
-    return _simulate(modes, unit, b_norm, cfg, None), vec
+    return _simulate(modes, unit, b_norm, cfg), vec
 
 
 def _connected(g: Graph) -> bool:

@@ -24,11 +24,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
-from .families import FamilySpec, catalog_entry, generate, make_spec
-from .fitting import FitResult, _growth_of, fit_series, upper_envelope
+from .families import FamilySpec, catalog_entry, generate, is_integer, make_spec
+from .fitting import FitResult, fit_series, upper_envelope
 from .graphs import RectMatrix, incidence_matrix, laplacian
 from .growth import CompositionError, GrowthClass, compose
 from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver, ratio_R
@@ -36,7 +36,6 @@ from .spectral import DEFAULT_CUTOFF, SpectralRecord, measure
 
 SCHEMA_VERSION = 1
 DEFAULT_SOLVERS = ("HHL", "CKS(1)", "DREAM")
-MIN_FIT_POINTS = 4
 
 
 def geometric_scan(
@@ -93,8 +92,10 @@ class SurveyConfig:
                 raise ValueError("families must be FamilySpec instances")
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
-        if self.dense_limit is not None and self.dense_limit < 1:
-            raise ValueError("dense_limit must be positive")
+        if self.dense_limit is not None and not (
+            is_integer(self.dense_limit) and self.dense_limit >= 1
+        ):
+            raise ValueError(f"dense_limit must be a positive integer, got {self.dense_limit!r}")
         if not self.solvers:
             raise ValueError("solvers must be nonempty")
         for name in self.solvers:
@@ -352,16 +353,14 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 
 def fit_from_dict(data: Mapping) -> FitResult:
-    """Rebuild a FitResult from its JSON form (growth re-derived)."""
-    coeffs = tuple(float(c) for c in data["coefficients"])
+    """Rebuild a FitResult from its JSON form; growth is derived, not read."""
     return FitResult(
         model=data["model"],
         degree=int(data["degree"]),
-        coefficients=coeffs,
+        coefficients=tuple(float(c) for c in data["coefficients"]),
         sse=float(data["sse"]),
         score=float(data["score"]),
         n_points=int(data["n_points"]),
-        growth=_growth_of(data["model"], int(data["degree"]), coeffs),
         kind=data["kind"],
         max_round_deviation=data.get("max_round_deviation"),
     )
@@ -389,27 +388,33 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> Instanc
     return InstanceResult(n, instance.seed, record, None, warnings, time.perf_counter() - start)
 
 
-def fit_growth(
-    random: bool,
-    sizes: Sequence[float],
-    kappas: Sequence[float],
-    sparsities: Sequence[float],
-) -> tuple[FitResult, FitResult, bool]:
-    """(κ(N) fit, s(N) fit, envelope_flagged) of one family's records in
-    increasing N.
+def fit_growth(random: bool, records: Iterable) -> tuple[FitResult, FitResult, bool]:
+    """(κ(N) fit, s(N) fit, envelope_flagged) of one family's records, any
+    objects with ``system_size``, ``kappa`` and ``sparsity`` in any order.
 
-    A random family fits the upper envelope of each scatter; the flag is set
-    when an envelope keeps fewer than 4 points and the whole series is fit.
-    Raises ValueError when either series cannot be fit.
+    The series run in increasing N; records that share an N merge into one
+    point carrying their largest κ and, separately, their largest s.  A
+    random family then fits the upper envelope of each scatter; the flag is
+    set when an envelope keeps too few points and the whole series is fit.
+    Raises ValueError when either series cannot be fit, as when it has too
+    few points.
     """
-    k_xs, k_ys, s_xs, s_ys = sizes, kappas, sizes, sparsities
-    flagged = False
-    if random:
-        k_env = upper_envelope(sizes, kappas)
-        s_env = upper_envelope(sizes, sparsities)
-        flagged = k_env.flagged or s_env.flagged
-        k_xs, k_ys, s_xs, s_ys = k_env.xs, k_env.ys, s_env.xs, s_env.ys
-    return fit_series(k_xs, k_ys, "kappa"), fit_series(s_xs, s_ys, "sparsity"), flagged
+    merged: dict[int, tuple[float, int]] = {}
+    for rec in records:
+        kappa, sparsity = merged.get(rec.system_size, (rec.kappa, rec.sparsity))
+        merged[rec.system_size] = (max(kappa, rec.kappa), max(sparsity, rec.sparsity))
+    sizes = sorted(merged)
+    kappas = [merged[size][0] for size in sizes]
+    sparsities = [merged[size][1] for size in sizes]
+    if not random:
+        return fit_series(sizes, kappas, "kappa"), fit_series(sizes, sparsities, "sparsity"), False
+    k_env = upper_envelope(sizes, kappas)
+    s_env = upper_envelope(sizes, sparsities)
+    return (
+        fit_series(k_env.xs, k_env.ys, "kappa"),
+        fit_series(s_env.xs, s_env.ys, "sparsity"),
+        k_env.flagged or s_env.flagged,
+    )
 
 
 def classify_fits(
@@ -457,22 +462,16 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     outcomes = []
     for key, spec in zip(config.family_keys(), config.families):
         instances = tuple(itertools.islice(results, len(spec.schedule)))
-        measured = [i.record for i in instances if i.record is not None]
         notes: list[str] = []
         kappa_fit = s_fit = None
         flagged, verdicts = False, {}
-        if len(measured) < MIN_FIT_POINTS:
-            notes.append(f"only {len(measured)} records; fits need {MIN_FIT_POINTS}")
-        else:
-            try:
-                kappa_fit, s_fit, flagged = fit_growth(
-                    catalog_entry(spec.family_id).random,
-                    [rec.system_size for rec in measured],
-                    [rec.kappa for rec in measured],
-                    [rec.sparsity for rec in measured],
-                )
-            except ValueError as exc:
-                notes.append(f"fit failed: {exc}")
+        try:
+            kappa_fit, s_fit, flagged = fit_growth(
+                catalog_entry(spec.family_id).random,
+                (i.record for i in instances if i.record is not None),
+            )
+        except ValueError as exc:
+            notes.append(f"fit failed: {exc}")
         if kappa_fit is not None:
             try:
                 _, _, verdicts = classify_fits(

@@ -114,8 +114,9 @@ class TestSurveyCommands:
         assert doc["families"]["hypercube"]["crossover_N"] == pytest.approx(8388608.0)
 
     def test_fit_classify_crossover_agree_with_the_survey_report(self, tmp_path, capsys):
-        # deterministic, weighted, random Laplacian (flagged envelope) and
-        # random incidence (envelope drops points) families
+        # deterministic, weighted, random Laplacian (flagged envelope),
+        # random incidence (envelope drops points) and random families whose
+        # N is not monotone in n (records come in n order, fits in N order)
         doc = {
             "schema": 1,
             "output_dir": str(tmp_path / "out"),
@@ -124,6 +125,7 @@ class TestSurveyCommands:
                 {"family": "hypercube", "schedule": [3, 4, 5, 6, 7, 8], "weight_rule": "log_rule"},
                 {"family": "gnp", "schedule": list(range(20, 101, 10)), "seed": 3},
                 {"family": "gn", "schedule": list(range(20, 101, 10)), "seed": 19},
+                {"family": "random_lobster", "schedule": list(range(10, 80, 5))},
             ],
         }
         config = tmp_path / "survey.json"
@@ -140,7 +142,9 @@ class TestSurveyCommands:
         assert main(["survey", "crossover", str(fits), "--solver", "HHL"]) == EXIT_OK
         crossed = read_json(capsys)["families"]
 
-        assert list(fitted) == list(report) == ["ladder", "hypercube:log_rule", "gnp", "gn"]
+        assert list(fitted) == list(report) == [
+            "ladder", "hypercube:log_rule", "gnp", "gn", "random_lobster",
+        ]
         assert report["gnp"]["envelope_flagged"]
         assert report["gn"]["kappa_fit"]["n_points"] < 9
         for key, block in report.items():
@@ -217,6 +221,23 @@ class TestSurveyCommands:
         assert main(["survey", "run", str(path)]) == EXIT_CONFIG
         assert "error: bad config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("schedule", [2.5, 3, 4, 5], "schedule entries must be integers, got 2.5"),
+            ("schedule", ["4"], "schedule entries must be integers, got '4'"),
+            ("dense_limit", 2.5, "dense_limit must be a positive integer, got 2.5"),
+        ],
+    )
+    def test_run_non_integer_sizes(self, tmp_path, key, value, message, capsys):
+        family = {"family": "hypercube", "schedule": [2, 3, 4, 5]}
+        doc = {"schema": 1, "families": [family]}
+        (family if key == "schedule" else doc)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["survey", "run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
     def test_fit_with_too_few_records(self, tmp_path, capsys):
         rows = [
             RecordRow("hypercube", n, 2**n, "laplacian", float(n), 2.0, 2.0 * n, n + 1, 1e-6, None)
@@ -226,7 +247,7 @@ class TestSurveyCommands:
         write_records_csv(path, rows)
         assert main(["survey", "fit", str(path)]) == EXIT_PARTIAL
         doc = read_json(capsys)
-        assert "error" in doc["families"]["hypercube"]
+        assert "fits need 4 points, got 2" in doc["families"]["hypercube"]["error"]
 
     def test_unknown_family_is_config_error(self, tmp_path, capsys):
         rows = [
@@ -490,6 +511,16 @@ class TestHhlCommands:
 
     def test_reff_same_vertex_rejected(self, c4_file, capsys):
         assert main(["hhl", "reff", c4_file, "--i", "1", "--j", "1", "--oracle"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["1 2 1 7", "1"])
+    def test_reff_rejects_an_edge_line_of_the_wrong_width(self, tmp_path, line, capsys):
+        # the weight is the third field; a fourth is an error, not ignored
+        path = tmp_path / "bad.edges"
+        path.write_text(f"undirected 4\n0 1\n{line}\n2 3\n")
+        assert main(["hhl", "reff", str(path), "--i", "0", "--j", "1", "--oracle"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load graph: edge-list line 3:")
+        assert repr(line) in err
 
     def test_traffic_oracle(self, dc4_file, capsys):
         code = main(["hhl", "traffic", dc4_file, "--oracle", "--", "-1,1,0,0"])

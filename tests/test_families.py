@@ -62,6 +62,13 @@ def test_schedule_must_increase():
         make_spec("hypercube", schedule=[5, 4])
 
 
+def test_schedule_entries_must_be_integers():
+    for schedule in ([2.5, 3, 4, 5], ["4"], [True, 2], [2, 3.0]):
+        with pytest.raises(ValueError, match="schedule entries must be integers"):
+            make_spec("hypercube", schedule=schedule)
+    assert make_spec("hypercube", schedule=np.arange(2, 6)).schedule == (2, 3, 4, 5)
+
+
 def test_random_family_requires_seed():
     spec = make_spec("barabasi_albert")
     assert spec.seed == 23

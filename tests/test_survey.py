@@ -1,10 +1,13 @@
 """Survey orchestration: config plumbing, pipeline verdicts, persistence."""
 
+import collections
 import csv
 import dataclasses
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlsp.families import derive_seed, make_spec
@@ -16,11 +19,14 @@ from nlsp.survey import (
     config_hash,
     config_to_dict,
     fit_from_dict,
+    fit_growth,
+    fit_series,
     fit_to_dict,
     geometric_scan,
     read_records_csv,
     run_survey,
     seed_sensitivity,
+    upper_envelope,
     write_records_csv,
 )
 
@@ -84,8 +90,10 @@ class TestConfig:
             SurveyConfig(families=(spec,), scan_range=(10.0, 5.0))
         with pytest.raises(ValueError, match="cutoff"):
             SurveyConfig(families=(spec,), cutoff=0.0)
-        with pytest.raises(ValueError, match="dense_limit"):
-            SurveyConfig(families=(spec,), dense_limit=0)
+        for limit in (0, 2.5, True, "10"):
+            with pytest.raises(ValueError, match="dense_limit must be a positive integer"):
+                SurveyConfig(families=(spec,), dense_limit=limit)
+        assert SurveyConfig(families=(spec,), dense_limit=np.int64(10)).dense_limit == 10
 
     def test_family_keys_disambiguate(self):
         config = SurveyConfig(
@@ -175,6 +183,64 @@ class TestPipelineVerdicts:
         assert outcome.verdicts["HHL"].category == "better"
         assert outcome.kappa_fit.model == "polylog"
         assert outcome.s_fit.model == "polylog"
+
+
+Point = collections.namedtuple("Point", "system_size kappa sparsity")
+
+
+class TestFitGrowth:
+    # the series as a fit sees it: increasing N, one point per N
+    SIZES = (16, 24, 40, 64, 96, 150, 230, 360)
+    KAPPAS = (3.0, 4.5, 4.0, 9.0, 12.5, 11.0, 30.0, 41.0)
+    SPARSITIES = (3, 4, 4, 5, 7, 6, 9, 12)
+
+    def shuffled_records(self):
+        """The series as instances in no order, where the instances at
+        N = 40 and 150 each hold the largest κ or the largest s, not both."""
+        ties = {40: [Point(40, 4.0, 2), Point(40, 1.5, 4)],
+                150: [Point(150, 7.0, 6), Point(150, 11.0, 3), Point(150, 10.0, 1)]}
+        records = [
+            point
+            for size, kappa, s in zip(self.SIZES, self.KAPPAS, self.SPARSITIES)
+            for point in ties.get(size, [Point(size, kappa, s)])
+        ]
+        random.Random(5).shuffle(records)
+        assert [r.system_size for r in records] != sorted(r.system_size for r in records)
+        return records
+
+    def test_shuffled_ties_fit_as_the_sorted_merged_series(self):
+        want = fit_series(self.SIZES, self.KAPPAS, "kappa"), fit_series(
+            self.SIZES, self.SPARSITIES, "sparsity"
+        )
+        assert fit_growth(False, self.shuffled_records()) == (*want, False)
+
+    def test_random_family_takes_the_envelope_of_the_merged_series(self):
+        k_env = upper_envelope(self.SIZES, self.KAPPAS)
+        s_env = upper_envelope(self.SIZES, self.SPARSITIES)
+        assert len(k_env.xs) < len(self.SIZES)  # the envelope drops points here
+        want = (
+            fit_series(k_env.xs, k_env.ys, "kappa"),
+            fit_series(s_env.xs, s_env.ys, "sparsity"),
+            k_env.flagged or s_env.flagged,
+        )
+        assert fit_growth(True, self.shuffled_records()) == want
+
+    @pytest.mark.parametrize("random_family", [False, True])
+    def test_too_few_distinct_sizes(self, random_family):
+        records = [Point(10, 2.0, 3), Point(20, 3.0, 3), Point(20, 3.5, 4), Point(30, 4.0, 5)]
+        with pytest.raises(ValueError, match="fits need 4 points, got 3"):
+            fit_growth(random_family, records)
+
+    def test_random_family_whose_size_is_not_monotone_in_n(self):
+        # N of random_lobster jumps about with n (27, 16, 45, ... at the
+        # default seed), so its fits must order the records by N
+        config = SurveyConfig(families=(make_spec("random_lobster", schedule=range(10, 80, 5)),))
+        outcome = run_survey(config).outcomes[0]
+        sizes = [rec.system_size for _, rec in outcome.records]
+        assert sizes != sorted(sizes)
+        assert outcome.fit_notes == ()
+        assert outcome.kappa_fit is not None and outcome.s_fit is not None
+        assert set(outcome.verdicts) == set(config.solvers)
 
 
 class TestPersistence:
