@@ -545,6 +545,8 @@ class FamilySpec:
             raise ValueError("schedule must be strictly increasing")
         if entry.random and self.seed is None:
             raise ValueError(f"{self.family_id} is random and requires a seed")
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative int or None, got {self.seed!r}")
         if self.weight_rule not in WEIGHT_RULES:
             raise ValueError(f"unknown weight rule {self.weight_rule!r}")
         if self.weight_rule != "unit" and not entry.weightable:

@@ -234,8 +234,11 @@ def write_edge_list(g: Graph, fh: IO[str]) -> None:
 
 def read_edge_list(fh: IO[str]) -> Graph:
     header = fh.readline().split()
-    if len(header) != 2 or header[0] not in ("directed", "undirected"):
-        raise ValueError("expected header 'directed|undirected n_vertices'")
+    if (
+        len(header) != 2 or header[0] not in ("directed", "undirected")
+        or not header[1].isdecimal()
+    ):
+        raise ValueError("edge-list line 1: expected 'directed|undirected n_vertices'")
     directed = header[0] == "directed"
     n = int(header[1])
     edges: list[EdgeInput] = []
@@ -245,7 +248,13 @@ def read_edge_list(fh: IO[str]) -> Graph:
             continue
         if not 2 <= len(parts) <= 3:
             raise ValueError(f"edge-list line {lineno}: expected 'u v [w]', got {line.strip()!r}")
-        u, v = int(parts[0]), int(parts[1])
-        w = float(parts[2]) if len(parts) > 2 else 1.0
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) > 2 else 1.0
+        except ValueError:
+            raise ValueError(
+                f"edge-list line {lineno}: expected integer vertices and a numeric weight, "
+                f"got {line.strip()!r}"
+            ) from None
         edges.append((u, v, w))
     return Graph.from_edges(n, edges, directed)

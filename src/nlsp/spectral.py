@@ -3,15 +3,19 @@
 Every system is measured on one order-n PSD matrix G: the Laplacian L, or
 B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
 eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
-squaring leaves σmin a relative error of about ε·κ²/2.  G's kernel
-dimension c is counted, as its number of connected components, and the
-smallest nonzero eigenvalue is the (c+1)-th smallest: from the dense
-eigensolver up to a size limit (a per-call argument, 3000 when None),
-above it from one shift-invert Lanczos call with a fixed start vector, so
-repeated runs agree bit for bit.  That call solves with G − σI, factored
-once by sparse LU under a symmetric minimum-degree ordering (minimum degree
-on Aᵀ + A), which keeps the fill of G's symmetric pattern low.  Sparsity is
-read off the CSR index arrays.
+squaring leaves σmin a relative error of about ε·κ²/2.  G has zero row sums
+on each connected component, so its kernel is spanned by the c component
+indicators, and the smallest nonzero eigenvalue is the (c+1)-th smallest.
+Dense G up to a size limit (a per-call argument, 3000 when None) take the
+dense eigensolver.  Larger G, and sparse G at any order (order above 256,
+at most order²/16 entries), take Lanczos with a fixed start vector, so
+repeated runs agree bit for bit: one call for λmax on G, one for 1/λmin as
+the largest eigenvalue of the pseudo-inverse G⁺.  G⁺ is applied by
+grounding one vertex per component, solving with the rest of G (factored
+once by sparse LU under a symmetric minimum-degree ordering, minimum degree
+on Aᵀ + A, which keeps the fill of G's symmetric pattern low) and
+subtracting each component's mean.  Sparsity is read off the CSR index
+arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -30,6 +33,11 @@ from .graphs import RectMatrix, SymmetricMatrix
 DEFAULT_CUTOFF = 1e-6
 DEFAULT_DENSE_LIMIT = 3000
 _ITERATIVE_TOL = 1e-8
+# G counts as sparse, and takes Lanczos below the dense limit too, when its
+# order exceeds _SPARSE_MIN_ORDER and it holds at most order²/_SPARSE_FILL
+# entries.
+_SPARSE_MIN_ORDER = 256
+_SPARSE_FILL = 16
 # Seed of the Lanczos start vector.  A random start (not the all-ones vector,
 # which spans the Laplacian kernel) keeps every eigenvector reachable.
 _START_SEED = 2025
@@ -78,40 +86,73 @@ def full_spectrum(m: SymmetricMatrix, dense_limit: Optional[int] = None) -> np.n
 
 
 def extreme_eigs(
-    m: SymmetricMatrix, *, kernel: int, dense_limit: Optional[int] = None
+    m: SymmetricMatrix,
+    *,
+    kernel: int,
+    dense_limit: Optional[int] = None,
+    labels: Optional[np.ndarray] = None,
 ) -> tuple[float, float]:
     """(smallest nonzero, largest) eigenvalue of a PSD m whose null space
     has dimension ``kernel``: the (kernel+1)-th and the last.  Orders above
-    the dense limit (3000 when None) take Lanczos."""
+    the dense limit (3000 when None), and sparse m at any order, take
+    Lanczos; that path needs m to have zero row sums (a Laplacian or B·Bᵀ),
+    with ``kernel`` connected components, whose ``labels`` (from
+    ``connected_components``) it counts itself when not given."""
     if kernel >= m.order:
         raise ValueError("effectively zero matrix: no nonzero eigenvalue")
-    if m.order > (DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit):
-        return _extreme_eigs_iterative(m, kernel)
+    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
+    if m.order > limit or _is_sparse(m):
+        labels = _component_labels(m) if labels is None else labels
+        if int(labels.max()) + 1 != kernel:
+            raise ValueError(f"kernel {kernel} is not m's component count {labels.max() + 1}")
+        return _extreme_eigs_iterative(m, labels)
     eigs = np.linalg.eigvalsh(m.to_dense())
     return float(eigs[kernel]), float(eigs[-1])
 
 
-def _extreme_eigs_iterative(m: SymmetricMatrix, kernel: int) -> tuple[float, float]:
+def _is_sparse(m: SymmetricMatrix) -> bool:
+    return m.order > _SPARSE_MIN_ORDER and m.csr.nnz <= m.order**2 / _SPARSE_FILL
+
+
+def _component_labels(m: SymmetricMatrix) -> np.ndarray:
+    # m's pattern is symmetric, so its strong components are its components;
+    # "strong" skips the symmetrized copy that an undirected count makes.
+    return connected_components(m.csr, directed=True, connection="strong")[1]
+
+
+def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[float, float]:
     a = m.csr
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).uniform(-1.0, 1.0, m.order)
     lam_max = float(
         spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)[0]
     )
-    if kernel + 1 == m.order:  # λmax is the only nonzero eigenvalue
+    counts = np.bincount(labels)
+    if counts.size + 1 == m.order:  # λmax is the only nonzero eigenvalue
         return lam_max, lam_max
-    # Shift-invert about a small negative shift: m is PSD, so m - σI is
-    # nonsingular, and the kernel + 1 eigenvalues nearest σ are the kernel's
-    # zeros and the smallest nonzero eigenvalue.  m - σI is factored once,
-    # ordered by minimum degree on its symmetric pattern: eigsh's own splu
-    # orders columns by COLAMD, whose LU of an order-2000 Laplacian can hold
-    # half of N² entries.
-    sigma = -0.01 * lam_max
-    lu = spla.splu((a - sigma * sp.eye_array(m.order)).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    vals = spla.eigsh(
-        a, k=kernel + 1, sigma=sigma, which="LM", v0=v0, tol=_ITERATIVE_TOL,
-        OPinv=spla.LinearOperator(a.shape, matvec=lu.solve), return_eigenvectors=False,
-    )
-    return float(vals.max()), lam_max
+    # Lanczos on the pseudo-inverse m⁺, whose largest eigenvalue is 1/λmin.
+    # m's kernel is spanned by its component indicators, so with one vertex
+    # of each component grounded (its row and column deleted) the rest of m
+    # is nonsingular, and for x of zero mean on every component
+    # m⁺x = P·[m_g⁻¹(Px)_kept; 0], P subtracting each component's mean.  m_g
+    # is factored once, ordered by minimum degree on its symmetric pattern:
+    # scipy's default COLAMD ordering can fill half of N².
+    kept = np.ones(m.order, dtype=bool)
+    kept[np.unique(labels, return_index=True)[1]] = False
+    lu = spla.splu(a[kept][:, kept].tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    def center(x: np.ndarray) -> np.ndarray:
+        return x - (np.bincount(labels, weights=x) / counts)[labels]
+
+    def pinv(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(m.order)
+        y[kept] = lu.solve(center(x.ravel())[kept])
+        return center(y)
+
+    inv_min = spla.eigsh(
+        spla.LinearOperator(a.shape, matvec=pinv, dtype=float), k=1, which="LA", v0=v0,
+        tol=_ITERATIVE_TOL, return_eigenvectors=False,
+    )[0]
+    return 1.0 / float(inv_min), lam_max
 
 
 def condition_number(m: SymmetricMatrix, cutoff: Optional[float] = None) -> float:
@@ -153,10 +194,10 @@ def measure(
         g, size = SymmetricMatrix(m.csr @ m.csr.T), m.rows + m.cols
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    # G's pattern is symmetric, so its strong components are its components;
-    # "strong" skips the symmetrized copy that an undirected count makes.
-    kernel = int(connected_components(g.csr, directed=True, connection="strong")[0])
-    lam_min, lam_max = extreme_eigs(g, kernel=kernel, dense_limit=dense_limit)
+    labels = _component_labels(g)
+    lam_min, lam_max = extreme_eigs(
+        g, kernel=int(labels.max()) + 1, dense_limit=dense_limit, labels=labels
+    )
     if matrix_kind == "incidence":
         lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(

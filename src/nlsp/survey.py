@@ -70,7 +70,8 @@ class SurveyConfig:
     passed in directly are used as-is.  output_dir None keeps the run
     in memory.  cutoff only flags: a smallest nonzero eigenvalue at or
     below it gets a note in the family's notes, and records.csv echoes it.
-    Orders above dense_limit (3000 when None) take Lanczos.
+    Orders above dense_limit (3000 when None) take Lanczos, and so does a
+    sparse G at any order: order above 256, at most order²/16 entries.
     """
 
     families: tuple[FamilySpec, ...]

@@ -227,12 +227,14 @@ class TestSurveyCommands:
             ("schedule", [2.5, 3, 4, 5], "schedule entries must be integers, got 2.5"),
             ("schedule", ["4"], "schedule entries must be integers, got '4'"),
             ("dense_limit", 2.5, "dense_limit must be a positive integer, got 2.5"),
+            ("seed", True, "seed must be a non-negative int or None, got True"),
+            ("seed", -3, "seed must be a non-negative int or None, got -3"),
         ],
     )
     def test_run_non_integer_sizes(self, tmp_path, key, value, message, capsys):
         family = {"family": "hypercube", "schedule": [2, 3, 4, 5]}
         doc = {"schema": 1, "families": [family]}
-        (family if key == "schedule" else doc)[key] = value
+        (family if key in ("schedule", "seed") else doc)[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["survey", "run", str(path)]) == EXIT_CONFIG
@@ -512,9 +514,10 @@ class TestHhlCommands:
     def test_reff_same_vertex_rejected(self, c4_file, capsys):
         assert main(["hhl", "reff", c4_file, "--i", "1", "--j", "1", "--oracle"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("line", ["1 2 1 7", "1"])
+    @pytest.mark.parametrize("line", ["1 2 1 7", "1", "1 x", "1.5 2", "1 2 heavy"])
     def test_reff_rejects_an_edge_line_of_the_wrong_width(self, tmp_path, line, capsys):
-        # the weight is the third field; a fourth is an error, not ignored
+        # the weight is the third field; a fourth is an error, not ignored;
+        # a field that does not parse is named by its line too
         path = tmp_path / "bad.edges"
         path.write_text(f"undirected 4\n0 1\n{line}\n2 3\n")
         assert main(["hhl", "reff", str(path), "--i", "0", "--j", "1", "--oracle"]) == EXIT_CONFIG

@@ -76,6 +76,15 @@ def test_random_family_requires_seed():
         FamilySpec(family_id="barabasi_albert", params={}, seed=None, schedule=(5, 6))
 
 
+def test_seed_must_be_a_non_negative_integer():
+    # True would hash as "True" and draw other instances than seed 1
+    for seed in (True, False, 2.5, "3", -1, np.int64(-2)):
+        with pytest.raises(ValueError, match="seed must be a non-negative int or None"):
+            make_spec("gnp", schedule=(5, 6), seed=seed)
+    assert make_spec("gnp", schedule=(5, 6), seed=np.int64(3)).seed == 3
+    assert make_spec("hypercube", schedule=(2, 3), seed=0).seed == 0
+
+
 def test_repair_spec_without_a_seed_is_refused():
     # deterministic directed families have no default seed to rewire with
     with pytest.raises(ValueError, match="repair requires a seed"):

@@ -140,7 +140,7 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
     else:
         e = np.linalg.eigvalsh(laplacian_by_hand(g))
         want = e[-1] / e[c]
-    # eigsh needs c + 1 < n eigenvalues below the order
+    # with c + 1 = n, λmax is the only nonzero eigenvalue: no λmin for Lanczos
     limit = 1 if iterative and c + 1 < n else None
     rec = measure(m, kind, dense_limit=limit)
     # Backward-stable eigensolvers fix λmin only to O(ε·λmax), a relative

@@ -214,6 +214,20 @@ def test_edge_list_round_trip():
         read_edge_list(io.StringIO("undirected 3\n0 1\n2\n"))
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("undirected 4\n0 1\n1 x\n", 3),
+        ("undirected 4\n1.5 2\n", 2),
+        ("undirected 4\n0 1\n\n2 3 heavy\n", 4),
+        ("undirected four\n0 1\n", 1),
+    ],
+)
+def test_edge_list_unparseable_field_names_its_line(text, lineno):
+    with pytest.raises(ValueError, match=f"^edge-list line {lineno}: expected"):
+        read_edge_list(io.StringIO(text))
+
+
 @pytest.mark.parametrize("weight", ["inf", "nan"])
 def test_edge_list_non_finite_weight(weight):
     with pytest.raises(ValueError, match=f"non-finite weight {weight} on edge \\(0,1\\)"):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from nlsp import spectral
 from nlsp.families import generate, make_spec
@@ -124,6 +125,15 @@ def test_extreme_eigs_requires_a_kernel():
         extreme_eigs(laplacian(ladder(4)))
 
 
+def test_lanczos_path_checks_the_kernel_against_the_components():
+    # a sparse Laplacian of order 400 takes Lanczos, whose pseudo-inverse
+    # assumes the kernel is spanned by the component indicators
+    lap = laplacian(ladder(200))
+    with pytest.raises(ValueError, match="component count 1"):
+        extreme_eigs(lap, kernel=2)
+    assert extreme_eigs(lap, kernel=1) == pytest.approx(dense_extremes(lap, "laplacian"), rel=1e-9)
+
+
 def test_condition_number_families():
     for n in (4, 6, 9):
         assert condition_number(laplacian(complete(n))) == pytest.approx(1.0, abs=1e-9)
@@ -222,13 +232,24 @@ def test_iterative_path_matches_dense():
     assert (it.lambda_min_nz, it.lambda_max) == pytest.approx((math.sqrt(2), 2.0), rel=1e-7)
 
 
+def dense_extremes(m, kind: str) -> tuple[float, float]:
+    """(smallest nonzero, largest) |eigenvalue| of the measured system, from
+    eigvalsh of G = L or B·Bᵀ and G's component count, computed here."""
+    g = m.csr if kind == "laplacian" else m.csr @ m.csr.T
+    c = connected_components(g, directed=False)[0]
+    eigs = np.linalg.eigvalsh(g.toarray())
+    lo, hi = float(eigs[c]), float(eigs[-1])
+    return (math.sqrt(lo), math.sqrt(hi)) if kind == "incidence" else (lo, hi)
+
+
 def test_iterative_cross_validation_at_overlap_scale():
-    # Dense vs Lanczos on an instance in the 2000-3000 overlap window.
+    # Lanczos vs dense eigvalsh on an instance in the 2000-3000 overlap
+    # window: the ladder is sparse, so measure takes Lanczos at any limit.
     m = laplacian(ladder(1010))
-    dense = measure(m, "laplacian")
-    it = measure(m, "laplacian", dense_limit=100)
-    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-6)
-    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-6)
+    lam_min, lam_max = dense_extremes(m, "laplacian")
+    it = measure(m, "laplacian")
+    assert it.lambda_max == pytest.approx(lam_max, rel=1e-6)
+    assert it.lambda_min_nz == pytest.approx(lam_min, rel=1e-6)
 
 
 def family_graph(family: str, n: int, **kw) -> Graph:
@@ -244,29 +265,39 @@ def family_graph(family: str, n: int, **kw) -> Graph:
         # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
         (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7),
         # a scale-free graph and an expander: a column ordering that ignores
-        # the symmetric pattern fills the factor of G - σI
+        # the symmetric pattern fills the factor of the grounded G
         (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "laplacian", 1e-10),
         (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-10),
         (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10),
+        # λ₂ far below λmax: 7.55e-7 on order 2048, and 1.0e-5 on order 2091
+        (
+            lambda: laplacian(family_graph("hypercube", 11, weight_rule="quadratic_rule")),
+            "laplacian", 1e-8,
+        ),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8),
     ],
     ids=[
         "two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20",
-        "barabasi-albert-600", "modified-mgg-20", "gn-400",
+        "barabasi-albert-600", "modified-mgg-20", "gn-400", "hypercube-quadratic-11",
+        "random-lobster-300",
     ],
 )
 def test_dense_and_lanczos_agree(system, kind, rtol):
     m = system()
-    dense = measure(m, kind)
+    lam_min, lam_max = dense_extremes(m, kind)
+    routed = measure(m, kind)
     it = measure(m, kind, dense_limit=1)
-    assert it.kappa == pytest.approx(dense.kappa, rel=rtol)
-    assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=rtol)
-    assert it.lambda_max == pytest.approx(dense.lambda_max, rel=rtol)
-    assert (it.system_size, it.sparsity) == (dense.system_size, dense.sparsity)
+    for rec in (routed, it):
+        assert rec.kappa == pytest.approx(lam_max / lam_min, rel=rtol)
+        assert rec.lambda_min_nz == pytest.approx(lam_min, rel=rtol)
+        assert rec.lambda_max == pytest.approx(lam_max, rel=rtol)
+    assert (it.system_size, it.sparsity) == (routed.system_size, routed.sparsity)
 
 
 def test_lanczos_factor_keeps_fill_low(monkeypatch):
-    # Under minimum degree on Aᵀ + A the LU of G - σI holds about 22k entries
-    # on this order-600 Laplacian; under scipy's default COLAMD, about 173k.
+    # Under minimum degree on Aᵀ + A the LU of the grounded G (one row and
+    # column deleted) holds about 22k entries on this order-600 Laplacian;
+    # under scipy's default COLAMD, about 153k.
     factors, real_splu = [], spectral.spla.splu
 
     def splu(*args, **kwargs):

@@ -306,7 +306,7 @@ class TestPersistence:
 
 
 def test_bitwise_reproduction_iterative_path(tmp_path):
-    # Orders above dense_limit take shift-invert Lanczos; its start vector is
+    # Orders above dense_limit take Lanczos; its start vector is
     # fixed, so a second run writes the same bytes.
     config = SurveyConfig(
         families=(
@@ -520,8 +520,9 @@ class TestSeedSensitivity:
             solvers=("HHL",),
         )
         seed_sensitivity(config, (1, 2))
-        # each of the 2 x 4 connected instances: k=1 for λmax, k=c+1=2 for λmin
-        assert calls == [1, 2] * 8
+        # each of the 2 x 4 connected instances: k=1 for λmax, then k=1 for
+        # 1/λmin, the largest eigenvalue of the pseudo-inverse
+        assert calls == [1, 1] * 8
 
     def test_deterministic_family_rejected(self):
         config = SurveyConfig(families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),))
