@@ -1,17 +1,24 @@
 """Statevector simulation of HHL with clock-register fixing shortcuts.
 
-The simulator works in the eigenbasis of the system matrix, found block by
-block: a row without off-diagonal entries (the fill * I padding to a
-power-of-two order, an isolated vertex) is an eigenpair as it stands and
-never enters the eigensolver, each connected component of the rest gets
-its own dense eigensolve, and a digraph's dilation [[0, B], [B^T, 0]] takes
-its eigenpairs from one SVD of B.  The clock register after phase
-estimation is reproduced exactly through the closed-form Fejer kernel of
-the discrete Fourier transform, so finite-resolution leakage (the source
-of HHL error for eigenvalues that do not land on a clock bin) is modeled
-without building gate-level circuits; it is evaluated only for modes that
-b reaches.  Post-selection statistics, the inversion rotation, and feature
-extraction then follow from closed-form sums over clock bins.
+The post-selected state depends on the right-hand side b only through its
+spectral measure: the eigenvalues b reaches and its projection onto each of
+their eigenspaces.  The simulator therefore takes its modes from the Krylov
+space of b, block by block: a row without off-diagonal entries (the fill * I
+padding to a power-of-two order, an isolated vertex) is an eigenpair as it
+stands, and each connected component of the rest, or a digraph's whole
+dilation [[0, B], [B^T, 0]], runs Lanczos from its part of b until that
+space is invariant and contributes the Ritz pairs of the tridiagonal.  A
+block whose part of b reaches more modes than a fixed share of its order
+falls back to a dense eigensolve (one SVD of B for a dilation).  The
+window, C and null checks read every eigenvalue of the padded system, from
+eigenvalues-only solves, so a mode b never reaches still refuses a C that
+undercuts it.  The clock register after phase estimation is reproduced
+exactly through the closed-form Fejer kernel of the discrete Fourier
+transform, so finite-resolution leakage (the source of HHL error for
+eigenvalues that do not land on a clock bin) is modeled without building
+gate-level circuits; it is evaluated only for modes that b reaches.
+Post-selection statistics, the inversion rotation, and feature extraction
+then follow from closed-form sums over clock bins.
 
 Zero modes of the matrix are never inverted: the all-zeros clock bin gets
 rotation angle zero, which is what makes the reconstructed vector converge
@@ -28,6 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
@@ -50,6 +58,12 @@ MQF_THRESHOLD = 0.8
 DEFAULT_CLOCK_QUBITS = 10
 _NULL_SUCCESS = 1e-14
 _C_SLACK = 1.0 + 1e-12
+# Lanczos runs at most this share of a block's order in steps; a block whose
+# right-hand side is still reaching new modes then takes a dense eigensolve,
+# and the steps are wasted.  At 1/16 that waste stays near 5% of the dense
+# eigensolve, while structured graphs (hypercubes, complete and Turan
+# graphs, stars) reach a dozen or fewer distinct eigenvalues.
+_KRYLOV_SHARE = 1 / 16
 
 
 @dataclass(frozen=True)
@@ -202,6 +216,16 @@ class _Modes(NamedTuple):
     vectors: np.ndarray | None
 
 
+class _Eigensystem(NamedTuple):
+    """What the simulator needs of the system matrix for one right-hand
+    side: every eigenvalue, ``spectrum``, for the window, C and null checks,
+    and eigenpairs ``modes`` whose span holds the right-hand side, one
+    entry per block, together covering every row."""
+
+    spectrum: np.ndarray
+    modes: list[_Modes]
+
+
 def _unit_rhs(order: int, b: Sequence[float], cfg: HhlConfig) -> tuple[np.ndarray, float]:
     """b / |b| and |b|, once the order, qubit budget and b itself pass the
     checks that precede every eigensolve."""
@@ -223,41 +247,105 @@ def _unit_rhs(order: int, b: Sequence[float], cfg: HhlConfig) -> tuple[np.ndarra
     return vec / b_norm, b_norm
 
 
-def _eigenpairs(a: SymmetricMatrix) -> list[_Modes]:
-    """Eigenpairs of ``a``, one dense eigensolve per connected component of
-    its pattern.  A row without off-diagonal entries (the fill * I padding
-    of ``pad_to_power_of_two``, an isolated vertex) is the eigenpair
-    (a_kk, e_k) as it stands and never reaches ``eigh``."""
+def _ritz_pairs(
+    block: np.ndarray | sp.csr_array, rhs: np.ndarray, bound: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs (theta, V) of the symmetric ``block`` (a dense or sparse
+    array with absolute row bound ``bound``) whose span is the Krylov space
+    of ``rhs``, or None when that space is still growing after
+    _KRYLOV_SHARE of the order in steps.
+
+    Lanczos from rhs with two-pass full reorthogonalization stops at a
+    residual beta <= order * eps * bound, where the space is invariant to
+    working precision; the eigenpairs of the tridiagonal T = Q^T block Q
+    then give the Ritz pairs (theta, Q z).  A zero rhs spans the empty
+    space.
+    """
+    order = block.shape[0]
+    norm = float(np.linalg.norm(rhs))
+    if norm == 0.0:
+        return np.empty(0), np.empty((order, 0))
+    steps = int(order * _KRYLOV_SHARE)
+    tol = order * np.finfo(float).eps * bound
+    basis = np.empty((steps, order))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = rhs / norm
+    for k in range(steps):
+        basis[k] = q
+        done = basis[: k + 1]
+        w = block @ q
+        first = done @ w
+        w -= first @ done
+        second = done @ w
+        w -= second @ done
+        alpha[k] = first[k] + second[k]
+        beta[k] = math.sqrt(w @ w)
+        if beta[k] <= tol:
+            theta, z = scipy.linalg.eigh_tridiagonal(alpha[: k + 1], beta[:k])
+            return theta, done.T @ z
+        q = w / beta[k]
+    return None
+
+
+def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
+    """Spectrum of ``a`` and eigenpairs spanning ``unit``, one block per
+    connected component of its pattern.  A row without off-diagonal entries
+    (the fill * I padding of ``pad_to_power_of_two``, an isolated vertex) is
+    the eigenpair (a_kk, e_k) as it stands.  A component takes the Ritz
+    pairs of its part of ``unit`` and its eigenvalues alone, or its full
+    ``eigh`` when that part reaches too many modes."""
     _, labels = connected_components(a.csr, directed=True, connection="strong")
     sizes = np.bincount(labels)
     alone = np.flatnonzero(sizes[labels] == 1)
-    modes = [_Modes(alone, a.csr.diagonal()[alone], None)] if alone.size else []
+    diagonal = a.csr.diagonal()[alone]
+    spectra, modes = [diagonal], [_Modes(alone, diagonal, None)]
     for label in np.flatnonzero(sizes > 1):
         rows = np.flatnonzero(labels == label)
-        lam, vectors = np.linalg.eigh(a.csr[rows][:, rows].toarray())
+        block = a.csr[rows][:, rows]
+        dense = block.toarray()
+        # A CSR mat-vec costs about eight times a dense one per stored entry.
+        operand = block if 8 * block.nnz <= dense.size else dense
+        ritz = _ritz_pairs(operand, unit[rows], float((abs(block) @ np.ones(rows.size)).max()))
+        if ritz is None:
+            lam, vectors = np.linalg.eigh(dense)
+            spectra.append(lam)
+        else:
+            lam, vectors = ritz
+            spectra.append(np.linalg.eigvalsh(dense))
         modes.append(_Modes(rows, lam, vectors))
-    return modes
+    return _Eigensystem(np.concatenate(spectra), modes)
 
 
-def _dilation_eigenpairs(inc: RectMatrix, fill: float, order: int) -> list[_Modes]:
-    """Eigenpairs of ``hermitian_dilation(inc)`` padded to ``order`` with
-    ``fill``, from one SVD inc = U diag(s) V^T (Jordan-Wielandt): +-s_i on
-    (u_i, +-v_i) / sqrt 2, the |rows - cols| surplus columns of U or V as
-    zero modes, and (fill, e_k) on the padding rows."""
+def _dilation_eigenpairs(
+    dilation: SymmetricMatrix, inc: RectMatrix, fill: float, order: int, unit: np.ndarray
+) -> _Eigensystem:
+    """Spectrum of ``dilation`` = ``hermitian_dilation(inc)`` padded to
+    ``order`` with ``fill``, and eigenpairs spanning ``unit``.  The dilation
+    takes the Ritz pairs of its part of ``unit``, or else its full
+    eigenbasis from one SVD inc = U diag(s) V^T (Jordan-Wielandt): +-s_i on
+    (u_i, +-v_i) / sqrt 2 and the |rows - cols| surplus columns of U or V
+    as zero modes.  The padding rows are (fill, e_k)."""
     n, m = inc.rows, inc.cols
-    u, s, vt = np.linalg.svd(inc.to_dense())
-    r = s.size
-    vectors = np.zeros((n + m, n + m))
-    vectors[:n, :r] = vectors[:n, r : 2 * r] = math.sqrt(0.5) * u[:, :r]
-    vectors[n:, :r] = math.sqrt(0.5) * vt[:r].T
-    vectors[n:, r : 2 * r] = -vectors[n:, :r]
-    if n > m:
-        vectors[:n, 2 * r :] = u[:, r:]
-    else:
-        vectors[n:, 2 * r :] = vt[r:].T
-    lam = np.concatenate((s, -s, np.zeros(abs(n - m))))
     padding = np.full(order - n - m, fill)
-    return [_Modes(slice(0, n + m), lam, vectors), _Modes(slice(n + m, order), padding, None)]
+    ritz = _ritz_pairs(dilation.csr, unit[: n + m], abs_row_bound(dilation))
+    if ritz is not None:
+        s = np.linalg.svd(inc.to_dense(), compute_uv=False)
+        lam, vectors = ritz
+    else:
+        u, s, vt = np.linalg.svd(inc.to_dense())
+        r = s.size
+        vectors = np.zeros((n + m, n + m))
+        vectors[:n, :r] = vectors[:n, r : 2 * r] = math.sqrt(0.5) * u[:, :r]
+        vectors[n:, :r] = math.sqrt(0.5) * vt[:r].T
+        vectors[n:, r : 2 * r] = -vectors[n:, :r]
+        if n > m:
+            vectors[:n, 2 * r :] = u[:, r:]
+        else:
+            vectors[n:, 2 * r :] = vt[r:].T
+        lam = np.concatenate((s, -s, np.zeros(abs(n - m))))
+    spectrum = np.concatenate((s, -s, np.zeros(abs(n - m)), padding))
+    modes = [_Modes(slice(0, n + m), lam, vectors), _Modes(slice(n + m, order), padding, None)]
+    return _Eigensystem(spectrum, modes)
 
 
 def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
@@ -290,25 +378,25 @@ def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
 
 
 def _qpe(
-    modes: list[_Modes], unit: np.ndarray, cfg: HhlConfig
+    eig: _Eigensystem, unit: np.ndarray, cfg: HhlConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Shared QPE front end: the window and C checks on every eigenvalue,
-    the amplitudes beta of the unit right-hand side, the indices ``live``
-    of the modes with beta != 0, their clock weights, and whether the clock
-    reads signed values."""
-    lam = np.concatenate([mode.lam for mode in modes])
-    lam_t = lam * cfg.t / (2.0 * math.pi)
-    tol = zero_tolerance(lam)
-    nonzero = np.abs(lam) > tol
-    signed = bool((lam < -tol).any())
+    the amplitudes beta of the unit right-hand side on the modes, the
+    indices ``live`` of the modes with beta != 0, their clock weights, and
+    whether the clock reads signed values."""
+    spectrum = eig.spectrum
+    tol = zero_tolerance(spectrum)
+    nonzero = np.abs(spectrum) > tol
+    signed = bool((spectrum < -tol).any())
     if nonzero.any():
-        _check_window(np.abs(lam_t[nonzero]), signed, cfg.C)
+        _check_window(np.abs(spectrum[nonzero] * cfg.t / (2.0 * math.pi)), signed, cfg.C)
+    lam = np.concatenate([mode.lam for mode in eig.modes])
     beta = np.concatenate([
         unit[mode.rows] if mode.vectors is None else mode.vectors.T @ unit[mode.rows]
-        for mode in modes
+        for mode in eig.modes
     ])
     live = np.flatnonzero(beta)
-    return beta, live, _clock_weights(lam_t[live], cfg.n_r), signed
+    return beta, live, _clock_weights(lam[live] * cfg.t / (2.0 * math.pi), cfg.n_r), signed
 
 
 def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutcome:
@@ -321,12 +409,13 @@ def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutc
     magnitude count as null.
     """
     unit, b_norm = _unit_rhs(a.order, b, cfg)
-    return _simulate(_eigenpairs(a), unit, b_norm, cfg)
+    return _simulate(_eigenpairs(a, unit), unit, b_norm, cfg)
 
 
-def _simulate(modes: list[_Modes], unit: np.ndarray, b_norm: float, cfg: HhlConfig) -> HhlOutcome:
-    """hhl_solve on a matrix given by its eigenpairs."""
-    beta, live, weights, signed = _qpe(modes, unit, cfg)
+def _simulate(eig: _Eigensystem, unit: np.ndarray, b_norm: float, cfg: HhlConfig) -> HhlOutcome:
+    """hhl_solve on a matrix given by its spectrum and the eigenpairs that
+    span ``unit``."""
+    beta, live, weights, signed = _qpe(eig, unit, cfg)
     tbins = cfg.n_bins
     ticks = np.arange(tbins)
     bins = ticks / tbins
@@ -343,7 +432,7 @@ def _simulate(modes: list[_Modes], unit: np.ndarray, b_norm: float, cfg: HhlConf
     coef[live] = beta[live] * zero_clock
     unnorm = np.empty_like(unit)
     start = 0
-    for mode in modes:
+    for mode in eig.modes:
         part = coef[start : start + mode.lam.size]
         start += mode.lam.size
         unnorm[mode.rows] = part if mode.vectors is None else mode.vectors @ part
@@ -384,7 +473,8 @@ def extract_overlap(outcome: HhlOutcome, probe: Sequence[float]) -> float:
         return amp * overlap
     # Disjoint stream from the post-selection draw in hhl_solve.
     rng = np.random.Generator(np.random.PCG64(outcome.seed).jumped(1))
-    zeros = rng.binomial(outcome.shots, 0.5 * (1.0 + overlap**2))
+    # The overlap of two unit vectors can round to just above 1.
+    zeros = rng.binomial(outcome.shots, min(0.5 * (1.0 + overlap**2), 1.0))
     est_sq = max(0.0, 2.0 * zeros / outcome.shots - 1.0)
     return amp * math.sqrt(est_sq)
 
@@ -420,7 +510,7 @@ def detect_fixed_clock_qubits(
 def _clock_histogram(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> np.ndarray:
     """Probability of each clock value after QPE on the state b / |b|."""
     unit, _ = _unit_rhs(a.order, b, cfg)
-    beta, live, weights, _ = _qpe(_eigenpairs(a), unit, cfg)
+    beta, live, weights, _ = _qpe(_eigenpairs(a, unit), unit, cfg)
     return beta[live] ** 2 @ weights
 
 
@@ -554,8 +644,8 @@ def _graph_solve(
     """Simulate ``graph_system(g)`` padded to a power-of-two order, with rhs
     zero-extended to match; ``cfg=None`` takes graph_config's clock at
     DEFAULT_CLOCK_QUBITS.  A digraph passes its incidence matrix ``inc``,
-    whose SVD gives the dilation's eigenpairs.  Returns the outcome and the
-    extended rhs."""
+    whose singular values give the dilation's spectrum.  Returns the outcome
+    and the extended rhs."""
     system = hermitian_dilation(inc) if g.directed else laplacian(g)
     bound = abs_row_bound(system)
     if cfg is None:
@@ -566,13 +656,14 @@ def _graph_solve(
     if not g.directed:
         return hhl_solve(pad_to_power_of_two(system, bound), vec, cfg), vec
     unit, b_norm = _unit_rhs(order, vec, cfg)
-    modes = _dilation_eigenpairs(inc, bound, order)
-    return _simulate(modes, unit, b_norm, cfg), vec
+    eig = _dilation_eigenpairs(system, inc, bound, order, unit)
+    return _simulate(eig, unit, b_norm, cfg), vec
 
 
-def _connected(g: Graph) -> bool:
+def _components(g: Graph) -> np.ndarray:
+    """Component label of each vertex, arcs read as undirected edges."""
     adj = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_vertices,) * 2)
-    return connected_components(adj, directed=False, return_labels=False) == 1
+    return connected_components(adj, directed=False)[1]
 
 
 def effective_resistance(
@@ -600,7 +691,7 @@ def effective_resistance(
     for k in (i, j):
         if not 0 <= k < g.n_vertices:
             raise ValueError(f"vertex {k} out of range")
-    if not _connected(g):
+    if _components(g).max() > 0:
         raise ValueError("disconnected graph: effective resistance undefined")
     rhs = np.zeros(g.n_vertices)
     rhs[i], rhs[j] = 1.0, -1.0
@@ -648,13 +739,16 @@ def traffic_flow(
         raise ValueError("injections must be finite")
     if float(np.linalg.norm(c)) == 0.0:
         return TrafficFlowResult(flow=np.zeros(g.n_edges), negative_lanes=())
-    inc = incidence_matrix(g)
-    dense_b = inc.to_dense()
-    y_ref = np.linalg.lstsq(dense_b, c, rcond=None)[0]
-    if float(np.linalg.norm(dense_b @ y_ref - c)) > 1e-8:
+    # The column space of B holds the vectors that sum to zero on each weakly
+    # connected component C, so the least-squares residual of B y = c is
+    # sqrt(sum_C (sum_{v in C} c_v)^2 / |C|).
+    labels = _components(g)
+    residual = math.sqrt(float(np.sum(np.bincount(labels, c) ** 2 / np.bincount(labels))))
+    if residual > 1e-8:
         raise ValueError("imbalanced injections: no exact flow satisfies them")
+    inc = incidence_matrix(g)
     if method == "oracle":
-        y = y_ref[: g.n_edges]
+        y = np.linalg.lstsq(inc.to_dense(), c, rcond=None)[0][: g.n_edges]
     elif method == "hhl":
         y = _graph_solve(g, c, cfg, inc)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
     else:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,13 @@ from nlsp.graphs import (
 )
 from nlsp.hhl import (
     HhlConfig,
+    HhlOutcome,
     _clock_histogram,
     _clock_weights,
     _dilation_eigenpairs,
     _eigenpairs,
     _graph_solve,
+    _ritz_pairs,
     abs_row_bound,
     augment_for_aqf,
     check_aqf,
@@ -255,6 +258,12 @@ class TestShotMode:
             exact.scale * math.sqrt(exact.p_success), rel=0.05
         )
 
+    def test_overlap_that_rounds_above_one(self):
+        v = np.ones(3) / np.linalg.norm(np.ones(3))
+        assert v @ v > 1.0
+        out = HhlOutcome(0.5, v, 1.0, 1.0, 1.0, shots=100, seed=1)
+        assert extract_overlap(out, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
 
 class TestFixedClockQubits:
     def test_eigenvector_fixes_every_qubit(self):
@@ -461,6 +470,15 @@ class TestTrafficFlow:
         with pytest.raises(ValueError, match="imbalanced"):
             traffic_flow(directed_cycle4(), [1.0, 0.0, 0.0, 0.0])
 
+    def test_balance_is_per_weakly_connected_component(self):
+        g = Graph.from_edges(4, [(0, 1), (3, 2)], directed=True)
+        for method in ("oracle", "hhl"):
+            with pytest.raises(ValueError, match="imbalanced"):
+                traffic_flow(g, [-1.0, 0.0, 1.0, 0.0], method)
+            cfg = default_config(10, 2.0, signed=True)
+            got = traffic_flow(g, [-1.0, 1.0, 2.0, -2.0], method, cfg)
+            assert got.flow == pytest.approx([1.0, 2.0], abs=2e-3)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="directed"):
             traffic_flow(cycle4(), [0.0, 0.0, 0.0, 0.0])
@@ -557,9 +575,9 @@ def complete(a, w=1.0):
 
 
 @st.composite
-def exact_laplacians(draw):
+def exact_laplacians(draw, size=st.integers(1, 4)):
     """Unions of complete graphs K_a with integer weight w: spectrum {0, a w}."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: max(s) > 1))
+    sizes = draw(st.lists(size, min_size=1, max_size=4).filter(lambda s: max(s) > 1))
     return union(draw, [complete(a, draw(st.integers(1, 3))) for a in sizes], False)
 
 
@@ -612,33 +630,72 @@ def random_digraphs(draw, n, m):
     return Graph.from_edges(n, chosen, directed=True)
 
 
-def assert_eigensystem(modes, a: np.ndarray) -> None:
-    """The blocks of eigenpairs form an orthonormal eigenbasis of ``a``."""
-    basis = np.zeros_like(a)
-    lam, start = [], 0
-    for mode in modes:
-        cols = slice(start, start + mode.lam.size)
-        basis[mode.rows, cols] = np.eye(mode.lam.size) if mode.vectors is None else mode.vectors
-        lam.append(mode.lam)
-        start += mode.lam.size
-    assert start == a.shape[0]
-    assert np.abs(basis.T @ basis - np.eye(start)).max() <= 1e-12
+def residual_tol(a: np.ndarray) -> float:
+    """A few times Lanczos' stopping residual order * eps * (row bound)."""
+    return 8.0 * a.shape[0] * np.finfo(float).eps * max(1.0, float(np.abs(a).sum(axis=1).max()))
+
+
+def assert_ritz_pairs(a: np.ndarray, theta: np.ndarray, vectors: np.ndarray, rhs: np.ndarray):
+    """Orthonormal columns, A v = theta v for each pair and rhs in span(V)."""
+    tol = residual_tol(a)
+    assert np.abs(vectors.T @ vectors - np.eye(theta.size)).max(initial=0.0) <= 1e-12
+    assert np.linalg.norm(a @ vectors - vectors * theta, axis=0).max(initial=0.0) <= tol
+    assert np.linalg.norm(vectors @ (vectors.T @ rhs) - rhs) <= tol * max(1.0, np.linalg.norm(rhs))
+
+
+def assert_eigensystem(eig, a: np.ndarray, unit: np.ndarray) -> None:
+    """``eig.spectrum`` is the spectrum of ``a``, and ``eig.modes`` cover
+    every row once with eigenpairs of ``a`` that span ``unit``."""
+    order = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
-    assert np.abs(basis @ np.diag(np.concatenate(lam)) @ basis.T - a).max() <= 1e-12 * scale
+    assert eig.spectrum.size == order
+    assert np.abs(np.sort(eig.spectrum) - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+    covered = np.zeros(order, dtype=int)
+    for mode in eig.modes:
+        rows = np.arange(order)[mode.rows]
+        covered[rows] += 1
+        vectors = np.zeros((order, mode.lam.size))
+        vectors[rows] = np.eye(rows.size) if mode.vectors is None else mode.vectors
+        part = np.zeros(order)
+        part[rows] = unit[rows]
+        assert_ritz_pairs(a, mode.lam, vectors, part)
+    assert np.array_equal(covered, np.ones(order, dtype=int))
+
+
+def mode_shapes(eig) -> list[tuple[int, int]]:
+    """Shape of each block's eigenvectors: fewer columns than rows for the
+    Ritz pairs of b's Krylov space, square for the dense fallback."""
+    return [mode.vectors.shape for mode in eig.modes if mode.vectors is not None]
+
+
+def graph_eigensystem(g: Graph, rhs: np.ndarray):
+    """The eigensystem the simulator builds for graph_system(g) padded, its
+    dense matrix and the unit right-hand side."""
+    system = graph_system(g)
+    bound = abs_row_bound(system)
+    padded = pad_to_power_of_two(system, bound)
+    vec = np.zeros(padded.order)
+    vec[: rhs.size] = rhs
+    unit = vec / np.linalg.norm(vec)
+    if g.directed:
+        eig = _dilation_eigenpairs(system, incidence_matrix(g), bound, padded.order, unit)
+    else:
+        eig = _eigenpairs(padded, unit)
+    return eig, padded.to_dense(), unit
 
 
 def assert_matches_reference(g: Graph, rhs: np.ndarray, exact: bool, n_r: int) -> None:
-    """The block eigenpairs of graph_system(g) padded, and _graph_solve,
+    """The eigensystems of graph_system(g) padded, and _graph_solve,
     hhl_solve and the clock histogram on it, against one eigensolve of the
     whole padded matrix."""
     system = graph_system(g)
     bound = abs_row_bound(system)
     padded = pad_to_power_of_two(system, bound)
-    assert_eigensystem(_eigenpairs(padded), padded.to_dense())
+    eig, dense, unit = graph_eigensystem(g, rhs)
+    assert_eigensystem(eig, dense, unit)
     if g.directed:
-        modes = _dilation_eigenpairs(incidence_matrix(g), bound, padded.order)
-        assert_eigensystem(modes, padded.to_dense())
-    lam = np.abs(np.linalg.eigvalsh(padded.to_dense()))
+        assert_eigensystem(_eigenpairs(padded, unit), dense, unit)
+    lam = np.abs(np.linalg.eigvalsh(dense))
     lam_min = float(lam[lam > zero_tolerance(lam)].min())
     if exact:
         cfg = bin_exact_config(round(lam_min), bound, g.directed, n_r)
@@ -646,7 +703,7 @@ def assert_matches_reference(g: Graph, rhs: np.ndarray, exact: bool, n_r: int) -
         cfg = default_config(n_r, bound, lam_min, signed=g.directed)
     inc = incidence_matrix(g) if g.directed else None
     got, vec = _graph_solve(g, rhs, cfg, inc)
-    p_success, zero_weight, solution, histogram = reference_outcome(padded.to_dense(), vec, cfg)
+    p_success, zero_weight, solution, histogram = reference_outcome(dense, vec, cfg)
     tol = 1e-10 * max(1.0, float(np.abs(solution).max()))
     for out in (got, hhl_solve(padded, vec, cfg)):
         assert out.p_success == pytest.approx(p_success, abs=1e-10)
@@ -661,15 +718,24 @@ rhs_seeds = st.integers(0, 2**32 - 1)
 
 
 class TestBlockEigensystem:
-    """Padding rows and isolated vertices taken as they stand, components
-    solved apart and a digraph's dilation from the SVD of B agree with one
-    eigensolve of the whole padded matrix."""
+    """Padding rows and isolated vertices taken as they stand, and each
+    component or a digraph's dilation reduced to the Krylov space of b (or
+    solved densely past the cap), agree with one eigensolve of the whole
+    padded matrix."""
 
     @settings(max_examples=100, deadline=None)
     @given(g=exact_laplacians(), seed=rhs_seeds)
     def test_bin_exact_laplacians(self, g, seed):
         rhs = np.random.default_rng(seed).standard_normal(g.n_vertices)
         assert_matches_reference(g, rhs, exact=True, n_r=6)
+
+    # K_a blocks of order 32 and more allow the two Lanczos steps that a
+    # random b needs on the spectrum {0, a w}.
+    @settings(max_examples=25, deadline=None)
+    @given(g=exact_laplacians(st.sampled_from([1, 32, 40])), seed=rhs_seeds)
+    def test_bin_exact_laplacians_of_krylov_size(self, g, seed):
+        rhs = np.random.default_rng(seed).standard_normal(g.n_vertices)
+        assert_matches_reference(g, rhs, exact=True, n_r=9)
 
     @settings(max_examples=100, deadline=None)
     @given(g=random_laplacians(), seed=rhs_seeds, n_r=st.sampled_from([4, 7]))
@@ -695,3 +761,124 @@ class TestBlockEigensystem:
         rhs = np.random.default_rng(seed).standard_normal(n + m)
         assert_matches_reference(g, rhs, exact=False, n_r=n_r)
 
+
+def star_digraph(leaves: int, isolated: int = 0) -> Graph:
+    return Graph.from_edges(leaves + 1 + isolated, [(0, k) for k in range(1, leaves + 1)], True)
+
+
+def connected_weighted(n: int, seed: int) -> Graph:
+    """A weighted path plus random chords: all eigenvalues distinct."""
+    rng = np.random.default_rng(seed)
+    chords = [(a, b) for a in range(n) for b in range(a + 2, n) if rng.random() < 0.2]
+    edges = [(a, a + 1) for a in range(n - 1)] + chords
+    return Graph.from_edges(n, [(a, b, float(rng.uniform(0.5, 2.0))) for a, b in edges])
+
+
+def hypercube(d: int) -> Graph:
+    return generate(make_spec("hypercube", schedule=(d,)), d).graph
+
+
+def pair_rhs(n: int, i: int, j: int) -> np.ndarray:
+    rhs = np.zeros(n)
+    rhs[i], rhs[j] = 1.0, -1.0
+    return rhs
+
+
+# (graph, right-hand side, bin-exact clock, (rows, eigenpairs) of each
+# vector block): the Krylov side of the cap with one mode, degenerate
+# spectra and a dilation with |n - m| zero modes, and the dense side.
+CAP_CASES = {
+    # e_0 - e_1 is an eigenvector of K_n: Krylov dimension 1
+    "eigenvector-K40": (complete_graph(40), pair_rhs(40, 0, 1), True, [(40, 1)]),
+    # e_0 on K_n reaches 0 and n
+    "unit-K48": (complete_graph(48), np.eye(48)[0], True, [(48, 2)]),
+    # an edge of Q_7 reaches the 7 nonzero eigenvalues 2, 4, ..., 14
+    "edge-Q7": (hypercube(7), pair_rhs(128, 0, 1), True, [(128, 7)]),
+    # star with 48 leaves and 15 isolated vertices: n - m = 16 zero modes,
+    # dilation eigenvalues 0, +-1 and +-7
+    "star48+15": (star_digraph(48, 15), np.random.default_rng(2).standard_normal(112), True,
+                  [(112, 5)]),
+    # complete digraph on 8 vertices: m - n = 48 zero modes, +-4 besides
+    "K8-digraph": (Graph.from_edges(8, [(i, j) for i in range(8) for j in range(8) if i != j],
+                                    True),
+                   np.random.default_rng(3).standard_normal(64), True, [(64, 3)]),
+    # a random weighted b reaches every mode of a 40-vertex component
+    "dense-weighted40": (connected_weighted(40, 4), np.random.default_rng(5).standard_normal(40),
+                         False, [(40, 40)]),
+    # a digraph whose dilation b reaches beyond the cap: dense SVD
+    "dense-digraph": (Graph.from_edges(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                                            (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (3, 9),
+                                            (11, 0), (5, 1)], True),
+                      np.random.default_rng(6).standard_normal(26), False, [(26, 26)]),
+}
+
+
+class TestKrylovCap:
+    """Right-hand sides on each side of the Krylov cap take the intended
+    path and agree with one eigensolve of the whole padded matrix."""
+
+    @pytest.mark.parametrize("case", CAP_CASES.values(), ids=CAP_CASES.keys())
+    def test_path_and_reference(self, case):
+        g, rhs, exact, shapes = case
+        eig, _, _ = graph_eigensystem(g, rhs)
+        assert mode_shapes(eig) == shapes
+        assert_matches_reference(g, rhs, exact, n_r=8)
+
+    def test_c_under_a_mode_b_never_reaches(self):
+        # The alternating vector (-1)^popcount(x) on Q_7 is the eigenvector
+        # of 14 alone, so the Krylov space never meets lambda_2 = 2; a C
+        # above 2 t / 2 pi must still be refused.
+        lap = laplacian(hypercube(7))
+        b = np.array([(-1.0) ** bin(x).count("1") for x in range(128)])
+        assert mode_shapes(_eigenpairs(lap, b / np.linalg.norm(b))) == [(128, 1)]
+        base = default_config(10, 14.0)
+        lam2 = 2.0 * base.t / (2.0 * math.pi)
+        below = HhlConfig(n_r=10, t=base.t, C=0.99 * lam2)
+        assert hhl_solve(lap, b, below).p_success > 0.0
+        above = HhlConfig(n_r=10, t=base.t, C=1.01 * lam2)
+        with pytest.raises(ValueError, match="C out of range"):
+            hhl_solve(lap, b, above)
+        with pytest.raises(ValueError, match="C out of range"):
+            detect_fixed_clock_qubits(lap, b, above)
+
+
+@st.composite
+def few_valued_matrices(draw):
+    """Integer matrices of order 64..160 with at most order / 16 distinct
+    eigenvalues, dense or CSR, and a random right-hand side: a shifted,
+    sign-flipped and permuted direct sum of w (a I - J_a), whose spectrum
+    is {0, w a}, for a in {4, 8} and w in {1, 2}."""
+    sizes = [draw(st.sampled_from([4, 8])) for _ in range(16)]
+    sizes += [draw(st.sampled_from([4, 8])) for _ in range(draw(st.integers(0, 4)))]
+    weights = [draw(st.sampled_from([1, 2])) for _ in sizes]
+    a = sp.block_diag([w * (a * np.eye(a) - np.ones((a, a))) for a, w in zip(sizes, weights)])
+    order = sum(sizes)
+    shift = draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(rhs_seeds))
+    signs = rng.choice([-1.0, 1.0], order)
+    perm = rng.permutation(order)
+    a = ((a.toarray() + shift * np.eye(order)) * signs * signs[:, None])[perm][:, perm]
+    rhs = rng.standard_normal(order) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    values = {shift} | {w * n + shift for n, w in zip(sizes, weights)}
+    return a, rhs, len(values)
+
+
+class TestRitzPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(case=few_valued_matrices(), sparse=st.booleans())
+    def test_krylov_space_of_few_valued_matrices(self, case, sparse):
+        a, rhs, distinct = case
+        bound = float(np.abs(a).sum(axis=1).max())
+        got = _ritz_pairs(sp.csr_array(a) if sparse else a, rhs, bound)
+        assert got is not None
+        theta, vectors = got
+        assert theta.size == distinct
+        assert_ritz_pairs(a, theta, vectors, rhs)
+
+    def test_zero_rhs_spans_nothing(self):
+        theta, vectors = _ritz_pairs(np.eye(32), np.zeros(32), 1.0)
+        assert theta.size == 0 and vectors.shape == (32, 0)
+
+    def test_past_the_cap_is_none(self):
+        a = np.diag(np.arange(1.0, 65.0))
+        assert _ritz_pairs(a, np.ones(64), 64.0) is None
