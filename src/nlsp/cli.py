@@ -28,6 +28,7 @@ from .hhl import (
     effective_resistance,
     graph_config,
     graph_system,
+    hhl_resistance,
     hhl_solve,
     traffic_flow,
 )
@@ -357,9 +358,9 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     cfg = _problem_config(doc, bound, signed_hint)
     try:
         outcome = hhl_solve(matrix, b, cfg)
+        reconstruction = outcome.solution
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    reconstruction = outcome.solution
     oracle = np.linalg.pinv(matrix.to_dense()) @ b
     # global sign of the statevector is unobservable; align before comparing
     if float(reconstruction @ oracle) < 0:
@@ -367,6 +368,8 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     _emit(
         {
             "p_success": outcome.p_success,
+            "shots": outcome.shots,
+            "successes": outcome.successes,
             "scale": outcome.scale,
             "b_norm": outcome.b_norm,
             "clock_zero_weight": outcome.clock_zero_weight,
@@ -389,23 +392,27 @@ def _load_graph(path: str):
 
 def cmd_hhl_reff(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    method = "oracle" if args.oracle else "hhl"
+    successes = None
     try:
-        cfg = None if args.oracle else graph_config(
-            graph, args.n_r, shots=args.shots, seed=args.seed
-        )
-        value = effective_resistance(graph, args.i, args.j, method, cfg)
         oracle = effective_resistance(graph, args.i, args.j)
+        if args.oracle:
+            value = oracle
+        else:
+            cfg = graph_config(graph, args.n_r, shots=args.shots, seed=args.seed)
+            value, outcome = hhl_resistance(graph, args.i, args.j, cfg)
+            successes = outcome.successes
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _emit(
         {
-            "method": method,
+            "method": "oracle" if args.oracle else "hhl",
             "i": args.i,
             "j": args.j,
             "effective_resistance": value,
             "oracle": oracle,
             "oracle_delta": abs(value - oracle),
+            "shots": None if args.oracle else args.shots,
+            "successes": successes,
         }
     )
     return EXIT_OK

@@ -409,6 +409,11 @@ def _nx_dir(fn):
     return lambda n, params, rng: _from_nx(fn(n, params, rng), directed=True)
 
 
+# networkx 3.5 renamed random_lobster, keeping the old name as a deprecated
+# alias; networkx 3.4, the last release for Python 3.10, has only the old one.
+_random_lobster = getattr(nx, "random_lobster_graph", None) or nx.random_lobster
+
+
 _CATALOG_ENTRIES = [
     # -- undirected, deterministic ------------------------------------------
     _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15), weightable=True),
@@ -468,7 +473,7 @@ _CATALOG_ENTRIES = [
     _und("uniform_random_intersection", _N1,
          _nx_und(lambda n, p, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
          range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("random_lobster", _N1, _nx_und(lambda n, p, r: nx.random_lobster(n, 0.6, 0.5, seed=r)),
+    _und("random_lobster", _N1, _nx_und(lambda n, p, r: _random_lobster(n, 0.6, 0.5, seed=r)),
          range(10, 2001), seed=19),
     # -- directed, deterministic --------------------------------------------
     _dir("paley", GrowthClass.poly(3), lambda n, p, r: _paley(n), _primes_3_mod_4(139)),

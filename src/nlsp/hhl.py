@@ -151,6 +151,8 @@ class HhlOutcome:
     fraction of post-selected probability whose clock register reads all
     zeros; it is exactly 1 when the inversion is bin-exact, in which case
     the reconstruction is the plain scale * sqrt(p_success) * solution_state.
+    In shot mode p_success is ``successes`` out of ``shots`` post-selections,
+    and with no success neither the solution nor an overlap has an estimate.
     """
 
     p_success: float
@@ -170,8 +172,25 @@ class HhlOutcome:
             raise ValueError("scale and b_norm must be positive")
 
     @property
+    def successes(self) -> int | None:
+        """Post-selected successes among ``shots``; None in exact mode."""
+        if self.shots is None:
+            return None
+        return round(self.p_success * self.shots)
+
+    def _require_success(self) -> None:
+        """Raise ValueError when shot mode post-selected nothing."""
+        if self.successes == 0:
+            raise ValueError(
+                f"post-selection succeeded in none of {self.shots} shots, so there "
+                "is no estimate; raise the shot count or the rotation constant C"
+            )
+
+    @property
     def solution(self) -> np.ndarray:
-        """The reconstructed pseudo-inverse solution of A x = b."""
+        """The reconstructed pseudo-inverse solution of A x = b; ValueError
+        when shot mode post-selected nothing."""
+        self._require_success()
         amplitude = self.b_norm * self.scale * math.sqrt(self.p_success * self.clock_zero_weight)
         return amplitude * self.solution_state
 
@@ -460,8 +479,10 @@ def extract_overlap(outcome: HhlOutcome, probe: Sequence[float]) -> float:
     inversion is bin-exact (clock_zero_weight = 1) the exact-mode value is
     the familiar scale * sqrt(p_success) * <probe|solution>.  Shot mode
     simulates a SWAP test, which only ever observes the squared overlap,
-    so the sign is lost and binomial noise enters.
+    so the sign is lost and binomial noise enters.  With no post-selected
+    success there is no estimate: ValueError.
     """
+    outcome._require_success()
     vec = np.asarray(probe, dtype=float)
     if vec.shape != outcome.solution_state.shape:
         raise ValueError("probe length mismatch")
@@ -684,6 +705,27 @@ def effective_resistance(
     The input b sums to zero, hence is orthogonal to the all-ones null
     vector of a connected Laplacian.
     """
+    if method == "hhl":
+        return hhl_resistance(g, i, j, cfg)[0]
+    rhs = _resistance_rhs(g, i, j)
+    if method != "oracle":
+        raise ValueError(f"unknown method {method!r}")
+    return float(rhs @ np.linalg.pinv(laplacian(g).to_dense()) @ rhs)
+
+
+def hhl_resistance(
+    g: Graph, i: int, j: int, cfg: HhlConfig | None = None
+) -> tuple[float, HhlOutcome]:
+    """``effective_resistance(g, i, j, "hhl", cfg)`` with the simulator
+    outcome it is read from, whose ``successes`` counts the post-selections
+    in shot mode."""
+    outcome, vec = _graph_solve(g, _resistance_rhs(g, i, j), cfg)
+    # r = b^T L+ b with |b|^2 = 2 and the normalized b as probe.
+    return 2.0 * extract_overlap(outcome, vec / math.sqrt(2.0)), outcome
+
+
+def _resistance_rhs(g: Graph, i: int, j: int) -> np.ndarray:
+    """delta_i - delta_j, after checking that it has a resistance on g."""
     if g.directed:
         raise ValueError("effective resistance is defined for undirected graphs")
     if i == j:
@@ -695,13 +737,7 @@ def effective_resistance(
         raise ValueError("disconnected graph: effective resistance undefined")
     rhs = np.zeros(g.n_vertices)
     rhs[i], rhs[j] = 1.0, -1.0
-    if method == "oracle":
-        return float(rhs @ np.linalg.pinv(laplacian(g).to_dense()) @ rhs)
-    if method != "hhl":
-        raise ValueError(f"unknown method {method!r}")
-    outcome, vec = _graph_solve(g, rhs, cfg)
-    # r = b^T L+ b with |b|^2 = 2 and the normalized b as probe.
-    return 2.0 * extract_overlap(outcome, vec / math.sqrt(2.0))
+    return rhs
 
 
 class TrafficFlowResult(NamedTuple):

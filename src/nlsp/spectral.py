@@ -8,13 +8,19 @@ on each connected component, so its kernel is spanned by the c component
 indicators, and the smallest nonzero eigenvalue is the (c+1)-th smallest.
 Dense G up to a size limit (a per-call argument, 3000 when None) take the
 dense eigensolver.  Larger G, and sparse G at any order (order above 256,
-at most order²/16 entries), take Lanczos with a fixed start vector, so
-repeated runs agree bit for bit: one call for λmax on G, one for 1/λmin as
-the largest eigenvalue of the pseudo-inverse G⁺.  G⁺ is applied by
-grounding one vertex per component, solving with the rest of G (factored
-once by sparse LU under a symmetric minimum-degree ordering, minimum degree
-on Aᵀ + A, which keeps the fill of G's symmetric pattern low) and
-subtracting each component's mean.  Sparsity is read off the CSR index
+at most order²/16 entries), take Lanczos with a fixed start vector: one
+call for λmax on G, then one or two for λmin.  The first is factor-free:
+λmin is the smallest eigenvalue of x ↦ G·x + λmax·Πx, Π the projector onto
+the component indicators, which sends G's kernel to λmax.  It converges in
+a few dozen products on well-conditioned G, and may take at most
+_FACTOR_FREE_MATVECS of them.  Past that budget, or when ARPACK does not
+converge, 1/λmin is found as the largest eigenvalue of the pseudo-inverse
+G⁺.  G⁺ is applied by grounding one vertex per component, solving with the
+rest of G (factored once by sparse LU under a symmetric minimum-degree
+ordering, minimum degree on Aᵀ + A, which keeps the fill of G's symmetric
+pattern low) and subtracting each component's mean.  The budget counts
+products, not ARPACK restarts, so which path runs depends on G alone, and
+repeated runs agree bit for bit.  Sparsity is read off the CSR index
 arrays.
 """
 
@@ -41,6 +47,11 @@ _SPARSE_FILL = 16
 # Seed of the Lanczos start vector.  A random start (not the all-ones vector,
 # which spans the Laplacian kernel) keeps every eigenvector reachable.
 _START_SEED = 2025
+# Products with G the factor-free Lanczos run for λmin may take before the
+# grounded pseudo-inverse takes over.  Well-conditioned graphs (hypercubes,
+# G_a^m, expanders) need 20 to about 220; a grid or a tree-like graph needs
+# thousands, and its run gives up after these 250 sparse products.
+_FACTOR_FREE_MATVECS = 250
 
 
 def dense_limit() -> int:
@@ -97,7 +108,10 @@ def extreme_eigs(
     the dense limit (3000 when None), and sparse m at any order, take
     Lanczos; that path needs m to have zero row sums (a Laplacian or B·Bᵀ),
     with ``kernel`` connected components, whose ``labels`` (from
-    ``connected_components``) it counts itself when not given."""
+    ``connected_components``) it counts itself when not given.  Lanczos
+    first seeks λmin factor-free, on m with its kernel shifted to λmax,
+    within _FACTOR_FREE_MATVECS products; past them it falls back to the
+    pseudo-inverse of m through one sparse LU of m grounded."""
     if kernel >= m.order:
         raise ValueError("effectively zero matrix: no nonzero eigenvalue")
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
@@ -129,6 +143,15 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     counts = np.bincount(labels)
     if counts.size + 1 == m.order:  # λmax is the only nonzero eigenvalue
         return lam_max, lam_max
+
+    def means(x: np.ndarray) -> np.ndarray:
+        """Πx: each entry replaced by its component's mean."""
+        return (np.bincount(labels, weights=x) / counts)[labels]
+
+    try:
+        return _smallest_deflated(a, means, lam_max, v0), lam_max
+    except (_OverBudget, spla.ArpackNoConvergence):
+        pass
     # Lanczos on the pseudo-inverse m⁺, whose largest eigenvalue is 1/λmin.
     # m's kernel is spanned by its component indicators, so with one vertex
     # of each component grounded (its row and column deleted) the rest of m
@@ -141,7 +164,7 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     lu = spla.splu(a[kept][:, kept].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def center(x: np.ndarray) -> np.ndarray:
-        return x - (np.bincount(labels, weights=x) / counts)[labels]
+        return x - means(x)
 
     def pinv(x: np.ndarray) -> np.ndarray:
         y = np.zeros(m.order)
@@ -153,6 +176,32 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
         tol=_ITERATIVE_TOL, return_eigenvectors=False,
     )[0]
     return 1.0 / float(inv_min), lam_max
+
+
+class _OverBudget(Exception):
+    """The factor-free Lanczos run spent its _FACTOR_FREE_MATVECS."""
+
+
+def _smallest_deflated(a, means, lam_max: float, v0: np.ndarray) -> float:
+    """λmin, the smallest nonzero eigenvalue of a, as the smallest eigenvalue
+    of x ↦ a·x + λmax·Πx, Π = ``means`` the projector onto the component
+    indicators: Π sends a's kernel to λmax and leaves the rest of its
+    spectrum in place.  Raises _OverBudget past _FACTOR_FREE_MATVECS
+    products."""
+    spent = 0
+
+    def deflated(x: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        spent += 1
+        if spent > _FACTOR_FREE_MATVECS:
+            raise _OverBudget
+        x = x.ravel()
+        return a @ x + lam_max * means(x)
+
+    return float(spla.eigsh(
+        spla.LinearOperator(a.shape, matvec=deflated, dtype=float), k=1, which="SA", v0=v0,
+        tol=_ITERATIVE_TOL, return_eigenvectors=False,
+    )[0])
 
 
 def condition_number(m: SymmetricMatrix, cutoff: Optional[float] = None) -> float:

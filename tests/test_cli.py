@@ -502,14 +502,39 @@ class TestHhlCommands:
         assert doc["oracle_delta"] < 1e-2
 
     def test_reff_matches_the_library_on_the_row_bound_clock(self, c4_file, capsys):
+        # p_success ≈ 7e-5 at this clock: 10⁶ shots post-select about 70
         argv = ["hhl", "reff", c4_file, "--i", "0", "--j", "2"]
-        assert main(argv + ["--n-r", "8", "--shots", "500", "--seed", "3"]) == EXIT_OK
+        assert main(argv + ["--n-r", "8", "--shots", "1000000", "--seed", "3"]) == EXIT_OK
         with open(c4_file) as f:
             g = read_edge_list(f)
         # the 4-cycle Laplacian's largest absolute row sum is 2 + 1 + 1
-        cfg = default_config(8, 4.0, shots=500, seed=3)
+        cfg = default_config(8, 4.0, shots=1000000, seed=3)
         want = effective_resistance(g, 0, 2, "hhl", cfg)
         assert read_json(capsys)["effective_resistance"] == want
+
+    def test_reff_reports_the_success_count(self, c4_file, capsys):
+        argv = ["hhl", "reff", c4_file, "--i", "0", "--j", "2", "--n-r", "8"]
+        assert main(argv + ["--shots", "1000000", "--seed", "3"]) == EXIT_OK
+        doc = read_json(capsys)
+        assert doc["shots"] == 1000000 and 0 < doc["successes"] < 1000
+        assert main(argv) == EXIT_OK
+        doc = read_json(capsys)
+        assert (doc["shots"], doc["successes"]) == (None, None)
+
+    def test_reff_with_no_success_is_an_error(self, tmp_path, capsys):
+        # Q_8 at the default clock: p_success ≈ 7e-6, so 1000 shots
+        # post-select nothing and no resistance can be read off them
+        g = Graph.from_edges(
+            256, [(u, u | 1 << k) for u in range(256) for k in range(8) if not u >> k & 1]
+        )
+        path = tmp_path / "q8.edges"
+        with open(path, "w") as f:
+            write_edge_list(g, f)
+        argv = ["hhl", "reff", str(path), "--i", "0", "--j", "77", "--n-r", "10"]
+        assert main(argv + ["--shots", "1000", "--seed", "1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: post-selection succeeded in none of 1000 shots")
 
     def test_reff_same_vertex_rejected(self, c4_file, capsys):
         assert main(["hhl", "reff", c4_file, "--i", "1", "--j", "1", "--oracle"]) == EXIT_CONFIG

@@ -369,6 +369,17 @@ def test_repaired_edges_match_their_recorded_digest():
     )
 
 
+def test_random_lobster_edges_match_their_recorded_digest():
+    # Pins the vertex counts and edges, in order, of random_lobster at the
+    # catalog seed and at seed 3, across its schedule.
+    h = hashlib.sha256()
+    for spec in (make_spec("random_lobster"), make_spec("random_lobster", seed=3)):
+        for n in (10, 25, 50, 75, 300, 1200, 2000):
+            g = generate(spec, n).graph
+            h.update(f"{g.n_vertices}:{g.edges!r}".encode())
+    assert h.hexdigest() == "44a1e450e243c49da7d9eab121e66ba92d518693af916c13075864fba90d4513"
+
+
 def test_repair_flag_rejected_for_undirected():
     with pytest.raises(ValueError):
         make_spec("gnp", repair=True)

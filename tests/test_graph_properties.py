@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from nlsp import spectral
 from nlsp.graphs import (
     Graph,
     SymmetricMatrix,
@@ -148,6 +149,61 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
     scale = want**2 if g.directed else want
     assert abs(rec.kappa - want) <= 1e3 * np.finfo(float).eps * scale * want
     assert rec.system_size == n + (m.cols if g.directed else 0)
+
+
+@st.composite
+def sparse_multicomponent_graphs(draw):
+    """Disjoint union of 2 to 4 connected graphs, each a random tree plus a
+    few chords, the first with at least 3 vertices; undirected or with
+    each edge randomly oriented."""
+    directed = draw(st.booleans())
+    sizes = [draw(st.integers(3, 40))] + draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    pairs, base = set(), 0
+    for size in sizes:
+        for v in range(1, size):
+            pairs.add((base + draw(st.integers(0, v - 1)), base + v))
+        for _ in range(draw(st.integers(0, size // 2))):
+            u, v = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2)))
+            if u < v:
+                pairs.add((base + u, base + v))
+        base += size
+    rows = []
+    for u, v in sorted(pairs):
+        if directed and draw(st.booleans()):
+            u, v = v, u
+        rows.append((u, v, draw(st.floats(0.5, 2.0))))
+    return Graph.from_edges(base, rows, directed), len(sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_multicomponent_graphs())
+def test_factor_free_and_grounded_lanczos_match_eigvalsh(case):
+    # Lanczos with its matvec budget (factor-free on nearly all of these),
+    # and with a budget of 0, which forces the grounded pseudo-inverse.
+    g, c = case
+    n = g.n_vertices
+    if g.directed:
+        m, kind = incidence_matrix(g), "incidence"
+        s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
+        want = s[0] / s[n - c - 1]
+    else:
+        m, kind = laplacian(g), "laplacian"
+        e = np.linalg.eigvalsh(laplacian_by_hand(g))
+        want = e[-1] / e[c]
+    factors = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_splu = spectral.spla.splu
+        mp.setattr(spectral.spla, "splu", lambda *a, **k: factors.append(1) or real_splu(*a, **k))
+        budgeted = measure(m, kind, dense_limit=1)
+        factor_free = not factors
+        mp.setattr(spectral, "_FACTOR_FREE_MATVECS", 0)
+        grounded = measure(m, kind, dense_limit=1)
+    assert len(factors) == 1 + (not factor_free)
+    # as in test_measured_kappa_equals_numpy_reference; the factor-free
+    # path also meets 1e-12 relative on these well-conditioned graphs
+    rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)
+    assert abs(grounded.kappa - want) <= rtol * want
+    assert abs(budgeted.kappa - want) <= (min(rtol, 1e-12) if factor_free else rtol) * want
 
 
 entries = st.sampled_from([0.0, 1.0, -2.5, 3.0, np.nan])

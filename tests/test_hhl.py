@@ -265,6 +265,25 @@ class TestShotMode:
         assert extract_overlap(out, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
+    def test_success_count(self):
+        lap = laplacian(complete_graph(4))
+        b = [1.0, -1.0, 0.0, 0.0]
+        out = hhl_solve(lap, b, HhlConfig(n_r=5, t=math.pi / 4.0, C=0.3, shots=4096, seed=7))
+        assert out.successes == round(out.p_success * 4096) > 0
+        assert out.p_success == out.successes / 4096
+        assert hhl_solve(lap, b, HhlConfig(n_r=5, t=math.pi / 4.0, C=0.3)).successes is None
+
+    def test_no_success_gives_no_estimate(self):
+        v = np.ones(4) / 2.0
+        out = HhlOutcome(0.0, v, 1.0, 1.0, 1.0, shots=1000, seed=1)
+        assert out.successes == 0
+        with pytest.raises(ValueError, match="none of 1000 shots"):
+            extract_overlap(out, v)
+        with pytest.raises(ValueError, match="none of 1000 shots"):
+            out.solution
+        # exact mode: p_success 0 is a value, not an empty sample
+        assert not HhlOutcome(0.0, v, 1.0, 1.0, 1.0).solution.any()
+
 class TestFixedClockQubits:
     def test_eigenvector_fixes_every_qubit(self):
         lap = laplacian(complete_graph(4))

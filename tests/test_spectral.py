@@ -256,42 +256,116 @@ def family_graph(family: str, n: int, **kw) -> Graph:
     return generate(make_spec(family, schedule=(n,), **kw), n).graph
 
 
+def generalized_hypercube(a: int, m: int) -> Graph:
+    return family_graph("generalized_hypercube", m, params={"a": a})
+
+
+@pytest.fixture
+def lanczos_path(monkeypatch):
+    """The λmin path the last measure took: "factor-free", "grounded" (the
+    pseudo-inverse through one LU, after the factor-free run gave up) or
+    "lambda-max" (λmax is the only nonzero eigenvalue)."""
+    calls = {"deflated": 0, "splu": 0}
+    real_deflated, real_splu = spectral._smallest_deflated, spectral.spla.splu
+
+    def deflated(*args):
+        calls["deflated"] += 1
+        return real_deflated(*args)
+
+    def splu(*args, **kwargs):
+        calls["splu"] += 1
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_smallest_deflated", deflated)
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+
+    def path() -> str:
+        taken = (calls["deflated"], calls["splu"])
+        calls.update(deflated=0, splu=0)
+        return {(1, 0): "factor-free", (1, 1): "grounded", (0, 0): "lambda-max"}[taken]
+
+    return path
+
+
 @pytest.mark.parametrize(
-    "system, kind, rtol",
+    "system, kind, rtol, path",
     [
-        (lambda: laplacian(two_ladders()), "laplacian", 1e-7),
-        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1e-7),
-        (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7),
+        (lambda: laplacian(two_ladders()), "laplacian", 1e-12, "factor-free"),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1e-12, "factor-free"),
+        # κ(B·Bᵀ) ≈ 5.8e5: Lanczos on the deflated G would need thousands of
+        # products
+        (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7, "grounded"),
         # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
-        (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7),
+        (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7, "lambda-max"),
         # a scale-free graph and an expander: a column ordering that ignores
         # the symmetric pattern fills the factor of the grounded G
-        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "laplacian", 1e-10),
-        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-10),
-        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10),
+        (
+            lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)),
+            "laplacian", 1e-10, "grounded",
+        ),
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-12, "factor-free"),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10, "grounded"),
         # λ₂ far below λmax: 7.55e-7 on order 2048, and 1.0e-5 on order 2091
         (
             lambda: laplacian(family_graph("hypercube", 11, weight_rule="quadratic_rule")),
-            "laplacian", 1e-8,
+            "laplacian", 1e-8, "grounded",
         ),
-        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8, "grounded"),
+        # too large for the dense reference, so the closed forms stand in:
+        # Q_13 has eigenvalues 2k, G_3^8 (K_3 to the 8th Cartesian power) 3k
+        (lambda: laplacian(hypercube(13)), (2.0, 26.0), 1e-12, "factor-free"),
+        (lambda: laplacian(generalized_hypercube(3, 8)), (3.0, 24.0), 1e-12, "factor-free"),
     ],
     ids=[
         "two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20",
         "barabasi-albert-600", "modified-mgg-20", "gn-400", "hypercube-quadratic-11",
-        "random-lobster-300",
+        "random-lobster-300", "hypercube-13", "generalized-hypercube-3-8",
     ],
 )
-def test_dense_and_lanczos_agree(system, kind, rtol):
+def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
     m = system()
-    lam_min, lam_max = dense_extremes(m, kind)
+    if isinstance(kind, tuple):
+        (lam_min, lam_max), kind = kind, "laplacian"
+    else:
+        lam_min, lam_max = dense_extremes(m, kind)
     routed = measure(m, kind)
+    lanczos_path()
     it = measure(m, kind, dense_limit=1)
+    assert lanczos_path() == path
     for rec in (routed, it):
         assert rec.kappa == pytest.approx(lam_max / lam_min, rel=rtol)
         assert rec.lambda_min_nz == pytest.approx(lam_min, rel=rtol)
         assert rec.lambda_max == pytest.approx(lam_max, rel=rtol)
     assert (it.system_size, it.sparsity) == (routed.system_size, routed.sparsity)
+
+
+def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
+    # modified_mgg n=20 takes 61 products; a budget one short of them makes
+    # the run give up, and the grounded pseudo-inverse finds the same λmin
+    m = laplacian(family_graph("modified_mgg", 20))
+    free = measure(m, "laplacian", dense_limit=1)
+    assert lanczos_path() == "factor-free"
+    monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 60)
+    grounded = measure(m, "laplacian", dense_limit=1)
+    assert lanczos_path() == "grounded"
+    assert grounded.kappa == pytest.approx(free.kappa, rel=1e-12)
+    monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 61)
+    assert measure(m, "laplacian", dense_limit=1) == free
+    assert lanczos_path() == "factor-free"
+
+
+@pytest.mark.parametrize(
+    "system, kind",
+    [
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian"),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian"),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence"),
+    ],
+    ids=["factor-free", "grounded", "grounded-incidence"],
+)
+def test_lanczos_is_deterministic(system, kind):
+    m = system()
+    assert measure(m, kind, dense_limit=1) == measure(m, kind, dense_limit=1)
 
 
 def test_lanczos_factor_keeps_fill_low(monkeypatch):

@@ -36,7 +36,6 @@ def test_cell_field_validation():
 def test_hypercube_column_cells():
     for m in range(1, 7):
         meas = cell_measurements(2, m)
-        assert meas.measured
         assert meas.n_vertices == 2**m
         assert meas.kappa == pytest.approx(m, rel=1e-12)
         assert meas.sparsity == m + 1
@@ -77,10 +76,13 @@ def test_g2m_spectrum_binomial_multiplicities():
     assert np.allclose(vals, expected, atol=1e-9)
 
 
-def test_over_limit_cell_returns_predictions():
-    # G_2^12 has 4096 vertices, above the dense limit of 3000
+def test_over_limit_cell_is_measured():
+    # G_2^12 has 4096 vertices, above the dense limit of 3000: Lanczos
+    # measures it, and cell_measurements checks the closed forms
     meas = cell_measurements(2, 12)
-    assert meas == CellMeasurements(12.0, 13, 4096, False)
+    assert meas.kappa == pytest.approx(12.0, rel=1e-12)
+    assert (meas.sparsity, meas.n_vertices) == (13, 4096)
+    assert isinstance(meas, CellMeasurements)
 
 
 def test_slice_constructors():
@@ -167,11 +169,13 @@ def test_tableau_csv_roundtrip():
     assert float(first[4]) == pytest.approx(1.0)
 
 
-def test_tableau_csv_blank_when_unmeasured():
-    # G_5^5 has 3125 vertices, the only cell of this tableau above 3000
-    cells = tableau(5, 5)
+def test_tableau_csv_measures_the_largest_cell():
+    # G_3^8 has 6561 vertices, above the dense limit of 3000
+    cells = tableau(3, 8)
     buf = io.StringIO()
     write_tableau_csv(buf, cells)
-    rows = buf.getvalue().strip().splitlines()[1:]
-    blank = [r for r in rows if ",," in r]
-    assert blank == ["5,5,3125,5,,21,"]
+    rows = [r.split(",") for r in buf.getvalue().strip().splitlines()[1:]]
+    assert all("" not in r for r in rows)
+    a, m, n, kappa_pred, kappa_meas, s_pred, s_meas = rows[-1]
+    assert (a, m, n, kappa_pred, s_pred, s_meas) == ("3", "8", "6561", "8", "17", "17")
+    assert float(kappa_meas) == pytest.approx(8.0, rel=1e-12)
