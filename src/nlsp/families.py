@@ -3,13 +3,17 @@
 Each family produces a sequence of graphs indexed by a single integer n.
 Deterministic families are rebuilt from scratch; random families draw from a
 per-instance PCG64 stream derived by hashing (base seed, family id, n), so
-instances are reproducible and order-independent.  Exact edge sets of other
-implementations' random streams are out of scope; only self-consistency and
-family-level statistics are promised.
+instances are reproducible and order-independent.  A networkx-backed family
+draws through ``_BitStreamRandom``, which reads that stream the way networkx's
+own wrapper of a ``numpy.random.Generator`` does, without its per-draw numpy
+calls: its graphs are those of the networkx generator called with the
+Generator as ``seed``.  ``gnp`` and ``gn`` are built natively from the same
+draws.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import math
@@ -23,6 +27,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 from networkx.generators.directed import random_uniform_k_out_graph
+from networkx.utils.misc import PythonRandomViaNumpyBits
 
 from .graphs import Graph
 from .growth import GrowthClass
@@ -47,6 +52,59 @@ def derive_seed(base_seed: int, family_id: str, n: int) -> int:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# The bit generator's C draws, called with the GIL held: a draw takes
+# nanoseconds, so releasing the GIL around it, as a CFUNCTYPE call would,
+# only invites a thread switch.
+_DOUBLE_DRAW = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_WORD_DRAW = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+
+def _c_draw(prototype, fn):
+    return prototype(ctypes.cast(fn, ctypes.c_void_p).value)
+
+
+class _BitStreamRandom(PythonRandomViaNumpyBits):
+    """networkx's ``random.Random`` over a Generator, drawing the same bits.
+
+    ``PythonRandomViaNumpyBits`` answers ``random()`` with
+    ``Generator.random()`` and ``getrandbits(k)`` with
+    ``Generator.bytes(ceil(k / 8))``, a numpy call of about 9 us per draw.
+    This subclass calls the bit generator's ``next_double`` and
+    ``next_uint32`` on the same state instead.  ``Generator.random()`` is one
+    ``next_double``; ``Generator.bytes(m)`` is ceil(m / 4) ``next_uint32``
+    words laid out little-endian and cut to m bytes, read here the same way.
+    ``getrandbits(0)`` is left to the parent, since numpy decides how many
+    words zero bytes take.  Every other ``random.Random`` method is built on
+    these two, so the stream, and the state left behind, match networkx's
+    own wrapper draw for draw.
+
+    The draws skip the Generator's lock: the Generator must not be shared
+    with another thread, as holds for the one ``generate`` makes per
+    instance.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__(rng)
+        iface = rng.bit_generator.ctypes
+        self._state = iface.state_address
+        self._next_double = _c_draw(_DOUBLE_DRAW, iface.next_double)
+        self._next_uint32 = _c_draw(_WORD_DRAW, iface.next_uint32)
+
+    def random(self) -> float:
+        return self._next_double(self._state)
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 0:
+            return super().getrandbits(k)
+        nbytes = (k + 7) // 8
+        draw, state = self._next_uint32, self._state
+        if nbytes <= 4:  # randrange's k <= 32: one word, no join
+            raw = draw(state).to_bytes(4, "little")
+        else:
+            raw = b"".join([draw(state).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)])
+        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - k)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +165,28 @@ def _gnp(n: int, p: float, rng: np.random.Generator) -> Graph:
     u, v = np.triu_indices(n, 1)
     keep = rng.random(u.size) < p
     return _unit(n, u[keep], v[keep])
+
+
+def _gn(n: int, rng: np.random.Generator) -> Graph:
+    """The growing network digraph with a linear kernel, the graph of
+    nx.gn_graph(n, kernel=lambda d: d, seed=rng).
+
+    Vertex s >= 2 draws u = random() and links to the first vertex t with
+    (deg[0] + ... + deg[t]) / 2(s - 1) >= u, the total degree being 2(s - 1):
+    the target of networkx's discrete_sequence, whose CDF divides the
+    integer prefix sums by the total.  The draws are the n - 2 doubles
+    networkx takes, one per vertex, taken in one call; the edges (s, t) come
+    in s order after (1, 0).  A draw of exactly 0.0 links to vertex 0, where
+    networkx adds a vertex labelled -1.
+    """
+    deg = np.ones(n, dtype=np.int64)
+    target = np.zeros(max(n - 1, 0), dtype=np.int64)
+    draws = rng.random(max(n - 2, 0))
+    for s in range(2, n):
+        t = (np.cumsum(deg[:s]) / (2 * (s - 1))).searchsorted(draws[s - 2])
+        target[s - 1] = t
+        deg[t] += 1
+    return _unit(n, np.arange(1, n), target, directed=True)
 
 
 def _hypercube(n: int, directed: bool = False) -> Graph:
@@ -185,8 +265,9 @@ def _adjacency_lambda2(g: "nx.Graph") -> float:
 
 
 def _expander(n: int, rng: np.random.Generator) -> BuildResult:
+    stream = _BitStreamRandom(rng)  # one stream across the retries
     for _ in range(EXPANDER_RETRY_LIMIT):
-        cand = nx.random_regular_graph(6, n, seed=rng)
+        cand = nx.random_regular_graph(6, n, seed=stream)
         if _adjacency_lambda2(cand) <= RAMANUJAN_BOUND + 1e-9:
             return _from_nx(cand, directed=False)
     g = _from_nx(cand, directed=False)
@@ -401,12 +482,21 @@ def _dir(fid, growth, build, schedule, params=None, rand=False):
     return CatalogEntry(fid, "incidence", growth, build, tuple(schedule), params or {}, seed)
 
 
+def _nx_build(fn, directed: bool):
+    # a random family's networkx generator draws through _BitStreamRandom
+    def build(n, params, rng):
+        seed = None if rng is None else _BitStreamRandom(rng)
+        return _from_nx(fn(n, params, seed), directed)
+
+    return build
+
+
 def _nx_und(fn):
-    return lambda n, params, rng: _from_nx(fn(n, params, rng), directed=False)
+    return _nx_build(fn, directed=False)
 
 
 def _nx_dir(fn):
-    return lambda n, params, rng: _from_nx(fn(n, params, rng), directed=True)
+    return _nx_build(fn, directed=True)
 
 
 # networkx 3.5 renamed random_lobster, keeping the old name as a deprecated
@@ -480,8 +570,7 @@ _CATALOG_ENTRIES = [
     _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _hypercube(n, directed=True),
          range(2, 15)),
     # -- directed, random (seed 19) -----------------------------------------
-    _dir("gn", _N1, _nx_dir(lambda n, p, r: nx.gn_graph(n, kernel=lambda d: d, seed=r)),
-         range(5, 5000), rand=True),
+    _dir("gn", _N1, lambda n, p, r: _gn(n, r), range(5, 5000), rand=True),
     _dir("gnc", _N2, _nx_dir(lambda n, p, r: nx.gnc_graph(n, seed=r)), range(5, 1201), rand=True),
     _dir("gnr", _N1, _nx_dir(lambda n, p, r: nx.gnr_graph(n, 0.5, seed=r)), range(5, 5000), rand=True),
     _dir("gaussian_random_partition_directed", _N2,

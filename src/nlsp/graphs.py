@@ -162,6 +162,15 @@ class SymmetricMatrix(RectMatrix):
             raise ValueError("matrix is not symmetric")
         self.order = self.rows
 
+    @classmethod
+    def _built_symmetric(cls, a) -> "SymmetricMatrix":
+        """``a`` in canonical CSR without the symmetry check, for a matrix
+        assembled from symmetric blocks."""
+        m = cls.__new__(cls)
+        RectMatrix.__init__(m, a)
+        m.order = m.rows
+        return m
+
 
 def laplacian(g: Graph) -> SymmetricMatrix:
     """Weighted Laplacian L = D - Q (undirected only).
@@ -217,12 +226,23 @@ def pad_to_power_of_two(m: SymmetricMatrix, fill: float) -> SymmetricMatrix:
     The caller is responsible for choosing fill inside the nonzero spectral
     range when the condition number must be preserved.
     """
-    if fill <= 0:
+    if not fill > 0:
         raise ValueError("fill must be positive")
     target = next_power_of_two(m.order)
     if target == m.order:
         return m
-    return SymmetricMatrix(sp.block_diag((m.csr, fill * sp.eye_array(target - m.order))))
+    # The padding rows hold one entry each, so m's canonical CSR arrays
+    # extend in place; m and fill * I are symmetric, so their direct sum
+    # needs no check.
+    csr, extra = m.csr, np.arange(1, target - m.order + 1)
+    return SymmetricMatrix._built_symmetric(sp.csr_array(
+        (
+            np.concatenate((csr.data, np.full(extra.size, float(fill)))),
+            np.concatenate((csr.indices, m.order - 1 + extra)),
+            np.concatenate((csr.indptr, csr.indptr[-1] + extra)),
+        ),
+        shape=(target, target),
+    ))
 
 
 def write_edge_list(g: Graph, fh: IO[str]) -> None:

@@ -1,10 +1,14 @@
 import hashlib
 import logging
 import math
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.utils.misc import PythonRandomViaNumpyBits
 
 from nlsp.families import (
     CATALOG,
@@ -17,6 +21,7 @@ from nlsp.families import (
     make_spec,
     repair_sources_sinks,
 )
+from nlsp.families import _BitStreamRandom, _gn, _rng
 from nlsp.graphs import Graph
 from nlsp.growth import GrowthClass
 from nlsp.spectral import measure
@@ -408,9 +413,107 @@ def test_turan_matches_networkx(n):
 def test_gnp_matches_networkx_stream(n, seed):
     # Same PCG64 stream, one draw per vertex pair in combinations order: any
     # change to networkx's draw order fails here instead of shifting records.
-    from nlsp.families import _rng
-
     g = generate(make_spec("gnp", schedule=(n,), seed=seed), n).graph
     ref = nx.gnp_random_graph(n, 0.8, seed=_rng(derive_seed(seed, "gnp", n)))
     assert g.n_vertices == ref.number_of_nodes() == n
     assert [(u, v) for u, v, _ in g.edges] == _nx_edge_list(ref)
+
+
+# -- random streams --------------------------------------------------------------
+
+# sha256 of the vertex count and the u, v, w arrays of each random family at
+# its catalog seed, at three schedule points, the last a large one; recorded
+# while every networkx family still drew through networkx's own Generator
+# wrapper and gn was nx.gn_graph.
+RANDOM_FAMILY_DIGESTS = {
+    "random_regular_expander": ((9, 509, 2509), "de3473f6b61f79cb44640cda82b1c73d1b0fa362b1eba061d0e7c0b56f9fb258"),
+    "barabasi_albert": ((5, 505, 2507), "811f0689a863bab210442101851cd8a4267460455458bd7d5ca8f77543b953df"),
+    "newman_watts_strogatz": ((5, 505, 2505), "e9ade9171a848841adcad4daa55fd20e20da8c487ce1a09f6aaba551f28955a5"),
+    "random_regular": ((5, 505, 2509), "75eff00215b28b4873310954bbd15a0fe9f5948315a3c8940080d3f03d2b4cae"),
+    "gnp": ((5, 505, 1505), "66c3cfecd3803407c73274d247e55b52a86dff9730fdc4006f6411a5df9c568c"),
+    "gaussian_random_partition": ((5, 105, 505), "094efce9333eb00cbc6d4ca0666f1cf78742c7441945d630bd58283a53e94cf4"),
+    "geographical_threshold": ((5, 105, 505), "f6c71df58ddbfdf89f3b10de3a049e24348c848b92836693dda15565cedae45a"),
+    "soft_random_geometric": ((5, 105, 305), "525ce123474e62759ce36820d80a756b54b0968de16e31d16cb0fb0620fb952d"),
+    "thresholded_random_geometric": ((5, 105, 505), "bfaacdda321f2b0f1955002205e19ce4306d06be16b633d2e6ade659e7007557"),
+    "planted_partition": ((5, 55, 255), "af8f906f71948b264ade09a5f03a70fdc6edc6d8f1d3a7a464da1e0a358f5608"),
+    "random_geometric": ((7, 107, 507), "8f9e8c85116f61175e5deb56f2b1dbd03704c371ff3b500bdbd86524cf5a6a53"),
+    "uniform_random_intersection": ((5, 55, 304), "0eec197d171d2bfe03a20a9390be9ce7b0c420caa1eb68967ad9cab1c7b514ab"),
+    "random_lobster": ((10, 209, 2000), "1253de6a335846805bb63a02b6d761ff795e401944b7bdcaa106985828a34f67"),
+    "gn": ((5, 504, 4999), "e22bec1cab3bf95048d3be1b4eed937bbf8fa453490fbe85dc62ed4716e315d2"),
+    "gnc": ((5, 124, 300), "ae9986aee4e1cf43aa6238c354a95ec5e5589d49a590f637c2cd438bd36ba7c3"),
+    "gnr": ((5, 504, 4999), "fb219c3876307f99769e7138242312cd757534c6dc7d95af650f4feb07c29eae"),
+    "gaussian_random_partition_directed": ((5, 21, 170), "ab283c29c5e252389b9f1565c4f684c0e0104019a27b6ba082014ab65e0a113d"),
+    "planted_partition_directed": ((5, 9, 44), "41281eb8068ac86b7e5f34c0c6f71f9587cd47d40b25bfb4a06ceed158f406ff"),
+    "navigable_small_world": ((5, 14, 20), "f9742a31b4ea125f8bca0a2ced9bed8785af3c2e713beda21ed65c07e5448ee3"),
+    "gnp_directed": ((9, 38, 298), "9c35854ee5dccbad1522f3a8344d4a4a8dc079f7320b77c0c0283eacdbbcd6c5"),
+    "random_uniform_kout": ((4, 368, 3650), "f3041b5ff9bc9bc71306e0453dc1115c7226562d846b6ca8197134d804a4760c"),
+    "scale_free": ((5, 344, 3400), "67dca3439452855e92daee1efdb688f27fff19f8935f38fc8eefe7e810ea4569"),
+}
+
+
+def test_every_random_family_has_a_recorded_digest():
+    assert set(RANDOM_FAMILY_DIGESTS) == {f for f, e in CATALOG.items() if e.random}
+
+
+@pytest.mark.parametrize("family_id", sorted(RANDOM_FAMILY_DIGESTS))
+def test_random_family_edges_match_their_recorded_digest(family_id):
+    points, want = RANDOM_FAMILY_DIGESTS[family_id]
+    spec = make_spec(family_id)
+    h = hashlib.sha256()
+    for n in points:
+        g = generate(spec, n).graph
+        h.update(f"{g.n_vertices}:".encode())
+        for a in (g.u.astype("<i8"), g.v.astype("<i8"), g.w.astype("<f8")):
+            h.update(a.tobytes())
+    assert h.hexdigest() == want
+
+
+_DRAWS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("getrandbits"), st.integers(0, 200)),
+    st.tuples(st.just("randrange"), st.integers(1, 2**70)),
+    st.tuples(st.just("sample"), st.integers(1, 60), st.integers(0, 60)),
+    st.tuples(st.just("shuffle"), st.integers(0, 60)),
+)
+
+
+def _draw(r, call):
+    name, *args = call
+    if name == "sample":
+        size, k = args
+        return r.sample(range(size), min(k, size))
+    if name == "shuffle":
+        items = list(range(args[0]))
+        r.shuffle(items)
+        return items
+    return getattr(r, name)(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=40))
+def test_bit_stream_random_draws_what_networkx_draws(seed, calls):
+    ours, theirs = _BitStreamRandom(_rng(seed)), PythonRandomViaNumpyBits(_rng(seed))
+    for call in calls:
+        assert _draw(ours, call) == _draw(theirs, call), call
+    assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
+
+
+def test_gn_matches_networkx_on_the_same_stream():
+    for n in range(2, 301):
+        ref = nx.gn_graph(n, kernel=lambda d: d, seed=_rng(n))
+        g = _gn(n, _rng(n))
+        assert g.n_vertices == n and g.directed
+        assert list(zip(g.u.tolist(), g.v.tolist())) == list(ref.edges()), n
+
+
+def test_gn_links_a_zero_draw_to_vertex_zero(monkeypatch):
+    draws = _rng(4).random(8)
+    draws[0] = 0.0
+    # networkx turns the draw 0.0 into the target -1, a vertex outside 0..n-1
+    stream = iter(draws.tolist())
+    monkeypatch.setattr(_BitStreamRandom, "random", lambda self: next(stream))
+    ref = nx.gn_graph(10, kernel=lambda d: d, seed=_BitStreamRandom(_rng(4)))
+    assert (2, -1) in ref.edges()
+    g = _gn(10, SimpleNamespace(random=lambda size: draws[:size]))
+    assert g.n_vertices == 10
+    assert (g.u[1], g.v[1]) == (2, 0)

@@ -167,8 +167,9 @@ def test_pad_to_power_of_two():
     p8 = pad_to_power_of_two(m5, 2.0)
     assert p8.order == 8
     assert [p8.entry(k, k) for k in range(5, 8)] == [2.0, 2.0, 2.0]
-    with pytest.raises(ValueError):
-        pad_to_power_of_two(m5, 0.0)
+    for fill in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="fill must be positive"):
+            pad_to_power_of_two(m5, fill)
     assert [next_power_of_two(k) for k in (1, 2, 3, 5, 8, 9)] == [1, 2, 4, 8, 8, 16]
 
 

@@ -432,6 +432,12 @@ class TestEffectiveResistance:
         got = effective_resistance(complete_graph(6), 0, 1, "hhl", default_config(10, 10.0))
         assert got == pytest.approx(1.0 / 3.0, rel=1e-2)
 
+    def test_hhl_path_value_is_pinned(self):
+        # gnp 200 pads to order 256 with the default clock; the value was
+        # recorded while the padded Laplacian was symmetry-checked twice
+        g = generate(make_spec("gnp", schedule=(200,), seed=3), 200).graph
+        assert effective_resistance(g, 0, 7, "hhl") == float.fromhex("0x1.8e596d6cb378fp-7")
+
     @pytest.mark.parametrize("n_r", [4, 8, 10])
     def test_weak_link_is_not_a_null_mode(self, n_r):
         # λ₂ ≈ 1e-7 lies below the absolute cutoff 1e-6 but is no null mode:
