@@ -15,7 +15,7 @@ from .graphs import Graph, hermitian_dilation, incidence_matrix, laplacian
 from .growth import GrowthClass, compose
 from .hhl import HhlConfig, default_config, effective_resistance, hhl_solve, traffic_flow
 from .solvers import SOLVERS, evaluate_advantage, ratio_class
-from .spectral import condition_number, measure, sparsity
+from .spectral import measure, sparsity
 from .superfamily import cell_measurements, slice_verdict, tableau
 from .survey import SurveyConfig, run_survey, seed_sensitivity
 from .tables import reproduce_tables
@@ -31,7 +31,6 @@ __all__ = [
     "__version__",
     "cell_measurements",
     "compose",
-    "condition_number",
     "default_config",
     "effective_resistance",
     "evaluate_advantage",

@@ -216,7 +216,7 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
     _known_solvers([args.solver])
     doc = _load_json(args.fits)
     try:
-        scan = geometric_scan(4.0, args.max_n, 2.0)
+        scan = geometric_scan(args.max_n)
     except ValueError as exc:
         raise CliError(f"bad --max-N {args.max_n:g}: {exc}") from exc
     out: dict = {"solver": args.solver, "max_N": args.max_n, "families": {}}

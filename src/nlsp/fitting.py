@@ -57,10 +57,6 @@ class FitResult:
             return GrowthClass.poly(self.degree)
         return GrowthClass.from_rate(self.coefficients[1])
 
-    @property
-    def flagged(self) -> bool:
-        return self.max_round_deviation is not None and self.max_round_deviation > 2.0
-
     def predict(self, x: float) -> float:
         return _evaluator(self.model, self.coefficients)(x)
 
@@ -206,35 +202,27 @@ def fit_series(xs: Sequence[float], ys: Sequence[float], kind: str) -> FitResult
 
 
 class Envelope(NamedTuple):
-    """Envelope-filtered series.
-
-    xs/ys is what downstream fitting should consume: the surviving points,
-    or the untouched input (flagged) when fewer than MIN_POINTS survive.
-    kept_xs/kept_ys always hold the raw survivors of the staircase rule.
-    """
+    """Envelope-filtered series, what downstream fitting consumes: the
+    points on the upper staircase, or the untouched input, flagged, when
+    fewer than MIN_POINTS of them survive."""
 
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     flagged: bool
-    kept_xs: tuple[float, ...]
-    kept_ys: tuple[float, ...]
 
 
-def upper_envelope(
-    xs: Sequence[float], ys: Sequence[float], window: int = ENVELOPE_WINDOW
-) -> Envelope:
+def upper_envelope(xs: Sequence[float], ys: Sequence[float]) -> Envelope:
     """Keep the points on the upper staircase of a noisy series.
 
-    A point survives iff it attains the maximum of the trailing window ending
-    at it.
+    A point survives iff it attains the maximum of the trailing
+    ENVELOPE_WINDOW points ending at it.
     """
     _require_points(len(xs))
     kept_x, kept_y = [], []
     for i, (x, y) in enumerate(zip(xs, ys)):
-        if y >= max(ys[max(0, i - window + 1) : i + 1]):
+        if y >= max(ys[max(0, i - ENVELOPE_WINDOW + 1) : i + 1]):
             kept_x.append(x)
             kept_y.append(y)
     if len(kept_x) < MIN_POINTS:
-        return Envelope(tuple(xs), tuple(ys), True, tuple(kept_x), tuple(kept_y))
-    return Envelope(tuple(kept_x), tuple(kept_y), False, tuple(kept_x), tuple(kept_y))
-
+        return Envelope(tuple(xs), tuple(ys), True)
+    return Envelope(tuple(kept_x), tuple(kept_y), False)

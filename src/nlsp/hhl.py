@@ -504,26 +504,24 @@ def detect_fixed_clock_qubits(
     a: SymmetricMatrix,
     b: Sequence[float],
     cfg: HhlConfig,
-    p_th: float = MQF_THRESHOLD,
 ) -> set[tuple[int, int]]:
     """Clock qubits whose post-QPE marginal clears the fixing threshold.
 
     Returns (qubit, bit) pairs with qubit 0 the most significant clock bit.
     A qubit is fixable when one bit value carries marginal probability at
-    least p_th, in which case its controlled gates can be replaced by
-    classically conditioned ones.  Null eigenvalues are as in ``hhl_solve``.
+    least MQF_THRESHOLD, in which case its controlled gates can be replaced
+    by classically conditioned ones.  Null eigenvalues are as in
+    ``hhl_solve``.
     """
-    if not 0.5 < p_th <= 1.0:
-        raise ValueError("p_th must lie in (1/2, 1]")
     histogram = _clock_histogram(a, b, cfg)
     ticks = np.arange(cfg.n_bins)
     fixed: set[tuple[int, int]] = set()
     for q in range(cfg.n_r):
         hot = (ticks >> (cfg.n_r - 1 - q)) & 1
         p_one = float(histogram[hot == 1].sum())
-        if p_one >= p_th:
+        if p_one >= MQF_THRESHOLD:
             fixed.add((q, 1))
-        elif 1.0 - p_one >= p_th:
+        elif 1.0 - p_one >= MQF_THRESHOLD:
             fixed.add((q, 0))
     return fixed
 
@@ -649,13 +647,7 @@ def graph_config(
     """The default clock for ``graph_system(g)``: ``default_config`` at the
     absolute row bound, in the signed window for a digraph, whose dilation
     has eigenvalues of both signs."""
-    return _default_clock(g, abs_row_bound(graph_system(g)), n_r, shots, seed)
-
-
-def _default_clock(
-    g: Graph, bound: float, n_r: int, shots: int | None = None, seed: int | None = None
-) -> HhlConfig:
-    """graph_config's recipe, for a caller that already holds the bound."""
+    bound = abs_row_bound(graph_system(g))
     return default_config(n_r, bound, signed=g.directed, shots=shots, seed=seed)
 
 
@@ -670,7 +662,7 @@ def _graph_solve(
     system = hermitian_dilation(inc) if g.directed else laplacian(g)
     bound = abs_row_bound(system)
     if cfg is None:
-        cfg = _default_clock(g, bound, DEFAULT_CLOCK_QUBITS)
+        cfg = default_config(DEFAULT_CLOCK_QUBITS, bound, signed=g.directed)
     order = next_power_of_two(system.order)
     vec = np.zeros(order)
     vec[: len(rhs)] = rhs

@@ -1,6 +1,9 @@
 """Condition number and sparsity of survey system matrices.
 
-Every system is measured on one order-n PSD matrix G: the Laplacian L, or
+``measure`` is the one κ function.  It picks no eigenvalue by magnitude:
+the kernel dimension is counted, so no cutoff enters a κ (the survey's flag
+threshold only annotates).  Every system is measured on one order-n PSD
+matrix G: the Laplacian L, or
 B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
 eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
 squaring leaves σmin a relative error of about ε·κ²/2.  G has zero row sums
@@ -36,7 +39,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import RectMatrix, SymmetricMatrix
 
-DEFAULT_CUTOFF = 1e-6
 DEFAULT_DENSE_LIMIT = 3000
 _ITERATIVE_TOL = 1e-8
 # G counts as sparse, and takes Lanczos below the dense limit too, when its
@@ -59,14 +61,10 @@ def dense_limit() -> int:
     return DEFAULT_DENSE_LIMIT
 
 
-def zero_tolerance(eigs: np.ndarray, cutoff: Optional[float] = None) -> float:
+def zero_tolerance(eigs: np.ndarray) -> float:
     """Magnitude at or below which an eigenvalue of ``eigs`` counts as zero:
-    ``cutoff``, or numpy's rank tolerance order·ε·max|λ| when None."""
-    if cutoff is None:
-        return eigs.size * np.finfo(float).eps * float(np.abs(eigs).max())
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    return cutoff
+    numpy's rank tolerance order·ε·max|λ|."""
+    return eigs.size * np.finfo(float).eps * float(np.abs(eigs).max())
 
 
 @dataclass(frozen=True)
@@ -85,15 +83,6 @@ class SpectralRecord:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
         if not 0 < self.sparsity <= self.system_size:
             raise ValueError("sparsity must lie in 1..system_size")
-
-
-def full_spectrum(m: SymmetricMatrix, dense_limit: Optional[int] = None) -> np.ndarray:
-    """All eigenvalues, ascending.  Refuses orders above the dense limit
-    (3000 when None)."""
-    limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
-    if m.order > limit:
-        raise ValueError(f"order {m.order} exceeds dense limit {limit}; use extreme_eigs")
-    return np.linalg.eigvalsh(m.to_dense())
 
 
 def extreme_eigs(
@@ -202,16 +191,6 @@ def _smallest_deflated(a, means, lam_max: float, v0: np.ndarray) -> float:
         spla.LinearOperator(a.shape, matvec=deflated, dtype=float), k=1, which="SA", v0=v0,
         tol=_ITERATIVE_TOL, return_eigenvectors=False,
     )[0])
-
-
-def condition_number(m: SymmetricMatrix, cutoff: Optional[float] = None) -> float:
-    """max|λ| / min nonzero |λ| of any symmetric m up to order 3000, where
-    |λ| at or below ``zero_tolerance(eigs, cutoff)`` counts as zero."""
-    eigs = np.abs(full_spectrum(m))
-    nonzero = eigs[eigs > zero_tolerance(eigs, cutoff)]
-    if not nonzero.size:
-        raise ValueError("effectively zero matrix: all eigenvalues below cutoff")
-    return float(eigs.max()) / float(nonzero.min())
 
 
 def sparsity(m: RectMatrix) -> int:

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -32,24 +32,28 @@ from .fitting import FitResult, fit_series, upper_envelope
 from .graphs import RectMatrix, incidence_matrix, laplacian
 from .growth import CompositionError, GrowthClass, compose
 from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver, ratio_R
-from .spectral import DEFAULT_CUTOFF, SpectralRecord, measure
+from .spectral import SpectralRecord, measure
 
 SCHEMA_VERSION = 1
 DEFAULT_SOLVERS = ("HHL", "CKS(1)", "DREAM")
+# An instance whose smallest nonzero eigenvalue is at or below this gets a
+# note, and records.csv echoes it; it picks no eigenvalue.
+FLAG_CUTOFF = 1e-6
 
 
-def geometric_scan(
-    start: float = 4.0, stop: float = 1e12, factor: float = 2.0
-) -> tuple[float, ...]:
-    """Geometric grid of system sizes for numeric crossover scans."""
-    if not (start > 0 and math.isfinite(stop) and stop >= start and factor > 1):
-        raise ValueError("need start > 0, finite stop >= start, factor > 1")
+def geometric_scan(stop: float = 1e12) -> tuple[float, ...]:
+    """System sizes 4, 8, 16, ... up to ``stop``, for numeric crossover scans."""
+    if not (math.isfinite(stop) and stop >= 4):
+        raise ValueError("need a finite stop >= 4")
     points = []
-    x = start
+    x = 4.0
     while x <= stop:
         points.append(x)
-        x *= factor
+        x *= 2
     return tuple(points)
+
+
+CROSSOVER_SCAN = geometric_scan()
 
 
 def system_matrix(instance) -> RectMatrix:
@@ -68,31 +72,26 @@ class SurveyConfig:
     base_seed is provenance for configs loaded from JSON, where it seeds
     every random family that carries no explicit per-family seed; specs
     passed in directly are used as-is.  output_dir None keeps the run
-    in memory.  cutoff only flags: a smallest nonzero eigenvalue at or
-    below it gets a note in the family's notes, and records.csv echoes it.
-    Orders above dense_limit (3000 when None) take Lanczos, and so does a
-    sparse G at any order: order above 256, at most order²/16 entries.
+    in memory.  Orders above dense_limit (3000 when None) take Lanczos, and
+    so does a sparse G at any order: order above 256, at most order²/16
+    entries.  The flag threshold (FLAG_CUTOFF) and the crossover scan
+    (CROSSOVER_SCAN) are fixed.
     """
 
     families: tuple[FamilySpec, ...]
-    cutoff: float = DEFAULT_CUTOFF
     dense_limit: Optional[int] = None
     solvers: tuple[str, ...] = DEFAULT_SOLVERS
-    scan_range: tuple[float, ...] = field(default_factory=geometric_scan)
     output_dir: Optional[str] = None
     base_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "solvers", tuple(self.solvers))
-        object.__setattr__(self, "scan_range", tuple(float(x) for x in self.scan_range))
         if not self.families:
             raise ValueError("families must be nonempty")
         for spec in self.families:
             if not isinstance(spec, FamilySpec):
                 raise ValueError("families must be FamilySpec instances")
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
         if self.dense_limit is not None and not (
             is_integer(self.dense_limit) and self.dense_limit >= 1
         ):
@@ -101,8 +100,6 @@ class SurveyConfig:
             raise ValueError("solvers must be nonempty")
         for name in self.solvers:
             get_solver(name)  # raises KeyError on unknown names
-        if any(b <= a for a, b in zip(self.scan_range, self.scan_range[1:])):
-            raise ValueError("scan_range must be strictly increasing")
         if self.output_dir is not None:
             path = Path(self.output_dir)
             path.mkdir(parents=True, exist_ok=True)
@@ -126,10 +123,8 @@ class SurveyConfig:
 def config_to_dict(config: SurveyConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "cutoff": config.cutoff,
         "dense_limit": config.dense_limit,
         "solvers": list(config.solvers),
-        "scan_range": list(config.scan_range),
         "output_dir": config.output_dir,
         "base_seed": config.base_seed,
         "families": [
@@ -145,13 +140,28 @@ def config_to_dict(config: SurveyConfig) -> dict:
     }
 
 
+_CONFIG_KEYS = ("schema", "dense_limit", "solvers", "output_dir", "base_seed", "families")
+_FAMILY_KEYS = ("family", "schedule", "seed", "params", "weight_rule")
+
+
+def _reject_unknown_keys(doc: Mapping, allowed: Sequence[str], where: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; allowed: {', '.join(allowed)}")
+
+
 def config_from_dict(data: Mapping) -> SurveyConfig:
-    """Build a validated config from the JSON document format."""
+    """Build a validated config from the JSON document format, which holds
+    exactly the keys ``config_to_dict`` writes; any other key is an error."""
+    _reject_unknown_keys(data, _CONFIG_KEYS, "the config")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {data.get('schema')!r}")
     base_seed = data.get("base_seed")
     specs = []
     for entry in data.get("families", []):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"a family entry must be an object, got {entry!r}")
+        _reject_unknown_keys(entry, _FAMILY_KEYS, "a family entry")
         if "family" not in entry:
             raise ValueError("family entry missing 'family'")
         seed = entry.get("seed")
@@ -168,7 +178,7 @@ def config_from_dict(data: Mapping) -> SurveyConfig:
             )
         )
     kwargs = {}
-    for key in ("cutoff", "dense_limit", "solvers", "scan_range", "output_dir"):
+    for key in ("dense_limit", "solvers", "output_dir"):
         if data.get(key) is not None:
             kwargs[key] = data[key]
     return SurveyConfig(families=tuple(specs), base_seed=base_seed, **kwargs)
@@ -283,7 +293,7 @@ class SurveyResult:
                 lambda_min_nz=i.record.lambda_min_nz,
                 lambda_max=i.record.lambda_max,
                 sparsity=i.record.sparsity,
-                cutoff=self.config.cutoff,
+                cutoff=FLAG_CUTOFF,
                 seed=i.seed,
             )
             for i in outcome.instances
@@ -381,10 +391,10 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> Instanc
         error = f"{type(exc).__name__}: {exc}"
         return InstanceResult(n, None, None, error, (), time.perf_counter() - start)
     warnings = instance.warnings
-    if record.lambda_min_nz <= config.cutoff:
+    if record.lambda_min_nz <= FLAG_CUTOFF:
         warnings += (
             f"smallest nonzero eigenvalue {record.lambda_min_nz!r} is at or below "
-            f"the cutoff {config.cutoff!r}",
+            f"the cutoff {FLAG_CUTOFF!r}",
         )
     return InstanceResult(n, instance.seed, record, None, warnings, time.perf_counter() - start)
 
@@ -476,7 +486,7 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         if kappa_fit is not None:
             try:
                 _, _, verdicts = classify_fits(
-                    kappa_fit, s_fit, spec.size_growth, config.solvers, config.scan_range
+                    kappa_fit, s_fit, spec.size_growth, config.solvers, CROSSOVER_SCAN
                 )
             except CompositionError as exc:
                 notes.append(f"composition failed: {exc}")
@@ -637,10 +647,7 @@ def seed_sensitivity(config: SurveyConfig, seeds: Sequence[int]) -> SeedSensitiv
     table: dict[str, dict[int, dict[str, Optional[str]]]] = {k: {} for k in config.family_keys()}
     for seed in seeds:
         reseeded = tuple(dataclasses.replace(spec, seed=seed) for spec in config.families)
-        # one worker keeps the measurements in schedule order
-        result = run_survey(
-            dataclasses.replace(config, families=reseeded, output_dir=None), max_workers=1
-        )
+        result = run_survey(dataclasses.replace(config, families=reseeded, output_dir=None))
         for outcome in result.outcomes:
             table[outcome.key][seed] = {
                 name: (outcome.verdicts[name].category if name in outcome.verdicts else None)

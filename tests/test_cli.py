@@ -221,6 +221,16 @@ class TestSurveyCommands:
         assert main(["survey", "run", str(path)]) == EXIT_CONFIG
         assert "error: bad config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, key", [("family", "shedule"), ("config", "cutoff")])
+    def test_run_unknown_config_key(self, tmp_path, where, key, capsys):
+        family = {"family": "hypercube", "schedule": [2, 3, 4, 5]}
+        doc = {"schema": 1, "families": [family]}
+        (family if where == "family" else doc)[key] = [10, 20]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["survey", "run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: bad config: unknown key '{key}'")
+
     @pytest.mark.parametrize(
         "key, value, message",
         [

@@ -87,13 +87,11 @@ def test_sparsity_rounding_deviation():
     ys = [4, 4, 4, 4, 4, 4]
     fit = fit_series(XS[:6], ys, kind="sparsity")
     assert fit.max_round_deviation == 0
-    assert not fit.flagged
 
     bad = [4, 4, 9, 4, 4, 4]
     fit2 = fit_series(XS[:6], bad, kind="sparsity")
     assert fit2.max_round_deviation is not None
     assert fit2.max_round_deviation > 2
-    assert fit2.flagged
 
 
 def test_determinism_bit_for_bit():
@@ -156,10 +154,13 @@ def test_envelope_sawtooth():
     # series falls back to the full input, flagged.
     xs = [10, 20, 30, 40, 50]
     env = upper_envelope(xs, [5, 1, 6, 2, 7])
-    assert env.kept_xs == (10, 30, 50)
-    assert env.kept_ys == (5, 6, 7)
     assert env.flagged
     assert env.xs == tuple(xs)
+    assert env.ys == (5, 1, 6, 2, 7)
+    # one more rise leaves 4 survivors, which the envelope keeps
+    env = upper_envelope(xs + [60], [5, 1, 6, 2, 7, 8])
+    assert not env.flagged
+    assert (env.xs, env.ys) == ((10, 30, 50, 60), (5, 6, 7, 8))
 
 
 def test_envelope_fallback_flags():

@@ -303,10 +303,13 @@ class TestFixedClockQubits:
         assert detect_fixed_clock_qubits(diag, [1.0, 1.0], cfg) == set()
 
     def test_threshold_validation(self):
-        diag = SymmetricMatrix(np.diag([1.0, 2.0]))
+        # bins 001 and 110 split the mass 0.81 / 0.19 or 0.79 / 0.21: only
+        # the first clears MQF_THRESHOLD = 0.8 on every qubit
+        diag = SymmetricMatrix(np.diag([1.0, 6.0]))
         cfg = HhlConfig(n_r=3, t=2.0 * math.pi / 8.0, C=0.1)
-        with pytest.raises(ValueError, match="p_th"):
-            detect_fixed_clock_qubits(diag, [1.0, 0.0], cfg, p_th=0.5)
+        fixed = detect_fixed_clock_qubits(diag, [0.9, math.sqrt(0.19)], cfg)
+        assert fixed == {(0, 0), (1, 0), (2, 1)}
+        assert detect_fixed_clock_qubits(diag, [math.sqrt(0.79), math.sqrt(0.21)], cfg) == set()
         with pytest.raises(ValueError, match="finite"):
             detect_fixed_clock_qubits(diag, [1.0, math.inf], cfg)
 

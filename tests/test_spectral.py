@@ -16,14 +16,7 @@ from nlsp.graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from nlsp.spectral import (
-    DEFAULT_CUTOFF,
-    condition_number,
-    extreme_eigs,
-    full_spectrum,
-    measure,
-    sparsity,
-)
+from nlsp.spectral import extreme_eigs, measure, sparsity, zero_tolerance
 
 
 def complete(n: int) -> Graph:
@@ -68,54 +61,40 @@ def path_cycle_point() -> Graph:
     return Graph.from_edges(17, edges, directed=True)
 
 
+def dense_kappa(m: SymmetricMatrix) -> float:
+    """max|λ| / min nonzero |λ| of any symmetric m, from eigvalsh, with |λ|
+    at or below numpy's rank tolerance counted as zero."""
+    eigs = np.abs(np.linalg.eigvalsh(m.to_dense()))
+    return float(eigs.max() / eigs[eigs > zero_tolerance(eigs)].min())
+
+
 def test_full_spectrum_k4():
-    eigs = full_spectrum(laplacian(complete(4)))
+    eigs = np.linalg.eigvalsh(laplacian(complete(4)).to_dense())
     assert eigs == pytest.approx([0, 4, 4, 4], abs=1e-9)
 
 
 def test_full_spectrum_hypercube3():
     # Eigenvalues 2k with multiplicity C(3, k).
-    eigs = full_spectrum(laplacian(hypercube(3)))
+    eigs = np.linalg.eigvalsh(laplacian(hypercube(3)).to_dense())
     assert eigs == pytest.approx([0, 2, 2, 2, 4, 4, 4, 6], abs=1e-9)
-
-
-def test_full_spectrum_trivial_and_residual():
-    assert full_spectrum(SymmetricMatrix([[3.5]])) == pytest.approx([3.5])
-    dense = laplacian(ladder(6)).to_dense()
-    vals, vecs = np.linalg.eigh(dense)
-    norm = np.linalg.norm(dense, 2)
-    for k in range(len(vals)):
-        assert np.linalg.norm(dense @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-8 * max(norm, 1.0)
-
-
-def test_full_spectrum_refuses_large():
-    with pytest.raises(ValueError, match="extreme_eigs"):
-        full_spectrum(laplacian(ladder(4)), dense_limit=5)
-    # condition_number has no iterative path: it refuses orders above 3000
-    with pytest.raises(ValueError, match="exceeds dense limit 3000"):
-        condition_number(laplacian(ladder(1501)))
 
 
 def test_extreme_eigs_examples():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert extreme_eigs(laplacian(c4), kernel=1) == pytest.approx((2.0, 4.0), abs=1e-9)
-    assert condition_number(laplacian(c4)) == pytest.approx(2.0, abs=1e-9)
+    assert measure(laplacian(c4), "laplacian").kappa == pytest.approx(2.0, abs=1e-9)
     # the dilation is indefinite: its |λ| extremes are those measure reads off B·Bᵀ
     h = hermitian_dilation(incidence_matrix(directed_c4()))
     rec = measure(incidence_matrix(directed_c4()), "incidence")
     assert (rec.lambda_min_nz, rec.lambda_max) == pytest.approx((math.sqrt(2), 2.0), abs=1e-9)
-    assert condition_number(h) == pytest.approx(math.sqrt(2), abs=1e-9)
+    assert dense_kappa(h) == pytest.approx(rec.kappa, abs=1e-9)
     k2 = laplacian(Graph.from_edges(2, [(0, 1)]))
     assert extreme_eigs(k2, kernel=1) == pytest.approx((2.0, 2.0))
-    assert condition_number(k2) == pytest.approx(1.0)
+    assert measure(k2, "laplacian").kappa == pytest.approx(1.0)
 
 
 def test_extreme_eigs_zero_matrix():
     zero = SymmetricMatrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="effectively zero"):
-        condition_number(zero, DEFAULT_CUTOFF)
-    with pytest.raises(ValueError, match="effectively zero"):
-        condition_number(zero)
     with pytest.raises(ValueError, match="effectively zero"):
         extreme_eigs(zero, kernel=3)
 
@@ -135,23 +114,15 @@ def test_lanczos_path_checks_the_kernel_against_the_components():
 
 
 def test_condition_number_families():
+    def kappa(g: Graph) -> float:
+        return measure(laplacian(g), "laplacian").kappa
+
     for n in (4, 6, 9):
-        assert condition_number(laplacian(complete(n))) == pytest.approx(1.0, abs=1e-9)
+        assert kappa(complete(n)) == pytest.approx(1.0, abs=1e-9)
     for n in (2, 3, 4, 5, 6):
-        assert condition_number(laplacian(hypercube(n))) == pytest.approx(n, rel=1e-9)
+        assert kappa(hypercube(n)) == pytest.approx(n, rel=1e-9)
     # Ladder kappa grows like n^2: doubling n roughly quadruples kappa.
-    k20 = condition_number(laplacian(ladder(20)))
-    k40 = condition_number(laplacian(ladder(40)))
-    assert 3.0 < k40 / k20 < 5.0
-
-
-def test_condition_number_keeps_eigenvalues_below_the_absolute_cutoff():
-    # λ₂ = 7.55e-7 of the quadratic-rule hypercube at n=11 is below 1e-6; the
-    # default rank tolerance keeps it, as measure's counted kernel does.
-    spec = make_spec("hypercube", schedule=(11,), weight_rule="quadratic_rule")
-    lap = laplacian(generate(spec, 11).graph)
-    assert condition_number(lap) == pytest.approx(1662885.0194372106, rel=1e-9)
-    assert condition_number(lap, DEFAULT_CUTOFF) == pytest.approx(1196211.018797857, rel=1e-9)
+    assert 3.0 < kappa(ladder(40)) / kappa(ladder(20)) < 5.0
 
 
 def test_sparsity_examples():
@@ -180,23 +151,26 @@ def test_sparsity_invariant_under_padding():
 
 
 def test_kappa_invariant_under_rescaling():
-    mats = [
-        laplacian(complete(5)),
-        laplacian(hypercube(3)),
-        laplacian(ladder(7)),
-        hermitian_dilation(incidence_matrix(directed_c4())),
-        laplacian(Graph.from_edges(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 3.0)])),
+    systems = [
+        (laplacian(complete(5)), "laplacian"),
+        (laplacian(hypercube(3)), "laplacian"),
+        (laplacian(ladder(7)), "laplacian"),
+        (incidence_matrix(directed_c4()), "incidence"),
+        (
+            laplacian(Graph.from_edges(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 3.0)])),
+            "laplacian",
+        ),
     ]
-    for m in mats:
-        kappa = condition_number(m, DEFAULT_CUTOFF)
-        scaled = SymmetricMatrix(10.0 * m.csr)
-        assert condition_number(scaled, DEFAULT_CUTOFF * 10.0) == pytest.approx(kappa, rel=1e-12)
+    for m, kind in systems:
+        scaled = (SymmetricMatrix if kind == "laplacian" else RectMatrix)(10.0 * m.csr)
+        kappa = measure(m, kind).kappa
+        assert measure(scaled, kind).kappa == pytest.approx(kappa, rel=1e-12)
 
 
 def test_connected_laplacians_single_zero_mode():
     for g in [complete(12), hypercube(5), ladder(30)]:
-        eigs = np.abs(full_spectrum(laplacian(g)))
-        assert int((eigs < DEFAULT_CUTOFF).sum()) == 1
+        eigs = np.abs(np.linalg.eigvalsh(laplacian(g).to_dense()))
+        assert int((eigs <= zero_tolerance(eigs)).sum()) == 1
 
 
 def test_dilation_kappa_vs_svd_oracle():
@@ -206,7 +180,7 @@ def test_dilation_kappa_vs_svd_oracle():
         cols = int(rng.integers(2, 33))
         dense = rng.normal(size=(rows, cols))
         b = RectMatrix(dense)
-        kappa = condition_number(hermitian_dilation(b), 1e-9)
+        kappa = dense_kappa(hermitian_dilation(b))
         sigma = np.linalg.svd(dense, compute_uv=False)
         nz = sigma[sigma > 1e-9]
         assert kappa == pytest.approx(nz.max() / nz.min(), rel=1e-8)

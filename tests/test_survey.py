@@ -4,16 +4,20 @@ import collections
 import csv
 import dataclasses
 import json
+import math
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlsp.families import derive_seed, make_spec
+from nlsp.families import WEIGHT_RULES, catalog_entry, derive_seed, make_spec
 from nlsp.graphs import Graph
 from nlsp.survey import (
     CSV_COLUMNS,
+    DEFAULT_SOLVERS,
     SurveyConfig,
     config_from_dict,
     config_hash,
@@ -86,10 +90,6 @@ class TestConfig:
             SurveyConfig(families=())
         with pytest.raises(KeyError, match="unknown solver"):
             SurveyConfig(families=(spec,), solvers=("GROVER",))
-        with pytest.raises(ValueError, match="scan_range"):
-            SurveyConfig(families=(spec,), scan_range=(10.0, 5.0))
-        with pytest.raises(ValueError, match="cutoff"):
-            SurveyConfig(families=(spec,), cutoff=0.0)
         for limit in (0, 2.5, True, "10"):
             with pytest.raises(ValueError, match="dense_limit must be a positive integer"):
                 SurveyConfig(families=(spec,), dense_limit=limit)
@@ -115,7 +115,6 @@ class TestConfig:
                 make_spec("hypercube", schedule=(2, 3, 4, 5)),
                 make_spec("barabasi_albert", schedule=(10, 20, 30, 40), seed=7),
             ),
-            cutoff=1e-7,
             solvers=("HHL",),
         )
         doc = json.loads(json.dumps(config_to_dict(config)))
@@ -148,6 +147,78 @@ class TestConfig:
         with pytest.raises(ValueError, match="schema"):
             config_from_dict({"schema": 99, "families": []})
 
+    @pytest.mark.parametrize("key", ["cutoff", "scan_range"])
+    def test_retired_setting_rejected(self, key):
+        doc = {"schema": 1, "families": [{"family": "hypercube"}], key: 1e-6}
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in the config; allowed: schema"):
+            config_from_dict(doc)
+
+    def test_misspelt_family_key_rejected(self):
+        # read leniently, gnp would run its whole catalog schedule
+        doc = {"schema": 1, "families": [{"family": "gnp", "shedule": [10, 20, 30, 40]}]}
+        with pytest.raises(ValueError, match="unknown key 'shedule' in a family entry; allowed"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", ["hypercube", 3, ["family", "hypercube"]])
+    def test_family_entry_must_be_an_object(self, entry):
+        with pytest.raises(ValueError, match="a family entry must be an object"):
+            config_from_dict({"schema": 1, "families": [entry]})
+
+    def test_reader_allows_exactly_the_written_keys(self):
+        doc = config_to_dict(SurveyConfig(families=(make_spec("hypercube"),)))
+        assert set(doc) == set(_CONFIG_KEYS)
+        assert set(doc["families"][0]) == set(_FAMILY_KEYS)
+
+
+_FAMILIES = ("hypercube", "ladder", "generalized_hypercube", "barabasi_albert", "gnp", "gn")
+_CONFIG_KEYS = ("schema", "dense_limit", "solvers", "output_dir", "base_seed", "families")
+_FAMILY_KEYS = ("family", "schedule", "seed", "params", "weight_rule")
+_seeds = st.integers(0, 2**32)
+
+
+@st.composite
+def family_specs(draw):
+    family = draw(st.sampled_from(_FAMILIES))
+    entry = catalog_entry(family)
+    params = {}
+    if family == "generalized_hypercube":
+        params["a"] = draw(st.integers(2, 5))
+    if entry.directed and draw(st.booleans()):
+        params["repair"] = True
+    return make_spec(
+        family,
+        schedule=sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=8))),
+        seed=draw(_seeds) if entry.random else draw(st.none() | _seeds),
+        params=params,
+        weight_rule=draw(st.sampled_from(WEIGHT_RULES)) if entry.weightable else "unit",
+    )
+
+
+survey_configs = st.builds(
+    SurveyConfig,
+    families=st.lists(family_specs(), min_size=1, max_size=4),
+    dense_limit=st.none() | st.integers(1, 10_000),
+    solvers=st.lists(st.sampled_from(DEFAULT_SOLVERS), min_size=1, unique=True),
+    base_seed=st.none() | _seeds,
+)
+unknown_keys = st.text(min_size=1, max_size=12).filter(
+    lambda key: key not in _CONFIG_KEYS + _FAMILY_KEYS
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(survey_configs, unknown_keys, st.integers(-1, 3))
+def test_config_document_round_trips_and_admits_no_other_key(config, key, where):
+    doc = json.loads(json.dumps(config_to_dict(config)))
+    rebuilt = config_from_dict(doc)
+    assert rebuilt == config
+    assert config_hash(rebuilt) == config_hash(config)
+    # one extra key, at the top level (where = -1) or in a family entry
+    target = doc if where < 0 else doc["families"][where % len(doc["families"])]
+    target[key] = 1
+    with pytest.raises(ValueError, match="unknown key"):
+        config_from_dict(doc)
+
 
 class TestGeometricScan:
     def test_default_grid(self):
@@ -157,10 +228,10 @@ class TestGeometricScan:
         assert all(b == 2 * a for a, b in zip(scan, scan[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            geometric_scan(0.0, 10.0)
-        with pytest.raises(ValueError):
-            geometric_scan(4.0, 10.0, factor=1.0)
+        assert geometric_scan(4.0) == (4.0,)
+        for stop in (3.9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite stop >= 4"):
+                geometric_scan(stop)
 
 
 class TestPipelineVerdicts:
@@ -435,19 +506,18 @@ class TestSkips:
         assert len(flagged) == 4
         assert result.report_dict()["families"]["hypercube"]["notes"][:4] == flagged
 
-    def test_config_cutoff_fills_the_records_and_the_flags(self, tmp_path, monkeypatch):
+    def test_cutoff_fills_the_records_and_the_flags(self, tmp_path, monkeypatch):
         faint_weights(monkeypatch)  # λmin = 2e-8, below the cutoff
         config = SurveyConfig(
             families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),),
-            cutoff=1e-7,
             solvers=("HHL",),
             output_dir=str(tmp_path),
         )
         result = run_survey(config)
         with open(tmp_path / "records.csv", newline="") as f:
-            assert [row["cutoff"] for row in csv.DictReader(f)] == ["1e-07"] * 4
+            assert [row["cutoff"] for row in csv.DictReader(f)] == ["1e-06"] * 4
         notes = result.outcomes[0].notes
-        assert len([n for n in notes if "at or below the cutoff 1e-07" in n]) == 4
+        assert len([n for n in notes if "at or below the cutoff 1e-06" in n]) == 4
 
     def test_too_few_records_yields_no_verdict(self, monkeypatch):
         import nlsp.survey as survey_mod
@@ -523,6 +593,25 @@ class TestSeedSensitivity:
         # each of the 2 x 4 connected instances: k=1 for λmax, then k=1 for
         # 1/λmin, the largest eigenvalue of the pseudo-inverse
         assert calls == [1, 1] * 8
+
+    def test_report_matches_one_worker_runs(self):
+        config = SurveyConfig(
+            families=(
+                make_spec("gnp", schedule=(20, 30, 40, 50, 60)),
+                make_spec("barabasi_albert", schedule=range(50, 301, 50)),
+            ),
+        )
+        seeds = (4, 9)
+        report = seed_sensitivity(config, seeds)
+        want = {key: {} for key in config.family_keys()}
+        for seed in seeds:
+            reseeded = tuple(dataclasses.replace(s, seed=seed) for s in config.families)
+            result = run_survey(dataclasses.replace(config, families=reseeded), max_workers=1)
+            for outcome in result.outcomes:
+                want[outcome.key][seed] = {
+                    name: outcome.verdicts[name].category for name in config.solvers
+                }
+        assert report.families == want
 
     def test_deterministic_family_rejected(self):
         config = SurveyConfig(families=(make_spec("hypercube", schedule=(2, 3, 4, 5)),))
