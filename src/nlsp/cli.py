@@ -226,7 +226,8 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
-        n_cross = numeric_crossover(args.solver, *_read_fits(key, block), scan)
+        kappa_fit, s_fit = _read_fits(key, block)
+        n_cross = numeric_crossover(args.solver, kappa_fit.predict, s_fit.predict, scan)
         out["families"][key] = {"crossover_N": n_cross}
     _emit(out)
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -30,6 +30,7 @@ _FLOAT_OPS = Ops(math.log, math.sqrt)
 _CLASS_OPS = Ops(GrowthClass.log_class, lambda c: c ** Fraction(1, 2))
 
 Cost = Callable[[Any, Any, Any, Ops], Any]
+Fit = Callable[[float], float]  # a fitted kappa(N) or s(N)
 
 
 @dataclass(frozen=True)
@@ -101,26 +102,22 @@ def runtime(solver: str, n_size: float, kappa: float, s: float) -> float:
     return model.runtime(n_size, kappa, s)
 
 
-def _eval_fit(fit, x: float) -> float:
-    return fit.predict(x) if hasattr(fit, "predict") else fit(x)
-
-
-def ratio_R(solver: str, n_size: float, kappa_fit, s_fit) -> float:
+def ratio_R(solver: str, n_size: float, kappa_fit: Fit, s_fit: Fit) -> float:
     """Numeric runtime ratio t_CLS / t_solver at system size N.
 
-    kappa_fit and s_fit are FitResults (or any callables) giving the fitted
-    kappa(N) and s(N) with coefficients.  A fit extrapolated past its data
-    can dip below the physical floor kappa, s >= 1; it is clamped there.  A
-    zero solver runtime (phase randomisation at kappa exactly 1) yields +inf.
+    kappa_fit and s_fit give the fitted kappa(N) and s(N), as
+    FitResult.predict does.  A fit extrapolated past its data can dip below
+    the physical floor kappa, s >= 1; it is clamped there.  A zero solver
+    runtime (phase randomisation at kappa exactly 1) yields +inf.
     """
-    kappa = max(1.0, _eval_fit(kappa_fit, n_size))
-    s = max(1.0, _eval_fit(s_fit, n_size))
+    kappa = max(1.0, kappa_fit(n_size))
+    s = max(1.0, s_fit(n_size))
     t_cls = CLS.runtime(n_size, kappa, s)
     t_q = get_solver(solver).runtime(n_size, kappa, s)
     return math.inf if t_q == 0.0 else t_cls / t_q
 
 
-def crossover(solver: str, kappa_fit, s_fit, scan: Iterable[float]) -> Optional[float]:
+def crossover(solver: str, kappa_fit: Fit, s_fit: Fit, scan: Iterable[float]) -> Optional[float]:
     """Smallest scanned N with ratio_R >= 1, or None."""
     for n_size in scan:
         if ratio_R(solver, n_size, kappa_fit, s_fit) >= 1.0:

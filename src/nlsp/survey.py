@@ -85,6 +85,8 @@ class SurveyConfig:
     base_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.solvers, str):  # tuple() would split it into letters
+            raise ValueError("solvers must be a list of solver names")
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "solvers", tuple(self.solvers))
         if not self.families:
@@ -100,6 +102,9 @@ class SurveyConfig:
             raise ValueError("solvers must be nonempty")
         for name in self.solvers:
             get_solver(name)  # raises KeyError on unknown names
+        seed = self.base_seed
+        if seed is not None and not (is_integer(seed) and seed >= 0):
+            raise ValueError(f"base_seed must be a non-negative int or None, got {seed!r}")
         if self.output_dir is not None:
             path = Path(self.output_dir)
             path.mkdir(parents=True, exist_ok=True)
@@ -446,7 +451,8 @@ def classify_fits(
     scan = [x for x in scan if x >= 3.0]
     verdicts = {
         name: evaluate_advantage(
-            name, size_growth, kappa_n, s_n, crossover_N=crossover(name, kappa_fit, s_fit, scan)
+            name, size_growth, kappa_n, s_n,
+            crossover_N=crossover(name, kappa_fit.predict, s_fit.predict, scan),
         )
         for name in solvers
     }
@@ -575,7 +581,7 @@ def _write_series(plots: Path, outcome: FamilyOutcome, solvers: Sequence[str]) -
             writer.writerow(
                 [rec.system_size]
                 + [
-                    repr(ratio_R(s, n_size, outcome.kappa_fit, outcome.s_fit))
+                    repr(ratio_R(s, n_size, outcome.kappa_fit.predict, outcome.s_fit.predict))
                     for s in solvers
                 ]
             )

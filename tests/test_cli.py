@@ -210,7 +210,7 @@ class TestSurveyCommands:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("dense_limit", "x"), ("cutoff", "1e-6"), ("schedule", 5)],
+        [("dense_limit", "x"), ("base_seed", "x"), ("solvers", "HHL"), ("schedule", 5)],
     )
     def test_run_badly_typed_config_value(self, tmp_path, key, value, capsys):
         family = {"family": "hypercube", "schedule": [2, 3, 4, 5]}
@@ -219,7 +219,9 @@ class TestSurveyCommands:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["survey", "run", str(path)]) == EXIT_CONFIG
-        assert "error: bad config:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the type is at fault, not the name of a key or a solver
+        assert err.startswith("error: bad config:") and "unknown" not in err
 
     @pytest.mark.parametrize("where, key", [("family", "shedule"), ("config", "cutoff")])
     def test_run_unknown_config_key(self, tmp_path, where, key, capsys):
@@ -260,6 +262,20 @@ class TestSurveyCommands:
         assert main(["survey", "fit", str(path)]) == EXIT_PARTIAL
         doc = read_json(capsys)
         assert "fits need 4 points, got 2" in doc["families"]["hypercube"]["error"]
+
+    def test_fit_refuses_a_non_finite_record_before_lapack(self, tmp_path, capfd):
+        # stdout is read at fd 1: a LAPACK complaint about a NaN input would
+        # land there, ahead of the JSON
+        rows = [
+            RecordRow("hypercube", n, 2**n, "laplacian", kappa, 2.0, 2.0 * n, n + 1, 1e-6, None)
+            for n, kappa in ((2, 2.0), (3, math.nan), (4, 4.0), (5, 5.0), (6, 6.0))
+        ]
+        path = tmp_path / "records.csv"
+        write_records_csv(path, rows)
+        assert main(["survey", "fit", str(path)]) == EXIT_PARTIAL
+        doc = json.loads(capfd.readouterr().out)
+        error = doc["families"]["hypercube"]["error"]
+        assert error == "fit failed: ys must be finite and positive, got nan"
 
     def test_unknown_family_is_config_error(self, tmp_path, capsys):
         rows = [
@@ -319,8 +335,18 @@ class TestSurveyCommands:
                 }},
                 "family 'hypercube': fit lacks field 'coefficients'",
             ),
+            (
+                {"gnp": {
+                    "kappa_fit": {"model": "quartic", "degree": 4, "coefficients": [1.0, 0.5, 0.1],
+                                  "sse": 0.0, "score": 0.0, "n_points": 4, "kind": "kappa"},
+                    "s_fit": {"model": "constant", "degree": 0, "coefficients": [3.0],
+                              "sse": 0.0, "score": 0.0, "n_points": 4, "kind": "sparsity"},
+                }},
+                "family 'gnp': malformed fit: unknown model 'quartic'; "
+                "choices: constant, polylog, polynomial, exponential",
+            ),
         ],
-        ids=["families-list", "block-text", "no-coefficients"],
+        ids=["families-list", "block-text", "no-coefficients", "unknown-model"],
     )
     def test_malformed_fits_file(self, tmp_path, command, families, message, capsys):
         fits = tmp_path / "fits.json"
