@@ -100,6 +100,12 @@ def _require_points(count: int) -> None:
         raise ValueError(f"fits need {MIN_POINTS} points, got {count}")
 
 
+def _require_finite_positive(name: str, values: np.ndarray) -> None:
+    bad = values[~(np.isfinite(values) & (values > 0))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and positive, got {float(bad[0])!r}")
+
+
 def _rel_sse(model: str, coefficients: Sequence[float], xs: np.ndarray, ys: np.ndarray) -> float:
     """Sum of squared relative residuals of the model at the data."""
     r = (ys - _evaluate(model, coefficients, xs)) / ys
@@ -159,10 +165,8 @@ def fit_series(xs: Sequence[float], ys: Sequence[float], kind: str) -> FitResult
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     _require_points(len(x))
-    for name, values in (("xs", x), ("ys", y)):
-        bad = values[~(np.isfinite(values) & (values > 0))]
-        if bad.size:
-            raise ValueError(f"{name} must be finite and positive, got {float(bad[0])!r}")
+    _require_finite_positive("xs", x)
+    _require_finite_positive("ys", y)
     if not np.all(np.diff(x) > 0):
         raise ValueError("xs must be strictly increasing")
     n = len(x)
@@ -210,9 +214,11 @@ def upper_envelope(xs: Sequence[float], ys: Sequence[float]) -> Envelope:
     """Keep the points on the upper staircase of a noisy series.
 
     A point survives iff it attains the maximum of the trailing
-    ENVELOPE_WINDOW points ending at it.
+    ENVELOPE_WINDOW points ending at it.  Every y must be finite and
+    positive, as ``fit_series`` requires.
     """
     _require_points(len(xs))
+    _require_finite_positive("ys", np.asarray(ys, dtype=float))
     kept_x, kept_y = [], []
     for i, (x, y) in enumerate(zip(xs, ys)):
         if y >= max(ys[max(0, i - ENVELOPE_WINDOW + 1) : i + 1]):

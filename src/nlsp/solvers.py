@@ -43,7 +43,10 @@ class SolverModel:
             raise ValueError("runtime model needs system size >= 3 so loglog > 0")
         if kappa < 1 or s < 1:
             raise ValueError("kappa and s must be >= 1")
-        return self.cost(float(n_size), float(kappa), float(s), _FLOAT_OPS)
+        try:
+            return self.cost(float(n_size), float(kappa), float(s), _FLOAT_OPS)
+        except OverflowError:  # a float power past the float range; a product gives inf
+            return math.inf
 
     def runtime_class(
         self, size: GrowthClass, kappa: GrowthClass, s: GrowthClass
@@ -108,7 +111,10 @@ def ratio_R(solver: str, n_size: float, kappa_fit: Fit, s_fit: Fit) -> float:
     kappa_fit and s_fit give the fitted kappa(N) and s(N), as
     FitResult.predict does.  A fit extrapolated past its data can dip below
     the physical floor kappa, s >= 1; it is clamped there.  A zero solver
-    runtime (phase randomisation at kappa exactly 1) yields +inf.
+    runtime (phase randomisation at kappa exactly 1) yields +inf.  A runtime
+    past the float range counts as +inf, so the ratio is 0.0 when only the
+    solver's overflows, +inf when only the baseline's does, and NaN (never
+    a crossover) when both do.
     """
     kappa = max(1.0, kappa_fit(n_size))
     s = max(1.0, s_fit(n_size))

@@ -69,7 +69,8 @@ def zero_tolerance(eigs: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpectralRecord:
-    """Measured spectral quantities of one system matrix."""
+    """Measured spectral quantities of one system matrix, and how they were
+    obtained."""
 
     system_size: int
     lambda_min_nz: float
@@ -77,6 +78,10 @@ class SpectralRecord:
     kappa: float
     sparsity: int
     matrix_kind: str
+    # the path that found the eigenvalues ("dense", "factor-free" or
+    # "grounded", see measure) and the kernel dimension c, G's component count
+    eigensolver: str
+    kernel: int
 
     def __post_init__(self) -> None:
         if self.kappa < 1.0 - 1e-12:
@@ -101,6 +106,13 @@ def extreme_eigs(
     first seeks λmin factor-free, on m with its kernel shifted to λmax,
     within _FACTOR_FREE_MATVECS products; past them it falls back to the
     pseudo-inverse of m through one sparse LU of m grounded."""
+    return _extremes(m, kernel, dense_limit, labels)[:2]
+
+
+def _extremes(
+    m: SymmetricMatrix, kernel: int, dense_limit: Optional[int], labels: Optional[np.ndarray]
+) -> tuple[float, float, str]:
+    """``extreme_eigs`` and the eigensolver path that found them."""
     if kernel >= m.order:
         raise ValueError("effectively zero matrix: no nonzero eigenvalue")
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
@@ -110,7 +122,7 @@ def extreme_eigs(
             raise ValueError(f"kernel {kernel} is not m's component count {labels.max() + 1}")
         return _extreme_eigs_iterative(m, labels)
     eigs = np.linalg.eigvalsh(m.to_dense())
-    return float(eigs[kernel]), float(eigs[-1])
+    return float(eigs[kernel]), float(eigs[-1]), "dense"
 
 
 def _is_sparse(m: SymmetricMatrix) -> bool:
@@ -123,7 +135,7 @@ def _component_labels(m: SymmetricMatrix) -> np.ndarray:
     return connected_components(m.csr, directed=True, connection="strong")[1]
 
 
-def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[float, float]:
+def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[float, float, str]:
     a = m.csr
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).uniform(-1.0, 1.0, m.order)
     lam_max = float(
@@ -131,14 +143,14 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     )
     counts = np.bincount(labels)
     if counts.size + 1 == m.order:  # λmax is the only nonzero eigenvalue
-        return lam_max, lam_max
+        return lam_max, lam_max, "factor-free"
 
     def means(x: np.ndarray) -> np.ndarray:
         """Πx: each entry replaced by its component's mean."""
         return (np.bincount(labels, weights=x) / counts)[labels]
 
     try:
-        return _smallest_deflated(a, means, lam_max, v0), lam_max
+        return _smallest_deflated(a, means, lam_max, v0), lam_max, "factor-free"
     except (_OverBudget, spla.ArpackNoConvergence):
         pass
     # Lanczos on the pseudo-inverse m⁺, whose largest eigenvalue is 1/λmin.
@@ -164,7 +176,7 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
         spla.LinearOperator(a.shape, matvec=pinv, dtype=float), k=1, which="LA", v0=v0,
         tol=_ITERATIVE_TOL, return_eigenvectors=False,
     )[0]
-    return 1.0 / float(inv_min), lam_max
+    return 1.0 / float(inv_min), lam_max, "grounded"
 
 
 class _OverBudget(Exception):
@@ -210,7 +222,9 @@ def measure(
     of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ).  The kernel
     dimension is the number of connected components, exact for L (positive
     weights) and B·Bᵀ.  Orders above ``dense_limit`` (3000 when None) take
-    Lanczos.
+    Lanczos.  The record names the path that ran: "dense" (``eigvalsh``),
+    "factor-free" (Lanczos on G alone, also when λmax is G's only nonzero
+    eigenvalue) or "grounded" (λmin through the grounded pseudo-inverse).
     """
     if matrix_kind == "laplacian":
         if not isinstance(m, SymmetricMatrix):
@@ -223,9 +237,8 @@ def measure(
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     labels = _component_labels(g)
-    lam_min, lam_max = extreme_eigs(
-        g, kernel=int(labels.max()) + 1, dense_limit=dense_limit, labels=labels
-    )
+    kernel = int(labels.max()) + 1
+    lam_min, lam_max, eigensolver = _extremes(g, kernel, dense_limit, labels)
     if matrix_kind == "incidence":
         lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(
@@ -235,4 +248,6 @@ def measure(
         kappa=lam_max / lam_min,
         sparsity=sparsity(m),
         matrix_kind=matrix_kind,
+        eigensolver=eigensolver,
+        kernel=kernel,
     )

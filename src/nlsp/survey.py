@@ -7,12 +7,15 @@ solver.  Results are persisted as records.csv (one row per instance),
 report.json (fits and verdicts), manifest.json (provenance and timings),
 and plot-ready CSV series.  Every view is built from one InstanceResult per
 scheduled instance; a failed instance is recorded there, skipped by the
-fits, and the run continues.
+fits, and the run continues.  Instances are measured in forked worker
+processes, so generation and eigensolves run in parallel, not one at a time
+under the GIL; a worker that dies fails the instances left unmeasured, not
+the run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -21,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,7 +243,10 @@ class SurveyManifest:
 class InstanceResult:
     """One scheduled instance: its record, or the error that stopped it.
     seed is the instance's own seed, None for a deterministic family or a
-    failed instance; warnings become the family's notes."""
+    failed instance; warnings become the family's notes.  A measured
+    instance also carries the seconds its generation, assembly and
+    measurement took; its record names the eigensolver path and the kernel
+    dimension."""
 
     n: int
     seed: Optional[int]
@@ -247,6 +254,9 @@ class InstanceResult:
     error: Optional[str]
     warnings: tuple[str, ...]
     elapsed_s: float
+    generate_s: float = 0.0
+    assemble_s: float = 0.0
+    measure_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -311,7 +321,9 @@ class SurveyResult:
         pairs = [(o.key, i) for o in self.outcomes for i in o.instances]
         entries = [
             {"family": key, "n": i.n, "seed": i.seed, "system_size": i.record.system_size,
-             "elapsed_s": round(i.elapsed_s, 6)}
+             "eigensolver": i.record.eigensolver, "kernel": i.record.kernel,
+             "generate_s": round(i.generate_s, 6), "assemble_s": round(i.assemble_s, 6),
+             "measure_s": round(i.measure_s, 6), "elapsed_s": round(i.elapsed_s, 6)}
             for key, i in pairs if i.record is not None
         ]
         skipped = [
@@ -385,13 +397,15 @@ def fit_from_dict(data: Mapping) -> FitResult:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> InstanceResult:
+def _measure_instance(spec: FamilySpec, n: int, dense_limit: Optional[int]) -> InstanceResult:
     start = time.perf_counter()
     try:
         instance = generate(spec, n)
-        record = measure(
-            system_matrix(instance), spec.matrix_kind, dense_limit=config.dense_limit
-        )
+        generated = time.perf_counter()
+        matrix = system_matrix(instance)
+        assembled = time.perf_counter()
+        record = measure(matrix, spec.matrix_kind, dense_limit=dense_limit)
+        measured = time.perf_counter()
     except Exception as exc:  # per-instance failures are recorded, not fatal
         error = f"{type(exc).__name__}: {exc}"
         return InstanceResult(n, None, None, error, (), time.perf_counter() - start)
@@ -401,7 +415,76 @@ def _measure_instance(spec: FamilySpec, n: int, config: SurveyConfig) -> Instanc
             f"smallest nonzero eigenvalue {record.lambda_min_nz!r} is at or below "
             f"the cutoff {FLAG_CUTOFF!r}",
         )
-    return InstanceResult(n, instance.seed, record, None, warnings, time.perf_counter() - start)
+    return InstanceResult(
+        n, instance.seed, record, None, warnings, time.perf_counter() - start,
+        generate_s=generated - start, assemble_s=assembled - generated,
+        measure_s=measured - assembled,
+    )
+
+
+# What a forked worker measures from: the config's specs and dense_limit,
+# set by the pool's initializer before the first job.
+_worker_specs: tuple[FamilySpec, ...] = ()
+_worker_dense_limit: Optional[int] = None
+
+
+def _adopt(specs: tuple[FamilySpec, ...], dense_limit: Optional[int]) -> None:
+    global _worker_specs, _worker_dense_limit
+    _worker_specs, _worker_dense_limit = specs, dense_limit
+
+
+def _measure_job(index: int, n: int) -> InstanceResult:
+    return _measure_instance(_worker_specs[index], n, _worker_dense_limit)
+
+
+def _measure_forked(
+    config: SurveyConfig, jobs: Sequence[tuple[int, int]], workers: int
+) -> list[InstanceResult]:
+    """One InstanceResult per (family index, n) job, in job order, measured
+    by ``workers`` forked processes.
+
+    The specs and dense_limit reach each worker through the fork, as the
+    initializer's arguments, which the fork start method never pickles; only
+    the index pairs and the results cross the process boundary.  A worker
+    that dies breaks the pool: every job without a result then fails with an
+    error naming the dead worker, and the run goes on to fit what was
+    measured.  The workers have exited when this returns or raises.
+    """
+    # imported here, not with the module: `import nlsp` skips the pool's
+    # modules, and a run in one process never loads them
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt, initargs=(config.families, config.dense_limit),
+    )
+    results: list[Optional[InstanceResult]] = [None] * len(jobs)
+    try:
+        futures = []
+        with contextlib.suppress(BrokenProcessPool):  # a worker died during the submits
+            for index, n in jobs:
+                futures.append(pool.submit(_measure_job, index, n))
+        # Under fork the pool has started every worker by its last submit,
+        # and it keeps a dead one's handle, so the exit code can be read.
+        # The executor exposes its processes only as this private mapping.
+        processes = tuple(pool._processes.values())
+        for k, future in enumerate(futures):
+            with contextlib.suppress(BrokenProcessPool):
+                results[k] = future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if None not in results:
+        return results
+    # the pool terminates the survivors when one dies; the rest died on their own
+    dead = [p for p in processes if p.exitcode != -signal.SIGTERM] or processes
+    error = "BrokenProcessPool: worker process " + ", ".join(
+        f"{p.pid} exited with code {p.exitcode}" for p in dead
+    ) + " before this instance was measured"
+    return [
+        result if result is not None else InstanceResult(n, None, None, error, (), 0.0)
+        for result, (_, n) in zip(results, jobs)
+    ]
 
 
 def fit_growth(random: bool, records: Iterable) -> tuple[FitResult, FitResult, bool]:
@@ -462,19 +545,26 @@ def classify_fits(
 def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> SurveyResult:
     """Measure, fit, and classify every configured family.
 
-    Instances are measured on a bounded worker pool; assembly and all file
-    writes happen on the calling thread in canonical (family, n) order, so
-    re-running an identical config reproduces records.csv byte for byte.
-    The pool holds ``max_workers`` threads, at least 1; None takes
-    min(4, cores).
+    Instances are measured by ``max_workers`` forked worker processes, at
+    least 1; None takes min(4, cores).  Each worker holds its own instance
+    in memory.  One worker, one job, or a platform without the fork start
+    method measures in this process instead.  Fits and all file writes
+    happen in this process in canonical (family, n) order, so re-running an
+    identical config reproduces records.csv byte for byte, whatever the
+    worker count.  A worker that dies fails every instance still
+    unmeasured; the run goes on with the rest.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
-    jobs = [(spec, n) for spec in config.families for n in spec.schedule]
-    workers = max_workers or min(4, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in job order: by family, then by the strictly increasing n
-        results = pool.map(lambda job: _measure_instance(*job, config), jobs)
+    jobs = [(index, n) for index, spec in enumerate(config.families) for n in spec.schedule]
+    workers = min(max_workers or min(4, os.cpu_count() or 1), len(jobs))
+    # results run in job order: by family, then by the strictly increasing n
+    if workers > 1 and hasattr(os, "fork"):
+        results = iter(_measure_forked(config, jobs, workers))
+    else:
+        results = (
+            _measure_instance(config.families[index], n, config.dense_limit) for index, n in jobs
+        )
 
     outcomes = []
     for key, spec in zip(config.family_keys(), config.families):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -200,6 +201,26 @@ class TestSurveyCommands:
         monkeypatch.setattr(survey_mod, "generate", flaky)
         assert main(["survey", "run", str(config_file)]) == EXIT_PARTIAL
         assert "1 skipped" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+    def test_run_with_a_dead_worker_exits_partial(self, tmp_path, config_file, monkeypatch, capsys):
+        import nlsp.survey as survey_mod
+
+        real = survey_mod.generate
+
+        def fatal(spec, n):
+            if n == 5:
+                os._exit(1)
+            return real(spec, n)
+
+        monkeypatch.setattr(survey_mod, "generate", fatal)
+        assert main(["survey", "run", str(config_file), "--workers", "2"]) == EXIT_PARTIAL
+        assert "hypercube: " in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert {"family": "hypercube", "n": 5} in [
+            {k: s[k] for k in ("family", "n")} for s in manifest["skipped"]
+        ]
+        assert multiprocessing.active_children() == []
 
     def test_run_missing_and_invalid_config(self, tmp_path, capsys):
         assert main(["survey", "run", str(tmp_path / "nope.json")]) == EXIT_CONFIG

@@ -168,6 +168,17 @@ def test_envelope_sawtooth():
     assert (env.xs, env.ys) == ((10, 30, 50, 60), (5, 6, 7, 8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_envelope_rejects_what_fit_series_rejects(bad):
+    # a NaN used to be dropped with the valid point ENVELOPE_WINDOW - 1 later
+    xs = [10, 20, 30, 40, 50, 60, 70, 80]
+    ys = [1, 2, bad, 4, 5, 6, 7, 8]
+    message = f"ys must be finite and positive, got {bad!r}"
+    for fit in (lambda: upper_envelope(xs, ys), lambda: fit_series(xs, ys, "kappa")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit()
+
+
 def test_envelope_fallback_flags():
     xs = [10, 20, 30, 40, 50]
     env = upper_envelope(xs, [9, 8, 7, 6, 5])

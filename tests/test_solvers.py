@@ -152,6 +152,23 @@ def test_crossover_numeric_scan():
     assert crossover("HHL", lambda x: x, lambda _: 1.0, scan) is None
 
 
+def test_overflowing_runtime_counts_as_infinite():
+    # an exponential κ(N) fit reaches 1.5·e^700 inside the crossover scan,
+    # where HHL's κ³ is past the float range
+    from nlsp.fitting import FitResult
+    from nlsp.survey import CROSSOVER_SCAN
+
+    kappa = FitResult("exponential", 0, (0.0, 0.2, 1.5), 0.0, 0.0, 5, "kappa").predict
+    s_fit = FitResult("constant", 0, (3.0,), 0.0, 0.0, 5, "sparsity").predict
+    assert runtime("HHL", 1e12, kappa(1e12), 3.0) == math.inf
+    assert ratio_R("HHL", 1e12, kappa, s_fit) == 0.0
+    assert crossover("HHL", kappa, s_fit, CROSSOVER_SCAN) is None
+    assert crossover("CKS(1)", kappa, s_fit, CROSSOVER_SCAN) is None
+    assert crossover("DREAM", kappa, s_fit, CROSSOVER_SCAN) == 4.0
+    # the baseline's runtime overflows too: no ratio, and no crossover
+    assert math.isnan(ratio_R("HHL", 1e12, kappa, kappa))
+
+
 def test_ratio_class_table_examples():
     # Hypercube: kappa=n, s=n, N=2^n.
     r = ratio_class("HHL", EXP2, N1, N1)

@@ -93,6 +93,14 @@ def test_extreme_eigs_examples():
     assert measure(k2, "laplacian").kappa == pytest.approx(1.0)
 
 
+def test_measure_records_the_kernel_and_the_path():
+    for limit, path in ((None, "dense"), (1, "factor-free")):
+        rec = measure(laplacian(two_ladders()), "laplacian", dense_limit=limit)
+        assert (rec.kernel, rec.eigensolver) == (3, path)
+        rec = measure(incidence_matrix(path_cycle_point()), "incidence", dense_limit=limit)
+        assert (rec.kernel, rec.eigensolver) == (3, path)
+
+
 def test_extreme_eigs_zero_matrix():
     zero = SymmetricMatrix(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="effectively zero"):
@@ -306,6 +314,10 @@ def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
     lanczos_path()
     it = measure(m, kind, dense_limit=1)
     assert lanczos_path() == path
+    # the record names the path; a lone nonzero eigenvalue needs no factor
+    assert it.eigensolver == ("factor-free" if path == "lambda-max" else path)
+    assert routed.eigensolver in ("dense", it.eigensolver)
+    assert routed.kernel == it.kernel
     for rec in (routed, it):
         assert rec.kappa == pytest.approx(lam_max / lam_min, rel=rtol)
         assert rec.lambda_min_nz == pytest.approx(lam_min, rel=rtol)
@@ -323,6 +335,7 @@ def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
     grounded = measure(m, "laplacian", dense_limit=1)
     assert lanczos_path() == "grounded"
     assert grounded.kappa == pytest.approx(free.kappa, rel=1e-12)
+    assert (free.eigensolver, grounded.eigensolver) == ("factor-free", "grounded")
     monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 61)
     assert measure(m, "laplacian", dense_limit=1) == free
     assert lanczos_path() == "factor-free"

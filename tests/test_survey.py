@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import random
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsp.families import WEIGHT_RULES, catalog_entry, derive_seed, make_spec
+from nlsp.families import WEIGHT_RULES, FamilySpec, catalog_entry, derive_seed, make_spec
 from nlsp.graphs import Graph
 from nlsp.survey import (
     CSV_COLUMNS,
@@ -546,6 +548,95 @@ class TestSkips:
                 run_survey(config, max_workers=workers)
 
 
+FORK = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the fork start method")
+
+
+def exit_at_n(monkeypatch, dying_n):
+    """Make the process that generates n = dying_n exit at once, as a worker
+    killed mid-instance would."""
+    import nlsp.survey as survey_mod
+
+    real_generate = survey_mod.generate
+
+    def fatal(spec, n):
+        if n == dying_n:
+            os._exit(1)
+        return real_generate(spec, n)
+
+    monkeypatch.setattr(survey_mod, "generate", fatal)
+
+
+class TestWorkers:
+    # every eigensolver path and both matrix kinds, deterministic and random
+    CONFIG = dict(
+        families=(
+            make_spec("hypercube", schedule=range(2, 10)),
+            make_spec("gn", schedule=(20, 40, 60, 80), seed=3),
+            make_spec("random_lobster", schedule=(30, 60, 90, 120, 150)),
+            make_spec("directed_hypercube", schedule=range(2, 7)),
+        ),
+        dense_limit=40,
+        solvers=("HHL", "DREAM"),
+    )
+
+    @FORK
+    @pytest.mark.parametrize("workers", [None, 3])
+    def test_pool_writes_the_one_worker_outputs(self, tmp_path, workers):
+        outputs, paths = {}, {}
+        for count in (1, workers):
+            out = tmp_path / str(count)
+            result = run_survey(SurveyConfig(**self.CONFIG, output_dir=str(out)), max_workers=count)
+            outputs[count] = [(out / name).read_bytes() for name in ("records.csv", "report.json")]
+            paths[count] = [e["eigensolver"] for e in result.manifest_dict()["entries"]]
+        assert outputs[workers] == outputs[1]
+        assert paths[workers] == paths[1]
+        assert set(paths[1]) == {"dense", "factor-free", "grounded"}
+        assert multiprocessing.active_children() == []
+
+    @FORK
+    def test_a_dead_worker_fails_instances_not_the_run(self, tmp_path, monkeypatch):
+        exit_at_n(monkeypatch, 60)
+        config = SurveyConfig(**self.CONFIG, output_dir=str(tmp_path))
+        result = run_survey(config, max_workers=2)
+        assert multiprocessing.active_children() == []
+        for outcome, spec in zip(result.outcomes, config.families):
+            assert [i.n for i in outcome.instances] == list(spec.schedule)
+            for i in outcome.instances:
+                assert (i.record is None) != (i.error is None)
+        lost = dict(outcome_of(result, "gn").errors)[60]
+        assert lost.startswith("BrokenProcessPool: worker process ")
+        assert "exited with code 1 before this instance was measured" in lost
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["entries"]) + len(manifest["skipped"]) == sum(
+            len(spec.schedule) for spec in config.families
+        )
+        assert {"family": "gn", "n": 60, "error": lost} in manifest["skipped"]
+
+    @FORK
+    def test_specs_are_not_pickled_per_job(self, monkeypatch):
+        def unpicklable(self, protocol):
+            raise TypeError("a FamilySpec was pickled")
+
+        monkeypatch.setattr(FamilySpec, "__reduce_ex__", unpicklable)
+        result = run_survey(SurveyConfig(**self.CONFIG), max_workers=2)
+        assert not any(o.errors for o in result.outcomes)
+
+    @pytest.mark.parametrize("platform", ["one worker", "no fork"])
+    def test_runs_in_process_without_a_pool(self, monkeypatch, platform):
+        def no_fork():
+            raise AssertionError("a worker process was forked")
+
+        workers = 1
+        if platform == "no fork":
+            monkeypatch.delattr(os, "fork", raising=False)
+            workers = 2
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
+        config = SurveyConfig(families=(make_spec("hypercube", schedule=range(2, 6)),))
+        result = run_survey(config, max_workers=workers)
+        assert len(result.outcomes[0].records) == 4
+
+
 class TestSeedSensitivity:
     def test_directed_gaussian_all_better_and_stable(self):
         config = SurveyConfig(
@@ -574,25 +665,27 @@ class TestSeedSensitivity:
         assert report.stable("barabasi_albert")
 
     def test_config_dense_limit_reaches_the_eigensolver(self, monkeypatch):
-        import nlsp.spectral as spectral_mod
+        import nlsp.survey as survey_mod
 
-        calls = []
-        real_eigsh = spectral_mod.spla.eigsh
+        runs = []
+        real_run = survey_mod.run_survey
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return real_eigsh(*args, **kwargs)
+        def recording(config):
+            runs.append(real_run(config))
+            return runs[-1]
 
-        monkeypatch.setattr(spectral_mod.spla, "eigsh", counting)
+        monkeypatch.setattr(survey_mod, "run_survey", recording)
         config = SurveyConfig(
             families=(make_spec("gnp", schedule=(20, 30, 40, 50)),),
             dense_limit=10,
             solvers=("HHL",),
         )
         seed_sensitivity(config, (1, 2))
-        # each of the 2 x 4 connected instances: k=1 for λmax, then k=1 for
-        # 1/λmin, the largest eigenvalue of the pseudo-inverse
-        assert calls == [1, 1] * 8
+        # orders 20..50 take eigvalsh under the default limit; under 10, each
+        # of the 2 x 4 instances takes Lanczos, and factor-free Lanczos finds
+        # λmin on these well-conditioned graphs
+        paths = [i.record.eigensolver for r in runs for o in r.outcomes for i in o.instances]
+        assert paths == ["factor-free"] * 8
 
     def test_report_matches_one_worker_runs(self):
         config = SurveyConfig(
