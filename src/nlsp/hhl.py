@@ -1,24 +1,29 @@
 """Statevector simulation of HHL with clock-register fixing shortcuts.
 
 The post-selected state depends on the right-hand side b only through its
-spectral measure: the eigenvalues b reaches and its projection onto each of
-their eigenspaces.  The simulator therefore takes its modes from the Krylov
-space of b, block by block: a row without off-diagonal entries (the fill * I
-padding to a power-of-two order, an isolated vertex) is an eigenpair as it
-stands, and each connected component of the rest, or a digraph's whole
-dilation [[0, B], [B^T, 0]], runs Lanczos from its part of b until that
-space is invariant and contributes the Ritz pairs of the tridiagonal.  A
-block whose part of b reaches more modes than a fixed share of its order
-falls back to a dense eigensolve (one SVD of B for a dilation).  The
-window, C and null checks read every eigenvalue of the padded system, from
-eigenvalues-only solves, so a mode b never reaches still refuses a C that
-undercuts it.  The clock register after phase estimation is reproduced
-exactly through the closed-form Fejer kernel of the discrete Fourier
-transform, so finite-resolution leakage (the source of HHL error for
-eigenvalues that do not land on a clock bin) is modeled without building
-gate-level circuits; it is evaluated only for modes that b reaches.
-Post-selection statistics, the inversion rotation, and feature extraction
-then follow from closed-form sums over clock bins.
+spectral measure: the eigenvalues b reaches and its projection onto each
+of their eigenspaces.  The simulator therefore takes its modes from the
+Krylov space of b, block by block: a row without off-diagonal entries (the
+fill * I padding to a power-of-two order, an isolated vertex) is an
+eigenpair as it stands, and each connected component of the rest, or a
+digraph's whole dilation [[0, B], [B^T, 0]], runs Lanczos from its part of
+b until that space is invariant and contributes the Ritz pairs of the
+tridiagonal.  A block whose part of b reaches more modes than a fixed
+share of its order falls back to a dense eigensolve (one SVD of B for a
+dilation).  The window, C and null checks read every eigenvalue of the
+padded system, so a mode b never reaches still refuses a C that undercuts
+it.  Each block takes them from a second Lanczos run, from a fixed
+Gaussian start that meets every eigenspace: once its Krylov space is
+invariant, its Ritz values are the block's distinct eigenvalues to working
+precision.  Only a block where that run too reaches the cap takes an
+eigenvalues-only dense solve (the singular values of B for a dilation).
+The clock register after phase estimation is reproduced exactly through
+the closed-form Fejer kernel of the discrete Fourier transform, so
+finite-resolution leakage (the source of HHL error for eigenvalues that do
+not land on a clock bin) is modeled without building gate-level circuits;
+it is evaluated only for modes that b reaches.  Post-selection statistics,
+the inversion rotation, and feature extraction then follow from
+closed-form sums over clock bins.
 
 Zero modes of the matrix are never inverted: the all-zeros clock bin gets
 rotation angle zero, which is what makes the reconstructed vector converge
@@ -49,7 +54,7 @@ from .graphs import (
     next_power_of_two,
     pad_to_power_of_two,
 )
-from .spectral import zero_tolerance
+from .spectral import _START_SEED, zero_tolerance
 
 # A full run stores order * 2^n_r complex amplitudes implicitly; the budget
 # counts state + clock + ancilla qubits.
@@ -58,12 +63,19 @@ MQF_THRESHOLD = 0.8
 DEFAULT_CLOCK_QUBITS = 10
 _NULL_SUCCESS = 1e-14
 _C_SLACK = 1.0 + 1e-12
-# Lanczos runs at most this share of a block's order in steps; a block whose
-# right-hand side is still reaching new modes then takes a dense eigensolve,
-# and the steps are wasted.  At 1/16 that waste stays near 5% of the dense
-# eigensolve, while structured graphs (hypercubes, complete and Turan
-# graphs, stars) reach a dozen or fewer distinct eigenvalues.
+# A block takes up to two Lanczos runs, one from its part of b for the
+# modes and one from a random start for its spectrum.  Each runs at most
+# this share of the block's order in steps; a run still reaching new modes
+# then gives way to a dense eigensolve, and its steps are wasted.  At 1/16
+# that waste stays near 5% of the dense eigensolve per run, while
+# structured graphs (hypercubes, complete and Turan graphs, stars) reach a
+# dozen or fewer distinct eigenvalues.
 _KRYLOV_SHARE = 1 / 16
+# A run may take this many steps (at most the order) on a small block too.
+# After a near-breakdown, a first residual just above the stopping
+# tolerance, the next direction is rounding amplified by |A| / beta, and
+# the space closes a step or two later.
+_KRYLOV_MIN_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -237,9 +249,10 @@ class _Modes(NamedTuple):
 
 class _Eigensystem(NamedTuple):
     """What the simulator needs of the system matrix for one right-hand
-    side: every eigenvalue, ``spectrum``, for the window, C and null checks,
-    and eigenpairs ``modes`` whose span holds the right-hand side, one
-    entry per block, together covering every row."""
+    side: its distinct eigenvalues, each to working precision and sorted,
+    ``spectrum``, for the window, C and null checks, and eigenpairs
+    ``modes`` whose span holds the right-hand side, one entry per block,
+    together covering every row."""
 
     spectrum: np.ndarray
     modes: list[_Modes]
@@ -272,7 +285,7 @@ def _ritz_pairs(
     """Eigenpairs (theta, V) of the symmetric ``block`` (a dense or sparse
     array with absolute row bound ``bound``) whose span is the Krylov space
     of ``rhs``, or None when that space is still growing after
-    _KRYLOV_SHARE of the order in steps.
+    _KRYLOV_SHARE of the order in steps (at least _KRYLOV_MIN_STEPS).
 
     Lanczos from rhs with two-pass full reorthogonalization stops at a
     residual beta <= order * eps * bound, where the space is invariant to
@@ -284,7 +297,7 @@ def _ritz_pairs(
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.empty(0), np.empty((order, 0))
-    steps = int(order * _KRYLOV_SHARE)
+    steps = max(int(order * _KRYLOV_SHARE), min(order, _KRYLOV_MIN_STEPS))
     tol = order * np.finfo(float).eps * bound
     basis = np.empty((steps, order))
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -306,13 +319,34 @@ def _ritz_pairs(
     return None
 
 
+def _krylov_spectrum(block: np.ndarray | sp.csr_array, bound: float) -> np.ndarray | None:
+    """The distinct eigenvalues of the symmetric ``block`` (absolute row
+    bound ``bound``), each to working precision: the Ritz values of the
+    Krylov space of a fixed Gaussian start, which meets every eigenspace
+    with probability 1.  None when that space reaches the cap of
+    ``_ritz_pairs``."""
+    start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(block.shape[0])
+    ritz = _ritz_pairs(block, start, bound)
+    return None if ritz is None else ritz[0]
+
+
+def _distinct(values: np.ndarray, order: int) -> np.ndarray:
+    """The eigenvalues ``values`` of a matrix of ``order``, sorted, each
+    run of them closer than its null tolerance kept once."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = np.diff(values) > zero_tolerance(values, order)
+    return values[keep]
+
+
 def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
     """Spectrum of ``a`` and eigenpairs spanning ``unit``, one block per
     connected component of its pattern.  A row without off-diagonal entries
     (the fill * I padding of ``pad_to_power_of_two``, an isolated vertex) is
     the eigenpair (a_kk, e_k) as it stands.  A component takes the Ritz
-    pairs of its part of ``unit`` and its eigenvalues alone, or its full
-    ``eigh`` when that part reaches too many modes."""
+    pairs of its part of ``unit`` and the Ritz values of a random start, or
+    its full ``eigh`` when that part reaches too many modes (``eigvalsh``
+    when the random start does)."""
     _, labels = connected_components(a.csr, directed=True, connection="strong")
     sizes = np.bincount(labels)
     alone = np.flatnonzero(sizes[labels] == 1)
@@ -321,36 +355,39 @@ def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
     for label in np.flatnonzero(sizes > 1):
         rows = np.flatnonzero(labels == label)
         block = a.csr[rows][:, rows]
-        dense = block.toarray()
+        bound = float((abs(block) @ np.ones(rows.size)).max())
         # A CSR mat-vec costs about eight times a dense one per stored entry.
-        operand = block if 8 * block.nnz <= dense.size else dense
-        ritz = _ritz_pairs(operand, unit[rows], float((abs(block) @ np.ones(rows.size)).max()))
+        sparse = 8 * block.nnz <= rows.size**2
+        operand = block if sparse else block.toarray()
+        ritz = _ritz_pairs(operand, unit[rows], bound)
         if ritz is None:
-            lam, vectors = np.linalg.eigh(dense)
+            lam, vectors = np.linalg.eigh(block.toarray() if sparse else operand)
             spectra.append(lam)
         else:
             lam, vectors = ritz
-            spectra.append(np.linalg.eigvalsh(dense))
+            values = _krylov_spectrum(operand, bound)
+            if values is None:
+                values = np.linalg.eigvalsh(block.toarray() if sparse else operand)
+            spectra.append(values)
         modes.append(_Modes(rows, lam, vectors))
-    return _Eigensystem(np.concatenate(spectra), modes)
+    return _Eigensystem(_distinct(np.concatenate(spectra), a.order), modes)
 
 
 def _dilation_eigenpairs(
-    dilation: SymmetricMatrix, inc: RectMatrix, fill: float, order: int, unit: np.ndarray
+    dilation: SymmetricMatrix, inc: RectMatrix, bound: float, order: int, unit: np.ndarray
 ) -> _Eigensystem:
-    """Spectrum of ``dilation`` = ``hermitian_dilation(inc)`` padded to
-    ``order`` with ``fill``, and eigenpairs spanning ``unit``.  The dilation
-    takes the Ritz pairs of its part of ``unit``, or else its full
+    """Spectrum of ``dilation`` = ``hermitian_dilation(inc)``, whose
+    absolute row bound is ``bound``, padded to ``order`` with ``bound``, and
+    eigenpairs spanning ``unit``.  The dilation takes the Ritz pairs of its
+    part of ``unit`` and the Ritz values of a random start, or else its full
     eigenbasis from one SVD inc = U diag(s) V^T (Jordan-Wielandt): +-s_i on
     (u_i, +-v_i) / sqrt 2 and the |rows - cols| surplus columns of U or V
-    as zero modes.  The padding rows are (fill, e_k)."""
+    as zero modes; the singular values alone when only the random start
+    reaches too many modes.  The padding rows are (bound, e_k)."""
     n, m = inc.rows, inc.cols
-    padding = np.full(order - n - m, fill)
-    ritz = _ritz_pairs(dilation.csr, unit[: n + m], abs_row_bound(dilation))
-    if ritz is not None:
-        s = np.linalg.svd(inc.to_dense(), compute_uv=False)
-        lam, vectors = ritz
-    else:
+    padding = np.full(order - n - m, bound)
+    ritz = _ritz_pairs(dilation.csr, unit[: n + m], bound)
+    if ritz is None:
         u, s, vt = np.linalg.svd(inc.to_dense())
         r = s.size
         vectors = np.zeros((n + m, n + m))
@@ -361,8 +398,14 @@ def _dilation_eigenpairs(
             vectors[:n, 2 * r :] = u[:, r:]
         else:
             vectors[n:, 2 * r :] = vt[r:].T
-        lam = np.concatenate((s, -s, np.zeros(abs(n - m))))
-    spectrum = np.concatenate((s, -s, np.zeros(abs(n - m)), padding))
+        lam = values = np.concatenate((s, -s, np.zeros(abs(n - m))))
+    else:
+        lam, vectors = ritz
+        values = _krylov_spectrum(dilation.csr, bound)
+        if values is None:
+            s = np.linalg.svd(inc.to_dense(), compute_uv=False)
+            values = np.concatenate((s, -s, np.zeros(abs(n - m))))
+    spectrum = _distinct(np.concatenate((values, padding)), order)
     modes = [_Modes(slice(0, n + m), lam, vectors), _Modes(slice(n + m, order), padding, None)]
     return _Eigensystem(spectrum, modes)
 
@@ -404,7 +447,7 @@ def _qpe(
     indices ``live`` of the modes with beta != 0, their clock weights, and
     whether the clock reads signed values."""
     spectrum = eig.spectrum
-    tol = zero_tolerance(spectrum)
+    tol = zero_tolerance(spectrum, unit.size)
     nonzero = np.abs(spectrum) > tol
     signed = bool((spectrum < -tol).any())
     if nonzero.any():
@@ -423,9 +466,11 @@ def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutc
 
     The rotation angle on clock value c is 2 arcsin(C / bin(c)), clamped to
     a full flip when a leakage bin undercuts C, and zero on the all-zeros
-    bin so null-space components acquire no success amplitude.  Eigenvalues
-    at or below numpy's rank tolerance, ``zero_tolerance(eigs)``, in
-    magnitude count as null.
+    bin so null-space components acquire no success amplitude.  The window,
+    C and null checks read every distinct eigenvalue of ``a``, reached by b
+    or not, from a Lanczos run per block (see the module docstring).
+    Eigenvalues at or below numpy's rank tolerance order * eps * max|lambda|,
+    ``zero_tolerance(spectrum, a.order)``, in magnitude count as null.
     """
     unit, b_norm = _unit_rhs(a.order, b, cfg)
     return _simulate(_eigenpairs(a, unit), unit, b_norm, cfg)
@@ -657,8 +702,8 @@ def _graph_solve(
     """Simulate ``graph_system(g)`` padded to a power-of-two order, with rhs
     zero-extended to match; ``cfg=None`` takes graph_config's clock at
     DEFAULT_CLOCK_QUBITS.  A digraph passes its incidence matrix ``inc``,
-    whose singular values give the dilation's spectrum.  Returns the outcome
-    and the extended rhs."""
+    whose SVD is the dilation's dense fallback.  Returns the outcome and the
+    extended rhs."""
     system = hermitian_dilation(inc) if g.directed else laplacian(g)
     bound = abs_row_bound(system)
     if cfg is None:

@@ -61,10 +61,12 @@ def dense_limit() -> int:
     return DEFAULT_DENSE_LIMIT
 
 
-def zero_tolerance(eigs: np.ndarray) -> float:
+def zero_tolerance(eigs: np.ndarray, order: Optional[int] = None) -> float:
     """Magnitude at or below which an eigenvalue of ``eigs`` counts as zero:
-    numpy's rank tolerance order·ε·max|λ|."""
-    return eigs.size * np.finfo(float).eps * float(np.abs(eigs).max())
+    numpy's rank tolerance order·ε·max|λ|, for a matrix of ``order`` (when
+    None, ``eigs`` holds every eigenvalue and its size is the order)."""
+    size = eigs.size if order is None else order
+    return size * np.finfo(float).eps * float(np.abs(eigs).max())
 
 
 @dataclass(frozen=True)

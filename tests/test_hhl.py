@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from nlsp.hhl import (
     _dilation_eigenpairs,
     _eigenpairs,
     _graph_solve,
+    _qpe,
     _ritz_pairs,
     abs_row_bound,
     augment_for_aqf,
@@ -672,12 +674,15 @@ def assert_ritz_pairs(a: np.ndarray, theta: np.ndarray, vectors: np.ndarray, rhs
 
 
 def assert_eigensystem(eig, a: np.ndarray, unit: np.ndarray) -> None:
-    """``eig.spectrum`` is the spectrum of ``a``, and ``eig.modes`` cover
-    every row once with eigenpairs of ``a`` that span ``unit``."""
+    """``eig.spectrum`` holds the spectrum of ``a`` as a set: each
+    eigenvalue lies near an entry and each entry near an eigenvalue.  And
+    ``eig.modes`` cover every row once with eigenpairs of ``a`` that span
+    ``unit``."""
     order = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
-    assert eig.spectrum.size == order
-    assert np.abs(np.sort(eig.spectrum) - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+    gaps = np.abs(np.subtract.outer(np.linalg.eigvalsh(a), eig.spectrum))
+    assert gaps.min(axis=1).max() <= 1e-12 * scale
+    assert gaps.min(axis=0).max() <= 1e-12 * scale
     covered = np.zeros(order, dtype=int)
     for mode in eig.modes:
         rows = np.arange(order)[mode.rows]
@@ -830,6 +835,11 @@ CAP_CASES = {
     "K8-digraph": (Graph.from_edges(8, [(i, j) for i in range(8) for j in range(8) if i != j],
                                     True),
                    np.random.default_rng(3).standard_normal(64), True, [(64, 3)]),
+    # a random b on K_n reaches 0 and n, but its first residual stops just
+    # above the tolerance: the next step adds a rounding-born direction in
+    # the eigenspace of n, and the third closes the space
+    "random-K40": (complete_graph(40), np.random.default_rng(1).standard_normal(40), True,
+                   [(40, 3)]),
     # a random weighted b reaches every mode of a 40-vertex component
     "dense-weighted40": (connected_weighted(40, 4), np.random.default_rng(5).standard_normal(40),
                          False, [(40, 40)]),
@@ -869,11 +879,49 @@ class TestKrylovCap:
         with pytest.raises(ValueError, match="C out of range"):
             detect_fixed_clock_qubits(lap, b, above)
 
+    def test_window_over_a_mode_b_never_reaches(self):
+        # (-1)^{x_0} on Q_7 is the eigenvector of 2 alone; a clock that puts
+        # lambda_max = 14 outside the window must still be refused.
+        lap = laplacian(hypercube(7))
+        b = np.array([(-1.0) ** (x & 1) for x in range(128)])
+        assert mode_shapes(_eigenpairs(lap, b / np.linalg.norm(b))) == [(128, 1)]
+        inside = HhlConfig(n_r=10, t=2.0 * math.pi / 16, C=0.1)
+        assert hhl_solve(lap, b, inside).p_success == pytest.approx((0.1 * 16 / 2) ** 2)
+        outside = HhlConfig(n_r=10, t=2.0 * math.pi / 8, C=0.1)
+        with pytest.raises(ValueError, match="bound violated"):
+            hhl_solve(lap, b, outside)
+        with pytest.raises(ValueError, match="bound violated"):
+            detect_fixed_clock_qubits(lap, b, outside)
+
+    def test_signed_clock_from_a_block_b_never_reaches(self):
+        # b lives in the PSD K_4 Laplacian block (eigenvalues 0 and 4); the
+        # path adjacency block beside it has eigenvalues +-0.618 and +-1.618.
+        k4 = 4.0 * np.eye(4) - np.ones((4, 4))
+        path = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+        dense = scipy.linalg.block_diag(k4, path)
+        m = SymmetricMatrix(dense)
+        b = np.array([2.0, -1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        unit = b / np.linalg.norm(b)
+        eig = _eigenpairs(m, unit)
+        assert mode_shapes(eig) == [(4, 2), (4, 0)]
+        # 4 t / 2 pi = 0.3 lies between bins, so leakage reaches the upper
+        # half of the clock, which the signed reading takes as negative.
+        cfg = HhlConfig(n_r=4, t=2.0 * math.pi * 0.3 / 4, C=0.04)
+        assert _qpe(eig, unit, cfg)[3] is True
+        p_success, zero_weight, solution, _ = reference_outcome(dense, b, cfg)
+        got = hhl_solve(m, b, cfg)
+        assert got.p_success == pytest.approx(p_success, abs=1e-12)
+        assert got.clock_zero_weight == pytest.approx(zero_weight, abs=1e-12)
+        assert np.abs(got.solution - solution).max() <= 1e-10 * np.abs(solution).max()
+        # 4 t / 2 pi = 0.6 fits the unsigned window but not the signed one.
+        with pytest.raises(ValueError, match="below 1/2 when negative"):
+            hhl_solve(m, b, HhlConfig(n_r=4, t=2.0 * math.pi * 0.6 / 4, C=0.04))
+
 
 @st.composite
 def few_valued_matrices(draw):
     """Integer matrices of order 64..160 with at most order / 16 distinct
-    eigenvalues, dense or CSR, and a random right-hand side: a shifted,
+    eigenvalues, a random right-hand side and those eigenvalues: a shifted,
     sign-flipped and permuted direct sum of w (a I - J_a), whose spectrum
     is {0, w a}, for a in {4, 8} and w in {1, 2}."""
     sizes = [draw(st.sampled_from([4, 8])) for _ in range(16)]
@@ -888,19 +936,19 @@ def few_valued_matrices(draw):
     a = ((a.toarray() + shift * np.eye(order)) * signs * signs[:, None])[perm][:, perm]
     rhs = rng.standard_normal(order) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
     values = {shift} | {w * n + shift for n, w in zip(sizes, weights)}
-    return a, rhs, len(values)
+    return a, rhs, np.array(sorted(values), dtype=float)
 
 
 class TestRitzPairs:
     @settings(max_examples=60, deadline=None)
     @given(case=few_valued_matrices(), sparse=st.booleans())
     def test_krylov_space_of_few_valued_matrices(self, case, sparse):
-        a, rhs, distinct = case
+        a, rhs, values = case
         bound = float(np.abs(a).sum(axis=1).max())
         got = _ritz_pairs(sp.csr_array(a) if sparse else a, rhs, bound)
         assert got is not None
         theta, vectors = got
-        assert theta.size == distinct
+        assert theta.size == values.size
         assert_ritz_pairs(a, theta, vectors, rhs)
 
     def test_zero_rhs_spans_nothing(self):
@@ -910,3 +958,54 @@ class TestRitzPairs:
     def test_past_the_cap_is_none(self):
         a = np.diag(np.arange(1.0, 65.0))
         assert _ritz_pairs(a, np.ones(64), 64.0) is None
+
+
+class TestKrylovSpectrum:
+    """The spectrum the checks read, from the Krylov space of a random
+    start: no dense eigensolve where that space closes, each distinct
+    eigenvalue once, and the padded order's null tolerance."""
+
+    @pytest.fixture
+    def no_dense_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on the Krylov path")
+
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def test_hypercube_resistance(self, request):
+        g = hypercube(10)
+        oracle = effective_resistance(g, 3, 1000)
+        cfg = bin_exact_config(2, 20.0, False, 10)
+        request.getfixturevalue("no_dense_eigensolve")
+        assert effective_resistance(g, 3, 1000, "hhl", cfg) == pytest.approx(oracle, rel=1e-8)
+
+    def test_star_flow(self, request):
+        g = star_digraph(120)
+        c = np.zeros(121)
+        c[5], c[17] = -1.0, 1.0
+        oracle = traffic_flow(g, c).flow
+        cfg = bin_exact_config(1, 120.0, True, 10)
+        request.getfixturevalue("no_dense_eigensolve")
+        flow = traffic_flow(g, c, "hhl", cfg).flow
+        assert np.abs(flow - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=few_valued_matrices())
+    def test_distinct_eigenvalues_of_few_valued_matrices(self, case):
+        a, rhs, values = case
+        spectrum = _eigenpairs(SymmetricMatrix(a), rhs / np.linalg.norm(rhs)).spectrum
+        assert spectrum.size == len(values)
+        scale = max(1.0, float(np.abs(values).max()))
+        assert np.abs(np.subtract.outer(spectrum, values)).min(axis=1).max() <= 1e-12 * scale
+
+    def test_null_tolerance_takes_the_padded_order(self):
+        # [[1, 1], [1, 1 + d]] has eigenvalues d / 2 + O(d^2) and 2 + d / 2:
+        # at d = 2e-14 the small one lies below 64 eps |A|, the rank tolerance
+        # of order 64, and so is null, though not below 2 eps |A|, the count
+        # of distinct eigenvalues times eps |A|.  b, a unit vector of the 2 I
+        # rows, reaches neither.
+        block = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-14]])
+        m = SymmetricMatrix(scipy.linalg.block_diag(block, 2.0 * np.eye(62)))
+        b = np.eye(64)[5]
+        assert hhl_solve(m, b, default_config(6, 2.0 + 1e-13, 1.0)).p_success > 0.0
