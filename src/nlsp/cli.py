@@ -321,21 +321,21 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
     try:
         if "t" in raw or "C" in raw:
             return HhlConfig(
-                n_r=int(raw["n_r"]),
+                n_r=raw["n_r"],
                 t=float(raw["t"]),
                 C=float(raw["C"]),
                 shots=raw.get("shots"),
                 seed=raw.get("seed"),
             )
         return default_config(
-            int(raw["n_r"]),
+            raw["n_r"],
             bound,
             raw.get("lambda_min"),
             signed=bool(raw.get("signed", signed)),
             shots=raw.get("shots"),
             seed=raw.get("seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad solver config: {exc}") from exc
 
 

@@ -5,18 +5,18 @@ spectral measure: the eigenvalues b reaches and its projection onto each
 of their eigenspaces.  The simulator therefore takes its modes from the
 Krylov space of b, block by block: a row without off-diagonal entries (the
 fill * I padding to a power-of-two order, an isolated vertex) is an
-eigenpair as it stands, and each connected component of the rest, or a
-digraph's whole dilation [[0, B], [B^T, 0]], runs Lanczos from its part of
-b until that space is invariant and contributes the Ritz pairs of the
-tridiagonal.  A block whose part of b reaches more modes than a fixed
-share of its order falls back to a dense eigensolve (one SVD of B for a
-dilation).  The window, C and null checks read every eigenvalue of the
-padded system, so a mode b never reaches still refuses a C that undercuts
-it.  Each block takes them from a second Lanczos run, from a fixed
-Gaussian start that meets every eigenspace: once its Krylov space is
-invariant, its Ritz values are the block's distinct eigenvalues to working
-precision.  Only a block where that run too reaches the cap takes an
-eigenvalues-only dense solve (the singular values of B for a dilation).
+eigenpair as it stands, and each connected component of the rest (for a
+digraph's dilation [[0, B], [B^T, 0]], one per weakly connected component
+of the digraph) runs Lanczos from its part of b until that space is
+invariant and contributes the Ritz pairs of the tridiagonal.  A block
+whose part of b reaches more modes than a fixed share of its order falls
+back to a dense ``eigh``.  The window, C and null checks read every
+eigenvalue of the padded system, so a mode b never reaches still refuses a
+C that undercuts it.  Each block takes them from a second Lanczos run,
+from a fixed Gaussian start that meets every eigenspace: once its Krylov
+space is invariant, its Ritz values are the block's distinct eigenvalues
+to working precision.  Only a block where that run too reaches the cap
+takes a dense ``eigvalsh``.
 The clock register after phase estimation is reproduced exactly through
 the closed-form Fejer kernel of the discrete Fourier transform, so
 finite-resolution leakage (the source of HHL error for eigenvalues that do
@@ -46,12 +46,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import (
     Graph,
-    RectMatrix,
     SymmetricMatrix,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
-    next_power_of_two,
     pad_to_power_of_two,
 )
 from .spectral import _START_SEED, zero_tolerance
@@ -66,7 +64,8 @@ _C_SLACK = 1.0 + 1e-12
 # A block takes up to two Lanczos runs, one from its part of b for the
 # modes and one from a random start for its spectrum.  Each runs at most
 # this share of the block's order in steps; a run still reaching new modes
-# then gives way to a dense eigensolve, and its steps are wasted.  At 1/16
+# then gives way to a dense eigh or eigvalsh of the block (for a digraph's
+# dilation, of order vertices + edges), and its steps are wasted.  At 1/16
 # that waste stays near 5% of the dense eigensolve per run, while
 # structured graphs (hypercubes, complete and Turan graphs, stars) reach a
 # dozen or fewer distinct eigenvalues.
@@ -76,6 +75,11 @@ _KRYLOV_SHARE = 1 / 16
 # tolerance, the next direction is rounding amplified by |A| / beta, and
 # the space closes a step or two later.
 _KRYLOV_MIN_STEPS = 3
+
+
+def _check_clock_qubits(n_r: int) -> None:
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 1:
+        raise ValueError(f"n_r must be an int >= 1, got {n_r!r}")
 
 
 @dataclass(frozen=True)
@@ -94,12 +98,10 @@ class HhlConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_r < 1:
-            raise ValueError("n_r must be >= 1")
-        if self.t <= 0:
-            raise ValueError("evolution time t must be positive")
-        if self.C <= 0:
-            raise ValueError("rotation constant C must be positive")
+        _check_clock_qubits(self.n_r)
+        for name, value in (("evolution time t", self.t), ("rotation constant C", self.C)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be a positive count")
         if self.seed is not None and (
@@ -135,8 +137,7 @@ def default_config(
     register.  C defaults to 0.9 of the smallest scaled eigenvalue when a
     lower bound is supplied, else to 0.9 of the clock grid floor 2^-n_r.
     """
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    _check_clock_qubits(n_r)
     if lambda_max <= 0:
         raise ValueError("lambda_max bound must be positive")
     if lambda_min is not None and not 0 < lambda_min <= lambda_max:
@@ -239,10 +240,10 @@ def _sampled(p: float, cfg: HhlConfig) -> float:
 class _Modes(NamedTuple):
     """Orthonormal eigenpairs of one invariant block of the system matrix:
     eigenvalues ``lam`` whose vectors live on the matrix rows ``rows`` (an
-    index array or a slice), as the columns of ``vectors``, or as the unit
-    vectors of those rows when ``vectors`` is None."""
+    index array), as the columns of ``vectors``, or as the unit vectors of
+    those rows when ``vectors`` is None."""
 
-    rows: np.ndarray | slice
+    rows: np.ndarray
     lam: np.ndarray
     vectors: np.ndarray | None
 
@@ -346,7 +347,8 @@ def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
     the eigenpair (a_kk, e_k) as it stands.  A component takes the Ritz
     pairs of its part of ``unit`` and the Ritz values of a random start, or
     its full ``eigh`` when that part reaches too many modes (``eigvalsh``
-    when the random start does)."""
+    when the random start does).  A digraph's dilation has one component
+    per weakly connected component of the digraph, edge rows included."""
     _, labels = connected_components(a.csr, directed=True, connection="strong")
     sizes = np.bincount(labels)
     alone = np.flatnonzero(sizes[labels] == 1)
@@ -371,43 +373,6 @@ def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
             spectra.append(values)
         modes.append(_Modes(rows, lam, vectors))
     return _Eigensystem(_distinct(np.concatenate(spectra), a.order), modes)
-
-
-def _dilation_eigenpairs(
-    dilation: SymmetricMatrix, inc: RectMatrix, bound: float, order: int, unit: np.ndarray
-) -> _Eigensystem:
-    """Spectrum of ``dilation`` = ``hermitian_dilation(inc)``, whose
-    absolute row bound is ``bound``, padded to ``order`` with ``bound``, and
-    eigenpairs spanning ``unit``.  The dilation takes the Ritz pairs of its
-    part of ``unit`` and the Ritz values of a random start, or else its full
-    eigenbasis from one SVD inc = U diag(s) V^T (Jordan-Wielandt): +-s_i on
-    (u_i, +-v_i) / sqrt 2 and the |rows - cols| surplus columns of U or V
-    as zero modes; the singular values alone when only the random start
-    reaches too many modes.  The padding rows are (bound, e_k)."""
-    n, m = inc.rows, inc.cols
-    padding = np.full(order - n - m, bound)
-    ritz = _ritz_pairs(dilation.csr, unit[: n + m], bound)
-    if ritz is None:
-        u, s, vt = np.linalg.svd(inc.to_dense())
-        r = s.size
-        vectors = np.zeros((n + m, n + m))
-        vectors[:n, :r] = vectors[:n, r : 2 * r] = math.sqrt(0.5) * u[:, :r]
-        vectors[n:, :r] = math.sqrt(0.5) * vt[:r].T
-        vectors[n:, r : 2 * r] = -vectors[n:, :r]
-        if n > m:
-            vectors[:n, 2 * r :] = u[:, r:]
-        else:
-            vectors[n:, 2 * r :] = vt[r:].T
-        lam = values = np.concatenate((s, -s, np.zeros(abs(n - m))))
-    else:
-        lam, vectors = ritz
-        values = _krylov_spectrum(dilation.csr, bound)
-        if values is None:
-            s = np.linalg.svd(inc.to_dense(), compute_uv=False)
-            values = np.concatenate((s, -s, np.zeros(abs(n - m))))
-    spectrum = _distinct(np.concatenate((values, padding)), order)
-    modes = [_Modes(slice(0, n + m), lam, vectors), _Modes(slice(n + m, order), padding, None)]
-    return _Eigensystem(spectrum, modes)
 
 
 def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
@@ -468,17 +433,13 @@ def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutc
     a full flip when a leakage bin undercuts C, and zero on the all-zeros
     bin so null-space components acquire no success amplitude.  The window,
     C and null checks read every distinct eigenvalue of ``a``, reached by b
-    or not, from a Lanczos run per block (see the module docstring).
-    Eigenvalues at or below numpy's rank tolerance order * eps * max|lambda|,
+    or not, from a Lanczos run per block (see the module docstring), for a
+    Laplacian and a digraph's Hermitian dilation alike.  Eigenvalues at or
+    below numpy's rank tolerance order * eps * max|lambda|,
     ``zero_tolerance(spectrum, a.order)``, in magnitude count as null.
     """
     unit, b_norm = _unit_rhs(a.order, b, cfg)
-    return _simulate(_eigenpairs(a, unit), unit, b_norm, cfg)
-
-
-def _simulate(eig: _Eigensystem, unit: np.ndarray, b_norm: float, cfg: HhlConfig) -> HhlOutcome:
-    """hhl_solve on a matrix given by its spectrum and the eigenpairs that
-    span ``unit``."""
+    eig = _eigenpairs(a, unit)
     beta, live, weights, signed = _qpe(eig, unit, cfg)
     tbins = cfg.n_bins
     ticks = np.arange(tbins)
@@ -696,26 +657,18 @@ def graph_config(
     return default_config(n_r, bound, signed=g.directed, shots=shots, seed=seed)
 
 
-def _graph_solve(
-    g: Graph, rhs: np.ndarray, cfg: HhlConfig | None, inc: RectMatrix | None = None
-) -> tuple[HhlOutcome, np.ndarray]:
-    """Simulate ``graph_system(g)`` padded to a power-of-two order, with rhs
-    zero-extended to match; ``cfg=None`` takes graph_config's clock at
-    DEFAULT_CLOCK_QUBITS.  A digraph passes its incidence matrix ``inc``,
-    whose SVD is the dilation's dense fallback.  Returns the outcome and the
-    extended rhs."""
-    system = hermitian_dilation(inc) if g.directed else laplacian(g)
+def _graph_solve(g: Graph, rhs: np.ndarray, cfg: HhlConfig | None) -> tuple[HhlOutcome, np.ndarray]:
+    """``hhl_solve`` on ``graph_system(g)`` padded with its absolute row
+    bound, rhs zero-extended to match; ``cfg=None`` takes graph_config's
+    clock.  Returns the outcome and the extended rhs."""
+    system = graph_system(g)
     bound = abs_row_bound(system)
     if cfg is None:
         cfg = default_config(DEFAULT_CLOCK_QUBITS, bound, signed=g.directed)
-    order = next_power_of_two(system.order)
-    vec = np.zeros(order)
+    padded = pad_to_power_of_two(system, bound)
+    vec = np.zeros(padded.order)
     vec[: len(rhs)] = rhs
-    if not g.directed:
-        return hhl_solve(pad_to_power_of_two(system, bound), vec, cfg), vec
-    unit, b_norm = _unit_rhs(order, vec, cfg)
-    eig = _dilation_eigenpairs(system, inc, bound, order, unit)
-    return _simulate(eig, unit, b_norm, cfg), vec
+    return hhl_solve(padded, vec, cfg), vec
 
 
 def _components(g: Graph) -> np.ndarray:
@@ -797,12 +750,14 @@ def traffic_flow(
     so a vehicle stream entering the network at u and leaving at w is
     c = -delta_u + delta_w.  Balance is required; c with a component
     outside the column space of B (in particular, nonzero total) is
-    rejected.  The hhl path solves the Hermitian dilation [[0, B], [B^T,
-    0]] in signed clock mode (``cfg=None`` takes ``graph_config(g)``) and
-    reads y off the edge block.  Negative
-    flow entries are physically suspect (lane counts are nonnegative) and
-    are reported, not rejected.
+    rejected.  The hhl path runs ``hhl_solve`` on the Hermitian dilation
+    [[0, B], [B^T, 0]], padded to a power-of-two order, in signed clock mode
+    (``cfg=None`` takes ``graph_config(g)``) and reads y off the edge block.
+    Negative flow entries are physically suspect (lane counts are
+    nonnegative) and are reported, not rejected.
     """
+    if method not in ("oracle", "hhl"):
+        raise ValueError(f"unknown method {method!r}")
     if not g.directed:
         raise ValueError("traffic flow is defined for directed graphs")
     c = np.asarray(injections, dtype=float)
@@ -819,12 +774,9 @@ def traffic_flow(
     residual = math.sqrt(float(np.sum(np.bincount(labels, c) ** 2 / np.bincount(labels))))
     if residual > 1e-8:
         raise ValueError("imbalanced injections: no exact flow satisfies them")
-    inc = incidence_matrix(g)
     if method == "oracle":
-        y = np.linalg.lstsq(inc.to_dense(), c, rcond=None)[0][: g.n_edges]
-    elif method == "hhl":
-        y = _graph_solve(g, c, cfg, inc)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
+        y = np.linalg.lstsq(incidence_matrix(g).to_dense(), c, rcond=None)[0][: g.n_edges]
     else:
-        raise ValueError(f"unknown method {method!r}")
+        y = _graph_solve(g, c, cfg)[0].solution[g.n_vertices : g.n_vertices + g.n_edges]
     lanes = tuple(int(k) for k in np.flatnonzero(y < -1e-9))
     return TrafficFlowResult(flow=y, negative_lanes=lanes)

@@ -13,7 +13,7 @@ import pytest
 import nlsp
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from nlsp.graphs import Graph, read_edge_list, write_edge_list
-from nlsp.hhl import default_config, effective_resistance, traffic_flow
+from nlsp.hhl import default_config, effective_resistance, graph_config, traffic_flow
 from nlsp.superfamily import (
     column_slice,
     iso_s_slice,
@@ -496,10 +496,19 @@ class TestHhlCommands:
             ({"dense": [[math.nan, 0.0], [0.0, 1.0]]}, [1.0, 1.0], {"n_r": 3},
              "dense matrix must be finite"),
             ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5, "t": 0.5, "C": 0.1},
+             "n_r must be an int >= 1"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5}, "n_r must be an int >= 1"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2000}, "bad solver config"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": math.nan, "C": 0.1},
+             "t must be positive and finite"),
+            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": 0.5, "C": math.nan},
+             "C must be positive and finite"),
         ],
         ids=[
             "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "b-nan",
-            "dense-nan", "kind-mismatch",
+            "dense-nan", "kind-mismatch", "n_r-fraction", "n_r-fraction-default",
+            "n_r-overflow", "t-nan", "C-nan",
         ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
@@ -510,6 +519,27 @@ class TestHhlCommands:
         assert main(["hhl", "solve", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_solve_padded_incidence_is_the_traffic_flow_solve(self, tmp_path, capsys):
+        # the padded dilation of a problem file and traffic_flow's hhl path
+        # are one solve: the edge block of the reconstruction is the flow
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)], directed=True)
+        edges = tmp_path / "dp4.edges"
+        with open(edges, "w") as f:
+            write_edge_list(g, f)
+        problem = {
+            "matrix": {"edge_list": str(edges), "matrix_kind": "incidence"},
+            "b": [-1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+            "pad": True,
+            "config": {"n_r": 9},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["hhl", "solve", str(path)]) == EXIT_OK
+        doc = read_json(capsys)
+        flow = traffic_flow(g, [-1.0, 0.0, 0.0, 1.0], "hhl", graph_config(g, 9)).flow
+        assert doc["reconstruction"][4:7] == flow.tolist()
+        assert doc["oracle_delta"] <= 2e-2 * max(abs(x) for x in doc["oracle_solution"])
 
     def test_solve_incidence_kind_needs_a_directed_graph(self, tmp_path, dc4_file, capsys):
         problem = {

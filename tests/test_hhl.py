@@ -23,7 +23,6 @@ from nlsp.hhl import (
     HhlOutcome,
     _clock_histogram,
     _clock_weights,
-    _dilation_eigenpairs,
     _eigenpairs,
     _graph_solve,
     _qpe,
@@ -58,12 +57,18 @@ def directed_cycle4() -> Graph:
 
 class TestConfig:
     def test_field_validation(self):
-        with pytest.raises(ValueError, match="n_r"):
-            HhlConfig(n_r=0, t=1.0, C=0.1)
-        with pytest.raises(ValueError, match="t must be positive"):
-            HhlConfig(n_r=4, t=0.0, C=0.1)
-        with pytest.raises(ValueError, match="C must be positive"):
-            HhlConfig(n_r=4, t=1.0, C=0.0)
+        for n_r in (0, 2.5, 4.0, True, "4"):
+            with pytest.raises(ValueError, match="n_r must be an int >= 1"):
+                HhlConfig(n_r=n_r, t=1.0, C=0.1)
+            with pytest.raises(ValueError, match="n_r must be an int >= 1"):
+                default_config(n_r, 8.0)
+        assert HhlConfig(n_r=np.int64(4), t=1.0, C=0.1).n_bins == 16
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be positive"):
+                HhlConfig(n_r=4, t=t, C=0.1)
+        for c in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="C must be positive"):
+                HhlConfig(n_r=4, t=1.0, C=c)
         with pytest.raises(ValueError, match="shots"):
             HhlConfig(n_r=4, t=1.0, C=0.1, shots=0)
         for seed in ("3", 3.0, True, -1):
@@ -516,6 +521,9 @@ class TestTrafficFlow:
             traffic_flow(directed_cycle4(), [1.0, -1.0])
         with pytest.raises(ValueError, match="method"):
             traffic_flow(directed_cycle4(), [-1.0, 1.0, 0.0, 0.0], "quantum")
+        # the zero-injection shortcut must not hide an unknown method
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            traffic_flow(Graph.from_edges(3, [(0, 1)], True), np.zeros(3), method="bogus")
         for method in ("oracle", "hhl"):
             with pytest.raises(ValueError, match="finite"):
                 traffic_flow(directed_cycle4(), [math.nan, 0.0, 0.0, 0.0], method)
@@ -685,12 +693,11 @@ def assert_eigensystem(eig, a: np.ndarray, unit: np.ndarray) -> None:
     assert gaps.min(axis=0).max() <= 1e-12 * scale
     covered = np.zeros(order, dtype=int)
     for mode in eig.modes:
-        rows = np.arange(order)[mode.rows]
-        covered[rows] += 1
+        covered[mode.rows] += 1
         vectors = np.zeros((order, mode.lam.size))
-        vectors[rows] = np.eye(rows.size) if mode.vectors is None else mode.vectors
+        vectors[mode.rows] = np.eye(mode.rows.size) if mode.vectors is None else mode.vectors
         part = np.zeros(order)
-        part[rows] = unit[rows]
+        part[mode.rows] = unit[mode.rows]
         assert_ritz_pairs(a, mode.lam, vectors, part)
     assert np.array_equal(covered, np.ones(order, dtype=int))
 
@@ -702,40 +709,31 @@ def mode_shapes(eig) -> list[tuple[int, int]]:
 
 
 def graph_eigensystem(g: Graph, rhs: np.ndarray):
-    """The eigensystem the simulator builds for graph_system(g) padded, its
-    dense matrix and the unit right-hand side."""
+    """The eigensystem the simulator builds for graph_system(g) padded, the
+    padded matrix, its absolute row bound and the unit right-hand side."""
     system = graph_system(g)
     bound = abs_row_bound(system)
     padded = pad_to_power_of_two(system, bound)
     vec = np.zeros(padded.order)
     vec[: rhs.size] = rhs
     unit = vec / np.linalg.norm(vec)
-    if g.directed:
-        eig = _dilation_eigenpairs(system, incidence_matrix(g), bound, padded.order, unit)
-    else:
-        eig = _eigenpairs(padded, unit)
-    return eig, padded.to_dense(), unit
+    return _eigenpairs(padded, unit), padded, bound, unit
 
 
 def assert_matches_reference(g: Graph, rhs: np.ndarray, exact: bool, n_r: int) -> None:
-    """The eigensystems of graph_system(g) padded, and _graph_solve,
+    """The eigensystem of graph_system(g) padded, and _graph_solve,
     hhl_solve and the clock histogram on it, against one eigensolve of the
     whole padded matrix."""
-    system = graph_system(g)
-    bound = abs_row_bound(system)
-    padded = pad_to_power_of_two(system, bound)
-    eig, dense, unit = graph_eigensystem(g, rhs)
+    eig, padded, bound, unit = graph_eigensystem(g, rhs)
+    dense = padded.to_dense()
     assert_eigensystem(eig, dense, unit)
-    if g.directed:
-        assert_eigensystem(_eigenpairs(padded, unit), dense, unit)
     lam = np.abs(np.linalg.eigvalsh(dense))
     lam_min = float(lam[lam > zero_tolerance(lam)].min())
     if exact:
         cfg = bin_exact_config(round(lam_min), bound, g.directed, n_r)
     else:
         cfg = default_config(n_r, bound, lam_min, signed=g.directed)
-    inc = incidence_matrix(g) if g.directed else None
-    got, vec = _graph_solve(g, rhs, cfg, inc)
+    got, vec = _graph_solve(g, rhs, cfg)
     p_success, zero_weight, solution, histogram = reference_outcome(dense, vec, cfg)
     tol = 1e-10 * max(1.0, float(np.abs(solution).max()))
     for out in (got, hhl_solve(padded, vec, cfg)):
@@ -752,9 +750,9 @@ rhs_seeds = st.integers(0, 2**32 - 1)
 
 class TestBlockEigensystem:
     """Padding rows and isolated vertices taken as they stand, and each
-    component or a digraph's dilation reduced to the Krylov space of b (or
-    solved densely past the cap), agree with one eigensolve of the whole
-    padded matrix."""
+    component of a Laplacian or of a digraph's dilation reduced to the
+    Krylov space of b (or solved densely past the cap), agree with one
+    eigensolve of the whole padded matrix."""
 
     @settings(max_examples=100, deadline=None)
     @given(g=exact_laplacians(), seed=rhs_seeds)
@@ -827,10 +825,11 @@ CAP_CASES = {
     "unit-K48": (complete_graph(48), np.eye(48)[0], True, [(48, 2)]),
     # an edge of Q_7 reaches the 7 nonzero eigenvalues 2, 4, ..., 14
     "edge-Q7": (hypercube(7), pair_rhs(128, 0, 1), True, [(128, 7)]),
-    # star with 48 leaves and 15 isolated vertices: n - m = 16 zero modes,
-    # dilation eigenvalues 0, +-1 and +-7
+    # star with 48 leaves and 15 isolated vertices: the star's 97 dilation
+    # rows have eigenvalues 0 (once), +-1 and +-7; the isolated vertices are
+    # exact zero modes as they stand
     "star48+15": (star_digraph(48, 15), np.random.default_rng(2).standard_normal(112), True,
-                  [(112, 5)]),
+                  [(97, 5)]),
     # complete digraph on 8 vertices: m - n = 48 zero modes, +-4 besides
     "K8-digraph": (Graph.from_edges(8, [(i, j) for i in range(8) for j in range(8) if i != j],
                                     True),
@@ -843,7 +842,7 @@ CAP_CASES = {
     # a random weighted b reaches every mode of a 40-vertex component
     "dense-weighted40": (connected_weighted(40, 4), np.random.default_rng(5).standard_normal(40),
                          False, [(40, 40)]),
-    # a digraph whose dilation b reaches beyond the cap: dense SVD
+    # a digraph whose dilation b reaches beyond the cap: dense eigh
     "dense-digraph": (Graph.from_edges(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                                             (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (3, 9),
                                             (11, 0), (5, 1)], True),
@@ -858,7 +857,7 @@ class TestKrylovCap:
     @pytest.mark.parametrize("case", CAP_CASES.values(), ids=CAP_CASES.keys())
     def test_path_and_reference(self, case):
         g, rhs, exact, shapes = case
-        eig, _, _ = graph_eigensystem(g, rhs)
+        eig = graph_eigensystem(g, rhs)[0]
         assert mode_shapes(eig) == shapes
         assert_matches_reference(g, rhs, exact, n_r=8)
 
