@@ -1,0 +1,191 @@
+"""The catalog families that networkx builds, and the adapters they need.
+
+This module, and with it networkx, is imported on the first build of one of
+these families (``families._NetworkxBuild``), so a process that builds only
+the natively generated families never loads networkx.  ``BUILDS`` maps each
+such family id to its builder ``(n, params, rng) -> BuildResult``.  A random
+family's generator draws through ``_BitStreamRandom``, which reads the
+instance's PCG64 stream the way networkx's own wrapper of a
+``numpy.random.Generator`` does, without its per-draw numpy calls: its
+graphs are those of the networkx generator called with the Generator as
+``seed``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import math
+from itertools import chain
+
+import networkx as nx
+import numpy as np
+import scipy.sparse.linalg
+from networkx.generators.directed import random_uniform_k_out_graph
+from networkx.utils.misc import PythonRandomViaNumpyBits
+
+from .families import BuildResult, _simple_graph
+from .graphs import Graph
+
+EXPANDER_RETRY_LIMIT = 200
+RAMANUJAN_BOUND = 2.0 * math.sqrt(5.0)  # regularity 6
+
+# The bit generator's C draws, called with the GIL held: a draw takes
+# nanoseconds, so releasing the GIL around it, as a CFUNCTYPE call would,
+# only invites a thread switch.
+_DOUBLE_DRAW = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_WORD_DRAW = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+
+def _c_draw(prototype, fn):
+    return prototype(ctypes.cast(fn, ctypes.c_void_p).value)
+
+
+class _BitStreamRandom(PythonRandomViaNumpyBits):
+    """networkx's ``random.Random`` over a Generator, drawing the same bits.
+
+    ``PythonRandomViaNumpyBits`` answers ``random()`` with
+    ``Generator.random()`` and ``getrandbits(k)`` with
+    ``Generator.bytes(ceil(k / 8))``, a numpy call of about 9 us per draw.
+    This subclass calls the bit generator's ``next_double`` and
+    ``next_uint32`` on the same state instead.  ``Generator.random()`` is one
+    ``next_double``; ``Generator.bytes(m)`` is ceil(m / 4) ``next_uint32``
+    words laid out little-endian and cut to m bytes, read here the same way.
+    ``getrandbits(0)`` is left to the parent, since numpy decides how many
+    words zero bytes take.  Every other ``random.Random`` method is built on
+    these two, so the stream, and the state left behind, match networkx's
+    own wrapper draw for draw.
+
+    The draws skip the Generator's lock: the Generator must not be shared
+    with another thread, as holds for the one ``generate`` makes per
+    instance.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        super().__init__(rng)
+        iface = rng.bit_generator.ctypes
+        self._state = iface.state_address
+        self._next_double = _c_draw(_DOUBLE_DRAW, iface.next_double)
+        self._next_uint32 = _c_draw(_WORD_DRAW, iface.next_uint32)
+
+    def random(self) -> float:
+        return self._next_double(self._state)
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 0:
+            return super().getrandbits(k)
+        nbytes = (k + 7) // 8
+        draw, state = self._next_uint32, self._state
+        if nbytes <= 4:  # randrange's k <= 32: one word, no join
+            raw = draw(state).to_bytes(4, "little")
+        else:
+            raw = b"".join([draw(state).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)])
+        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - k)
+
+
+def _from_nx(g: nx.Graph, directed: bool) -> Graph:
+    # Nodes are relabeled by rank in sorted order; edges keep the generator's
+    # emission order, which is deterministic.
+    idx = {v: i for i, v in enumerate(sorted(g.nodes()))}
+    flat = np.fromiter(
+        map(idx.__getitem__, chain.from_iterable(g.edges())),
+        dtype=np.int64,
+        count=2 * g.number_of_edges(),
+    )
+    return _simple_graph(len(idx), flat[0::2], flat[1::2], directed)
+
+
+def _adjacency_lambda2(g: nx.Graph) -> float:
+    n = g.number_of_nodes()
+    a = nx.adjacency_matrix(g, nodelist=sorted(g.nodes())).astype(float)
+    if n <= 400:
+        vals = np.linalg.eigvalsh(a.toarray())
+        return float(vals[-2])
+    vals = scipy.sparse.linalg.eigsh(a, k=2, which="LA", return_eigenvectors=False)
+    return float(np.sort(vals)[0])
+
+
+def _expander(n: int, rng: np.random.Generator) -> BuildResult:
+    stream = _BitStreamRandom(rng)  # one stream across the retries
+    for _ in range(EXPANDER_RETRY_LIMIT):
+        cand = nx.random_regular_graph(6, n, seed=stream)
+        if _adjacency_lambda2(cand) <= RAMANUJAN_BOUND + 1e-9:
+            return _from_nx(cand, directed=False)
+    g = _from_nx(cand, directed=False)
+    return g, (f"no Ramanujan graph within {EXPANDER_RETRY_LIMIT} retries at n={n}",)
+
+
+def _build(fn, directed: bool):
+    # a random family's networkx generator draws through _BitStreamRandom
+    def build(n, params, rng):
+        seed = None if rng is None else _BitStreamRandom(rng)
+        return _from_nx(fn(n, params, seed), directed)
+
+    return build
+
+
+def _graph(fn):
+    return _build(fn, directed=False)
+
+
+def _digraph(fn):
+    return _build(fn, directed=True)
+
+
+# networkx 3.5 renamed random_lobster, keeping the old name as a deprecated
+# alias; networkx 3.4, the last release for Python 3.10, has only the old one.
+_random_lobster = getattr(nx, "random_lobster_graph", None) or nx.random_lobster
+
+
+# Each family's size growth, schedule and seed are its catalog entry's.
+BUILDS = {
+    # -- undirected, deterministic ------------------------------------------
+    "sudoku": _graph(lambda n, p, r: nx.sudoku_graph(n)),
+    "grid_2d": _graph(lambda n, p, r: nx.grid_2d_graph(102, n)),
+    "grid_2d_square": _graph(lambda n, p, r: nx.grid_2d_graph(2**n, 2**n)),
+    "hexagonal": _graph(lambda n, p, r: nx.hexagonal_lattice_graph(n, 101)),
+    "triangular": _graph(lambda n, p, r: nx.triangular_lattice_graph(n, 101)),
+    "harary_kn": _graph(lambda n, p, r: nx.hkn_harary_graph(3, n)),
+    "harary_mn": _graph(lambda n, p, r: nx.hnm_harary_graph(n, n + 1)),
+    "ladder": _graph(lambda n, p, r: nx.ladder_graph(n)),
+    "circular_ladder": _graph(lambda n, p, r: nx.circular_ladder_graph(n)),
+    "ring_of_cliques": _graph(lambda n, p, r: nx.ring_of_cliques(n, 3)),
+    "balanced_binary_tree": _graph(lambda n, p, r: nx.balanced_tree(2, n)),
+    "balanced_ternary_tree": _graph(lambda n, p, r: nx.balanced_tree(3, n)),
+    "binomial_tree": _graph(lambda n, p, r: nx.binomial_tree(n)),
+    # -- undirected, random -------------------------------------------------
+    "random_regular_expander": lambda n, p, r: _expander(n, r),
+    "barabasi_albert": _graph(lambda n, p, r: nx.barabasi_albert_graph(n, 3, seed=r)),
+    "newman_watts_strogatz": _graph(
+        lambda n, p, r: nx.newman_watts_strogatz_graph(n, 3, 1.0, seed=r)),
+    "random_regular": _graph(lambda n, p, r: nx.random_regular_graph(4, n, seed=r)),
+    "gaussian_random_partition": _graph(
+        lambda n, p, r: nx.gaussian_random_partition_graph(n, 5, 5, 0.5, 0.4, seed=r)),
+    "geographical_threshold": _graph(
+        lambda n, p, r: nx.geographical_threshold_graph(n, 10, seed=r)),
+    "soft_random_geometric": _graph(
+        lambda n, p, r: nx.soft_random_geometric_graph(n, 1.0, seed=r)),
+    "thresholded_random_geometric": _graph(
+        lambda n, p, r: nx.thresholded_random_geometric_graph(n, 1.0, 2.0, seed=r)),
+    "planted_partition": _graph(
+        lambda n, p, r: nx.planted_partition_graph(2, n, 0.5, 0.4, seed=r)),
+    "random_geometric": _graph(lambda n, p, r: nx.random_geometric_graph(n, 1.0, seed=r)),
+    "uniform_random_intersection": _graph(
+        lambda n, p, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
+    "random_lobster": _graph(lambda n, p, r: _random_lobster(n, 0.6, 0.5, seed=r)),
+    # -- directed, random ---------------------------------------------------
+    "gnc": _digraph(lambda n, p, r: nx.gnc_graph(n, seed=r)),
+    "gnr": _digraph(lambda n, p, r: nx.gnr_graph(n, 0.5, seed=r)),
+    "gaussian_random_partition_directed": _digraph(
+        lambda n, p, r: nx.gaussian_random_partition_graph(
+            n, 5, 5, 0.5, 0.4, directed=True, seed=r)),
+    "planted_partition_directed": _digraph(
+        lambda n, p, r: nx.planted_partition_graph(n, 5, 0.8, 0.4, seed=r, directed=True)),
+    "navigable_small_world": _digraph(lambda n, p, r: nx.navigable_small_world_graph(n, seed=r)),
+    "gnp_directed": _digraph(lambda n, p, r: nx.gnp_random_graph(n, 0.8, seed=r, directed=True)),
+    "random_uniform_kout": _digraph(
+        lambda n, p, r: random_uniform_k_out_graph(
+            n, 2, self_loops=False, with_replacement=False, seed=r)),
+    "scale_free": _digraph(
+        lambda n, p, r: nx.scale_free_graph(
+            n, alpha=0.41, beta=0.54, gamma=0.05, delta_in=0.2, delta_out=0, seed=r)),
+}

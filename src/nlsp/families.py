@@ -3,31 +3,27 @@
 Each family produces a sequence of graphs indexed by a single integer n.
 Deterministic families are rebuilt from scratch; random families draw from a
 per-instance PCG64 stream derived by hashing (base seed, family id, n), so
-instances are reproducible and order-independent.  A networkx-backed family
-draws through ``_BitStreamRandom``, which reads that stream the way networkx's
-own wrapper of a ``numpy.random.Generator`` does, without its per-draw numpy
-calls: its graphs are those of the networkx generator called with the
-Generator as ``seed``.  ``gnp`` and ``gn`` are built natively from the same
-draws.
+instances are reproducible and order-independent.
+
+Nine families are generated natively from numpy arrays: ``hypercube``,
+``generalized_hypercube``, ``modified_mgg``, ``complete``, ``turan``,
+``gnp``, ``paley``, ``directed_hypercube`` and ``gn``; ``gnp`` and ``gn``
+take the draws of the networkx generators they replace.  The others are
+built by networkx in ``_nx``, which is imported on the first build of one of
+them: a process that builds only native families never loads networkx.
+``CatalogEntry.needs_networkx`` tells the two kinds apart.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-import networkx as nx
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from networkx.generators.directed import random_uniform_k_out_graph
-from networkx.utils.misc import PythonRandomViaNumpyBits
 
 from .graphs import Graph
 from .growth import GrowthClass
@@ -38,8 +34,6 @@ WEIGHT_RULES = ("unit", "log_rule", "linear_rule", "quadratic_rule")
 DEFAULT_UNDIRECTED_SEED = 23
 DEFAULT_DIRECTED_SEED = 19
 REDRAW_LIMIT = 100
-EXPANDER_RETRY_LIMIT = 200
-RAMANUJAN_BOUND = 2.0 * math.sqrt(5.0)  # regularity 6
 
 BuildResult = Union[Graph, tuple[Graph, tuple[str, ...]]]
 
@@ -52,59 +46,6 @@ def derive_seed(base_seed: int, family_id: str, n: int) -> int:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
-
-
-# The bit generator's C draws, called with the GIL held: a draw takes
-# nanoseconds, so releasing the GIL around it, as a CFUNCTYPE call would,
-# only invites a thread switch.
-_DOUBLE_DRAW = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-_WORD_DRAW = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
-
-
-def _c_draw(prototype, fn):
-    return prototype(ctypes.cast(fn, ctypes.c_void_p).value)
-
-
-class _BitStreamRandom(PythonRandomViaNumpyBits):
-    """networkx's ``random.Random`` over a Generator, drawing the same bits.
-
-    ``PythonRandomViaNumpyBits`` answers ``random()`` with
-    ``Generator.random()`` and ``getrandbits(k)`` with
-    ``Generator.bytes(ceil(k / 8))``, a numpy call of about 9 us per draw.
-    This subclass calls the bit generator's ``next_double`` and
-    ``next_uint32`` on the same state instead.  ``Generator.random()`` is one
-    ``next_double``; ``Generator.bytes(m)`` is ceil(m / 4) ``next_uint32``
-    words laid out little-endian and cut to m bytes, read here the same way.
-    ``getrandbits(0)`` is left to the parent, since numpy decides how many
-    words zero bytes take.  Every other ``random.Random`` method is built on
-    these two, so the stream, and the state left behind, match networkx's
-    own wrapper draw for draw.
-
-    The draws skip the Generator's lock: the Generator must not be shared
-    with another thread, as holds for the one ``generate`` makes per
-    instance.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__(rng)
-        iface = rng.bit_generator.ctypes
-        self._state = iface.state_address
-        self._next_double = _c_draw(_DOUBLE_DRAW, iface.next_double)
-        self._next_uint32 = _c_draw(_WORD_DRAW, iface.next_uint32)
-
-    def random(self) -> float:
-        return self._next_double(self._state)
-
-    def getrandbits(self, k: int) -> int:
-        if k <= 0:
-            return super().getrandbits(k)
-        nbytes = (k + 7) // 8
-        draw, state = self._next_uint32, self._state
-        if nbytes <= 4:  # randrange's k <= 32: one word, no join
-            raw = draw(state).to_bytes(4, "little")
-        else:
-            raw = b"".join([draw(state).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)])
-        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - k)
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +70,6 @@ def _simple_graph(n: int, a: np.ndarray, b: np.ndarray, directed: bool) -> Graph
 
 def _unit(n: int, u: np.ndarray, v: np.ndarray, directed: bool = False) -> Graph:
     return Graph(n, u, v, np.ones(len(u)), directed)
-
-
-def _from_nx(g: "nx.Graph", directed: bool) -> Graph:
-    # Nodes are relabeled by rank in sorted order; edges keep the generator's
-    # emission order, which is deterministic.
-    idx = {v: i for i, v in enumerate(sorted(g.nodes()))}
-    flat = np.fromiter(
-        map(idx.__getitem__, chain.from_iterable(g.edges())),
-        dtype=np.int64,
-        count=2 * g.number_of_edges(),
-    )
-    return _simple_graph(len(idx), flat[0::2], flat[1::2], directed)
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +181,6 @@ def _paley(q: int) -> Graph:
     u, w = np.divmod(np.arange(q * q), q)
     keep = (u != w) & residues[(u - w) % q]
     return _unit(q, u[keep], w[keep], directed=True)
-
-
-def _adjacency_lambda2(g: "nx.Graph") -> float:
-    n = g.number_of_nodes()
-    a = nx.adjacency_matrix(g, nodelist=sorted(g.nodes())).astype(float)
-    if n <= 400:
-        vals = np.linalg.eigvalsh(a.toarray())
-        return float(vals[-2])
-    vals = scipy.sparse.linalg.eigsh(a, k=2, which="LA", return_eigenvectors=False)
-    return float(np.sort(vals)[0])
-
-
-def _expander(n: int, rng: np.random.Generator) -> BuildResult:
-    stream = _BitStreamRandom(rng)  # one stream across the retries
-    for _ in range(EXPANDER_RETRY_LIMIT):
-        cand = nx.random_regular_graph(6, n, seed=stream)
-        if _adjacency_lambda2(cand) <= RAMANUJAN_BOUND + 1e-9:
-            return _from_nx(cand, directed=False)
-    g = _from_nx(cand, directed=False)
-    return g, (f"no Ramanujan graph within {EXPANDER_RETRY_LIMIT} retries at n={n}",)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +366,11 @@ class CatalogEntry:
     def random(self) -> bool:
         return self.default_seed is not None
 
+    @property
+    def needs_networkx(self) -> bool:
+        """Whether building the family imports networkx."""
+        return isinstance(self.build, _NetworkxBuild)
+
     def resolved_size_growth(self, params: Mapping) -> GrowthClass:
         if callable(self.size_growth):
             return self.size_growth(params)
@@ -482,26 +396,27 @@ def _dir(fid, growth, build, schedule, params=None, rand=False):
     return CatalogEntry(fid, "incidence", growth, build, tuple(schedule), params or {}, seed)
 
 
-def _nx_build(fn, directed: bool):
-    # a random family's networkx generator draws through _BitStreamRandom
-    def build(n, params, rng):
-        seed = None if rng is None else _BitStreamRandom(rng)
-        return _from_nx(fn(n, params, seed), directed)
+@dataclass(frozen=True)
+class _NetworkxBuild:
+    """The builder of a family that networkx generates: ``_nx.BUILDS[family_id]``,
+    imported with networkx on the first call."""
 
-    return build
+    family_id: str
 
+    def __call__(self, n: int, params: Mapping, rng: Optional[np.random.Generator]
+                 ) -> BuildResult:
+        from ._nx import BUILDS
 
-def _nx_und(fn):
-    return _nx_build(fn, directed=False)
-
-
-def _nx_dir(fn):
-    return _nx_build(fn, directed=True)
+        return BUILDS[self.family_id](n, params, rng)
 
 
-# networkx 3.5 renamed random_lobster, keeping the old name as a deprecated
-# alias; networkx 3.4, the last release for Python 3.10, has only the old one.
-_random_lobster = getattr(nx, "random_lobster_graph", None) or nx.random_lobster
+def _nx_und(fid, growth, schedule, seed=None):
+    return _und(fid, growth, _NetworkxBuild(fid), schedule, seed=seed)
+
+
+def _nx_dir(fid, growth, schedule):
+    # every directed networkx family is random
+    return _dir(fid, growth, _NetworkxBuild(fid), schedule, rand=True)
 
 
 _CATALOG_ENTRIES = [
@@ -514,86 +429,50 @@ _CATALOG_ENTRIES = [
         tuple(range(1, 8)), {"a": 2}, None, False,
     ),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110), weightable=True),
-    _und("sudoku", GrowthClass.poly(4), _nx_und(lambda n, p, r: nx.sudoku_graph(n)), range(2, 15)),
-    _und("grid_2d", _N1, _nx_und(lambda n, p, r: nx.grid_2d_graph(102, n)), range(3, 52)),
-    _und("grid_2d_square", GrowthClass.exponential(4),
-         _nx_und(lambda n, p, r: nx.grid_2d_graph(2**n, 2**n)), range(2, 9)),
-    _und("hexagonal", _N1, _nx_und(lambda n, p, r: nx.hexagonal_lattice_graph(n, 101)), range(1, 31)),
-    _und("triangular", _N1, _nx_und(lambda n, p, r: nx.triangular_lattice_graph(n, 101)), range(1, 101)),
+    _nx_und("sudoku", GrowthClass.poly(4), range(2, 15)),
+    _nx_und("grid_2d", _N1, range(3, 52)),
+    _nx_und("grid_2d_square", GrowthClass.exponential(4), range(2, 9)),
+    _nx_und("hexagonal", _N1, range(1, 31)),
+    _nx_und("triangular", _N1, range(1, 101)),
     _und("complete", _N1, lambda n, p, r: _complete(n), range(2, 5005)),
     _und("turan", _N1, lambda n, p, r: _turan(n), range(5, 5004)),
-    _und("harary_kn", _N1, _nx_und(lambda n, p, r: nx.hkn_harary_graph(3, n)), range(5, 5010)),
-    _und("harary_mn", _N1, _nx_und(lambda n, p, r: nx.hnm_harary_graph(n, n + 1)), range(5, 5010)),
-    _und("ladder", _N1, _nx_und(lambda n, p, r: nx.ladder_graph(n)), range(5, 2501)),
-    _und("circular_ladder", _N1, _nx_und(lambda n, p, r: nx.circular_ladder_graph(n)), range(5, 2501)),
-    _und("ring_of_cliques", _N1, _nx_und(lambda n, p, r: nx.ring_of_cliques(n, 3)), range(5, 1668)),
-    _und("balanced_binary_tree", _EXP2, _nx_und(lambda n, p, r: nx.balanced_tree(2, n)), range(2, 15)),
-    _und("balanced_ternary_tree", GrowthClass.exponential(3),
-         _nx_und(lambda n, p, r: nx.balanced_tree(3, n)), range(2, 10)),
-    _und("binomial_tree", _EXP2, _nx_und(lambda n, p, r: nx.binomial_tree(n)), range(2, 15)),
+    _nx_und("harary_kn", _N1, range(5, 5010)),
+    _nx_und("harary_mn", _N1, range(5, 5010)),
+    _nx_und("ladder", _N1, range(5, 2501)),
+    _nx_und("circular_ladder", _N1, range(5, 2501)),
+    _nx_und("ring_of_cliques", _N1, range(5, 1668)),
+    _nx_und("balanced_binary_tree", _EXP2, range(2, 15)),
+    _nx_und("balanced_ternary_tree", GrowthClass.exponential(3), range(2, 10)),
+    _nx_und("binomial_tree", _EXP2, range(2, 15)),
     # -- undirected, random (seed 23 unless noted) --------------------------
-    _und("random_regular_expander", _N1, lambda n, p, r: _expander(n, r),
-         range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("barabasi_albert", _N1, _nx_und(lambda n, p, r: nx.barabasi_albert_graph(n, 3, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("newman_watts_strogatz", _N1,
-         _nx_und(lambda n, p, r: nx.newman_watts_strogatz_graph(n, 3, 1.0, seed=r)),
-         range(5, 5006), seed=19),
-    _und("random_regular", _N1, _nx_und(lambda n, p, r: nx.random_regular_graph(4, n, seed=r)),
-         range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("random_regular_expander", _N1, range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("barabasi_albert", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("newman_watts_strogatz", _N1, range(5, 5006), seed=19),
+    _nx_und("random_regular", _N1, range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
     _und("gnp", _N1, lambda n, p, r: _gnp(n, 0.8, r),
          range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("gaussian_random_partition", _N1,
-         _nx_und(lambda n, p, r: nx.gaussian_random_partition_graph(n, 5, 5, 0.5, 0.4, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("geographical_threshold", _N1,
-         _nx_und(lambda n, p, r: nx.geographical_threshold_graph(n, 10, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("soft_random_geometric", _N1,
-         _nx_und(lambda n, p, r: nx.soft_random_geometric_graph(n, 1.0, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("thresholded_random_geometric", _N1,
-         _nx_und(lambda n, p, r: nx.thresholded_random_geometric_graph(n, 1.0, 2.0, seed=r)),
-         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("planted_partition", _N1,
-         _nx_und(lambda n, p, r: nx.planted_partition_graph(2, n, 0.5, 0.4, seed=r)),
-         range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("random_geometric", _N1, _nx_und(lambda n, p, r: nx.random_geometric_graph(n, 1.0, seed=r)),
-         range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("uniform_random_intersection", _N1,
-         _nx_und(lambda n, p, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
-         range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
-    _und("random_lobster", _N1, _nx_und(lambda n, p, r: _random_lobster(n, 0.6, 0.5, seed=r)),
-         range(10, 2001), seed=19),
+    _nx_und("gaussian_random_partition", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("geographical_threshold", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("soft_random_geometric", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("thresholded_random_geometric", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("planted_partition", _N1, range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("random_geometric", _N1, range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("uniform_random_intersection", _N1, range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
+    _nx_und("random_lobster", _N1, range(10, 2001), seed=19),
     # -- directed, deterministic --------------------------------------------
     _dir("paley", GrowthClass.poly(3), lambda n, p, r: _paley(n), _primes_3_mod_4(139)),
     _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _hypercube(n, directed=True),
          range(2, 15)),
     # -- directed, random (seed 19) -----------------------------------------
     _dir("gn", _N1, lambda n, p, r: _gn(n, r), range(5, 5000), rand=True),
-    _dir("gnc", _N2, _nx_dir(lambda n, p, r: nx.gnc_graph(n, seed=r)), range(5, 1201), rand=True),
-    _dir("gnr", _N1, _nx_dir(lambda n, p, r: nx.gnr_graph(n, 0.5, seed=r)), range(5, 5000), rand=True),
-    _dir("gaussian_random_partition_directed", _N2,
-         _nx_dir(lambda n, p, r: nx.gaussian_random_partition_graph(
-             n, 5, 5, 0.5, 0.4, directed=True, seed=r)),
-         range(5, 171), rand=True),
-    _dir("planted_partition_directed", _N2,
-         _nx_dir(lambda n, p, r: nx.planted_partition_graph(n, 5, 0.8, 0.4, seed=r, directed=True)),
-         range(5, 45), rand=True),
-    _dir("navigable_small_world", _N2,
-         _nx_dir(lambda n, p, r: nx.navigable_small_world_graph(n, seed=r)), range(5, 101),
-         rand=True),
-    _dir("gnp_directed", _N2,
-         _nx_dir(lambda n, p, r: nx.gnp_random_graph(n, 0.8, seed=r, directed=True)),
-         range(9, 299), rand=True),
-    _dir("random_uniform_kout", _N1,
-         _nx_dir(lambda n, p, r: random_uniform_k_out_graph(
-             n, 2, self_loops=False, with_replacement=False, seed=r)),
-         range(4, 3651), rand=True),
-    _dir("scale_free", _N1,
-         _nx_dir(lambda n, p, r: nx.scale_free_graph(
-             n, alpha=0.41, beta=0.54, gamma=0.05, delta_in=0.2, delta_out=0, seed=r)),
-         range(5, 3401), rand=True),
+    _nx_dir("gnc", _N2, range(5, 1201)),
+    _nx_dir("gnr", _N1, range(5, 5000)),
+    _nx_dir("gaussian_random_partition_directed", _N2, range(5, 171)),
+    _nx_dir("planted_partition_directed", _N2, range(5, 45)),
+    _nx_dir("navigable_small_world", _N2, range(5, 101)),
+    _nx_dir("gnp_directed", _N2, range(9, 299)),
+    _nx_dir("random_uniform_kout", _N1, range(4, 3651)),
+    _nx_dir("scale_free", _N1, range(5, 3401)),
 ]
 
 CATALOG: dict[str, CatalogEntry] = {e.family_id: e for e in _CATALOG_ENTRIES}

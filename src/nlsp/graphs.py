@@ -165,7 +165,7 @@ class SymmetricMatrix(RectMatrix):
     @classmethod
     def _built_symmetric(cls, a) -> "SymmetricMatrix":
         """``a`` in canonical CSR without the symmetry check, for a matrix
-        assembled from symmetric blocks."""
+        symmetric by construction: a Laplacian, a dilation, a padding."""
         m = cls.__new__(cls)
         RectMatrix.__init__(m, a)
         m.order = m.rows
@@ -190,7 +190,8 @@ def laplacian(g: Graph) -> SymmetricMatrix:
     rows = np.concatenate((g.v, diag, g.u))
     cols = np.concatenate((g.u, diag, g.v))
     vals = np.concatenate((-g.w, deg, -g.w))
-    return SymmetricMatrix(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+    # each edge enters both triangles with one weight: symmetric by construction
+    return SymmetricMatrix._built_symmetric(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
 
 
 def incidence_matrix(g: Graph) -> RectMatrix:
@@ -210,7 +211,7 @@ def incidence_matrix(g: Graph) -> RectMatrix:
 
 def hermitian_dilation(b: RectMatrix) -> SymmetricMatrix:
     """Symmetric block matrix [[0, B], [B^T, 0]] of order rows + cols."""
-    return SymmetricMatrix(sp.block_array([[None, b.csr], [b.csr.T, None]]))
+    return SymmetricMatrix._built_symmetric(sp.block_array([[None, b.csr], [b.csr.T, None]]))
 
 
 def next_power_of_two(n: int) -> int:

@@ -576,7 +576,8 @@ def augment_for_aqf(g: Graph, attach: Sequence[int]) -> Graph:
 
     The difference of the two new vertex indicators is then an eigenvector
     of the grown Laplacian with eigenvalue len(attach), whatever the host
-    graph looks like; the promise is re-verified numerically on return.
+    graph looks like; the promise is certified exactly by ``check_aqf``
+    before return.
     """
     if g.directed:
         raise ValueError("augmentation is defined for undirected graphs")
@@ -596,10 +597,8 @@ def augment_for_aqf(g: Graph, attach: Sequence[int]) -> Graph:
         np.concatenate((g.v, np.full(k, n), np.full(k, n + 1))),
         np.concatenate((g.w, np.ones(2 * k))),
     )
-    probe = np.zeros(n + 2)
-    probe[n], probe[n + 1] = 1.0, -1.0
-    dense = laplacian(grown).to_dense()
-    if not np.allclose(dense @ probe, len(verts) * probe, atol=1e-9):
+    cert = check_aqf(laplacian(grown), n, n + 1)
+    if not (cert.holds and cert.eigenvalue == k):
         raise AssertionError("augmented Laplacian lost its promised eigenpair")
     return grown
 

@@ -455,6 +455,11 @@ def _measure_forked(
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    if any(catalog_entry(spec.family_id).needs_networkx for spec in config.families):
+        # the workers inherit networkx through the fork; the pool forks fresh
+        # workers on every run, each of which would import it again
+        from . import _nx  # noqa: F401
+
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt, initargs=(config.families, config.dense_limit),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.utils.misc import PythonRandomViaNumpyBits
 
+from nlsp._nx import _BitStreamRandom
 from nlsp.families import (
     CATALOG,
     FamilySpec,
@@ -21,7 +22,7 @@ from nlsp.families import (
     make_spec,
     repair_sources_sinks,
 )
-from nlsp.families import _BitStreamRandom, _gn, _rng
+from nlsp.families import _gn, _rng
 from nlsp.graphs import Graph
 from nlsp.growth import GrowthClass
 from nlsp.spectral import measure

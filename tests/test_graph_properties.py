@@ -96,6 +96,18 @@ def test_incidence_and_dilation_equal_entrywise_build(g):
 
 
 @settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_built_laplacian_and_dilation_equal_their_sorted_transpose(g):
+    # laplacian and hermitian_dilation skip SymmetricMatrix's check, which
+    # compares the canonical CSR arrays with those of the sorted transpose
+    m = hermitian_dilation(incidence_matrix(g)) if g.directed else laplacian(g)
+    t = m.csr.T.tocsr()
+    t.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(m.csr, name), getattr(t, name)), name
+
+
+@settings(max_examples=150, deadline=None)
 @given(graphs(directed=False), weights)
 def test_pad_equals_block_build(g, fill):
     lap = laplacian(g)

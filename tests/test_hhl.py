@@ -1,6 +1,7 @@
 """HHL simulator: exactness, convergence, fixing shortcuts, applications."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlsp import hhl
 from nlsp.families import generate, make_spec
 from nlsp.graphs import (
     Graph,
@@ -390,6 +392,29 @@ class TestAugment:
             grown = augment_for_aqf(g, attach)
             cert = check_aqf(laplacian(grown), n, n + 1)
             assert cert.holds and cert.eigenvalue == float(k)
+
+    def test_long_path_certifies_without_a_dense_copy(self):
+        # a dense Laplacian of the grown path would take 3.2 GB
+        n = 20_000
+        path = Graph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+        tracemalloc.start()
+        try:
+            grown = augment_for_aqf(path, [0, n // 2, n - 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grown.n_vertices == n + 2
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_lost_eigenpair_raises(self, monkeypatch):
+        def broken(g):
+            lap = laplacian(g).to_dense()
+            lap[-1, -1] += 1.0
+            return SymmetricMatrix(lap)
+
+        monkeypatch.setattr(hhl, "laplacian", broken)
+        with pytest.raises(AssertionError, match="eigenpair"):
+            augment_for_aqf(complete_graph(3), [0, 1])
 
 
 class TestOneQubit:
