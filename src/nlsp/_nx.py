@@ -4,16 +4,15 @@ This module, and with it networkx, is imported on the first build of one of
 these families (``families._NetworkxBuild``), so a process that builds only
 the natively generated families never loads networkx.  ``BUILDS`` maps each
 such family id to its builder ``(n, params, rng) -> BuildResult``.  A random
-family's generator draws through ``_BitStreamRandom``, which reads the
-instance's PCG64 stream the way networkx's own wrapper of a
-``numpy.random.Generator`` does, without its per-draw numpy calls: its
-graphs are those of the networkx generator called with the Generator as
-``seed``.
+family's generator draws through ``families._StreamRandom``, which networkx
+takes as a ``random.Random`` and which reads the instance's PCG64 stream the
+way networkx's own wrapper of a ``numpy.random.Generator`` does, without its
+per-draw numpy calls: its graphs are those of the networkx generator called
+with the Generator as ``seed``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from itertools import chain
 
@@ -21,65 +20,12 @@ import networkx as nx
 import numpy as np
 import scipy.sparse.linalg
 from networkx.generators.directed import random_uniform_k_out_graph
-from networkx.utils.misc import PythonRandomViaNumpyBits
 
-from .families import BuildResult, _simple_graph
+from .families import BuildResult, _simple_graph, _StreamRandom
 from .graphs import Graph
 
 EXPANDER_RETRY_LIMIT = 200
 RAMANUJAN_BOUND = 2.0 * math.sqrt(5.0)  # regularity 6
-
-# The bit generator's C draws, called with the GIL held: a draw takes
-# nanoseconds, so releasing the GIL around it, as a CFUNCTYPE call would,
-# only invites a thread switch.
-_DOUBLE_DRAW = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-_WORD_DRAW = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
-
-
-def _c_draw(prototype, fn):
-    return prototype(ctypes.cast(fn, ctypes.c_void_p).value)
-
-
-class _BitStreamRandom(PythonRandomViaNumpyBits):
-    """networkx's ``random.Random`` over a Generator, drawing the same bits.
-
-    ``PythonRandomViaNumpyBits`` answers ``random()`` with
-    ``Generator.random()`` and ``getrandbits(k)`` with
-    ``Generator.bytes(ceil(k / 8))``, a numpy call of about 9 us per draw.
-    This subclass calls the bit generator's ``next_double`` and
-    ``next_uint32`` on the same state instead.  ``Generator.random()`` is one
-    ``next_double``; ``Generator.bytes(m)`` is ceil(m / 4) ``next_uint32``
-    words laid out little-endian and cut to m bytes, read here the same way.
-    ``getrandbits(0)`` is left to the parent, since numpy decides how many
-    words zero bytes take.  Every other ``random.Random`` method is built on
-    these two, so the stream, and the state left behind, match networkx's
-    own wrapper draw for draw.
-
-    The draws skip the Generator's lock: the Generator must not be shared
-    with another thread, as holds for the one ``generate`` makes per
-    instance.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        super().__init__(rng)
-        iface = rng.bit_generator.ctypes
-        self._state = iface.state_address
-        self._next_double = _c_draw(_DOUBLE_DRAW, iface.next_double)
-        self._next_uint32 = _c_draw(_WORD_DRAW, iface.next_uint32)
-
-    def random(self) -> float:
-        return self._next_double(self._state)
-
-    def getrandbits(self, k: int) -> int:
-        if k <= 0:
-            return super().getrandbits(k)
-        nbytes = (k + 7) // 8
-        draw, state = self._next_uint32, self._state
-        if nbytes <= 4:  # randrange's k <= 32: one word, no join
-            raw = draw(state).to_bytes(4, "little")
-        else:
-            raw = b"".join([draw(state).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)])
-        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - k)
 
 
 def _from_nx(g: nx.Graph, directed: bool) -> Graph:
@@ -105,7 +51,7 @@ def _adjacency_lambda2(g: nx.Graph) -> float:
 
 
 def _expander(n: int, rng: np.random.Generator) -> BuildResult:
-    stream = _BitStreamRandom(rng)  # one stream across the retries
+    stream = _StreamRandom(rng)  # one stream across the retries
     for _ in range(EXPANDER_RETRY_LIMIT):
         cand = nx.random_regular_graph(6, n, seed=stream)
         if _adjacency_lambda2(cand) <= RAMANUJAN_BOUND + 1e-9:
@@ -115,9 +61,9 @@ def _expander(n: int, rng: np.random.Generator) -> BuildResult:
 
 
 def _build(fn, directed: bool):
-    # a random family's networkx generator draws through _BitStreamRandom
+    # a random family's networkx generator draws through _StreamRandom
     def build(n, params, rng):
-        seed = None if rng is None else _BitStreamRandom(rng)
+        seed = None if rng is None else _StreamRandom(rng)
         return _from_nx(fn(n, params, seed), directed)
 
     return build
@@ -140,8 +86,6 @@ _random_lobster = getattr(nx, "random_lobster_graph", None) or nx.random_lobster
 BUILDS = {
     # -- undirected, deterministic ------------------------------------------
     "sudoku": _graph(lambda n, p, r: nx.sudoku_graph(n)),
-    "grid_2d": _graph(lambda n, p, r: nx.grid_2d_graph(102, n)),
-    "grid_2d_square": _graph(lambda n, p, r: nx.grid_2d_graph(2**n, 2**n)),
     "hexagonal": _graph(lambda n, p, r: nx.hexagonal_lattice_graph(n, 101)),
     "triangular": _graph(lambda n, p, r: nx.triangular_lattice_graph(n, 101)),
     "harary_kn": _graph(lambda n, p, r: nx.hkn_harary_graph(3, n)),
@@ -154,7 +98,6 @@ BUILDS = {
     "binomial_tree": _graph(lambda n, p, r: nx.binomial_tree(n)),
     # -- undirected, random -------------------------------------------------
     "random_regular_expander": lambda n, p, r: _expander(n, r),
-    "barabasi_albert": _graph(lambda n, p, r: nx.barabasi_albert_graph(n, 3, seed=r)),
     "newman_watts_strogatz": _graph(
         lambda n, p, r: nx.newman_watts_strogatz_graph(n, 3, 1.0, seed=r)),
     "random_regular": _graph(lambda n, p, r: nx.random_regular_graph(4, n, seed=r)),
@@ -173,8 +116,6 @@ BUILDS = {
         lambda n, p, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
     "random_lobster": _graph(lambda n, p, r: _random_lobster(n, 0.6, 0.5, seed=r)),
     # -- directed, random ---------------------------------------------------
-    "gnc": _digraph(lambda n, p, r: nx.gnc_graph(n, seed=r)),
-    "gnr": _digraph(lambda n, p, r: nx.gnr_graph(n, 0.5, seed=r)),
     "gaussian_random_partition_directed": _digraph(
         lambda n, p, r: nx.gaussian_random_partition_graph(
             n, 5, 5, 0.5, 0.4, directed=True, seed=r)),

@@ -534,7 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     reff_p.add_argument("--j", type=int, required=True)
     reff_p.add_argument("--oracle", action="store_true", help="classical path only")
     reff_p.add_argument("--n-r", dest="n_r", type=int, default=DEFAULT_CLOCK_QUBITS)
-    reff_p.add_argument("--shots", type=int)
+    reff_p.add_argument(
+        "--shots", type=int,
+        help="sampled readout; the default clock post-selects rarely (p_success "
+             "about 7e-6 on Q_8 at --n-r 10), so such a graph needs about 1e6 shots")
     reff_p.add_argument("--seed", type=int)
     reff_p.set_defaults(handler=cmd_hhl_reff)
 

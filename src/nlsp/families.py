@@ -5,22 +5,27 @@ Deterministic families are rebuilt from scratch; random families draw from a
 per-instance PCG64 stream derived by hashing (base seed, family id, n), so
 instances are reproducible and order-independent.
 
-Nine families are generated natively from numpy arrays: ``hypercube``,
-``generalized_hypercube``, ``modified_mgg``, ``complete``, ``turan``,
-``gnp``, ``paley``, ``directed_hypercube`` and ``gn``; ``gnp`` and ``gn``
-take the draws of the networkx generators they replace.  The others are
-built by networkx in ``_nx``, which is imported on the first build of one of
-them: a process that builds only native families never loads networkx.
+Fourteen families are generated natively from numpy arrays and Python loops:
+``hypercube``, ``generalized_hypercube``, ``modified_mgg``, ``grid_2d``,
+``grid_2d_square``, ``complete``, ``turan``, ``gnp``, ``barabasi_albert``,
+``paley``, ``directed_hypercube``, ``gn``, ``gnr`` and ``gnc``.  Each builds
+the graph, edge for edge, of the networkx generator it replaces; the random
+ones take the same draws from the instance's stream.  The others are built
+by networkx in ``_nx``, which is imported on the first build of one of them:
+a process that builds only native families never loads networkx.
 ``CatalogEntry.needs_networkx`` tells the two kinds apart.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import math
 import numbers
+import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -46,6 +51,74 @@ def derive_seed(base_seed: int, family_id: str, n: int) -> int:
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+# The bit generator's C draws, called with the GIL held: a draw takes
+# nanoseconds, so releasing the GIL around it, as a CFUNCTYPE call would,
+# only invites a thread switch.
+_DOUBLE_DRAW = ctypes.PYFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_WORD_DRAW = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+
+
+def _c_draw(prototype, fn):
+    return prototype(ctypes.cast(fn, ctypes.c_void_p).value)
+
+
+class _StreamRandom(random.Random):
+    """A ``random.Random`` drawing from a numpy Generator's bit stream.
+
+    It draws what networkx's ``PythonRandomViaNumpyBits`` draws over the
+    same Generator, which answers ``random()`` with ``Generator.random()``
+    and ``getrandbits(k)`` with ``Generator.bytes(ceil(k / 8))``, a numpy
+    call of about 9 us per draw.  This class calls the bit generator's
+    ``next_double`` and ``next_uint32`` on the same state instead.
+    ``Generator.random()`` is one ``next_double``; ``Generator.bytes(m)`` is
+    ceil(m / 4) ``next_uint32`` words laid out little-endian and cut to m
+    bytes, read here the same way.  ``getrandbits(0)`` still calls
+    ``Generator.bytes(0)``, since numpy decides what zero bytes draw.  Every
+    other ``random.Random`` method is built on these two, so the stream, and
+    the state left behind, match networkx's wrapper draw for draw, and a
+    networkx generator given this object as ``seed`` draws through it.
+
+    The draws skip the Generator's lock: the Generator must not be shared
+    with another thread, as holds for the one ``generate`` makes per
+    instance.  The state is the bit generator's; ``seed`` is refused.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        # random.Random.__init__ would seed, which this stream cannot
+        self._rng = rng
+        self.gauss_next = None
+        iface = rng.bit_generator.ctypes
+        self._state = iface.state_address
+        self._next_double = _c_draw(_DOUBLE_DRAW, iface.next_double)
+        self._next_uint32 = _c_draw(_WORD_DRAW, iface.next_uint32)
+
+    def random(self) -> float:
+        return self._next_double(self._state)
+
+    def getrandbits(self, k: int) -> int:
+        if k <= 0:
+            if k < 0:
+                raise ValueError("number of bits must be non-negative")
+            self._rng.bytes(0)
+            return 0
+        nbytes = (k + 7) // 8
+        draw, state = self._next_uint32, self._state
+        if nbytes <= 4:  # randrange's k <= 32: one word, no join
+            raw = draw(state).to_bytes(4, "little")
+        else:
+            raw = b"".join([draw(state).to_bytes(4, "little") for _ in range((nbytes + 3) // 4)])
+        return int.from_bytes(raw[:nbytes], "big") >> (8 * nbytes - k)
+
+    def getstate(self) -> dict:
+        return self._rng.bit_generator.state
+
+    def setstate(self, state: dict) -> None:
+        self._rng.bit_generator.state = state
+
+    def seed(self, *args, **kwds) -> None:
+        raise NotImplementedError("a bit stream's seed is its Generator's")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +189,77 @@ def _gn(n: int, rng: np.random.Generator) -> Graph:
         target[s - 1] = t
         deg[t] += 1
     return _unit(n, np.arange(1, n), target, directed=True)
+
+
+def _barabasi_albert(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """Preferential attachment from the star on vertices 0..m: the graph of
+    nx.barabasi_albert_graph(n, m, seed=rng).
+
+    Vertex s > m links to a set of m distinct targets, each drawn by
+    ``choice`` from the list that holds every vertex once per incident edge;
+    the targets join the list in the set's iteration order, then s m times.
+    networkx emits each vertex's edges to higher vertices, which joined its
+    adjacency in ascending order: the edges sorted by (lower, higher) end.
+    """
+    choice = _StreamRandom(rng).choice
+    repeated = [0] * m + list(range(1, m + 1))
+    lower = [0] * m  # the star's hub
+    for source in range(m + 1, n):
+        picked: set[int] = set()
+        while len(picked) < m:
+            picked.add(choice(repeated))
+        repeated.extend(picked)
+        repeated.extend([source] * m)
+        lower.extend(picked)
+    lo = np.array(lower, dtype=np.int64)
+    hi = np.concatenate((np.arange(1, m + 1), np.repeat(np.arange(m + 1, n), m)))
+    order = np.lexsort((hi, lo))
+    return _unit(n, lo[order], hi[order])
+
+
+def _gnr(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """Growing network with redirection: the digraph of
+    nx.gnr_graph(n, p, seed=rng).
+
+    Vertex s >= 1 draws a target t = randrange(0, s), then a double; below p,
+    and if t != 0, it links to t's own target instead.  The edges come in s
+    order.
+    """
+    stream = _StreamRandom(rng)
+    randrange, draw = stream.randrange, stream.random
+    target = [0] * n
+    for source in range(1, n):
+        t = randrange(0, source)
+        if draw() < p and t != 0:
+            t = target[t]
+        target[source] = t
+    return _unit(n, np.arange(1, n), target[1:], directed=True)
+
+
+def _gnc(n: int, rng: np.random.Generator) -> Graph:
+    """Growing network with copying: the digraph of nx.gnc_graph(n, seed=rng).
+
+    Vertex s >= 1 draws t = randrange(0, s) and links to t's successors, in
+    the order t linked to them, then to t.  The edges come in s order.
+    """
+    randrange = _StreamRandom(rng).randrange
+    succ: list[list[int]] = [[]]
+    for source in range(1, n):
+        t = randrange(0, source)
+        succ.append(succ[t] + [t])
+    heads = np.fromiter(chain.from_iterable(succ), dtype=np.int64)
+    return _unit(n, np.repeat(np.arange(n), [len(s) for s in succ]), heads, directed=True)
+
+
+def _grid_2d(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex (i, j) labelled i * cols + j: the graph
+    of nx.grid_2d_graph(rows, cols), which emits each vertex's edge down,
+    then its edge right, in row-major vertex order."""
+    v = np.arange(rows * cols)
+    i, j = np.divmod(v, cols)
+    keep = np.column_stack((i < rows - 1, j < cols - 1))
+    ends = np.column_stack((v + cols, v + 1))
+    return _unit(rows * cols, np.broadcast_to(v[:, None], keep.shape)[keep], ends[keep])
 
 
 def _hypercube(n: int, directed: bool = False) -> Graph:
@@ -430,8 +574,9 @@ _CATALOG_ENTRIES = [
     ),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110), weightable=True),
     _nx_und("sudoku", GrowthClass.poly(4), range(2, 15)),
-    _nx_und("grid_2d", _N1, range(3, 52)),
-    _nx_und("grid_2d_square", GrowthClass.exponential(4), range(2, 9)),
+    _und("grid_2d", _N1, lambda n, p, r: _grid_2d(102, n), range(3, 52)),
+    _und("grid_2d_square", GrowthClass.exponential(4), lambda n, p, r: _grid_2d(2**n, 2**n),
+         range(2, 9)),
     _nx_und("hexagonal", _N1, range(1, 31)),
     _nx_und("triangular", _N1, range(1, 101)),
     _und("complete", _N1, lambda n, p, r: _complete(n), range(2, 5005)),
@@ -446,7 +591,8 @@ _CATALOG_ENTRIES = [
     _nx_und("binomial_tree", _EXP2, range(2, 15)),
     # -- undirected, random (seed 23 unless noted) --------------------------
     _nx_und("random_regular_expander", _N1, range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("barabasi_albert", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("barabasi_albert", _N1, lambda n, p, r: _barabasi_albert(n, 3, r),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
     _nx_und("newman_watts_strogatz", _N1, range(5, 5006), seed=19),
     _nx_und("random_regular", _N1, range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
     _und("gnp", _N1, lambda n, p, r: _gnp(n, 0.8, r),
@@ -465,8 +611,8 @@ _CATALOG_ENTRIES = [
          range(2, 15)),
     # -- directed, random (seed 19) -----------------------------------------
     _dir("gn", _N1, lambda n, p, r: _gn(n, r), range(5, 5000), rand=True),
-    _nx_dir("gnc", _N2, range(5, 1201)),
-    _nx_dir("gnr", _N1, range(5, 5000)),
+    _dir("gnc", _N2, lambda n, p, r: _gnc(n, r), range(5, 1201), rand=True),
+    _dir("gnr", _N1, lambda n, p, r: _gnr(n, 0.5, r), range(5, 5000), rand=True),
     _nx_dir("gaussian_random_partition_directed", _N2, range(5, 171)),
     _nx_dir("planted_partition_directed", _N2, range(5, 45)),
     _nx_dir("navigable_small_world", _N2, range(5, 101)),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.utils.misc import PythonRandomViaNumpyBits
 
-from nlsp._nx import _BitStreamRandom
+from nlsp._nx import _from_nx
 from nlsp.families import (
     CATALOG,
     FamilySpec,
@@ -22,7 +22,7 @@ from nlsp.families import (
     make_spec,
     repair_sources_sinks,
 )
-from nlsp.families import _gn, _rng
+from nlsp.families import _gn, _grid_2d, _rng, _StreamRandom
 from nlsp.graphs import Graph
 from nlsp.growth import GrowthClass
 from nlsp.spectral import measure
@@ -420,6 +420,66 @@ def test_gnp_matches_networkx_stream(n, seed):
     assert [(u, v) for u, v, _ in g.edges] == _nx_edge_list(ref)
 
 
+# The networkx generator each native family replaces, called with the
+# instance's Generator as seed, so networkx draws through its own wrapper;
+# and the points compared: each schedule's ends and the benchmark's points.
+NETWORKX_TWINS = {
+    "barabasi_albert": (
+        lambda n, rng: nx.barabasi_albert_graph(n, 3, seed=rng),
+        (5, 6, 7, 8, 9, 10, 100, 400, 2100, 2200, 5008, 5009)),
+    "gnr": (
+        lambda n, rng: nx.gnr_graph(n, 0.5, seed=rng),
+        (5, 6, 7, 8, 9, 10, 50, 250, 1100, 4998, 4999)),
+    "gnc": (
+        lambda n, rng: nx.gnc_graph(n, seed=rng),
+        (5, 6, 7, 8, 9, 10, 20, 80, 1199, 1200)),
+    "grid_2d": (
+        lambda n, rng: nx.grid_2d_graph(102, n),
+        (3, 4, 5, 6, 7, 8, 21, 22, 50, 51)),
+    "grid_2d_square": (
+        lambda n, rng: nx.grid_2d_graph(2**n, 2**n),
+        (2, 3, 4, 5, 6, 7, 8)),
+}
+
+
+def assert_same_graph(g: Graph, ref: Graph) -> None:
+    assert (g.n_vertices, g.directed) == (ref.n_vertices, ref.directed)
+    for ours, theirs in ((g.u, ref.u), (g.v, ref.v), (g.w, ref.w)):
+        assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("family_id, seed", [
+    (f, seed) for f in sorted(NETWORKX_TWINS)
+    # the catalog seed (None) and the benchmark's seeds 1 and 2
+    for seed in ((None, 1, 2) if CATALOG[f].random else (None,))
+])
+def test_native_family_matches_networkx(family_id, seed):
+    entry = CATALOG[family_id]
+    twin, points = NETWORKX_TWINS[family_id]
+    spec = make_spec(family_id, schedule=points, seed=seed)
+    for n in points:
+        inst = generate(spec, n)
+        rng = None if inst.seed is None else _rng(inst.seed)
+        assert_same_graph(inst.graph, _from_nx(twin(n, rng), entry.directed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["barabasi_albert", "gnr", "gnc"]), st.integers(4, 80),
+       st.integers(0, 2**64 - 1))
+def test_native_random_family_matches_networkx_on_any_stream(family_id, n, seed):
+    entry = CATALOG[family_id]
+    twin, _ = NETWORKX_TWINS[family_id]
+    g = entry.build(n, entry.default_params, _rng(seed))
+    assert_same_graph(g, _from_nx(twin(n, _rng(seed)), entry.directed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12))
+def test_grid_matches_networkx_at_any_shape(rows, cols):
+    ref = _from_nx(nx.grid_2d_graph(rows, cols), directed=False)
+    assert_same_graph(_grid_2d(rows, cols), ref)
+
+
 # -- random streams --------------------------------------------------------------
 
 # sha256 of the vertex count and the u, v, w arrays of each random family at
@@ -493,10 +553,22 @@ def _draw(r, call):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(_DRAWS, max_size=40))
 def test_bit_stream_random_draws_what_networkx_draws(seed, calls):
-    ours, theirs = _BitStreamRandom(_rng(seed)), PythonRandomViaNumpyBits(_rng(seed))
+    ours, theirs = _StreamRandom(_rng(seed)), PythonRandomViaNumpyBits(_rng(seed))
     for call in calls:
         assert _draw(ours, call) == _draw(theirs, call), call
     assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
+
+
+def test_stream_random_state_is_the_bit_generators():
+    r = _StreamRandom(_rng(7))
+    state = r.getstate()
+    first = [r.random(), r.getrandbits(40), r.randrange(10**30), r.getrandbits(0)]
+    r.setstate(state)
+    assert [r.random(), r.getrandbits(40), r.randrange(10**30), r.getrandbits(0)] == first
+    with pytest.raises(ValueError):
+        r.getrandbits(-1)
+    with pytest.raises(NotImplementedError):
+        r.seed(1)
 
 
 def test_gn_matches_networkx_on_the_same_stream():
@@ -512,8 +584,8 @@ def test_gn_links_a_zero_draw_to_vertex_zero(monkeypatch):
     draws[0] = 0.0
     # networkx turns the draw 0.0 into the target -1, a vertex outside 0..n-1
     stream = iter(draws.tolist())
-    monkeypatch.setattr(_BitStreamRandom, "random", lambda self: next(stream))
-    ref = nx.gn_graph(10, kernel=lambda d: d, seed=_BitStreamRandom(_rng(4)))
+    monkeypatch.setattr(_StreamRandom, "random", lambda self: next(stream))
+    ref = nx.gn_graph(10, kernel=lambda d: d, seed=_StreamRandom(_rng(4)))
     assert (2, -1) in ref.edges()
     g = _gn(10, SimpleNamespace(random=lambda size: draws[:size]))
     assert g.n_vertices == 10

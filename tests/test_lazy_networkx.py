@@ -19,8 +19,9 @@ import nlsp
 from nlsp.families import CATALOG
 
 NATIVE = {
-    "hypercube", "generalized_hypercube", "modified_mgg", "complete", "turan", "gnp",
-    "paley", "directed_hypercube", "gn",
+    "hypercube", "generalized_hypercube", "modified_mgg", "grid_2d", "grid_2d_square",
+    "complete", "turan", "gnp", "barabasi_albert", "paley", "directed_hypercube", "gn",
+    "gnr", "gnc",
 }
 
 PRELUDE = '''
@@ -85,6 +86,45 @@ def test_native_survey_leaves_networkx_out(tmp_path, workers):
                       for f in ("complete", "turan", "gnp"))
         result = nlsp.run_survey(nlsp.SurveyConfig(families=specs), max_workers={workers})
         assert all(i.record is not None for o in result.outcomes for i in o.instances)
+    ''', tmp_path)
+    assert importers == []
+
+
+@forking
+def test_sparse_bench_survey_leaves_networkx_out(tmp_path):
+    # the families of the benchmark's survey-sparse workload, on small
+    # schedules, measured by two forked workers
+    _, importers = run_fresh('''
+        specs = (
+            nlsp.make_spec("hypercube", schedule=range(2, 7)),
+            nlsp.make_spec("hypercube", schedule=(5, 6, 7), weight_rule="quadratic_rule"),
+            nlsp.make_spec("grid_2d", schedule=(3, 4, 5)),
+            nlsp.make_spec("modified_mgg", schedule=(10, 14, 18)),
+            nlsp.make_spec("barabasi_albert", schedule=(100, 200, 300), seed=1),
+            nlsp.make_spec("gn", schedule=(50, 100, 150), seed=1),
+            nlsp.make_spec("gnr", schedule=(50, 100, 150), seed=1),
+            nlsp.make_spec("gnr", schedule=(50, 100, 150), seed=19, repair=True),
+            nlsp.make_spec("gnc", schedule=(20, 40, 60), seed=1),
+            nlsp.make_spec("directed_hypercube", schedule=range(2, 6)),
+        )
+        config = nlsp.SurveyConfig(families=specs, dense_limit=256)
+        result = nlsp.run_survey(config, max_workers=2)
+        assert all(i.record is not None for o in result.outcomes for i in o.instances)
+    ''', tmp_path)
+    assert importers == []
+
+
+def test_hhl_bench_graphs_leave_networkx_out(tmp_path):
+    # the graphs of the benchmark's hhl-sim workload
+    _, importers = run_fresh('''
+        def gen(family, n, **kw):
+            return nlsp.generate(nlsp.make_spec(family, schedule=(n,), **kw), n).graph
+
+        graphs = [gen("hypercube", d) for d in (8, 9, 10)]
+        graphs += [gen("complete", 200), gen("turan", 300),
+                   gen("barabasi_albert", 300, seed=1), gen("gnp", 200, seed=1)]
+        graphs += [gen("directed_hypercube", d) for d in (6, 7)]
+        assert all(g.n_edges for g in graphs)
     ''', tmp_path)
     assert importers == []
 
