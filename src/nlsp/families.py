@@ -497,7 +497,9 @@ class CatalogEntry:
     matrix_kind: str  # laplacian | incidence
     size_growth: Union[GrowthClass, Callable[[Mapping], GrowthClass]]
     build: Callable[..., BuildResult]
-    default_schedule: tuple[int, ...]
+    # as written in the catalog, a range or a tuple: tuples of the 103,409
+    # catalog instances would hold that many ints in every process
+    default_schedule: Sequence[int]
     default_params: Mapping = field(default_factory=dict)
     default_seed: Optional[int] = None
     weightable: bool = False
@@ -531,13 +533,12 @@ _EXP2 = GrowthClass.exponential(2)
 
 
 def _und(fid, growth, build, schedule, params=None, seed=None, weightable=False):
-    return CatalogEntry(fid, "laplacian", growth, build,
-                        tuple(schedule), params or {}, seed, weightable)
+    return CatalogEntry(fid, "laplacian", growth, build, schedule, params or {}, seed, weightable)
 
 
 def _dir(fid, growth, build, schedule, params=None, rand=False):
     seed = DEFAULT_DIRECTED_SEED if rand else None
-    return CatalogEntry(fid, "incidence", growth, build, tuple(schedule), params or {}, seed)
+    return CatalogEntry(fid, "incidence", growth, build, schedule, params or {}, seed)
 
 
 @dataclass(frozen=True)
@@ -570,7 +571,7 @@ _CATALOG_ENTRIES = [
         "generalized_hypercube", "laplacian",
         lambda params: GrowthClass.exponential(int(params["a"])),
         lambda n, p, r: _generalized_hypercube(n, int(p["a"])),
-        tuple(range(1, 8)), {"a": 2}, None, False,
+        range(1, 8), {"a": 2}, None, False,
     ),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110), weightable=True),
     _nx_und("sudoku", GrowthClass.poly(4), range(2, 15)),

@@ -52,7 +52,7 @@ from .graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from .spectral import _START_SEED, zero_tolerance
+from .spectral import _START_SEED, abs_row_bound, zero_tolerance
 
 # A full run stores order * 2^n_r complex amplitudes implicitly; the budget
 # counts state + clock + ancilla qubits.
@@ -625,13 +625,6 @@ def one_qubit_effective_resistance(lam: float, cfg: HhlConfig) -> float:
     """
     p = one_qubit_hhl(lam, cfg)
     return 2.0 * cfg.t / (2.0 * math.pi * cfg.C) * math.sqrt(p)
-
-
-def abs_row_bound(m: SymmetricMatrix) -> float:
-    """Gershgorin-style bound max_i sum_j |m_ij| on eigenvalue magnitudes."""
-    # The CSR mat-vec adds each row's entries left to right in column order,
-    # a fixed summation order.
-    return float((abs(m.csr) @ np.ones(m.order)).max())
 
 
 def graph_system(g: Graph) -> SymmetricMatrix:

@@ -11,20 +11,33 @@ on each connected component, so its kernel is spanned by the c component
 indicators, and the smallest nonzero eigenvalue is the (c+1)-th smallest.
 Dense G up to a size limit (a per-call argument, 3000 when None) take the
 dense eigensolver.  Larger G, and sparse G at any order (order above 256,
-at most order²/16 entries), take Lanczos with a fixed start vector: one
-call for λmax on G, then one or two for λmin.  The first is factor-free:
-λmin is the smallest eigenvalue of x ↦ G·x + λmax·Πx, Π the projector onto
-the component indicators, which sends G's kernel to λmax.  It converges in
-a few dozen products on well-conditioned G, and may take at most
-_FACTOR_FREE_MATVECS of them.  Past that budget, or when ARPACK does not
-converge, 1/λmin is found as the largest eigenvalue of the pseudo-inverse
-G⁺.  G⁺ is applied by grounding one vertex per component, solving with the
-rest of G (factored once by sparse LU under a symmetric minimum-degree
-ordering, minimum degree on Aᵀ + A, which keeps the fill of G's symmetric
-pattern low) and subtracting each component's mean.  The budget counts
-products, not ARPACK restarts, so which path runs depends on G alone, and
-repeated runs agree bit for bit.  Sparsity is read off the CSR index
-arrays.
+at most order²/16 entries), take Lanczos with a fixed start vector, on one
+of two routes chosen from G's pattern alone.
+
+G that factors cheaply takes the factored route: its pattern is a forest,
+which minimum degree factors with no fill, or its envelope work Σwᵢ² after
+reverse Cuthill–McKee is at most what the factor-free run below may spend,
+_FACTOR_FREE_MATVECS products with G.  Such G (grids, ladders, rings,
+trees) have small λ₂ and a clustered top, where Lanczos on G alone takes
+thousands of products.  λmax is the largest eigenvalue of (σI - G)⁻¹, σ
+just above the row bound, through one sparse LU; λmin is found through the
+pseudo-inverse G⁺ (below).
+
+Any other G takes one Lanczos call for λmax on G, then one or two for λmin.
+The first is factor-free: λmin is the smallest eigenvalue of
+x ↦ G·x + λmax·Πx, Π the projector onto the component indicators, which
+sends G's kernel to λmax.  It converges in a few dozen products on
+well-conditioned G, and may take at most _FACTOR_FREE_MATVECS of them.
+Past that budget, or when ARPACK does not converge, λmin is found through
+G⁺ as on the factored route.
+
+1/λmin is the largest eigenvalue of G⁺.  G⁺ is applied by grounding one
+vertex per component, solving with the rest of G (factored once by sparse
+LU under a symmetric minimum-degree ordering, minimum degree on Aᵀ + A,
+which keeps the fill of G's symmetric pattern low) and subtracting each
+component's mean.  The route and the budget depend on G alone, not on
+ARPACK restarts, so repeated runs agree bit for bit.  Sparsity is read off
+the CSR index arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +47,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .graphs import RectMatrix, SymmetricMatrix
 
@@ -54,6 +68,11 @@ _START_SEED = 2025
 # G_a^m, expanders) need 20 to about 220; a grid or a tree-like graph needs
 # thousands, and its run gives up after these 250 sparse products.
 _FACTOR_FREE_MATVECS = 250
+# Relative margin of the factored route's shift σ above the row bound
+# R ≥ λmax.  It keeps σI - G definite where λmax = R (a regular bipartite
+# component), and, near √ε, keeps σ - λmax small against the gaps at the top
+# of G's spectrum.
+_SHIFT_MARGIN = 2.0**-26
 
 
 def dense_limit() -> int:
@@ -80,8 +99,9 @@ class SpectralRecord:
     kappa: float
     sparsity: int
     matrix_kind: str
-    # the path that found the eigenvalues ("dense", "factor-free" or
-    # "grounded", see measure) and the kernel dimension c, G's component count
+    # the path that found the eigenvalues ("dense", "factor-free", "grounded"
+    # or "factored", see measure) and the kernel dimension c, G's component
+    # count
     eigensolver: str
     kernel: int
 
@@ -104,10 +124,13 @@ def extreme_eigs(
     the dense limit (3000 when None), and sparse m at any order, take
     Lanczos; that path needs m to have zero row sums (a Laplacian or B·Bᵀ),
     with ``kernel`` connected components, whose ``labels`` (from
-    ``connected_components``) it counts itself when not given.  Lanczos
-    first seeks λmin factor-free, on m with its kernel shifted to λmax,
-    within _FACTOR_FREE_MATVECS products; past them it falls back to the
-    pseudo-inverse of m through one sparse LU of m grounded."""
+    ``connected_components``) it counts itself when not given.  An m that
+    factors cheaply (a forest pattern, or a small envelope after reverse
+    Cuthill–McKee) takes one sparse LU for λmax by shift-invert and one of
+    m grounded for λmin through its pseudo-inverse.  Any other m takes
+    Lanczos on m for λmax, then seeks λmin factor-free, on m with its kernel
+    shifted to λmax, within _FACTOR_FREE_MATVECS products; past them it
+    falls back to the pseudo-inverse."""
     return _extremes(m, kernel, dense_limit, labels)[:2]
 
 
@@ -140,29 +163,65 @@ def _component_labels(m: SymmetricMatrix) -> np.ndarray:
 def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[float, float, str]:
     a = m.csr
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).uniform(-1.0, 1.0, m.order)
-    lam_max = float(
-        spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)[0]
-    )
     counts = np.bincount(labels)
-    if counts.size + 1 == m.order:  # λmax is the only nonzero eigenvalue
-        return lam_max, lam_max, "factor-free"
 
     def means(x: np.ndarray) -> np.ndarray:
         """Πx: each entry replaced by its component's mean."""
         return (np.bincount(labels, weights=x) / counts)[labels]
 
+    lone = counts.size + 1 == m.order  # λmax is the only nonzero eigenvalue
+    if not lone and _factors_cheaply(a, counts.size):
+        return _smallest_grounded(a, labels, means, v0), _largest_shifted(m, v0), "factored"
+    lam_max = float(
+        spla.eigsh(a, k=1, which="LM", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False)[0]
+    )
+    if lone:
+        return lam_max, lam_max, "factor-free"
     try:
         return _smallest_deflated(a, means, lam_max, v0), lam_max, "factor-free"
     except (_OverBudget, spla.ArpackNoConvergence):
         pass
-    # Lanczos on the pseudo-inverse m⁺, whose largest eigenvalue is 1/λmin.
-    # m's kernel is spanned by its component indicators, so with one vertex
-    # of each component grounded (its row and column deleted) the rest of m
-    # is nonsingular, and for x of zero mean on every component
-    # m⁺x = P·[m_g⁻¹(Px)_kept; 0], P subtracting each component's mean.  m_g
-    # is factored once, ordered by minimum degree on its symmetric pattern:
-    # scipy's default COLAMD ordering can fill half of N².
-    kept = np.ones(m.order, dtype=bool)
+    return _smallest_grounded(a, labels, means, v0), lam_max, "grounded"
+
+
+def _factors_cheaply(a, components: int) -> bool:
+    """Whether a sparse LU of a, read off its pattern alone, costs no more
+    than the factor-free run may spend: a's pattern is a forest (edges =
+    order - components), which minimum degree factors with no fill, or its
+    envelope work Σwᵢ² after reverse Cuthill–McKee, wᵢ the distance from
+    row i's first entry to the diagonal, is at most _FACTOR_FREE_MATVECS·nnz.
+    A small envelope means poor expansion, and so a small λ₂ that the
+    factor-free run would give up on."""
+    order = a.shape[0]
+    # a is canonical CSR: every stored entry is nonzero
+    edges = (a.nnz - int(np.count_nonzero(a.diagonal()))) // 2
+    if edges == order - components:
+        return True
+    budget = _FACTOR_FREE_MATVECS * a.nnz
+    # Σwᵢ counts each edge at least once, so Σwᵢ² ≥ edges²/order: this
+    # rejects dense G without ordering them
+    if edges**2 > budget * order:
+        return False
+    new = np.arange(order)
+    position = np.empty(order, dtype=np.int64)
+    position[reverse_cuthill_mckee(a, symmetric_mode=True)] = new
+    first = new.copy()  # column of each reordered row's first entry
+    np.minimum.at(first, np.repeat(position, np.diff(a.indptr)), position[a.indices])
+    width = new - first
+    return int(width @ width) <= budget
+
+
+def _smallest_grounded(a, labels: np.ndarray, means, v0: np.ndarray) -> float:
+    """λmin through Lanczos on the pseudo-inverse a⁺, whose largest
+    eigenvalue is 1/λmin.  a's kernel is spanned by its component
+    indicators, so with one vertex of each component grounded (its row and
+    column deleted) the rest of a is nonsingular, and for x of zero mean on
+    every component a⁺x = P·[a_g⁻¹(Px)_kept; 0], P subtracting each
+    component's mean (``means`` is I - P).  a_g is factored once, ordered by
+    minimum degree on its symmetric pattern: scipy's default COLAMD ordering
+    can fill half of N²."""
+    order = a.shape[0]
+    kept = np.ones(order, dtype=bool)
     kept[np.unique(labels, return_index=True)[1]] = False
     lu = spla.splu(a[kept][:, kept].tocsc(), permc_spec="MMD_AT_PLUS_A")
 
@@ -170,7 +229,7 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
         return x - means(x)
 
     def pinv(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(m.order)
+        y = np.zeros(order)
         y[kept] = lu.solve(center(x.ravel())[kept])
         return center(y)
 
@@ -178,7 +237,31 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
         spla.LinearOperator(a.shape, matvec=pinv, dtype=float), k=1, which="LA", v0=v0,
         tol=_ITERATIVE_TOL, return_eigenvectors=False,
     )[0]
-    return 1.0 / float(inv_min), lam_max, "grounded"
+    return 1.0 / float(inv_min)
+
+
+def _largest_shifted(m: SymmetricMatrix, v0: np.ndarray) -> float:
+    """λmax through Lanczos on (σI - a)⁻¹, whose largest eigenvalue is
+    1/(σ - λmax), with σI - a factored once by sparse LU.  σ sits just above
+    the row bound R ≥ λmax, so σI - a is positive definite even where
+    λmax = R (a regular bipartite component).  Where λmax is close to R, as
+    on the near-regular ladders and grids, the shift spreads a clustered top
+    of a's spectrum apart."""
+    sigma = abs_row_bound(m) * (1.0 + _SHIFT_MARGIN)
+    shifted = sigma * sp.eye_array(m.order) - m.csr
+    lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    inv_gap = spla.eigsh(
+        spla.LinearOperator(m.csr.shape, matvec=lambda x: lu.solve(x.ravel()), dtype=float),
+        k=1, which="LA", v0=v0, tol=_ITERATIVE_TOL, return_eigenvectors=False,
+    )[0]
+    return sigma - 1.0 / float(inv_gap)
+
+
+def abs_row_bound(m: SymmetricMatrix) -> float:
+    """Gershgorin-style bound max_i sum_j |m_ij| on eigenvalue magnitudes."""
+    # The CSR mat-vec adds each row's entries left to right in column order,
+    # a fixed summation order.
+    return float((abs(m.csr) @ np.ones(m.order)).max())
 
 
 class _OverBudget(Exception):
@@ -225,8 +308,10 @@ def measure(
     dimension is the number of connected components, exact for L (positive
     weights) and B·Bᵀ.  Orders above ``dense_limit`` (3000 when None) take
     Lanczos.  The record names the path that ran: "dense" (``eigvalsh``),
-    "factor-free" (Lanczos on G alone, also when λmax is G's only nonzero
-    eigenvalue) or "grounded" (λmin through the grounded pseudo-inverse).
+    "factored" (G factors cheaply: λmax by shift-invert, λmin through the
+    grounded pseudo-inverse), "factor-free" (Lanczos on G alone, also when
+    λmax is G's only nonzero eigenvalue) or "grounded" (λmax on G, λmin
+    through the grounded pseudo-inverse after the factor-free run gave up).
     """
     if matrix_kind == "laplacian":
         if not isinstance(m, SymmetricMatrix):

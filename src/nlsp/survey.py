@@ -455,11 +455,6 @@ def _measure_forked(
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    if any(catalog_entry(spec.family_id).needs_networkx for spec in config.families):
-        # the workers inherit networkx through the fork; the pool forks fresh
-        # workers on every run, each of which would import it again
-        from . import _nx  # noqa: F401
-
     pool = ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt, initargs=(config.families, config.dense_limit),
@@ -563,6 +558,11 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     jobs = [(index, n) for index, spec in enumerate(config.families) for n in spec.schedule]
     workers = min(max_workers or min(4, os.cpu_count() or 1), len(jobs))
+    if any(catalog_entry(spec.family_id).needs_networkx for spec in config.families):
+        # loaded before any instance is timed, so no generate_s carries the
+        # import; forked workers inherit it, where each would otherwise
+        # import it again on every run
+        from . import _nx  # noqa: F401
     # results run in job order: by family, then by the strictly increasing n
     if workers > 1 and hasattr(os, "fork"):
         results = iter(_measure_forked(config, jobs, workers))

@@ -56,6 +56,19 @@ def test_catalog_covers_both_matrix_kinds():
     assert len(list_families()) >= 40
 
 
+def test_catalog_schedules_stay_as_written_and_specs_get_tuples():
+    # the full default catalog: ROADMAP's 103,409 instances
+    entries = [catalog_entry(f) for f in list_families()]
+    assert sum(len(e.default_schedule) for e in entries) == 103_409
+    # a range holds no int per instance; make_spec expands it
+    assert isinstance(catalog_entry("complete").default_schedule, range)
+    assert isinstance(catalog_entry("generalized_hypercube").default_schedule, range)
+    for f in ("complete", "generalized_hypercube", "paley"):
+        spec = make_spec(f)
+        assert isinstance(spec.schedule, tuple)
+        assert spec.schedule == tuple(catalog_entry(f).default_schedule)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         catalog_entry("petersen")

@@ -163,6 +163,17 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
     assert rec.system_size == n + (m.cols if g.directed else 0)
 
 
+def system_and_kappa(g: Graph, c: int):
+    """g's system matrix, its kind, and κ from a numpy eigensolve or SVD of
+    the build by hand, for g with c components and some edge."""
+    n = g.n_vertices
+    if g.directed:
+        s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
+        return incidence_matrix(g), "incidence", s[0] / s[n - c - 1]
+    e = np.linalg.eigvalsh(laplacian_by_hand(g))
+    return laplacian(g), "laplacian", e[-1] / e[c]
+
+
 @st.composite
 def sparse_multicomponent_graphs(draw):
     """Disjoint union of 2 to 4 connected graphs, each a random tree plus a
@@ -190,32 +201,71 @@ def sparse_multicomponent_graphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(sparse_multicomponent_graphs())
 def test_factor_free_and_grounded_lanczos_match_eigvalsh(case):
-    # Lanczos with its matvec budget (factor-free on nearly all of these),
-    # and with a budget of 0, which forces the grounded pseudo-inverse.
+    # Lanczos with its matvec budget (factored on nearly all of these, whose
+    # envelope is small), and with a budget of 0, which leaves the factored
+    # route to forests and forces the grounded pseudo-inverse on the rest.
     g, c = case
     n = g.n_vertices
-    if g.directed:
-        m, kind = incidence_matrix(g), "incidence"
-        s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
-        want = s[0] / s[n - c - 1]
-    else:
-        m, kind = laplacian(g), "laplacian"
-        e = np.linalg.eigvalsh(laplacian_by_hand(g))
-        want = e[-1] / e[c]
+    m, kind, want = system_and_kappa(g, c)
     factors = []
     with pytest.MonkeyPatch.context() as mp:
         real_splu = spectral.spla.splu
         mp.setattr(spectral.spla, "splu", lambda *a, **k: factors.append(1) or real_splu(*a, **k))
         budgeted = measure(m, kind, dense_limit=1)
-        factor_free = not factors
         mp.setattr(spectral, "_FACTOR_FREE_MATVECS", 0)
         grounded = measure(m, kind, dense_limit=1)
-    assert len(factors) == 1 + (not factor_free)
+    # the vertex pairs are distinct, so G's pattern is a forest exactly when
+    # edges = order - components
+    assert grounded.eigensolver == ("factored" if g.n_edges == n - c else "grounded")
+    lus = {"factor-free": 0, "grounded": 1, "factored": 2}
+    assert len(factors) == lus[budgeted.eigensolver] + lus[grounded.eigensolver]
+    factor_free = budgeted.eigensolver == "factor-free"
     # as in test_measured_kappa_equals_numpy_reference; the factor-free
     # path also meets 1e-12 relative on these well-conditioned graphs
     rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)
     assert abs(grounded.kappa - want) <= rtol * want
     assert abs(budgeted.kappa - want) <= (min(rtol, 1e-12) if factor_free else rtol) * want
+
+
+@st.composite
+def forests_and_banded_graphs(draw):
+    """A random forest with a component of at least 3 vertices, or a
+    graph whose edges join vertices at most 3 apart in a random labelling
+    (a banded graph, possibly several bands); undirected or with each edge
+    randomly oriented."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(4, 120))
+    if draw(st.booleans()):
+        # vertex v > 2 hangs from an earlier vertex, or roots a new tree (-1)
+        parents = [0, 1] + [draw(st.integers(-1, v - 1)) for v in range(3, n)]
+        pairs = {(p, v) for v, p in enumerate(parents, 1) if p >= 0}
+    else:
+        pairs = {(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))
+                 if draw(st.booleans())} | {(0, 1), (1, 2)}
+    labels = draw(st.permutations(range(n)))
+    rows = []
+    for u, v in sorted(pairs):
+        u, v = labels[u], labels[v]
+        if directed and draw(st.booleans()):
+            u, v = v, u
+        rows.append((u, v, draw(st.floats(0.5, 2.0))))
+    return Graph.from_edges(n, rows, directed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_and_banded_graphs())
+def test_factored_route_matches_eigvalsh(g):
+    # both factor cheaply whatever their labelling: a forest fills nothing,
+    # and reverse Cuthill–McKee recovers a small envelope
+    n = g.n_vertices
+    c = connected_components(sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(n, n)),
+                             directed=False)[0]
+    m, kind, want = system_and_kappa(g, c)
+    rec = measure(m, kind, dense_limit=1)
+    assert rec.eigensolver == "factored"
+    # as in test_measured_kappa_equals_numpy_reference
+    rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)
+    assert abs(rec.kappa - want) <= rtol * want
 
 
 entries = st.sampled_from([0.0, 1.0, -2.5, 3.0, np.nan])

@@ -151,6 +151,28 @@ def test_networkx_survey_imports_it_before_the_pool_forks(tmp_path):
     assert importers == [seen["pid"]]
 
 
+def test_in_process_survey_imports_it_before_any_instance_is_timed(tmp_path):
+    # one worker measures in this process: its first generate_s must not
+    # carry the import
+    out, importers = run_fresh('''
+        import nlsp.survey as survey
+
+        loaded_at_generate, generate = [], survey.generate
+
+        def recording_generate(spec, n):
+            loaded_at_generate.append("networkx" in sys.modules)
+            return generate(spec, n)
+
+        survey.generate = recording_generate
+        spec = nlsp.make_spec("random_lobster", schedule=(10, 15, 20))
+        nlsp.run_survey(nlsp.SurveyConfig(families=(spec,)), max_workers=1)
+        print(json.dumps({"pid": os.getpid(), "loaded_at_generate": loaded_at_generate}))
+    ''', tmp_path)
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["loaded_at_generate"] == [True, True, True]
+    assert importers == [seen["pid"]]
+
+
 @forking
 def test_each_entry_flag_matches_what_its_first_build_loads(tmp_path):
     # every build runs in a fresh worker forked from a process without networkx

@@ -94,7 +94,7 @@ def test_extreme_eigs_examples():
 
 
 def test_measure_records_the_kernel_and_the_path():
-    for limit, path in ((None, "dense"), (1, "factor-free")):
+    for limit, path in ((None, "dense"), (1, "factored")):
         rec = measure(laplacian(two_ladders()), "laplacian", dense_limit=limit)
         assert (rec.kernel, rec.eigensolver) == (3, path)
         rec = measure(incidence_matrix(path_cycle_point()), "incidence", dense_limit=limit)
@@ -244,9 +244,11 @@ def generalized_hypercube(a: int, m: int) -> Graph:
 
 @pytest.fixture
 def lanczos_path(monkeypatch):
-    """The λmin path the last measure took: "factor-free", "grounded" (the
-    pseudo-inverse through one LU, after the factor-free run gave up) or
-    "lambda-max" (λmax is the only nonzero eigenvalue)."""
+    """The path the last measure took: "factor-free", "grounded" (the
+    pseudo-inverse through one LU, after the factor-free run gave up),
+    "factored" (G factors cheaply: one LU for the pseudo-inverse, one for
+    λmax by shift-invert, and no factor-free run) or "lambda-max" (λmax is
+    the only nonzero eigenvalue)."""
     calls = {"deflated": 0, "splu": 0}
     real_deflated, real_splu = spectral._smallest_deflated, spectral.spla.splu
 
@@ -264,7 +266,9 @@ def lanczos_path(monkeypatch):
     def path() -> str:
         taken = (calls["deflated"], calls["splu"])
         calls.update(deflated=0, splu=0)
-        return {(1, 0): "factor-free", (1, 1): "grounded", (0, 0): "lambda-max"}[taken]
+        return {
+            (1, 0): "factor-free", (1, 1): "grounded", (0, 2): "factored", (0, 0): "lambda-max",
+        }[taken]
 
     return path
 
@@ -272,11 +276,12 @@ def lanczos_path(monkeypatch):
 @pytest.mark.parametrize(
     "system, kind, rtol, path",
     [
-        (lambda: laplacian(two_ladders()), "laplacian", 1e-12, "factor-free"),
-        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1e-12, "factor-free"),
+        # banded G, and the forest B·Bᵀ of a directed path, factor cheaply
+        (lambda: laplacian(two_ladders()), "laplacian", 1e-12, "factored"),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1e-12, "factored"),
         # κ(B·Bᵀ) ≈ 5.8e5: Lanczos on the deflated G would need thousands of
         # products
-        (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7, "grounded"),
+        (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7, "factored"),
         # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
         (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7, "lambda-max"),
         # a scale-free graph and an expander: a column ordering that ignores
@@ -286,13 +291,13 @@ def lanczos_path(monkeypatch):
             "laplacian", 1e-10, "grounded",
         ),
         (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-12, "factor-free"),
-        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10, "grounded"),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10, "factored"),
         # λ₂ far below λmax: 7.55e-7 on order 2048, and 1.0e-5 on order 2091
         (
             lambda: laplacian(family_graph("hypercube", 11, weight_rule="quadratic_rule")),
             "laplacian", 1e-8, "grounded",
         ),
-        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8, "grounded"),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8, "factored"),
         # too large for the dense reference, so the closed forms stand in:
         # Q_13 has eigenvalues 2k, G_3^8 (K_3 to the 8th Cartesian power) 3k
         (lambda: laplacian(hypercube(13)), (2.0, 26.0), 1e-12, "factor-free"),
@@ -342,17 +347,87 @@ def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
 
 
 @pytest.mark.parametrize(
-    "system, kind",
+    "system, kind, path",
     [
-        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian"),
-        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian"),
-        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence"),
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", "factor-free"),
+        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "laplacian", "grounded"),
+        (lambda: incidence_matrix(family_graph("scale_free", 400)), "incidence", "grounded"),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", "factored"),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", "factored"),
     ],
-    ids=["factor-free", "grounded", "grounded-incidence"],
+    ids=["factor-free", "grounded", "grounded-incidence", "factored", "factored-incidence"],
 )
-def test_lanczos_is_deterministic(system, kind):
+def test_lanczos_is_deterministic(system, kind, path):
     m = system()
-    assert measure(m, kind, dense_limit=1) == measure(m, kind, dense_limit=1)
+    rec = measure(m, kind, dense_limit=1)
+    assert rec.eigensolver == path
+    assert measure(m, kind, dense_limit=1) == rec
+
+
+def circular_ladder(n: int) -> Graph:
+    """C_n × K_2: 3-regular, and bipartite for even n, so λmax = 6."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return Graph.from_edges(2 * n, edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: ladder(400), lambda: circular_ladder(300), lambda: circular_ladder(301)],
+    ids=["ladder-400", "circular-ladder-300", "circular-ladder-301"],
+)
+def test_factored_route_on_ladders_matches_eigvalsh(graph, lanczos_path):
+    # a ladder's top eigenvalues cluster within O(1/n²) of each other; an
+    # even circular ladder is regular bipartite, so λmax equals the row
+    # bound 6 that the shift sits just above
+    m = laplacian(graph())
+    lam_min, lam_max = dense_extremes(m, "laplacian")
+    rec = measure(m, "laplacian")
+    assert lanczos_path() == "factored"
+    assert rec.lambda_max == pytest.approx(lam_max, rel=1e-12)
+    assert rec.lambda_min_nz == pytest.approx(lam_min, rel=1e-9)
+    assert rec.kappa == pytest.approx(lam_max / lam_min, rel=1e-9)
+
+
+def test_factored_route_on_a_regular_bipartite_top(monkeypatch, lanczos_path):
+    # λmax = 6 = the row bound on C_2500 × K_2, and 2k on Q_k, which takes
+    # the route only when forced
+    rec = measure(laplacian(circular_ladder(2500)), "laplacian")
+    assert lanczos_path() == "factored"
+    assert rec.lambda_max == pytest.approx(6.0, rel=1e-12)
+    monkeypatch.setattr(spectral, "_factors_cheaply", lambda a, components: True)
+    for k in (7, 9):
+        m = laplacian(hypercube(k))
+        rec = measure(m, "laplacian", dense_limit=1)
+        assert lanczos_path() == "factored"
+        assert rec.lambda_max == pytest.approx(2.0 * k, rel=1e-12)
+        assert rec.kappa == pytest.approx(dense_kappa(m), rel=1e-12)
+
+
+def test_factored_route_spends_few_solves(monkeypatch):
+    # ladder n=2500 (order 5000): Lanczos for λmax on L itself took 26,101
+    # products; shift-invert and the pseudo-inverse take 42 solves between
+    # them, and no product with L
+    solves, real_splu, real_eigsh = [], spectral.spla.splu, spectral.spla.eigsh
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            solves.append(1)
+            return self.lu.solve(x)
+
+    def eigsh(a, *args, **kwargs):
+        assert isinstance(a, spectral.spla.LinearOperator), "a Lanczos run on L itself"
+        return real_eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", lambda *a, **k: Counted(real_splu(*a, **k)))
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    rec = measure(laplacian(ladder(2500)), "laplacian")
+    assert rec.eigensolver == "factored"
+    assert len(solves) <= 60
 
 
 def test_lanczos_factor_keeps_fill_low(monkeypatch):

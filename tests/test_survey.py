@@ -574,6 +574,7 @@ class TestWorkers:
             make_spec("gn", schedule=(20, 40, 60, 80), seed=3),
             make_spec("random_lobster", schedule=(30, 60, 90, 120, 150)),
             make_spec("directed_hypercube", schedule=range(2, 7)),
+            make_spec("hypercube", schedule=range(6, 10), weight_rule="quadratic_rule"),
         ),
         dense_limit=40,
         solvers=("HHL", "DREAM"),
@@ -590,7 +591,7 @@ class TestWorkers:
             paths[count] = [e["eigensolver"] for e in result.manifest_dict()["entries"]]
         assert outputs[workers] == outputs[1]
         assert paths[workers] == paths[1]
-        assert set(paths[1]) == {"dense", "factor-free", "grounded"}
+        assert set(paths[1]) == {"dense", "factor-free", "grounded", "factored"}
         assert multiprocessing.active_children() == []
 
     @FORK
@@ -682,10 +683,10 @@ class TestSeedSensitivity:
         )
         seed_sensitivity(config, (1, 2))
         # orders 20..50 take eigvalsh under the default limit; under 10, each
-        # of the 2 x 4 instances takes Lanczos, and factor-free Lanczos finds
-        # λmin on these well-conditioned graphs
+        # of the 2 x 4 instances takes Lanczos, and at these orders even a
+        # dense G factors for less than the factor-free run may spend
         paths = [i.record.eigensolver for r in runs for o in r.outcomes for i in o.instances]
-        assert paths == ["factor-free"] * 8
+        assert paths == ["factored"] * 8
 
     def test_report_matches_one_worker_runs(self):
         config = SurveyConfig(
