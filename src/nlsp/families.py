@@ -714,16 +714,11 @@ def make_spec(
     seed: Optional[int] = None,
     params: Optional[Mapping] = None,
     weight_rule: str = "unit",
-    repair: bool = False,
 ) -> FamilySpec:
     """Assemble a validated spec with catalog defaults filled in."""
     entry = catalog_entry(family_id)
     merged = dict(entry.default_params)
     merged.update(params or {})
-    if repair:
-        if not entry.directed:
-            raise ValueError("source/sink repair applies to directed families")
-        merged["repair"] = True
     return FamilySpec(
         family_id=family_id,
         params=merged,

@@ -146,9 +146,6 @@ class GrowthClass:
                 return 1 if deg > 0 else -1
         return 0
 
-    def is_constant(self) -> bool:
-        return self.compare(GrowthClass.constant()) == 0
-
     def is_unbounded(self) -> bool:
         return self.compare(GrowthClass.constant()) > 0
 

@@ -1,18 +1,19 @@
 """Condition number and sparsity of survey system matrices.
 
-``measure`` is the one κ function.  It picks no eigenvalue by magnitude:
-the kernel dimension is counted, so no cutoff enters a κ (the survey's flag
-threshold only annotates).  Every system is measured on one order-n PSD
-matrix G: the Laplacian L, or
-B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
-eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
-squaring leaves σmin a relative error of about ε·κ²/2.  G has zero row sums
-on each connected component, so its kernel is spanned by the c component
-indicators, and the smallest nonzero eigenvalue is the (c+1)-th smallest.
-Dense G up to a size limit (a per-call argument, 3000 when None) take the
-dense eigensolver.  Larger G, and sparse G at any order (order above 256,
-at most order²/16 entries), take Lanczos with a fixed start vector, on one
-of two routes chosen from G's pattern alone.
+``measure`` is the one κ function, and ``extreme_eigs(G, *, dense_limit)``
+the one eigensolver it calls.  It picks no eigenvalue by magnitude: the
+kernel dimension is counted from G's components, so no cutoff enters a κ
+(the survey's flag threshold only annotates).  Every system is measured on
+one order-n PSD matrix G: the Laplacian L, or B·Bᵀ for an incidence
+matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero eigenvalues ±σᵢ(B),
+and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ); squaring leaves σmin
+a relative error of about ε·κ²/2.  G has zero row sums on each connected
+component, so its kernel is spanned by the c component indicators, and the
+smallest nonzero eigenvalue is the (c+1)-th smallest.  Dense G up to a
+size limit (a per-call argument, 3000 when None) take the dense
+eigensolver.  Larger G, and sparse G at any order (order above 256, at most
+order²/16 entries), take Lanczos with a fixed start vector, on one of two
+routes chosen from G's pattern alone.
 
 G that factors cheaply takes the factored route: its pattern is a forest,
 which minimum degree factors with no fill, or its envelope work Σwᵢ² after
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,52 +113,46 @@ class SpectralRecord:
             raise ValueError("sparsity must lie in 1..system_size")
 
 
-def extreme_eigs(
-    m: SymmetricMatrix,
-    *,
-    kernel: int,
-    dense_limit: Optional[int] = None,
-    labels: Optional[np.ndarray] = None,
-) -> tuple[float, float]:
-    """(smallest nonzero, largest) eigenvalue of a PSD m whose null space
-    has dimension ``kernel``: the (kernel+1)-th and the last.  Orders above
-    the dense limit (3000 when None), and sparse m at any order, take
-    Lanczos; that path needs m to have zero row sums (a Laplacian or B·Bᵀ),
-    with ``kernel`` connected components, whose ``labels`` (from
-    ``connected_components``) it counts itself when not given.  An m that
-    factors cheaply (a forest pattern, or a small envelope after reverse
-    Cuthill–McKee) takes one sparse LU for λmax by shift-invert and one of
-    m grounded for λmin through its pseudo-inverse.  Any other m takes
-    Lanczos on m for λmax, then seeks λmin factor-free, on m with its kernel
-    shifted to λmax, within _FACTOR_FREE_MATVECS products; past them it
-    falls back to the pseudo-inverse."""
-    return _extremes(m, kernel, dense_limit, labels)[:2]
+class Extremes(NamedTuple):
+    """G's smallest nonzero and largest eigenvalue, the path that found them
+    ("dense", "factored", "factor-free" or "grounded", see measure) and its
+    kernel dimension, the component count."""
+
+    lam_min: float
+    lam_max: float
+    eigensolver: str
+    kernel: int
 
 
-def _extremes(
-    m: SymmetricMatrix, kernel: int, dense_limit: Optional[int], labels: Optional[np.ndarray]
-) -> tuple[float, float, str]:
-    """``extreme_eigs`` and the eigensolver path that found them."""
-    if kernel >= m.order:
-        raise ValueError("effectively zero matrix: no nonzero eigenvalue")
+def extreme_eigs(m: SymmetricMatrix, *, dense_limit: Optional[int] = None) -> Extremes:
+    """Extremes of a PSD m with zero row sums (a Laplacian or B·Bᵀ): its
+    kernel is spanned by the indicators of its c connected components,
+    counted here, so λmin is the (c+1)-th eigenvalue and λmax the last.
+    Dense m up to the dense limit (3000 when None) take ``eigvalsh``; larger
+    m, and sparse m at any order, take Lanczos.  An m that factors cheaply
+    (a forest pattern, or a small envelope after reverse Cuthill–McKee)
+    takes one sparse LU for λmax by shift-invert and one of m grounded for
+    λmin through its pseudo-inverse.  Any other m takes Lanczos on m for
+    λmax, then seeks λmin factor-free, on m with its kernel shifted to
+    λmax, within _FACTOR_FREE_MATVECS products; past them it falls back to
+    the pseudo-inverse.  An m without edges, every vertex its own
+    component, has no nonzero eigenvalue and is refused."""
+    # m's pattern is symmetric, so its strong components are its components;
+    # "strong" skips the symmetrized copy that an undirected count makes.
+    kernel, labels = connected_components(m.csr, directed=True, connection="strong")
+    if kernel == m.order:
+        raise ValueError(
+            "effectively zero matrix: no nonzero eigenvalue, as the graph has no edges"
+        )
     limit = DEFAULT_DENSE_LIMIT if dense_limit is None else dense_limit
     if m.order > limit or _is_sparse(m):
-        labels = _component_labels(m) if labels is None else labels
-        if int(labels.max()) + 1 != kernel:
-            raise ValueError(f"kernel {kernel} is not m's component count {labels.max() + 1}")
-        return _extreme_eigs_iterative(m, labels)
+        return Extremes(*_extreme_eigs_iterative(m, labels), kernel)
     eigs = np.linalg.eigvalsh(m.to_dense())
-    return float(eigs[kernel]), float(eigs[-1]), "dense"
+    return Extremes(float(eigs[kernel]), float(eigs[-1]), "dense", kernel)
 
 
 def _is_sparse(m: SymmetricMatrix) -> bool:
     return m.order > _SPARSE_MIN_ORDER and m.csr.nnz <= m.order**2 / _SPARSE_FILL
-
-
-def _component_labels(m: SymmetricMatrix) -> np.ndarray:
-    # m's pattern is symmetric, so its strong components are its components;
-    # "strong" skips the symmetrized copy that an undirected count makes.
-    return connected_components(m.csr, directed=True, connection="strong")[1]
 
 
 def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[float, float, str]:
@@ -304,15 +299,15 @@ def measure(
     m: RectMatrix, matrix_kind: str, *, dense_limit: Optional[int] = None
 ) -> SpectralRecord:
     """SpectralRecord of a Laplacian L, or of the dilation [[0, B], [Bᵀ, 0]]
-    of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ).  The kernel
-    dimension is the number of connected components, exact for L (positive
-    weights) and B·Bᵀ.  Orders above ``dense_limit`` (3000 when None) take
-    Lanczos.  The record names the path that ran: "dense" (``eigvalsh``),
-    "factored" (G factors cheaply: λmax by shift-invert, λmin through the
-    grounded pseudo-inverse), "factor-free" (Lanczos on G alone, also when
-    λmax is G's only nonzero eigenvalue) or "grounded" (λmax on G, λmin
-    through the grounded pseudo-inverse after the factor-free run gave up).
-    """
+    of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ), from
+    ``extreme_eigs`` of G = L or B·Bᵀ.  The kernel dimension is the number
+    of connected components, exact for L (positive weights) and B·Bᵀ.
+    Orders above ``dense_limit`` (3000 when None) take Lanczos.  The record
+    names the path that ran: "dense" (``eigvalsh``), "factored" (G factors
+    cheaply: λmax by shift-invert, λmin through the grounded
+    pseudo-inverse), "factor-free" (Lanczos on G alone, also when λmax is
+    G's only nonzero eigenvalue) or "grounded" (λmax on G, λmin through the
+    grounded pseudo-inverse after the factor-free run gave up)."""
     if matrix_kind == "laplacian":
         if not isinstance(m, SymmetricMatrix):
             raise ValueError("a Laplacian system is measured from L, not a rectangular matrix")
@@ -323,9 +318,7 @@ def measure(
         g, size = SymmetricMatrix(m.csr @ m.csr.T), m.rows + m.cols
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    labels = _component_labels(g)
-    kernel = int(labels.max()) + 1
-    lam_min, lam_max, eigensolver = _extremes(g, kernel, dense_limit, labels)
+    lam_min, lam_max, eigensolver, kernel = extreme_eigs(g, dense_limit=dense_limit)
     if matrix_kind == "incidence":
         lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(

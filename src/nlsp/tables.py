@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .growth import GrowthClass
-from .solvers import SOLVERS, AdvantageVerdict, evaluate_advantage
+from .solvers import evaluate_advantage
 
 _C = GrowthClass.constant()
 _N = GrowthClass.poly(1)
@@ -112,13 +112,6 @@ TABLE3_ROWS: tuple[TableRow, ...] = (
 )
 
 ALL_ROWS: tuple[TableRow, ...] = TABLE2_ROWS + TABLE3_ROWS
-
-
-def row_verdicts(row: TableRow) -> dict[str, AdvantageVerdict]:
-    """Advantage verdicts for every modeled quantum solver on one row."""
-    return {
-        name: evaluate_advantage(name, row.size, row.kappa, row.s) for name in SOLVERS
-    }
 
 
 def computed_labels(row: TableRow) -> dict[str, str]:

@@ -107,10 +107,10 @@ def test_seed_must_be_a_non_negative_integer():
 def test_repair_spec_without_a_seed_is_refused():
     # deterministic directed families have no default seed to rewire with
     with pytest.raises(ValueError, match="repair requires a seed"):
-        make_spec("directed_hypercube", repair=True)
+        make_spec("directed_hypercube", params={"repair": True})
     with pytest.raises(ValueError, match="repair requires a seed"):
         FamilySpec("paley", {"repair": True}, None, (3, 7))
-    spec = make_spec("directed_hypercube", repair=True, seed=5, schedule=(3, 4))
+    spec = make_spec("directed_hypercube", params={"repair": True}, seed=5, schedule=(3, 4))
     assert generate(spec, 3).n_vertices == 8
 
 
@@ -135,7 +135,6 @@ def test_unknown_params_rejected():
     with pytest.raises(ValueError, match="no params"):
         make_spec("hypercube", params={"repair": True})
     assert make_spec("generalized_hypercube", params={"a": 3}).params == {"a": 3}
-    assert make_spec("gn", params={"repair": True}) == make_spec("gn", repair=True)
 
 
 def test_generate_outside_schedule_errors():
@@ -349,7 +348,7 @@ def test_repair_idempotent_and_deterministic():
 
 def test_repaired_variant_postconditions():
     for fid in ("gn", "gnr", "scale_free"):
-        spec = make_spec(fid, repair=True)
+        spec = make_spec(fid, params={"repair": True})
         for n in (spec.schedule[1], spec.schedule[4]):
             inst = generate(spec, n)
             indeg, outdeg = degree_profile(inst.graph)
@@ -381,7 +380,7 @@ def test_repaired_edges_match_their_recorded_digest():
     )
     families = []
     for fid in ("gn", "gnr", "scale_free", "paley"):
-        spec = make_spec(fid, repair=True, seed=5)
+        spec = make_spec(fid, params={"repair": True}, seed=5)
         families += [generate(spec, n).graph for n in spec.schedule[:40:8]]
     assert _edges_digest(families) == (
         "bebcd1b045061dbe5f519dba190194e1a0301cce18f43dca129e5237ea60db36"
@@ -400,8 +399,8 @@ def test_random_lobster_edges_match_their_recorded_digest():
 
 
 def test_repair_flag_rejected_for_undirected():
-    with pytest.raises(ValueError):
-        make_spec("gnp", repair=True)
+    with pytest.raises(ValueError, match=r"gnp has no params \['repair'\]"):
+        make_spec("gnp", params={"repair": True})
 
 
 def _nx_edge_list(g: nx.Graph) -> list[tuple[int, int]]:

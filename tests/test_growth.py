@@ -8,7 +8,7 @@ from nlsp.growth import CompositionError, GrowthClass, compose
 
 def test_constant_identity():
     one = GrowthClass.constant()
-    assert one.is_constant()
+    assert one.compare(GrowthClass.constant()) == 0
     assert not one.is_unbounded()
     assert str(one) == "1"
 

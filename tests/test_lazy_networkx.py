@@ -103,7 +103,7 @@ def test_sparse_bench_survey_leaves_networkx_out(tmp_path):
             nlsp.make_spec("barabasi_albert", schedule=(100, 200, 300), seed=1),
             nlsp.make_spec("gn", schedule=(50, 100, 150), seed=1),
             nlsp.make_spec("gnr", schedule=(50, 100, 150), seed=1),
-            nlsp.make_spec("gnr", schedule=(50, 100, 150), seed=19, repair=True),
+            nlsp.make_spec("gnr", schedule=(50, 100, 150), seed=19, params={"repair": True}),
             nlsp.make_spec("gnc", schedule=(20, 40, 60), seed=1),
             nlsp.make_spec("directed_hypercube", schedule=range(2, 6)),
         )

@@ -81,7 +81,9 @@ def test_full_spectrum_hypercube3():
 
 def test_extreme_eigs_examples():
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert extreme_eigs(laplacian(c4), kernel=1) == pytest.approx((2.0, 4.0), abs=1e-9)
+    out = extreme_eigs(laplacian(c4))
+    assert (out.lam_min, out.lam_max) == pytest.approx((2.0, 4.0), abs=1e-9)
+    assert (out.eigensolver, out.kernel) == ("dense", 1)
     assert measure(laplacian(c4), "laplacian").kappa == pytest.approx(2.0, abs=1e-9)
     # the dilation is indefinite: its |λ| extremes are those measure reads off B·Bᵀ
     h = hermitian_dilation(incidence_matrix(directed_c4()))
@@ -89,36 +91,70 @@ def test_extreme_eigs_examples():
     assert (rec.lambda_min_nz, rec.lambda_max) == pytest.approx((math.sqrt(2), 2.0), abs=1e-9)
     assert dense_kappa(h) == pytest.approx(rec.kappa, abs=1e-9)
     k2 = laplacian(Graph.from_edges(2, [(0, 1)]))
-    assert extreme_eigs(k2, kernel=1) == pytest.approx((2.0, 2.0))
+    assert extreme_eigs(k2)[:2] == pytest.approx((2.0, 2.0))
     assert measure(k2, "laplacian").kappa == pytest.approx(1.0)
 
 
-def test_measure_records_the_kernel_and_the_path():
-    for limit, path in ((None, "dense"), (1, "factored")):
-        rec = measure(laplacian(two_ladders()), "laplacian", dense_limit=limit)
-        assert (rec.kernel, rec.eigensolver) == (3, path)
-        rec = measure(incidence_matrix(path_cycle_point()), "incidence", dense_limit=limit)
-        assert (rec.kernel, rec.eigensolver) == (3, path)
+def test_measure_records_the_kernel_and_the_path(monkeypatch):
+    # measure looks extreme_eigs up by its module name, so a wrapper put
+    # there sees every route, and each record carries what it returned
+    seen = []
+    real = spectral.extreme_eigs
+
+    def counted(g, **kwargs):
+        seen.append(real(g, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(spectral, "extreme_eigs", counted)
+    cases = [
+        (lambda: laplacian(two_ladders()), "laplacian", None, "dense", 3),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence", None, "dense", 3),
+        (lambda: laplacian(two_ladders()), "laplacian", 1, "factored", 3),
+        (lambda: incidence_matrix(path_cycle_point()), "incidence", 1, "factored", 3),
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1, "factor-free", 1),
+        (
+            lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)),
+            "laplacian", 1, "grounded", 1,
+        ),
+    ]
+    for system, kind, limit, path, kernel in cases:
+        rec = measure(system(), kind, dense_limit=limit)
+        (out,) = seen
+        seen.clear()
+        assert (rec.eigensolver, rec.kernel) == (out.eigensolver, out.kernel) == (path, kernel)
+        lam = (out.lam_min, out.lam_max)
+        if kind == "incidence":
+            lam = tuple(map(math.sqrt, lam))
+        assert (rec.lambda_min_nz, rec.lambda_max) == lam
 
 
 def test_extreme_eigs_zero_matrix():
     zero = SymmetricMatrix(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="effectively zero"):
-        extreme_eigs(zero, kernel=3)
+        extreme_eigs(zero)
+    # every vertex is its own component exactly when the graph has no edges
+    edge_free = (
+        (laplacian(Graph.from_edges(3, [])), "laplacian"),
+        (incidence_matrix(Graph.from_edges(3, [], directed=True)), "incidence"),
+        (laplacian(Graph.from_edges(1, [])), "laplacian"),
+    )
+    for m, kind in edge_free:
+        with pytest.raises(ValueError) as err:
+            measure(m, kind)
+        assert str(err.value) == (
+            "effectively zero matrix: no nonzero eigenvalue, as the graph has no edges"
+        )
 
 
-def test_extreme_eigs_requires_a_kernel():
-    with pytest.raises(TypeError, match="kernel"):
-        extreme_eigs(laplacian(ladder(4)))
-
-
-def test_lanczos_path_checks_the_kernel_against_the_components():
-    # a sparse Laplacian of order 400 takes Lanczos, whose pseudo-inverse
-    # assumes the kernel is spanned by the component indicators
-    lap = laplacian(ladder(200))
-    with pytest.raises(ValueError, match="component count 1"):
-        extreme_eigs(lap, kernel=2)
-    assert extreme_eigs(lap, kernel=1) == pytest.approx(dense_extremes(lap, "laplacian"), rel=1e-9)
+def test_lanczos_path_counts_the_components():
+    # a sparse Laplacian of order 401 takes Lanczos, whose pseudo-inverse
+    # needs the kernel spanned by the component indicators: extreme_eigs
+    # counts them, here a ladder and an isolated vertex
+    rungs = ladder(200)
+    lap = laplacian(Graph.from_edges(401, list(zip(rungs.u, rungs.v))))
+    out = extreme_eigs(lap)
+    assert (out.eigensolver, out.kernel) == ("factored", 2)
+    assert out[:2] == pytest.approx(dense_extremes(lap, "laplacian"), rel=1e-9)
 
 
 def test_condition_number_families():

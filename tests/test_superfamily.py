@@ -152,7 +152,7 @@ def test_diagonal_verdicts():
 def test_iso_s_verdict_bad():
     v = slice_verdict(iso_s_slice(7))
     assert v.category == "bad"
-    assert v.ratio_class.is_constant()
+    assert v.ratio_class.compare(GrowthClass.constant()) == 0
 
 
 def test_tableau_csv_roundtrip():

@@ -492,6 +492,13 @@ class TestSkips:
             {"family": "hypercube", "n": 4, "error": "RuntimeError: synthetic failure"}
         ]
 
+    def test_edge_free_instance_names_its_cause(self):
+        # random_lobster n=458 at the catalog seed draws one vertex
+        config = SurveyConfig(families=(make_spec("random_lobster", schedule=(458,)),))
+        (outcome,) = run_survey(config).outcomes
+        assert outcome.errors == ((458, "ValueError: effectively zero matrix: no nonzero "
+                                         "eigenvalue, as the graph has no edges"),)
+
     def test_eigenvalue_at_or_below_cutoff_is_flagged_not_dropped(self, monkeypatch):
         faint_weights(monkeypatch)
         config = SurveyConfig(
