@@ -37,6 +37,7 @@ from .superfamily import SLICE_KINDS, SLICES, slice_verdict, tableau, write_tabl
 from .survey import (
     DEFAULT_SOLVERS,
     SCHEMA_VERSION,
+    _reject_unknown_keys,
     classify_fits,
     config_from_dict,
     fit_from_dict,
@@ -293,31 +294,33 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
     return SymmetricMatrix(upper + np.triu(upper, 1).T)
 
 
+def _known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    try:
+        _reject_unknown_keys(doc, allowed, where)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:
+    """The problem's matrix, and whether it is a digraph's dilation: an
+    edge list's header picks the Laplacian or the dilation."""
     spec = doc.get("matrix")
     if not isinstance(spec, dict):
         raise CliError("problem file needs a 'matrix' object")
+    _known_keys(spec, ("dense", "edge_list"), "matrix")
+    if len(spec) != 1:
+        raise CliError("matrix needs exactly one of 'dense' and 'edge_list'")
     if "dense" in spec:
-        matrix = _dense_to_symmetric(spec["dense"])
-        signed_hint = bool(spec.get("signed", False))
-    elif "edge_list" in spec:
-        kind = spec.get("matrix_kind")
-        if kind not in ("laplacian", "incidence"):
-            raise CliError("matrix_kind must be 'laplacian' or 'incidence'")
-        graph = _load_graph(spec["edge_list"])
-        if graph.directed != (kind == "incidence"):
-            need = "a directed" if kind == "incidence" else "an undirected"
-            raise CliError(f"matrix_kind {kind!r} needs {need} graph")
-        matrix, signed_hint = graph_system(graph), graph.directed
-    else:
-        raise CliError("matrix needs either 'dense' or 'edge_list'")
-    return matrix, signed_hint
+        return _dense_to_symmetric(spec["dense"]), False
+    graph = _load_graph(spec["edge_list"])
+    return graph_system(graph), graph.directed
 
 
 def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
     raw = doc.get("config")
     if not isinstance(raw, dict) or "n_r" not in raw:
         raise CliError("problem file needs config.n_r")
+    _known_keys(raw, ("n_r", "t", "C", "lambda_min", "signed", "shots", "seed"), "config")
     try:
         if "t" in raw or "C" in raw:
             return HhlConfig(
@@ -341,7 +344,10 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
 
 def cmd_hhl_solve(args: argparse.Namespace) -> int:
     doc = _load_json(args.problem)
-    matrix, signed_hint = _problem_matrix(doc)
+    if not isinstance(doc, dict):
+        raise CliError("problem file must be a JSON object")
+    _known_keys(doc, ("matrix", "b", "config"), "the problem file")
+    matrix, directed = _problem_matrix(doc)
     if "b" not in doc:
         raise CliError("problem file needs 'b'")
     try:
@@ -353,10 +359,9 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     bound = abs_row_bound(matrix)
     if bound <= 0:
         raise CliError("zero matrix has no invertible part")
-    if doc.get("pad"):
-        matrix = pad_to_power_of_two(matrix, bound)
-        b = np.concatenate([b, np.zeros(matrix.order - len(b))])
-    cfg = _problem_config(doc, bound, signed_hint)
+    matrix = pad_to_power_of_two(matrix, bound)
+    b = np.concatenate([b, np.zeros(matrix.order - len(b))])
+    cfg = _problem_config(doc, bound, directed)
     try:
         outcome = hhl_solve(matrix, b, cfg)
         reconstruction = outcome.solution

@@ -139,9 +139,6 @@ class RectMatrix:
         self.csr = csr
         self.rows, self.cols = csr.shape
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.csr[i, j])
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
 

@@ -52,7 +52,7 @@ from .graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from .spectral import _START_SEED, abs_row_bound, zero_tolerance
+from .spectral import _START_SEED, abs_row_bound
 
 # A full run stores order * 2^n_r complex amplitudes implicitly; the budget
 # counts state + clock + ancilla qubits.
@@ -250,10 +250,11 @@ class _Modes(NamedTuple):
 
 class _Eigensystem(NamedTuple):
     """What the simulator needs of the system matrix for one right-hand
-    side: its distinct eigenvalues, each to working precision and sorted,
-    ``spectrum``, for the window, C and null checks, and eigenpairs
-    ``modes`` whose span holds the right-hand side, one entry per block,
-    together covering every row."""
+    side: ``spectrum``, every eigenvalue of each block to working precision,
+    blocks concatenated, for the window, C and null checks (they read only
+    max |lambda|, the smallest nonzero |lambda| and the sign, so order and
+    repeats do not matter), and eigenpairs ``modes`` whose span holds the
+    right-hand side, one entry per block, together covering every row."""
 
     spectrum: np.ndarray
     modes: list[_Modes]
@@ -286,7 +287,9 @@ def _ritz_pairs(
     """Eigenpairs (theta, V) of the symmetric ``block`` (a dense or sparse
     array with absolute row bound ``bound``) whose span is the Krylov space
     of ``rhs``, or None when that space is still growing after
-    _KRYLOV_SHARE of the order in steps (at least _KRYLOV_MIN_STEPS).
+    _KRYLOV_SHARE of the order in steps (at least _KRYLOV_MIN_STEPS).  From
+    a Gaussian rhs, which meets every eigenspace with probability 1, the
+    thetas are the block's distinct eigenvalues to working precision.
 
     Lanczos from rhs with two-pass full reorthogonalization stops at a
     residual beta <= order * eps * bound, where the space is invariant to
@@ -320,35 +323,17 @@ def _ritz_pairs(
     return None
 
 
-def _krylov_spectrum(block: np.ndarray | sp.csr_array, bound: float) -> np.ndarray | None:
-    """The distinct eigenvalues of the symmetric ``block`` (absolute row
-    bound ``bound``), each to working precision: the Ritz values of the
-    Krylov space of a fixed Gaussian start, which meets every eigenspace
-    with probability 1.  None when that space reaches the cap of
-    ``_ritz_pairs``."""
-    start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(block.shape[0])
-    ritz = _ritz_pairs(block, start, bound)
-    return None if ritz is None else ritz[0]
-
-
-def _distinct(values: np.ndarray, order: int) -> np.ndarray:
-    """The eigenvalues ``values`` of a matrix of ``order``, sorted, each
-    run of them closer than its null tolerance kept once."""
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = np.diff(values) > zero_tolerance(values, order)
-    return values[keep]
-
-
 def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
     """Spectrum of ``a`` and eigenpairs spanning ``unit``, one block per
     connected component of its pattern.  A row without off-diagonal entries
     (the fill * I padding of ``pad_to_power_of_two``, an isolated vertex) is
-    the eigenpair (a_kk, e_k) as it stands.  A component takes the Ritz
-    pairs of its part of ``unit`` and the Ritz values of a random start, or
-    its full ``eigh`` when that part reaches too many modes (``eigvalsh``
-    when the random start does).  A digraph's dilation has one component
-    per weakly connected component of the digraph, edge rows included."""
+    the eigenpair (a_kk, e_k) as it stands, and a_kk enters the spectrum.
+    A component takes the Ritz pairs of its part of ``unit``, and its
+    spectrum is the Ritz values of a fixed Gaussian start; it takes its full
+    ``eigh`` when that part reaches too many modes (``eigvalsh`` for the
+    spectrum when the Gaussian start does).  A digraph's dilation has one
+    component per weakly connected component of the digraph, edge rows
+    included."""
     _, labels = connected_components(a.csr, directed=True, connection="strong")
     sizes = np.bincount(labels)
     alone = np.flatnonzero(sizes[labels] == 1)
@@ -358,7 +343,9 @@ def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
         rows = np.flatnonzero(labels == label)
         block = a.csr[rows][:, rows]
         bound = float((abs(block) @ np.ones(rows.size)).max())
-        # A CSR mat-vec costs about eight times a dense one per stored entry.
+        # On a fully dense block a CSR product costs 5.2, 2.4, 2.6 and 4.1
+        # times a dense one at orders 200, 500, 1000 and 2000 (one BLAS
+        # thread), so CSR serves blocks at most an eighth full.
         sparse = 8 * block.nnz <= rows.size**2
         operand = block if sparse else block.toarray()
         ritz = _ritz_pairs(operand, unit[rows], bound)
@@ -367,12 +354,14 @@ def _eigenpairs(a: SymmetricMatrix, unit: np.ndarray) -> _Eigensystem:
             spectra.append(lam)
         else:
             lam, vectors = ritz
-            values = _krylov_spectrum(operand, bound)
-            if values is None:
-                values = np.linalg.eigvalsh(block.toarray() if sparse else operand)
-            spectra.append(values)
+            start = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(rows.size)
+            values = _ritz_pairs(operand, start, bound)
+            spectra.append(
+                np.linalg.eigvalsh(block.toarray() if sparse else operand)
+                if values is None else values[0]
+            )
         modes.append(_Modes(rows, lam, vectors))
-    return _Eigensystem(_distinct(np.concatenate(spectra), a.order), modes)
+    return _Eigensystem(np.concatenate(spectra), modes)
 
 
 def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
@@ -404,6 +393,13 @@ def _clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
     return weights
 
 
+def zero_tolerance(eigs: np.ndarray, order: int) -> float:
+    """Magnitude at or below which an eigenvalue among ``eigs``, eigenvalues
+    of a matrix of ``order``, counts as null: numpy's rank tolerance
+    order * eps * max |lambda|."""
+    return order * np.finfo(float).eps * float(np.abs(eigs).max())
+
+
 def _qpe(
     eig: _Eigensystem, unit: np.ndarray, cfg: HhlConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -432,7 +428,7 @@ def hhl_solve(a: SymmetricMatrix, b: Sequence[float], cfg: HhlConfig) -> HhlOutc
     The rotation angle on clock value c is 2 arcsin(C / bin(c)), clamped to
     a full flip when a leakage bin undercuts C, and zero on the all-zeros
     bin so null-space components acquire no success amplitude.  The window,
-    C and null checks read every distinct eigenvalue of ``a``, reached by b
+    C and null checks read every eigenvalue of ``a``, reached by b
     or not, from a Lanczos run per block (see the module docstring), for a
     Laplacian and a digraph's Hermitian dilation alike.  Eigenvalues at or
     below numpy's rank tolerance order * eps * max|lambda|,

@@ -100,11 +100,6 @@ def get_solver(name: str) -> SolverModel:
     raise KeyError(f"unknown solver {name!r}; choices: {', '.join(SOLVERS)}")
 
 
-def runtime(solver: str, n_size: float, kappa: float, s: float) -> float:
-    model = CLS if solver.upper() == "CLS" else get_solver(solver)
-    return model.runtime(n_size, kappa, s)
-
-
 def ratio_R(solver: str, n_size: float, kappa_fit: Fit, s_fit: Fit) -> float:
     """Numeric runtime ratio t_CLS / t_solver at system size N.
 

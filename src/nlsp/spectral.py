@@ -1,19 +1,20 @@
 """Condition number and sparsity of survey system matrices.
 
 ``measure`` is the one κ function, and ``extreme_eigs(G, *, dense_limit)``
-the one eigensolver it calls.  It picks no eigenvalue by magnitude: the
-kernel dimension is counted from G's components, so no cutoff enters a κ
-(the survey's flag threshold only annotates).  Every system is measured on
-one order-n PSD matrix G: the Laplacian L, or B·Bᵀ for an incidence
-matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero eigenvalues ±σᵢ(B),
-and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ); squaring leaves σmin
-a relative error of about ε·κ²/2.  G has zero row sums on each connected
-component, so its kernel is spanned by the c component indicators, and the
-smallest nonzero eigenvalue is the (c+1)-th smallest.  Dense G up to a
-size limit (a per-call argument, 3000 when None) take the dense
-eigensolver.  Larger G, and sparse G at any order (order above 256, at most
-order²/16 entries), take Lanczos with a fixed start vector, on one of two
-routes chosen from G's pattern alone.
+the one eigensolver it calls.  It picks no eigenvalue by magnitude and
+holds no null tolerance: the kernel dimension is counted from G's
+components, so no cutoff enters a κ (the survey's flag threshold only
+annotates, and the HHL simulator keeps its own, ``hhl.zero_tolerance``).
+Every system is measured on one order-n PSD matrix G: the Laplacian L, or
+B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
+eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
+squaring leaves σmin a relative error of about ε·κ²/2.  G has zero row sums
+on each connected component, so its kernel is spanned by the c component
+indicators, and the smallest nonzero eigenvalue is the (c+1)-th
+smallest.  Dense G up to a size limit (a per-call argument, 3000 when None)
+take the dense eigensolver.  Larger G, and sparse G at any order (order
+above 256, at most order²/16 entries), take Lanczos with a fixed start
+vector, on one of two routes chosen from G's pattern alone.
 
 G that factors cheaply takes the factored route: its pattern is a forest,
 which minimum degree factors with no fill, or its envelope work Σwᵢ² after
@@ -79,14 +80,6 @@ _SHIFT_MARGIN = 2.0**-26
 def dense_limit() -> int:
     """Largest order the dense eigensolver takes when no limit is passed."""
     return DEFAULT_DENSE_LIMIT
-
-
-def zero_tolerance(eigs: np.ndarray, order: Optional[int] = None) -> float:
-    """Magnitude at or below which an eigenvalue of ``eigs`` counts as zero:
-    numpy's rank tolerance order·ε·max|λ|, for a matrix of ``order`` (when
-    None, ``eigs`` holds every eigenvalue and its size is the order)."""
-    size = eigs.size if order is None else order
-    return size * np.finfo(float).eps * float(np.abs(eigs).max())
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlsp
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
-from nlsp.graphs import Graph, read_edge_list, write_edge_list
-from nlsp.hhl import default_config, effective_resistance, graph_config, traffic_flow
+from nlsp.graphs import Graph, laplacian, pad_to_power_of_two, read_edge_list, write_edge_list
+from nlsp.hhl import (
+    abs_row_bound,
+    default_config,
+    effective_resistance,
+    graph_config,
+    hhl_solve,
+    traffic_flow,
+)
 from nlsp.superfamily import (
     column_slice,
     iso_s_slice,
@@ -33,6 +41,10 @@ def c4_file(tmp_path):
     with open(path, "w") as f:
         write_edge_list(g, f)
     return str(path)
+
+
+# A problem-file matrix on the edge list of c4_file, which the test fills in.
+C4 = {"edge_list": "<c4_file>"}
 
 
 @pytest.fixture
@@ -437,7 +449,7 @@ class TestSuperfamilyCommands:
 class TestHhlCommands:
     def test_solve_problem_file(self, tmp_path, c4_file, capsys):
         problem = {
-            "matrix": {"edge_list": c4_file, "matrix_kind": "laplacian"},
+            "matrix": {"edge_list": c4_file},
             "b": [1.0, -1.0, 0.0, 0.0],
             "config": {"n_r": 6, "t": math.pi / 4.0, "C": 0.2},
         }
@@ -450,7 +462,7 @@ class TestHhlCommands:
 
     def test_solve_default_config_from_bound(self, tmp_path, c4_file, capsys):
         problem = {
-            "matrix": {"edge_list": c4_file, "matrix_kind": "laplacian"},
+            "matrix": {"edge_list": c4_file},
             "b": [1.0, -1.0, 0.0, 0.0],
             "config": {"n_r": 10},
         }
@@ -461,7 +473,7 @@ class TestHhlCommands:
 
     def test_solve_null_b_is_config_error(self, tmp_path, c4_file, capsys):
         problem = {
-            "matrix": {"edge_list": c4_file, "matrix_kind": "laplacian"},
+            "matrix": {"edge_list": c4_file},
             "b": [1.0, 1.0, 1.0, 1.0],
             "config": {"n_r": 6, "t": math.pi / 4.0, "C": 0.2},
         }
@@ -484,36 +496,43 @@ class TestHhlCommands:
     @pytest.mark.parametrize(
         "matrix, b, config, message",
         [
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "shots": "100"},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "shots": "100"},
              "bad solver config"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "lambda_min": "2"},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "lambda_min": "2"},
              "bad solver config"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 4, "shots": 100, "seed": "3"},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 4, "shots": 100, "seed": "3"},
              "seed must be a non-negative int"),
             ({"dense": [[2.0, 0.0], [0.0]]}, [1.0, 1.0], {"n_r": 3}, "dense matrix"),
-            ({"kind": "laplacian"}, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
-            ({"kind": "laplacian"}, [1.0, math.nan, 0.0, -1.0], {"n_r": 6}, "b must be finite"),
+            (C4, [1.0, "x", 0.0, 0.0], {"n_r": 6}, "b must be"),
+            (C4, [1.0, math.nan, 0.0, -1.0], {"n_r": 6}, "b must be finite"),
             ({"dense": [[math.nan, 0.0], [0.0, 1.0]]}, [1.0, 1.0], {"n_r": 3},
              "dense matrix must be finite"),
-            ({"kind": "incidence"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6}, "needs a directed graph"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5, "t": 0.5, "C": 0.1},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5, "t": 0.5, "C": 0.1},
              "n_r must be an int >= 1"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5}, "n_r must be an int >= 1"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 2000}, "bad solver config"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": math.nan, "C": 0.1},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5}, "n_r must be an int >= 1"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2000}, "bad solver config"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": math.nan, "C": 0.1},
              "t must be positive and finite"),
-            ({"kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": 0.5, "C": math.nan},
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": 0.5, "C": math.nan},
              "C must be positive and finite"),
+            ({**C4, "dense": [[1.0]]}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6},
+             "matrix needs exactly one of 'dense' and 'edge_list'"),
+            ({**C4, "matrix_kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6},
+             "unknown key 'matrix_kind' in matrix"),
+            ({**C4, "signed": False}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6},
+             "unknown key 'signed' in matrix"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 10, "lamda_min": 2.0},
+             "unknown key 'lamda_min' in config"),
         ],
         ids=[
             "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "b-nan",
-            "dense-nan", "kind-mismatch", "n_r-fraction", "n_r-fraction-default",
-            "n_r-overflow", "t-nan", "C-nan",
+            "dense-nan", "n_r-fraction", "n_r-fraction-default",
+            "n_r-overflow", "t-nan", "C-nan", "two-matrices", "matrix_kind", "matrix-signed",
+            "config-misspelt",
         ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
-        if "kind" in matrix:
-            matrix = {"edge_list": c4_file, "matrix_kind": matrix["kind"]}
+        matrix = {k: c4_file if v == C4["edge_list"] else v for k, v in matrix.items()}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({"matrix": matrix, "b": b, "config": config}))
         assert main(["hhl", "solve", str(path)]) == EXIT_CONFIG
@@ -528,9 +547,8 @@ class TestHhlCommands:
         with open(edges, "w") as f:
             write_edge_list(g, f)
         problem = {
-            "matrix": {"edge_list": str(edges), "matrix_kind": "incidence"},
+            "matrix": {"edge_list": str(edges)},
             "b": [-1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-            "pad": True,
             "config": {"n_r": 9},
         }
         path = tmp_path / "problem.json"
@@ -541,16 +559,58 @@ class TestHhlCommands:
         assert doc["reconstruction"][4:7] == flow.tolist()
         assert doc["oracle_delta"] <= 2e-2 * max(abs(x) for x in doc["oracle_solution"])
 
-    def test_solve_incidence_kind_needs_a_directed_graph(self, tmp_path, dc4_file, capsys):
-        problem = {
-            "matrix": {"edge_list": dc4_file, "matrix_kind": "laplacian"},
-            "b": [1.0, -1.0, 0.0, 0.0],
-            "config": {"n_r": 6},
-        }
+    def test_solve_pads_to_a_power_of_two(self, tmp_path, capsys):
+        # P_3 has order 3: the command solves its Laplacian padded with the
+        # row bound, with b zero-extended, as hhl_solve does when called so
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        edges = tmp_path / "p3.edges"
+        with open(edges, "w") as f:
+            write_edge_list(g, f)
+        problem = {"matrix": {"edge_list": str(edges)}, "b": [1.0, 0.0, -1.0],
+                   "config": {"n_r": 8}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["hhl", "solve", str(path)]) == EXIT_OK
+        doc = read_json(capsys)
+        lap = laplacian(g)
+        bound = abs_row_bound(lap)
+        padded = pad_to_power_of_two(lap, bound)
+        b = np.array([1.0, 0.0, -1.0, 0.0])
+        want = hhl_solve(padded, b, default_config(8, bound)).solution
+        if float(want @ (np.linalg.pinv(padded.to_dense()) @ b)) < 0:
+            want = -want
+        assert doc["reconstruction"] == want.tolist()
+
+    @pytest.mark.parametrize("signed, code", [(None, EXIT_OK), (True, EXIT_OK), (False, EXIT_CONFIG)])
+    def test_solve_digraph_defaults_to_the_signed_window(
+        self, tmp_path, dc4_file, signed, code, capsys
+    ):
+        # the dilation of a digraph has eigenvalues of both signs: without
+        # config.signed the clock takes the signed window, as with
+        # "signed": true, while "signed": false puts the top eigenvalue
+        # past the half window
+        config = {"n_r": 9} if signed is None else {"n_r": 9, "signed": signed}
+        problem = {"matrix": {"edge_list": dc4_file}, "b": [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                   "config": config}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["hhl", "solve", str(path)]) == code
+        out = capsys.readouterr()
+        if code == EXIT_OK:
+            g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], directed=True)
+            cfg = graph_config(g, 9)
+            assert json.loads(out.out)["scale"] == cfg.t / (2.0 * math.pi * cfg.C)
+        else:
+            assert out.err.startswith("error: scaled-eigenvalue bound violated")
+
+    def test_solve_rejects_the_pad_key(self, tmp_path, c4_file, capsys):
+        # every problem is padded, so the retired key fails by name
+        problem = {"matrix": {"edge_list": c4_file}, "b": [1.0, -1.0, 0.0, 0.0], "pad": True,
+                   "config": {"n_r": 6}}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert main(["hhl", "solve", str(path)]) == EXIT_CONFIG
-        assert "needs an undirected graph" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: unknown key 'pad' in the problem file")
 
     def test_short_edge_list_line(self, tmp_path, capsys):
         path = tmp_path / "bad.edges"

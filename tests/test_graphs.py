@@ -42,13 +42,13 @@ def test_laplacian_off_diagonal_is_minus_weight():
     for i in range(3):
         for j in range(3):
             if i != j:
-                assert q.entry(i, j) == -1.0
+                assert q.csr[i, j] == -1.0
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     qp = laplacian(p3)
-    assert qp.entry(0, 1) == -1.0 and qp.entry(1, 2) == -1.0 and qp.entry(0, 2) == 0.0
-    assert qp.entry(2, 0) == 0.0 and qp.entry(1, 0) == -1.0
+    assert qp.csr[0, 1] == -1.0 and qp.csr[1, 2] == -1.0 and qp.csr[0, 2] == 0.0
+    assert qp.csr[2, 0] == 0.0 and qp.csr[1, 0] == -1.0
     w = Graph.from_edges(2, [(0, 1, 2.5)])
-    assert laplacian(w).entry(0, 1) == -2.5
+    assert laplacian(w).csr[0, 1] == -2.5
     with pytest.raises(ValueError):
         laplacian(cycle(4, directed=True))
 
@@ -56,14 +56,14 @@ def test_laplacian_off_diagonal_is_minus_weight():
 def test_laplacian_diagonal_is_weighted_degree():
     k4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     d = laplacian(k4)
-    assert [d.entry(i, i) for i in range(4)] == [3.0] * 4
+    assert [d.csr[i, i] for i in range(4)] == [3.0] * 4
     p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert [laplacian(p3).entry(i, i) for i in range(3)] == [1.0, 2.0, 1.0]
+    assert [laplacian(p3).csr[i, i] for i in range(3)] == [1.0, 2.0, 1.0]
     star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-    assert laplacian(star).entry(0, 0) == 4.0
+    assert laplacian(star).csr[0, 0] == 4.0
     weighted = Graph.from_edges(3, [(0, 1, 0.5), (0, 2, 2.25)])
     lw = laplacian(weighted)
-    assert [lw.entry(i, i) for i in range(3)] == [2.75, 0.5, 2.25]
+    assert [lw.csr[i, i] for i in range(3)] == [2.75, 0.5, 2.25]
     for g in (k4, p3, star, weighted):
         assert np.array_equal(laplacian(g).to_dense().sum(axis=1), np.zeros(g.n_vertices))
 
@@ -159,14 +159,14 @@ def test_pad_to_power_of_two():
     l3 = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
     p = pad_to_power_of_two(l3, 1.0)
     assert p.order == 4
-    assert p.entry(3, 3) == 1.0
-    assert p.entry(2, 3) == 0.0
+    assert p.csr[3, 3] == 1.0
+    assert p.csr[2, 3] == 0.0
     l4 = laplacian(cycle(4))
     assert pad_to_power_of_two(l4, 1.0) is l4
     m5 = SymmetricMatrix(np.diag(np.full(5, 3.0)))
     p8 = pad_to_power_of_two(m5, 2.0)
     assert p8.order == 8
-    assert [p8.entry(k, k) for k in range(5, 8)] == [2.0, 2.0, 2.0]
+    assert [p8.csr[k, k] for k in range(5, 8)] == [2.0, 2.0, 2.0]
     for fill in (0.0, float("nan")):
         with pytest.raises(ValueError, match="fill must be positive"):
             pad_to_power_of_two(m5, fill)

@@ -16,7 +16,6 @@ from nlsp.solvers import (
     kmp_reference_ratio,
     ratio_R,
     ratio_class,
-    runtime,
 )
 
 N1 = GrowthClass.poly(1)
@@ -27,11 +26,11 @@ EXP2 = GrowthClass.exponential(2)
 
 def test_runtime_boundaries():
     e_e = math.exp(math.e)
-    assert runtime("CLS", e_e, 1.0, 1.0) == pytest.approx(e_e, rel=1e-12)
+    assert CLS.runtime(e_e, 1.0, 1.0) == pytest.approx(e_e, rel=1e-12)
     with pytest.raises(ValueError):
-        runtime("DREAM", math.e, 4.0, 4.0)
+        get_solver("DREAM").runtime(math.e, 4.0, 4.0)
     with pytest.raises(ValueError):
-        runtime("HHL", 100.0, 0.5, 1.0)
+        get_solver("HHL").runtime(100.0, 0.5, 1.0)
     assert get_solver("cks2") is SOLVERS["CKS(2)"]
     assert get_solver("AQC(3)") is SOLVERS["AQC(3)"]
     with pytest.raises(KeyError):
@@ -64,7 +63,8 @@ def test_runtime_formulas_spot_values():
         for k in (1.0, 7.0, 1e4):
             for s in (1.0, 3.0, 50.0):
                 for name, want in _paper_formulas(n_size, k, s).items():
-                    assert runtime(name, n_size, k, s) == want, (name, n_size, k, s)
+                    model = CLS if name == "CLS" else SOLVERS[name]
+                    assert model.runtime(n_size, k, s) == want, (name, n_size, k, s)
 
 
 def test_runtime_classes_of_every_model():
@@ -160,7 +160,7 @@ def test_overflowing_runtime_counts_as_infinite():
 
     kappa = FitResult("exponential", 0, (0.0, 0.2, 1.5), 0.0, 0.0, 5, "kappa").predict
     s_fit = FitResult("constant", 0, (3.0,), 0.0, 0.0, 5, "sparsity").predict
-    assert runtime("HHL", 1e12, kappa(1e12), 3.0) == math.inf
+    assert get_solver("HHL").runtime(1e12, kappa(1e12), 3.0) == math.inf
     assert ratio_R("HHL", 1e12, kappa, s_fit) == 0.0
     assert crossover("HHL", kappa, s_fit, CROSSOVER_SCAN) is None
     assert crossover("CKS(1)", kappa, s_fit, CROSSOVER_SCAN) is None

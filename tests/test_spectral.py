@@ -16,7 +16,8 @@ from nlsp.graphs import (
     laplacian,
     pad_to_power_of_two,
 )
-from nlsp.spectral import extreme_eigs, measure, sparsity, zero_tolerance
+from nlsp.hhl import zero_tolerance
+from nlsp.spectral import extreme_eigs, measure, sparsity
 
 
 def complete(n: int) -> Graph:
@@ -65,7 +66,7 @@ def dense_kappa(m: SymmetricMatrix) -> float:
     """max|λ| / min nonzero |λ| of any symmetric m, from eigvalsh, with |λ|
     at or below numpy's rank tolerance counted as zero."""
     eigs = np.abs(np.linalg.eigvalsh(m.to_dense()))
-    return float(eigs.max() / eigs[eigs > zero_tolerance(eigs)].min())
+    return float(eigs.max() / eigs[eigs > zero_tolerance(eigs, eigs.size)].min())
 
 
 def test_full_spectrum_k4():
@@ -214,7 +215,7 @@ def test_kappa_invariant_under_rescaling():
 def test_connected_laplacians_single_zero_mode():
     for g in [complete(12), hypercube(5), ladder(30)]:
         eigs = np.abs(np.linalg.eigvalsh(laplacian(g).to_dense()))
-        assert int((eigs <= zero_tolerance(eigs)).sum()) == 1
+        assert int((eigs <= zero_tolerance(eigs, eigs.size)).sum()) == 1
 
 
 def test_dilation_kappa_vs_svd_oracle():
