@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .families import FamilySpec, generate, list_families, make_spec
 from .fitting import FitResult, fit_series
-from .graphs import Graph, hermitian_dilation, incidence_matrix, laplacian
+from .graphs import Graph, hermitian_dilation, incidence_matrix, laplacian, system_matrix
 from .growth import GrowthClass, compose
 from .hhl import HhlConfig, default_config, effective_resistance, hhl_solve, traffic_flow
 from .solvers import SOLVERS, evaluate_advantage, ratio_class
@@ -49,6 +49,7 @@ __all__ = [
     "seed_sensitivity",
     "slice_verdict",
     "sparsity",
+    "system_matrix",
     "tableau",
     "traffic_flow",
 ]

@@ -24,6 +24,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(a, what: str) -> np.ndarray:
+    """a as a new int64 array, refusing, not truncating, a non-integral entry."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        f = a.astype(float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(f) | (f != np.trunc(f)))
+        if bad.size:
+            raise ValueError(f"non-integral {what} {float(f[bad[0]])!r}")
+    return a.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """A simple weighted graph with canonical 0..n-1 vertex labels.
@@ -42,9 +53,9 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self) -> None:
-        n = int(self.n_vertices)
-        u = _frozen(np.array(self.u, dtype=np.int64).reshape(-1))
-        v = _frozen(np.array(self.v, dtype=np.int64).reshape(-1))
+        n = int(_integral(self.n_vertices, "vertex count"))
+        u = _frozen(_integral(self.u, "vertex").reshape(-1))
+        v = _frozen(_integral(self.v, "vertex").reshape(-1))
         w = _frozen(np.array(self.w, dtype=float).reshape(-1))
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "u", u)
@@ -93,8 +104,7 @@ class Graph:
             raise ValueError("edges must be (u, v) or (u, v, w) rows")
         flat = np.fromiter(chain.from_iterable(rows), dtype=float, count=int(lens.sum()))
         start = np.cumsum(lens) - lens
-        u = flat[start].astype(np.int64)
-        v = flat[start + 1].astype(np.int64)
+        u, v = flat[start], flat[start + 1]
         w = np.ones(len(rows))
         weighted = lens == 3
         w[weighted] = flat[start[weighted] + 2]
@@ -204,6 +214,11 @@ def incidence_matrix(g: Graph) -> RectMatrix:
         shape=(g.n_vertices, max(m, 1)),
     )
     return RectMatrix(coo)
+
+
+def system_matrix(g: Graph) -> RectMatrix:
+    """g's Laplacian L, or a digraph's incidence matrix B (solved as [[0, B], [Bᵀ, 0]])."""
+    return incidence_matrix(g) if g.directed else laplacian(g)
 
 
 def hermitian_dilation(b: RectMatrix) -> SymmetricMatrix:

@@ -683,11 +683,11 @@ def effective_resistance(
     The input b sums to zero, hence is orthogonal to the all-ones null
     vector of a connected Laplacian.
     """
+    if method not in ("oracle", "hhl"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "hhl":
         return hhl_resistance(g, i, j, cfg)[0]
     rhs = _resistance_rhs(g, i, j)
-    if method != "oracle":
-        raise ValueError(f"unknown method {method!r}")
     return float(rhs @ np.linalg.pinv(laplacian(g).to_dense()) @ rhs)
 
 

@@ -5,16 +5,16 @@ the one eigensolver it calls.  It picks no eigenvalue by magnitude and
 holds no null tolerance: the kernel dimension is counted from G's
 components, so no cutoff enters a κ (the survey's flag threshold only
 annotates, and the HHL simulator keeps its own, ``hhl.zero_tolerance``).
-Every system is measured on one order-n PSD matrix G: the Laplacian L, or
-B·Bᵀ for an incidence matrix B.  The dilation [[0, B], [Bᵀ, 0]] has nonzero
-eigenvalues ±σᵢ(B), and σᵢ(B)² are those of B·Bᵀ, so its κ is √κ(B·Bᵀ);
-squaring leaves σmin a relative error of about ε·κ²/2.  G has zero row sums
-on each connected component, so its kernel is spanned by the c component
-indicators, and the smallest nonzero eigenvalue is the (c+1)-th
-smallest.  Dense G up to a size limit (a per-call argument, 3000 when None)
-take the dense eigensolver.  Larger G, and sparse G at any order (order
-above 256, at most order²/16 entries), take Lanczos with a fixed start
-vector, on one of two routes chosen from G's pattern alone.
+A ``SymmetricMatrix`` is a Laplacian L, any other ``RectMatrix`` an
+incidence matrix B, and G is L itself or B·Bᵀ.  The dilation
+[[0, B], [Bᵀ, 0]] has nonzero eigenvalues ±σᵢ(B), and σᵢ(B)² are those of
+B·Bᵀ, so its κ is √κ(B·Bᵀ); squaring leaves σmin a relative error of about
+ε·κ²/2.  G has zero row sums on each connected component, so its kernel is
+spanned by the c component indicators, and the smallest nonzero eigenvalue
+is the (c+1)-th smallest.  Dense G up to a size limit (a per-call argument,
+3000 when None) take the dense eigensolver.  Larger G, and sparse G at any
+order (order above 256, at most order²/16 entries), take Lanczos with a
+fixed start vector, on one of two routes chosen from G's pattern alone.
 
 G that factors cheaply takes the factored route: its pattern is a forest,
 which minimum degree factors with no fill, or its envelope work Σwᵢ² after
@@ -288,31 +288,24 @@ def sparsity(m: RectMatrix) -> int:
     return max(rows, int(np.bincount(m.csr.indices, minlength=m.cols).max()))
 
 
-def measure(
-    m: RectMatrix, matrix_kind: str, *, dense_limit: Optional[int] = None
-) -> SpectralRecord:
-    """SpectralRecord of a Laplacian L, or of the dilation [[0, B], [Bᵀ, 0]]
-    of an incidence matrix B: order rows + cols, κ = √κ(B·Bᵀ), from
-    ``extreme_eigs`` of G = L or B·Bᵀ.  The kernel dimension is the number
-    of connected components, exact for L (positive weights) and B·Bᵀ.
-    Orders above ``dense_limit`` (3000 when None) take Lanczos.  The record
-    names the path that ran: "dense" (``eigvalsh``), "factored" (G factors
-    cheaply: λmax by shift-invert, λmin through the grounded
-    pseudo-inverse), "factor-free" (Lanczos on G alone, also when λmax is
-    G's only nonzero eigenvalue) or "grounded" (λmax on G, λmin through the
-    grounded pseudo-inverse after the factor-free run gave up)."""
-    if matrix_kind == "laplacian":
-        if not isinstance(m, SymmetricMatrix):
-            raise ValueError("a Laplacian system is measured from L, not a rectangular matrix")
-        g, size = m, m.order
-    elif matrix_kind == "incidence":
-        if isinstance(m, SymmetricMatrix):
-            raise ValueError("an incidence system is measured from B, not a symmetric matrix")
-        g, size = SymmetricMatrix(m.csr @ m.csr.T), m.rows + m.cols
+def measure(m: RectMatrix, *, dense_limit: Optional[int] = None) -> SpectralRecord:
+    """SpectralRecord of the system m's type names: a ``SymmetricMatrix``
+    is a Laplacian L, any other ``RectMatrix`` an incidence matrix B whose
+    dilation [[0, B], [Bᵀ, 0]] has order rows + cols and κ = √κ(B·Bᵀ).
+    Both come from ``extreme_eigs`` of G = L or B·Bᵀ, whose kernel dimension,
+    the component count, is exact for L (positive weights) and B·Bᵀ.  Orders
+    above ``dense_limit`` (3000 when None) take Lanczos.  The record names
+    the path that ran: "dense" (``eigvalsh``), "factored" (G factors cheaply:
+    λmax by shift-invert, λmin through the grounded pseudo-inverse),
+    "factor-free" (Lanczos on G alone, also when λmax is G's only nonzero
+    eigenvalue) or "grounded" (λmax on G, λmin through the grounded
+    pseudo-inverse after the factor-free run gave up)."""
+    if isinstance(m, SymmetricMatrix):
+        kind, g, size = "laplacian", m, m.order
     else:
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+        kind, g, size = "incidence", SymmetricMatrix(m.csr @ m.csr.T), m.rows + m.cols
     lam_min, lam_max, eigensolver, kernel = extreme_eigs(g, dense_limit=dense_limit)
-    if matrix_kind == "incidence":
+    if kind == "incidence":
         lam_min, lam_max = math.sqrt(lam_min), math.sqrt(lam_max)
     return SpectralRecord(
         system_size=size,
@@ -320,7 +313,7 @@ def measure(
         lambda_max=lam_max,
         kappa=lam_max / lam_min,
         sparsity=sparsity(m),
-        matrix_kind=matrix_kind,
+        matrix_kind=kind,
         eigensolver=eigensolver,
         kernel=kernel,
     )

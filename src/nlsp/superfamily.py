@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, TextIO
 
 from .families import generate, make_spec
-from .graphs import laplacian
+from .graphs import system_matrix
 from .growth import GrowthClass
 from .solvers import AdvantageVerdict, evaluate_advantage
 from .spectral import measure
@@ -66,7 +66,7 @@ def cell_measurements(a: int, m: int) -> CellMeasurements:
     cell = TableauCell(a, m)
     spec = make_spec("generalized_hypercube", params={"a": a}, schedule=(m,))
     inst = generate(spec, m)
-    rec = measure(laplacian(inst.graph), "laplacian")
+    rec = measure(system_matrix(inst.graph))
     if rec.sparsity != cell.sparsity_predicted:
         raise ValueError(
             f"G_{a}^{m}: measured sparsity {rec.sparsity} != {cell.sparsity_predicted}"

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 from . import __version__
 from .families import FamilySpec, catalog_entry, generate, is_integer, make_spec
 from .fitting import FitResult, fit_series, upper_envelope
-from .graphs import RectMatrix, incidence_matrix, laplacian
+from .graphs import system_matrix
 from .growth import CompositionError, GrowthClass, compose
 from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver, ratio_R
 from .spectral import SpectralRecord, measure
@@ -58,15 +58,6 @@ def geometric_scan(stop: float = 1e12) -> tuple[float, ...]:
 
 
 CROSSOVER_SCAN = geometric_scan()
-
-
-def system_matrix(instance) -> RectMatrix:
-    """System matrix of a generated instance: the Laplacian L, or the
-    incidence matrix B of a family that solves the dilated system
-    [[0, B], [B^T, 0]], which ``measure`` characterizes through B·Bᵀ."""
-    if instance.spec.matrix_kind == "laplacian":
-        return laplacian(instance.graph)
-    return incidence_matrix(instance.graph)
 
 
 @dataclass(frozen=True)
@@ -402,9 +393,9 @@ def _measure_instance(spec: FamilySpec, n: int, dense_limit: Optional[int]) -> I
     try:
         instance = generate(spec, n)
         generated = time.perf_counter()
-        matrix = system_matrix(instance)
+        matrix = system_matrix(instance.graph)
         assembled = time.perf_counter()
-        record = measure(matrix, spec.matrix_kind, dense_limit=dense_limit)
+        record = measure(matrix, dense_limit=dense_limit)
         measured = time.perf_counter()
     except Exception as exc:  # per-instance failures are recorded, not fatal
         error = f"{type(exc).__name__}: {exc}"

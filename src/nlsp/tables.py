@@ -39,7 +39,6 @@ class TableRow:
 
     table: int
     family: str
-    random: bool
     kappa: GrowthClass
     s: GrowthClass
     size: GrowthClass
@@ -56,59 +55,59 @@ class TableRow:
 
 
 TABLE2_ROWS: tuple[TableRow, ...] = (
-    TableRow(2, "hypercube", False, _N, _N, _exp(2), "exp", "exp", "exp"),
-    TableRow(2, "modified_mgg", False, _log(2), _C, _N2, "poly", "poly", "poly"),
-    TableRow(2, "sudoku", False, _log(2), _log(3), GrowthClass.poly(4), "poly", "poly", "poly"),
-    TableRow(2, "grid_2d", False, _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "hexagonal", False, _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "random_regular_expander", True, _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "barabasi_albert", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "newman_watts_strogatz", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "random_regular", True, _log(2), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
-    TableRow(2, "triangular", False, _N, _C, _N, "none", "sub-linear", "sub-linear"),
-    TableRow(2, "complete", False, _C, _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "turan", False, _log(2), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "gaussian_random_partition", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "geographical_threshold", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "soft_random_geometric", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "thresholded_random_geometric", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "planted_partition", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "random_geometric", True, _log(3), _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "uniform_random_intersection", True, _C, _N, _N, "none", "sub-linear", "poly"),
-    TableRow(2, "harary_kn", False, _N2, _C, _N, "none", "none", "none"),
-    TableRow(2, "harary_mn", False, _N2, _C, _N, "none", "none", "none"),
-    TableRow(2, "circular_ladder", False, _N2, _C, _N, "none", "none", "none"),
-    TableRow(2, "ladder", False, _N2, _C, _N, "none", "none", "none"),
-    TableRow(2, "ring_of_cliques", False, _N2, _C, _N, "none", "none", "none"),
-    TableRow(2, "balanced_binary_tree", False, _exp(2), _C, _exp(2), "none", "exp", "exp"),
-    TableRow(2, "balanced_ternary_tree", False, _exp(3), _C, _exp(3), "none", "exp", "exp"),
-    TableRow(2, "binomial_tree", False, _exp(2), _N, _exp(2), "none", "exp", "exp"),
-    TableRow(2, "grid_2d_square", False, _exp(4), _C, _exp(4), "none", "exp", "exp"),
-    TableRow(2, "random_lobster", True, _N2, _N2, _N, "none", "none", "sub-linear"),
-    TableRow(2, "gnp", True, _log(2), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "hypercube", _N, _N, _exp(2), "exp", "exp", "exp"),
+    TableRow(2, "modified_mgg", _log(2), _C, _N2, "poly", "poly", "poly"),
+    TableRow(2, "sudoku", _log(2), _log(3), GrowthClass.poly(4), "poly", "poly", "poly"),
+    TableRow(2, "grid_2d", _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "hexagonal", _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "random_regular_expander", _log(3), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "barabasi_albert", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "newman_watts_strogatz", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "random_regular", _log(2), _C, _N, "sub-linear", "sub-linear", "sub-linear"),
+    TableRow(2, "triangular", _N, _C, _N, "none", "sub-linear", "sub-linear"),
+    TableRow(2, "complete", _C, _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "turan", _log(2), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "gaussian_random_partition", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "geographical_threshold", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "soft_random_geometric", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "thresholded_random_geometric", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "planted_partition", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "random_geometric", _log(3), _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "uniform_random_intersection", _C, _N, _N, "none", "sub-linear", "poly"),
+    TableRow(2, "harary_kn", _N2, _C, _N, "none", "none", "none"),
+    TableRow(2, "harary_mn", _N2, _C, _N, "none", "none", "none"),
+    TableRow(2, "circular_ladder", _N2, _C, _N, "none", "none", "none"),
+    TableRow(2, "ladder", _N2, _C, _N, "none", "none", "none"),
+    TableRow(2, "ring_of_cliques", _N2, _C, _N, "none", "none", "none"),
+    TableRow(2, "balanced_binary_tree", _exp(2), _C, _exp(2), "none", "exp", "exp"),
+    TableRow(2, "balanced_ternary_tree", _exp(3), _C, _exp(3), "none", "exp", "exp"),
+    TableRow(2, "binomial_tree", _exp(2), _N, _exp(2), "none", "exp", "exp"),
+    TableRow(2, "grid_2d_square", _exp(4), _C, _exp(4), "none", "exp", "exp"),
+    TableRow(2, "random_lobster", _N2, _N2, _N, "none", "none", "sub-linear"),
+    TableRow(2, "gnp", _log(2), _N, _N, "none", "sub-linear", "poly"),
 )
 
 TABLE3_ROWS: tuple[TableRow, ...] = (
-    TableRow(3, "directed_hypercube", False, _N2, _N, _exp(2) * _N, "exp", "exp", "exp", True),
-    TableRow(3, "gaussian_random_partition_directed", True, _log(3), _log(3), _N2, "poly", "poly", "poly", False),
-    TableRow(3, "gaussian_random_partition_directed", True, _log(3), _log(3), _N2, "poly", "poly", "poly", True),
-    TableRow(3, "planted_partition_directed", True, _log(3), _log(3), _N2, "poly", "poly", "poly", False),
-    TableRow(3, "planted_partition_directed", True, _log(3), _log(3), _N2, "poly", "poly", "poly", True),
-    TableRow(3, "navigable_small_world", True, _log(3), _log(1), _N2, "poly", "poly", "poly", False),
-    TableRow(3, "navigable_small_world", True, _log(3), _log(1), _N2, "poly", "poly", "poly", True),
-    TableRow(3, "gnp_directed", True, _log(1), _log(3), _N2, "poly", "poly", "poly", False),
-    TableRow(3, "gnp_directed", True, _log(1), _log(3), _N2, "poly", "poly", "poly", True),
-    TableRow(3, "paley", False, _C, _log(3), GrowthClass.poly(3), "poly", "poly", "poly", False),
-    TableRow(3, "random_uniform_kout", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", False),
-    TableRow(3, "random_uniform_kout", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", True),
-    TableRow(3, "scale_free", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", False),
-    TableRow(3, "scale_free", True, _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", True),
-    TableRow(3, "gn", True, _N2, _N, _N, "none", "none", "sub-linear", False),
-    TableRow(3, "gn", True, _N2, _log(3), _N, "none", "none", "sub-linear", True),
-    TableRow(3, "gnc", True, _log(3), GrowthClass.poly(4), _N2, "none", "poly", "poly", False),
-    TableRow(3, "gnc", True, _log(3), GrowthClass.poly(4), _N2, "none", "poly", "poly", True),
-    TableRow(3, "gnr", True, _log(3), _N, _N, "none", "sub-linear", "poly", False),
-    TableRow(3, "gnr", True, _N2, _log(3), _N, "none", "none", "sub-linear", True),
+    TableRow(3, "directed_hypercube", _N2, _N, _exp(2) * _N, "exp", "exp", "exp", True),
+    TableRow(3, "gaussian_random_partition_directed", _log(3), _log(3), _N2, "poly", "poly", "poly", False),
+    TableRow(3, "gaussian_random_partition_directed", _log(3), _log(3), _N2, "poly", "poly", "poly", True),
+    TableRow(3, "planted_partition_directed", _log(3), _log(3), _N2, "poly", "poly", "poly", False),
+    TableRow(3, "planted_partition_directed", _log(3), _log(3), _N2, "poly", "poly", "poly", True),
+    TableRow(3, "navigable_small_world", _log(3), _log(1), _N2, "poly", "poly", "poly", False),
+    TableRow(3, "navigable_small_world", _log(3), _log(1), _N2, "poly", "poly", "poly", True),
+    TableRow(3, "gnp_directed", _log(1), _log(3), _N2, "poly", "poly", "poly", False),
+    TableRow(3, "gnp_directed", _log(1), _log(3), _N2, "poly", "poly", "poly", True),
+    TableRow(3, "paley", _C, _log(3), GrowthClass.poly(3), "poly", "poly", "poly", False),
+    TableRow(3, "random_uniform_kout", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", False),
+    TableRow(3, "random_uniform_kout", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", True),
+    TableRow(3, "scale_free", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", False),
+    TableRow(3, "scale_free", _log(3), _log(3), _N, "sub-linear", "sub-linear", "sub-linear", True),
+    TableRow(3, "gn", _N2, _N, _N, "none", "none", "sub-linear", False),
+    TableRow(3, "gn", _N2, _log(3), _N, "none", "none", "sub-linear", True),
+    TableRow(3, "gnc", _log(3), GrowthClass.poly(4), _N2, "none", "poly", "poly", False),
+    TableRow(3, "gnc", _log(3), GrowthClass.poly(4), _N2, "none", "poly", "poly", True),
+    TableRow(3, "gnr", _log(3), _N, _N, "none", "sub-linear", "poly", False),
+    TableRow(3, "gnr", _N2, _log(3), _N, "none", "none", "sub-linear", True),
 )
 
 ALL_ROWS: tuple[TableRow, ...] = TABLE2_ROWS + TABLE3_ROWS

@@ -70,7 +70,7 @@ def test_criterion_03_hypercube_measurements():
     sizes, kappas = [], []
     for n in range(2, 11):
         inst = generate(spec, n)
-        rec = measure(laplacian(inst.graph), "laplacian")
+        rec = measure(laplacian(inst.graph))
         assert abs(rec.kappa - n) < 1e-9, (n, rec.kappa)
         assert rec.sparsity == n + 1
         sizes.append(inst.n_vertices)
@@ -117,7 +117,7 @@ def test_criterion_05_incidence_dilation():
     expected = [math.sqrt(2), math.sqrt(2), 2.0]
     assert singulars[0] < 1e-9
     assert max(abs(s - e) for s, e in zip(singulars[1:], expected)) < 1e-9
-    rec = measure(b, "incidence")
+    rec = measure(b)
     assert abs(rec.kappa - math.sqrt(2)) < 1e-9
     _ok(5, f"nonzero singular values (sqrt2, sqrt2, 2), dilation kappa "
            f"{rec.kappa:.12f}, zero column sums")

@@ -23,10 +23,9 @@ from nlsp.families import (
     repair_sources_sinks,
 )
 from nlsp.families import _gn, _grid_2d, _rng, _StreamRandom
-from nlsp.graphs import Graph
+from nlsp.graphs import Graph, system_matrix
 from nlsp.growth import GrowthClass
 from nlsp.spectral import measure
-from nlsp.survey import system_matrix
 
 
 def degree_profile(g: Graph) -> tuple[list[int], list[int]]:
@@ -40,7 +39,7 @@ def degree_profile(g: Graph) -> tuple[list[int], list[int]]:
 
 def system_size(inst) -> int:
     """N of an instance's system, as the survey measures it."""
-    return measure(system_matrix(inst), inst.spec.matrix_kind).system_size
+    return measure(system_matrix(inst.graph)).system_size
 
 
 def assert_no_bidirected(g: Graph) -> None:
@@ -54,6 +53,17 @@ def test_catalog_covers_both_matrix_kinds():
     kinds = {catalog_entry(f).matrix_kind for f in list_families()}
     assert kinds == {"laplacian", "incidence"}
     assert len(list_families()) >= 40
+
+
+def test_catalog_direction_is_the_measured_kind():
+    # the survey measures system_matrix(graph), which follows the graph's
+    # direction, and reports the catalog's kind: records.csv and report.json
+    # agree only while every build's direction is its entry's
+    for f in list_families():
+        entry = catalog_entry(f)
+        g = generate(make_spec(f), entry.default_schedule[0]).graph
+        assert g.directed == entry.directed, f
+        assert measure(system_matrix(g)).matrix_kind == entry.matrix_kind, f
 
 
 def test_catalog_schedules_stay_as_written_and_specs_get_tuples():

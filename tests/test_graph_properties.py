@@ -23,6 +23,7 @@ from nlsp.graphs import (
     laplacian,
     next_power_of_two,
     pad_to_power_of_two,
+    system_matrix,
 )
 from nlsp.spectral import measure, sparsity
 
@@ -139,13 +140,10 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
     n = g.n_vertices
     adjacency = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(n, n))
     c = connected_components(adjacency, directed=False)[0]
-    if g.directed:
-        m, kind = incidence_matrix(g), "incidence"
-    else:
-        m, kind = laplacian(g), "laplacian"
+    m = system_matrix(g)
     if c == n:
         with pytest.raises(ValueError, match="effectively zero"):
-            measure(m, kind)
+            measure(m)
         return
     if g.directed:
         s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
@@ -155,7 +153,7 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
         want = e[-1] / e[c]
     # with c + 1 = n, λmax is the only nonzero eigenvalue: no λmin for Lanczos
     limit = 1 if iterative and c + 1 < n else None
-    rec = measure(m, kind, dense_limit=limit)
+    rec = measure(m, dense_limit=limit)
     # Backward-stable eigensolvers fix λmin only to O(ε·λmax), a relative
     # O(ε·κ); measuring σmin through B·Bᵀ squares that.
     scale = want**2 if g.directed else want
@@ -164,14 +162,16 @@ def test_measured_kappa_equals_numpy_reference(g, iterative):
 
 
 def system_and_kappa(g: Graph, c: int):
-    """g's system matrix, its kind, and κ from a numpy eigensolve or SVD of
-    the build by hand, for g with c components and some edge."""
+    """g's system matrix and κ from a numpy eigensolve or SVD of the build
+    by hand, for g with c components and some edge."""
     n = g.n_vertices
     if g.directed:
         s = np.linalg.svd(incidence_by_hand(g), compute_uv=False)
-        return incidence_matrix(g), "incidence", s[0] / s[n - c - 1]
-    e = np.linalg.eigvalsh(laplacian_by_hand(g))
-    return laplacian(g), "laplacian", e[-1] / e[c]
+        kappa = s[0] / s[n - c - 1]
+    else:
+        e = np.linalg.eigvalsh(laplacian_by_hand(g))
+        kappa = e[-1] / e[c]
+    return system_matrix(g), kappa
 
 
 @st.composite
@@ -206,14 +206,14 @@ def test_factor_free_and_grounded_lanczos_match_eigvalsh(case):
     # route to forests and forces the grounded pseudo-inverse on the rest.
     g, c = case
     n = g.n_vertices
-    m, kind, want = system_and_kappa(g, c)
+    m, want = system_and_kappa(g, c)
     factors = []
     with pytest.MonkeyPatch.context() as mp:
         real_splu = spectral.spla.splu
         mp.setattr(spectral.spla, "splu", lambda *a, **k: factors.append(1) or real_splu(*a, **k))
-        budgeted = measure(m, kind, dense_limit=1)
+        budgeted = measure(m, dense_limit=1)
         mp.setattr(spectral, "_FACTOR_FREE_MATVECS", 0)
-        grounded = measure(m, kind, dense_limit=1)
+        grounded = measure(m, dense_limit=1)
     # the vertex pairs are distinct, so G's pattern is a forest exactly when
     # edges = order - components
     assert grounded.eigensolver == ("factored" if g.n_edges == n - c else "grounded")
@@ -260,8 +260,8 @@ def test_factored_route_matches_eigvalsh(g):
     n = g.n_vertices
     c = connected_components(sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(n, n)),
                              directed=False)[0]
-    m, kind, want = system_and_kappa(g, c)
-    rec = measure(m, kind, dense_limit=1)
+    m, want = system_and_kappa(g, c)
+    rec = measure(m, dense_limit=1)
     assert rec.eigensolver == "factored"
     # as in test_measured_kappa_equals_numpy_reference
     rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)

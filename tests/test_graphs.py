@@ -36,6 +36,24 @@ def test_graph_validation():
     assert g.n_edges == 2
 
 
+def test_graph_refuses_non_integral_vertices():
+    # truncation would turn each of these into a different graph
+    with pytest.raises(ValueError, match=r"non-integral vertex 0\.5"):
+        Graph(3, [0.5], [1.7], [1.0])
+    with pytest.raises(ValueError, match=r"non-integral vertex 0\.5"):
+        Graph.from_edges(3, [(0.5, 1.7)])
+    with pytest.raises(ValueError, match=r"non-integral vertex 2\.5"):
+        Graph.from_edges(3, [(0, 1), (1, 2.5, 2.0)], directed=True)
+    with pytest.raises(ValueError, match="non-integral vertex nan"):
+        Graph(3, [0], [np.nan], [1.0])
+    with pytest.raises(ValueError, match=r"non-integral vertex count 2\.9"):
+        Graph(2.9, [0], [1], [1.0])
+    # integral floats name the same vertices
+    g = Graph.from_edges(3.0, [(0.0, 1.0), (2.0, 1.0, 0.5)])
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2, 0.5)])
+    assert g.u.dtype == np.int64 and type(g.n_vertices) is int
+
+
 def test_laplacian_off_diagonal_is_minus_weight():
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     q = laplacian(k3)

@@ -497,6 +497,9 @@ class TestEffectiveResistance:
             effective_resistance(cycle4(), 1, 1)
         with pytest.raises(ValueError, match="method"):
             effective_resistance(cycle4(), 0, 1, "quantum")
+        # the method is checked before the graph
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            effective_resistance(directed_cycle4(), 0, 1, method="bogus")
 
 
 class TestTrafficFlow:

@@ -85,15 +85,15 @@ def test_extreme_eigs_examples():
     out = extreme_eigs(laplacian(c4))
     assert (out.lam_min, out.lam_max) == pytest.approx((2.0, 4.0), abs=1e-9)
     assert (out.eigensolver, out.kernel) == ("dense", 1)
-    assert measure(laplacian(c4), "laplacian").kappa == pytest.approx(2.0, abs=1e-9)
+    assert measure(laplacian(c4)).kappa == pytest.approx(2.0, abs=1e-9)
     # the dilation is indefinite: its |λ| extremes are those measure reads off B·Bᵀ
     h = hermitian_dilation(incidence_matrix(directed_c4()))
-    rec = measure(incidence_matrix(directed_c4()), "incidence")
+    rec = measure(incidence_matrix(directed_c4()))
     assert (rec.lambda_min_nz, rec.lambda_max) == pytest.approx((math.sqrt(2), 2.0), abs=1e-9)
     assert dense_kappa(h) == pytest.approx(rec.kappa, abs=1e-9)
     k2 = laplacian(Graph.from_edges(2, [(0, 1)]))
     assert extreme_eigs(k2)[:2] == pytest.approx((2.0, 2.0))
-    assert measure(k2, "laplacian").kappa == pytest.approx(1.0)
+    assert measure(k2).kappa == pytest.approx(1.0)
 
 
 def test_measure_records_the_kernel_and_the_path(monkeypatch):
@@ -119,9 +119,10 @@ def test_measure_records_the_kernel_and_the_path(monkeypatch):
         ),
     ]
     for system, kind, limit, path, kernel in cases:
-        rec = measure(system(), kind, dense_limit=limit)
+        rec = measure(system(), dense_limit=limit)
         (out,) = seen
         seen.clear()
+        assert rec.matrix_kind == kind
         assert (rec.eigensolver, rec.kernel) == (out.eigensolver, out.kernel) == (path, kernel)
         lam = (out.lam_min, out.lam_max)
         if kind == "incidence":
@@ -135,13 +136,13 @@ def test_extreme_eigs_zero_matrix():
         extreme_eigs(zero)
     # every vertex is its own component exactly when the graph has no edges
     edge_free = (
-        (laplacian(Graph.from_edges(3, [])), "laplacian"),
-        (incidence_matrix(Graph.from_edges(3, [], directed=True)), "incidence"),
-        (laplacian(Graph.from_edges(1, [])), "laplacian"),
+        laplacian(Graph.from_edges(3, [])),
+        incidence_matrix(Graph.from_edges(3, [], directed=True)),
+        laplacian(Graph.from_edges(1, [])),
     )
-    for m, kind in edge_free:
+    for m in edge_free:
         with pytest.raises(ValueError) as err:
-            measure(m, kind)
+            measure(m)
         assert str(err.value) == (
             "effectively zero matrix: no nonzero eigenvalue, as the graph has no edges"
         )
@@ -160,7 +161,7 @@ def test_lanczos_path_counts_the_components():
 
 def test_condition_number_families():
     def kappa(g: Graph) -> float:
-        return measure(laplacian(g), "laplacian").kappa
+        return measure(laplacian(g)).kappa
 
     for n in (4, 6, 9):
         assert kappa(complete(n)) == pytest.approx(1.0, abs=1e-9)
@@ -197,19 +198,16 @@ def test_sparsity_invariant_under_padding():
 
 def test_kappa_invariant_under_rescaling():
     systems = [
-        (laplacian(complete(5)), "laplacian"),
-        (laplacian(hypercube(3)), "laplacian"),
-        (laplacian(ladder(7)), "laplacian"),
-        (incidence_matrix(directed_c4()), "incidence"),
-        (
-            laplacian(Graph.from_edges(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 3.0)])),
-            "laplacian",
-        ),
+        laplacian(complete(5)),
+        laplacian(hypercube(3)),
+        laplacian(ladder(7)),
+        incidence_matrix(directed_c4()),
+        laplacian(Graph.from_edges(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 3.0)])),
     ]
-    for m, kind in systems:
-        scaled = (SymmetricMatrix if kind == "laplacian" else RectMatrix)(10.0 * m.csr)
-        kappa = measure(m, kind).kappa
-        assert measure(scaled, kind).kappa == pytest.approx(kappa, rel=1e-12)
+    for m in systems:
+        scaled = type(m)(10.0 * m.csr)
+        kappa = measure(m).kappa
+        assert measure(scaled).kappa == pytest.approx(kappa, rel=1e-12)
 
 
 def test_connected_laplacians_single_zero_mode():
@@ -232,7 +230,7 @@ def test_dilation_kappa_vs_svd_oracle():
 
 
 def test_measure_record_fields():
-    rec = measure(laplacian(hypercube(3)), "laplacian")
+    rec = measure(laplacian(hypercube(3)))
     assert rec.system_size == 8
     assert rec.kappa == pytest.approx(3.0, rel=1e-9)
     assert rec.sparsity == 4
@@ -243,11 +241,11 @@ def test_measure_record_fields():
 
 def test_iterative_path_matches_dense():
     g = ladder(40)
-    dense = measure(laplacian(g), "laplacian")
-    it = measure(laplacian(g), "laplacian", dense_limit=50)
+    dense = measure(laplacian(g))
+    it = measure(laplacian(g), dense_limit=50)
     assert it.lambda_max == pytest.approx(dense.lambda_max, rel=1e-7)
     assert it.lambda_min_nz == pytest.approx(dense.lambda_min_nz, rel=1e-7)
-    it = measure(incidence_matrix(directed_c4()), "incidence", dense_limit=3)
+    it = measure(incidence_matrix(directed_c4()), dense_limit=3)
     assert (it.lambda_min_nz, it.lambda_max) == pytest.approx((math.sqrt(2), 2.0), rel=1e-7)
 
 
@@ -266,7 +264,7 @@ def test_iterative_cross_validation_at_overlap_scale():
     # window: the ladder is sparse, so measure takes Lanczos at any limit.
     m = laplacian(ladder(1010))
     lam_min, lam_max = dense_extremes(m, "laplacian")
-    it = measure(m, "laplacian")
+    it = measure(m)
     assert it.lambda_max == pytest.approx(lam_max, rel=1e-6)
     assert it.lambda_min_nz == pytest.approx(lam_min, rel=1e-6)
 
@@ -352,9 +350,9 @@ def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
         (lam_min, lam_max), kind = kind, "laplacian"
     else:
         lam_min, lam_max = dense_extremes(m, kind)
-    routed = measure(m, kind)
+    routed = measure(m)
     lanczos_path()
-    it = measure(m, kind, dense_limit=1)
+    it = measure(m, dense_limit=1)
     assert lanczos_path() == path
     # the record names the path; a lone nonzero eigenvalue needs no factor
     assert it.eigensolver == ("factor-free" if path == "lambda-max" else path)
@@ -365,40 +363,41 @@ def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
         assert rec.lambda_min_nz == pytest.approx(lam_min, rel=rtol)
         assert rec.lambda_max == pytest.approx(lam_max, rel=rtol)
     assert (it.system_size, it.sparsity) == (routed.system_size, routed.sparsity)
+    assert routed.matrix_kind == it.matrix_kind == kind
 
 
 def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
     # modified_mgg n=20 takes 61 products; a budget one short of them makes
     # the run give up, and the grounded pseudo-inverse finds the same λmin
     m = laplacian(family_graph("modified_mgg", 20))
-    free = measure(m, "laplacian", dense_limit=1)
+    free = measure(m, dense_limit=1)
     assert lanczos_path() == "factor-free"
     monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 60)
-    grounded = measure(m, "laplacian", dense_limit=1)
+    grounded = measure(m, dense_limit=1)
     assert lanczos_path() == "grounded"
     assert grounded.kappa == pytest.approx(free.kappa, rel=1e-12)
     assert (free.eigensolver, grounded.eigensolver) == ("factor-free", "grounded")
     monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 61)
-    assert measure(m, "laplacian", dense_limit=1) == free
+    assert measure(m, dense_limit=1) == free
     assert lanczos_path() == "factor-free"
 
 
 @pytest.mark.parametrize(
-    "system, kind, path",
+    "system, path",
     [
-        (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", "factor-free"),
-        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "laplacian", "grounded"),
-        (lambda: incidence_matrix(family_graph("scale_free", 400)), "incidence", "grounded"),
-        (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", "factored"),
-        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", "factored"),
+        (lambda: laplacian(family_graph("modified_mgg", 20)), "factor-free"),
+        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "grounded"),
+        (lambda: incidence_matrix(family_graph("scale_free", 400)), "grounded"),
+        (lambda: laplacian(family_graph("random_lobster", 300)), "factored"),
+        (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "factored"),
     ],
     ids=["factor-free", "grounded", "grounded-incidence", "factored", "factored-incidence"],
 )
-def test_lanczos_is_deterministic(system, kind, path):
+def test_lanczos_is_deterministic(system, path):
     m = system()
-    rec = measure(m, kind, dense_limit=1)
+    rec = measure(m, dense_limit=1)
     assert rec.eigensolver == path
-    assert measure(m, kind, dense_limit=1) == rec
+    assert measure(m, dense_limit=1) == rec
 
 
 def circular_ladder(n: int) -> Graph:
@@ -420,7 +419,7 @@ def test_factored_route_on_ladders_matches_eigvalsh(graph, lanczos_path):
     # bound 6 that the shift sits just above
     m = laplacian(graph())
     lam_min, lam_max = dense_extremes(m, "laplacian")
-    rec = measure(m, "laplacian")
+    rec = measure(m)
     assert lanczos_path() == "factored"
     assert rec.lambda_max == pytest.approx(lam_max, rel=1e-12)
     assert rec.lambda_min_nz == pytest.approx(lam_min, rel=1e-9)
@@ -430,13 +429,13 @@ def test_factored_route_on_ladders_matches_eigvalsh(graph, lanczos_path):
 def test_factored_route_on_a_regular_bipartite_top(monkeypatch, lanczos_path):
     # λmax = 6 = the row bound on C_2500 × K_2, and 2k on Q_k, which takes
     # the route only when forced
-    rec = measure(laplacian(circular_ladder(2500)), "laplacian")
+    rec = measure(laplacian(circular_ladder(2500)))
     assert lanczos_path() == "factored"
     assert rec.lambda_max == pytest.approx(6.0, rel=1e-12)
     monkeypatch.setattr(spectral, "_factors_cheaply", lambda a, components: True)
     for k in (7, 9):
         m = laplacian(hypercube(k))
-        rec = measure(m, "laplacian", dense_limit=1)
+        rec = measure(m, dense_limit=1)
         assert lanczos_path() == "factored"
         assert rec.lambda_max == pytest.approx(2.0 * k, rel=1e-12)
         assert rec.kappa == pytest.approx(dense_kappa(m), rel=1e-12)
@@ -462,7 +461,7 @@ def test_factored_route_spends_few_solves(monkeypatch):
 
     monkeypatch.setattr(spectral.spla, "splu", lambda *a, **k: Counted(real_splu(*a, **k)))
     monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
-    rec = measure(laplacian(ladder(2500)), "laplacian")
+    rec = measure(laplacian(ladder(2500)))
     assert rec.eigensolver == "factored"
     assert len(solves) <= 60
 
@@ -479,23 +478,13 @@ def test_lanczos_factor_keeps_fill_low(monkeypatch):
 
     monkeypatch.setattr(spectral.spla, "splu", splu)
     m = laplacian(family_graph("barabasi_albert", 600, seed=3))
-    measure(m, "laplacian", dense_limit=1)
+    measure(m, dense_limit=1)
     assert len(factors) == 1
     assert factors[0].L.nnz + factors[0].U.nnz < 0.1 * m.order**2
 
 
 def test_directed_path_kappa_closed_form():
     # B B^T is the path Laplacian, eigenvalues 2 - 2cos(πk/n): κ = cot(π/2n).
-    rec = measure(incidence_matrix(directed_path(1200)), "incidence")
+    rec = measure(incidence_matrix(directed_path(1200)))
     assert rec.kappa == pytest.approx(1 / math.tan(math.pi / 2400), rel=1e-9)
     assert (rec.system_size, rec.sparsity) == (2399, 2)
-
-
-def test_measure_rejects_a_dilation_as_incidence():
-    b = incidence_matrix(directed_c4())
-    with pytest.raises(ValueError, match="measured from B"):
-        measure(hermitian_dilation(b), "incidence")
-    with pytest.raises(ValueError, match="measured from L"):
-        measure(b, "laplacian")
-    with pytest.raises(ValueError, match="unknown matrix kind"):
-        measure(b, "dilation")
