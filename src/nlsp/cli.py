@@ -54,8 +54,9 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 
-class CliError(Exception):
-    """Input or configuration problem; maps to exit code 2."""
+class CliError(ValueError):
+    """Input or configuration problem; maps to exit code 2, as does any
+    ``ValueError`` or ``OSError`` that reaches ``main``."""
 
 
 def _load_json(path: str) -> dict:
@@ -82,12 +83,9 @@ def cmd_survey_run(args: argparse.Namespace) -> int:
         doc["output_dir"] = args.output_dir
     try:
         config = config_from_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"bad config: {exc}") from exc
-    try:
-        result = run_survey(config, max_workers=args.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = run_survey(config, max_workers=args.workers)
     for outcome in result.outcomes:
         categories = {name: v.category for name, v in outcome.verdicts.items()}
         print(
@@ -103,18 +101,8 @@ def _family_id_of_key(key: str) -> str:
     return key.split("#")[0].split(":")[0]
 
 
-def _catalog_entry(family_id: str):
-    try:
-        return catalog_entry(family_id)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def cmd_survey_fit(args: argparse.Namespace) -> int:
-    try:
-        rows = read_records_csv(args.records)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    rows = read_records_csv(args.records)
     grouped: dict[str, list] = {}
     for row in rows:
         grouped.setdefault(row.family, []).append(row)
@@ -122,7 +110,7 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
     failures = 0
     for key, group in grouped.items():
         family_id = _family_id_of_key(key)
-        entry = _catalog_entry(family_id)
+        entry = catalog_entry(family_id)
         block: dict = {"family": family_id, "n_records": len(group)}
         families[key] = block
         try:
@@ -147,10 +135,7 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
 
 def _known_solvers(names: list[str]) -> list[str]:
     for name in names:
-        try:
-            get_solver(name)
-        except KeyError as exc:
-            raise CliError(exc.args[0]) from exc
+        get_solver(name)
     return names
 
 
@@ -187,7 +172,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
-        entry = _catalog_entry(_family_id_of_key(key))
+        entry = catalog_entry(_family_id_of_key(key))
         if callable(entry.size_growth):  # N(n) needs params the fits file lacks
             out["families"][key] = {
                 "error": f"size growth of {entry.family_id} depends on its params, which "
@@ -238,10 +223,7 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
 # superfamily group
 
 def cmd_superfamily_tableau(args: argparse.Namespace) -> int:
-    try:
-        cells = tableau(args.a_max, args.m_max)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cells = tableau(args.a_max, args.m_max)
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             write_tableau_csv(f, cells)
@@ -259,11 +241,8 @@ def cmd_superfamily_slice(args: argparse.Namespace) -> int:
         if getattr(args, name) is None:
             raise CliError(f"slice kind {args.kind!r} requires --{name.replace('_', '-')}")
         params[name] = getattr(args, name)
-    try:
-        sl = build(**params)
-        verdict = slice_verdict(sl, args.solver)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sl = build(**params)
+    verdict = slice_verdict(sl, args.solver)
     _emit(
         {
             "kind": sl.kind,
@@ -294,20 +273,13 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
     return SymmetricMatrix(upper + np.triu(upper, 1).T)
 
 
-def _known_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    try:
-        _reject_unknown_keys(doc, allowed, where)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:
     """The problem's matrix, and whether it is a digraph's dilation: an
     edge list's header picks the Laplacian or the dilation."""
     spec = doc.get("matrix")
     if not isinstance(spec, dict):
         raise CliError("problem file needs a 'matrix' object")
-    _known_keys(spec, ("dense", "edge_list"), "matrix")
+    _reject_unknown_keys(spec, ("dense", "edge_list"), "matrix")
     if len(spec) != 1:
         raise CliError("matrix needs exactly one of 'dense' and 'edge_list'")
     if "dense" in spec:
@@ -320,7 +292,7 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
     raw = doc.get("config")
     if not isinstance(raw, dict) or "n_r" not in raw:
         raise CliError("problem file needs config.n_r")
-    _known_keys(raw, ("n_r", "t", "C", "lambda_min", "signed", "shots", "seed"), "config")
+    _reject_unknown_keys(raw, ("n_r", "t", "C", "lambda_min", "signed", "shots", "seed"), "config")
     try:
         if "t" in raw or "C" in raw:
             return HhlConfig(
@@ -346,7 +318,7 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     doc = _load_json(args.problem)
     if not isinstance(doc, dict):
         raise CliError("problem file must be a JSON object")
-    _known_keys(doc, ("matrix", "b", "config"), "the problem file")
+    _reject_unknown_keys(doc, ("matrix", "b", "config"), "the problem file")
     matrix, directed = _problem_matrix(doc)
     if "b" not in doc:
         raise CliError("problem file needs 'b'")
@@ -362,11 +334,8 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     matrix = pad_to_power_of_two(matrix, bound)
     b = np.concatenate([b, np.zeros(matrix.order - len(b))])
     cfg = _problem_config(doc, bound, directed)
-    try:
-        outcome = hhl_solve(matrix, b, cfg)
-        reconstruction = outcome.solution
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    outcome = hhl_solve(matrix, b, cfg)
+    reconstruction = outcome.solution
     oracle = np.linalg.pinv(matrix.to_dense()) @ b
     # global sign of the statevector is unobservable; align before comparing
     if float(reconstruction @ oracle) < 0:
@@ -399,16 +368,13 @@ def _load_graph(path: str):
 def cmd_hhl_reff(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     successes = None
-    try:
-        oracle = effective_resistance(graph, args.i, args.j)
-        if args.oracle:
-            value = oracle
-        else:
-            cfg = graph_config(graph, args.n_r, shots=args.shots, seed=args.seed)
-            value, outcome = hhl_resistance(graph, args.i, args.j, cfg)
-            successes = outcome.successes
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    oracle = effective_resistance(graph, args.i, args.j)
+    if args.oracle:
+        value = oracle
+    else:
+        cfg = graph_config(graph, args.n_r, shots=args.shots, seed=args.seed)
+        value, outcome = hhl_resistance(graph, args.i, args.j, cfg)
+        successes = outcome.successes
     _emit(
         {
             "method": "oracle" if args.oracle else "hhl",
@@ -438,12 +404,9 @@ def cmd_hhl_traffic(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     injections = _parse_injections(args.injections)
     method = "oracle" if args.oracle else "hhl"
-    try:
-        cfg = None if args.oracle else graph_config(graph, args.n_r)
-        result = traffic_flow(graph, injections, method, cfg)
-        oracle = traffic_flow(graph, injections)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = None if args.oracle else graph_config(graph, args.n_r)
+    result = traffic_flow(graph, injections, method, cfg)
+    oracle = traffic_flow(graph, injections)
     _emit(
         {
             "method": method,
@@ -571,7 +534,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return handler(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

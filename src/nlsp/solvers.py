@@ -90,14 +90,15 @@ for _k in (1, 2, 3):
 
 
 def get_solver(name: str) -> SolverModel:
-    """Look up a quantum solver by name; accepts CKS1/cks(1) style variants."""
+    """Look up a quantum solver by name; accepts CKS1/cks(1) style variants.
+    An unknown name raises ``ValueError``."""
     key = name.strip().upper().replace("-", "_")
     if key in SOLVERS:
         return SOLVERS[key]
     for k in (1, 2, 3):
         if key in (f"CKS{k}", f"AQC{k}"):
             return SOLVERS[f"{key[:3]}({k})"]
-    raise KeyError(f"unknown solver {name!r}; choices: {', '.join(SOLVERS)}")
+    raise ValueError(f"unknown solver {name!r}; choices: {', '.join(SOLVERS)}")
 
 
 def ratio_R(solver: str, n_size: float, kappa_fit: Fit, s_fit: Fit) -> float:

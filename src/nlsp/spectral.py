@@ -9,9 +9,9 @@ A ``SymmetricMatrix`` is a Laplacian L, any other ``RectMatrix`` an
 incidence matrix B, and G is L itself or B·Bᵀ.  The dilation
 [[0, B], [Bᵀ, 0]] has nonzero eigenvalues ±σᵢ(B), and σᵢ(B)² are those of
 B·Bᵀ, so its κ is √κ(B·Bᵀ); squaring leaves σmin a relative error of about
-ε·κ²/2.  G has zero row sums on each connected component, so its kernel is
-spanned by the c component indicators, and the smallest nonzero eigenvalue
-is the (c+1)-th smallest.  Dense G up to a size limit (a per-call argument,
+ε·κ²/2.  G has zero row sums (``extreme_eigs`` refuses any other G), so its
+kernel is spanned by the c component indicators, and the smallest nonzero
+eigenvalue is the (c+1)-th smallest.  Dense G up to a size limit (a per-call argument,
 3000 when None) take the dense eigensolver.  Larger G, and sparse G at any
 order (order above 256, at most order²/16 entries), take Lanczos with a
 fixed start vector, on one of two routes chosen from G's pattern alone.
@@ -128,8 +128,16 @@ def extreme_eigs(m: SymmetricMatrix, *, dense_limit: Optional[int] = None) -> Ex
     λmin through its pseudo-inverse.  Any other m takes Lanczos on m for
     λmax, then seeks λmin factor-free, on m with its kernel shifted to
     λmax, within _FACTOR_FREE_MATVECS products; past them it falls back to
-    the pseudo-inverse.  An m without edges, every vertex its own
-    component, has no nonzero eigenvalue and is refused."""
+    the pseudo-inverse.  An m whose row sums are not zero to within
+    order·ε·R is refused, R = 2·max mᵢᵢ the row bound of a Laplacian (read
+    off the diagonal, as abs(m) would copy m), and so is an m without edges,
+    every vertex its own component, which has no nonzero eigenvalue."""
+    sums = m.csr @ np.ones(m.order)
+    row = int(np.argmax(np.abs(sums)))
+    if abs(sums[row]) > m.order * np.finfo(float).eps * 2.0 * m.csr.diagonal().max():
+        raise ValueError(
+            f"row {row} sums to {sums[row]:.6g}, not 0: a Laplacian or B·Bᵀ has zero row sums"
+        )
     # m's pattern is symmetric, so its strong components are its components;
     # "strong" skips the symmetrized copy that an undirected count makes.
     kernel, labels = connected_components(m.csr, directed=True, connection="strong")

@@ -96,7 +96,7 @@ class SurveyConfig:
         if not self.solvers:
             raise ValueError("solvers must be nonempty")
         for name in self.solvers:
-            get_solver(name)  # raises KeyError on unknown names
+            get_solver(name)  # raises ValueError on unknown names
         seed = self.base_seed
         if seed is not None and not (is_integer(seed) and seed >= 0):
             raise ValueError(f"base_seed must be a non-negative int or None, got {seed!r}")

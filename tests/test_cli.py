@@ -22,6 +22,7 @@ from nlsp.hhl import (
     hhl_solve,
     traffic_flow,
 )
+from nlsp.solvers import SOLVERS
 from nlsp.superfamily import (
     column_slice,
     iso_s_slice,
@@ -274,6 +275,7 @@ class TestSurveyCommands:
             ("dense_limit", 2.5, "dense_limit must be a positive integer, got 2.5"),
             ("seed", True, "seed must be a non-negative int or None, got True"),
             ("seed", -3, "seed must be a non-negative int or None, got -3"),
+            ("solvers", ["FOO"], f"unknown solver 'FOO'; choices: {', '.join(SOLVERS)}"),
         ],
     )
     def test_run_non_integer_sizes(self, tmp_path, key, value, message, capsys):
@@ -444,6 +446,26 @@ class TestSuperfamilyCommands:
     def test_slice_first_row_excluded(self, capsys):
         code = main(["superfamily", "slice", "--kind", "row", "--m", "1", "--a-max", "6"])
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["survey fit", "superfamily tableau"])
+def test_output_into_a_missing_directory_is_an_input_error(tmp_path, command, capsys):
+    rows = [
+        RecordRow("hypercube", n, 2**n, "laplacian", float(n), 2.0, 2.0 * n, n + 1, 1e-6, None)
+        for n in (3, 4, 5, 6)
+    ]
+    write_records_csv(tmp_path / "records.csv", rows)
+    target = tmp_path / "missing" / "out"
+    argv = {
+        "survey fit": ["survey", "fit", str(tmp_path / "records.csv"), "--out", str(target)],
+        "superfamily tableau": [
+            "superfamily", "tableau", "--a-max", "3", "--m-max", "2", "--csv", str(target)
+        ],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 class TestHhlCommands:

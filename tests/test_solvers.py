@@ -33,7 +33,7 @@ def test_runtime_boundaries():
         get_solver("HHL").runtime(100.0, 0.5, 1.0)
     assert get_solver("cks2") is SOLVERS["CKS(2)"]
     assert get_solver("AQC(3)") is SOLVERS["AQC(3)"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_solver("grover")
 
 

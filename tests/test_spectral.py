@@ -148,6 +148,17 @@ def test_extreme_eigs_zero_matrix():
         )
 
 
+def test_extreme_eigs_refuses_nonzero_row_sums():
+    # L + I of P₄ is positive definite: a kernel counted from its one
+    # component would skip λmin and report κ = 2.78 for the true 4.41
+    p4 = laplacian(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    shifted = SymmetricMatrix(p4.to_dense() + np.eye(4))
+    dilation = hermitian_dilation(incidence_matrix(directed_path(4)))
+    for m, row_sum in ((shifted, "1"), (dilation, "-1")):
+        with pytest.raises(ValueError, match=f"^row 0 sums to {row_sum}, not 0"):
+            measure(m)
+
+
 def test_lanczos_path_counts_the_components():
     # a sparse Laplacian of order 401 takes Lanczos, whose pseudo-inverse
     # needs the kernel spanned by the component indicators: extreme_eigs

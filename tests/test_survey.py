@@ -90,7 +90,7 @@ class TestConfig:
         spec = make_spec("hypercube", schedule=(2, 3, 4, 5))
         with pytest.raises(ValueError, match="nonempty"):
             SurveyConfig(families=())
-        with pytest.raises(KeyError, match="unknown solver"):
+        with pytest.raises(ValueError, match="unknown solver"):
             SurveyConfig(families=(spec,), solvers=("GROVER",))
         for limit in (0, 2.5, True, "10"):
             with pytest.raises(ValueError, match="dense_limit must be a positive integer"):
