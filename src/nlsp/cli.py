@@ -18,18 +18,17 @@ from typing import Optional
 import numpy as np
 
 from .families import catalog_entry
-from .graphs import SymmetricMatrix, pad_to_power_of_two, read_edge_list
+from .graphs import RectMatrix, SymmetricMatrix, read_edge_list, system_matrix
 from .growth import CompositionError
 from .hhl import (
     DEFAULT_CLOCK_QUBITS,
     HhlConfig,
-    abs_row_bound,
     default_config,
     effective_resistance,
     graph_config,
-    graph_system,
     hhl_resistance,
     hhl_solve,
+    simulator_system,
     traffic_flow,
 )
 from .solvers import crossover as numeric_crossover, get_solver
@@ -79,7 +78,7 @@ def _emit(data: dict) -> None:
 
 def cmd_survey_run(args: argparse.Namespace) -> int:
     doc = _load_json(args.config)
-    if args.output_dir is not None:
+    if args.output_dir is not None and isinstance(doc, dict):
         doc["output_dir"] = args.output_dir
     try:
         config = config_from_dict(doc)
@@ -273,9 +272,9 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
     return SymmetricMatrix(upper + np.triu(upper, 1).T)
 
 
-def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:
-    """The problem's matrix, and whether it is a digraph's dilation: an
-    edge list's header picks the Laplacian or the dilation."""
+def _problem_matrix(doc: dict) -> RectMatrix:
+    """The problem's matrix: the dense one, or an edge list's
+    ``system_matrix``, L or a digraph's B."""
     spec = doc.get("matrix")
     if not isinstance(spec, dict):
         raise CliError("problem file needs a 'matrix' object")
@@ -283,9 +282,8 @@ def _problem_matrix(doc: dict) -> tuple[SymmetricMatrix, bool]:
     if len(spec) != 1:
         raise CliError("matrix needs exactly one of 'dense' and 'edge_list'")
     if "dense" in spec:
-        return _dense_to_symmetric(spec["dense"]), False
-    graph = _load_graph(spec["edge_list"])
-    return graph_system(graph), graph.directed
+        return _dense_to_symmetric(spec["dense"])
+    return system_matrix(_load_graph(spec["edge_list"]))
 
 
 def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
@@ -293,23 +291,12 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
     if not isinstance(raw, dict) or "n_r" not in raw:
         raise CliError("problem file needs config.n_r")
     _reject_unknown_keys(raw, ("n_r", "t", "C", "lambda_min", "signed", "shots", "seed"), "config")
+    sampling = {"shots": raw.get("shots"), "seed": raw.get("seed")}
     try:
         if "t" in raw or "C" in raw:
-            return HhlConfig(
-                n_r=raw["n_r"],
-                t=float(raw["t"]),
-                C=float(raw["C"]),
-                shots=raw.get("shots"),
-                seed=raw.get("seed"),
-            )
-        return default_config(
-            raw["n_r"],
-            bound,
-            raw.get("lambda_min"),
-            signed=bool(raw.get("signed", signed)),
-            shots=raw.get("shots"),
-            seed=raw.get("seed"),
-        )
+            return HhlConfig(n_r=raw["n_r"], t=float(raw["t"]), C=float(raw["C"]), **sampling)
+        signed = bool(raw.get("signed", signed))
+        return default_config(raw["n_r"], bound, raw.get("lambda_min"), signed=signed, **sampling)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad solver config: {exc}") from exc
 
@@ -319,21 +306,15 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
     if not isinstance(doc, dict):
         raise CliError("problem file must be a JSON object")
     _reject_unknown_keys(doc, ("matrix", "b", "config"), "the problem file")
-    matrix, directed = _problem_matrix(doc)
+    matrix = _problem_matrix(doc)
     if "b" not in doc:
         raise CliError("problem file needs 'b'")
     try:
         b = np.asarray(doc["b"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise CliError(f"b must be a vector of reals: {exc}") from exc
-    if b.shape != (matrix.order,):
-        raise CliError(f"b must have length {matrix.order}")
-    bound = abs_row_bound(matrix)
-    if bound <= 0:
-        raise CliError("zero matrix has no invertible part")
-    matrix = pad_to_power_of_two(matrix, bound)
-    b = np.concatenate([b, np.zeros(matrix.order - len(b))])
-    cfg = _problem_config(doc, bound, directed)
+    matrix, bound, signed, b = simulator_system(matrix, b)
+    cfg = _problem_config(doc, bound, signed)
     outcome = hhl_solve(matrix, b, cfg)
     reconstruction = outcome.solution
     oracle = np.linalg.pinv(matrix.to_dense()) @ b
@@ -406,7 +387,7 @@ def cmd_hhl_traffic(args: argparse.Namespace) -> int:
     method = "oracle" if args.oracle else "hhl"
     cfg = None if args.oracle else graph_config(graph, args.n_r)
     result = traffic_flow(graph, injections, method, cfg)
-    oracle = traffic_flow(graph, injections)
+    oracle = result if args.oracle else traffic_flow(graph, injections)
     _emit(
         {
             "method": method,

@@ -46,11 +46,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import (
     Graph,
+    RectMatrix,
     SymmetricMatrix,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
     pad_to_power_of_two,
+    system_matrix,
 )
 from .spectral import _START_SEED, abs_row_bound
 
@@ -623,12 +625,25 @@ def one_qubit_effective_resistance(lam: float, cfg: HhlConfig) -> float:
     return 2.0 * cfg.t / (2.0 * math.pi * cfg.C) * math.sqrt(p)
 
 
-def graph_system(g: Graph) -> SymmetricMatrix:
-    """The matrix the simulator solves for a graph: the Laplacian, or for a
-    digraph the Hermitian dilation [[0, B], [B^T, 0]] of its incidence matrix."""
-    if g.directed:
-        return hermitian_dilation(incidence_matrix(g))
-    return laplacian(g)
+def simulator_system(m: RectMatrix, rhs=None) -> tuple[SymmetricMatrix, float, bool, np.ndarray | None]:
+    """The power-of-two system the simulator solves for ``m``: a
+    SymmetricMatrix as it is, any other matrix (a digraph's B) as its
+    Hermitian dilation [[0, B], [B^T, 0]], whose eigenvalues come in signed
+    pairs.  Returns it padded with its absolute row bound, that bound (the
+    default clock's lambda_max), whether the clock is signed, and ``rhs``,
+    of the system's order or, for B, of m's (the c of B y = c), zero-extended
+    to the padded order (None when not given)."""
+    signed = not isinstance(m, SymmetricMatrix)
+    system = hermitian_dilation(m) if signed else m
+    if rhs is not None and np.shape(rhs) not in ((m.rows,), (system.order,)):
+        lengths = " or ".join(str(k) for k in sorted({m.rows, system.order}))
+        raise ValueError(f"b must have length {lengths}")
+    bound = abs_row_bound(system)
+    if bound <= 0:
+        raise ValueError("zero matrix has no invertible part")
+    padded = pad_to_power_of_two(system, bound)
+    vec = None if rhs is None else np.concatenate((rhs, np.zeros(padded.order - len(rhs))))
+    return padded, bound, signed, vec
 
 
 def graph_config(
@@ -638,25 +653,27 @@ def graph_config(
     shots: int | None = None,
     seed: int | None = None,
 ) -> HhlConfig:
-    """The default clock for ``graph_system(g)``: ``default_config`` at the
-    absolute row bound, in the signed window for a digraph, whose dilation
-    has eigenvalues of both signs."""
-    bound = abs_row_bound(graph_system(g))
-    return default_config(n_r, bound, signed=g.directed, shots=shots, seed=seed)
+    """The default clock for ``simulator_system(system_matrix(g))``:
+    ``default_config`` at its row bound, signed for a digraph's dilation."""
+    _, bound, signed, _ = simulator_system(system_matrix(g))
+    return default_config(n_r, bound, signed=signed, shots=shots, seed=seed)
 
 
 def _graph_solve(g: Graph, rhs: np.ndarray, cfg: HhlConfig | None) -> tuple[HhlOutcome, np.ndarray]:
-    """``hhl_solve`` on ``graph_system(g)`` padded with its absolute row
-    bound, rhs zero-extended to match; ``cfg=None`` takes graph_config's
-    clock.  Returns the outcome and the extended rhs."""
-    system = graph_system(g)
-    bound = abs_row_bound(system)
+    """``hhl_solve`` on ``simulator_system(system_matrix(g), rhs)``, with
+    graph_config's clock when ``cfg`` is None; the outcome and extended rhs."""
+    padded, bound, signed, vec = simulator_system(system_matrix(g), rhs)
     if cfg is None:
-        cfg = default_config(DEFAULT_CLOCK_QUBITS, bound, signed=g.directed)
-    padded = pad_to_power_of_two(system, bound)
-    vec = np.zeros(padded.order)
-    vec[: len(rhs)] = rhs
+        cfg = default_config(DEFAULT_CLOCK_QUBITS, bound, signed=signed)
     return hhl_solve(padded, vec, cfg), vec
+
+
+def _check_method(method: str, cfg: HhlConfig | None) -> None:
+    """``method`` is "oracle" or "hhl", and only "hhl" takes a ``cfg``."""
+    if method not in ("oracle", "hhl"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "oracle" and cfg is not None:
+        raise ValueError("the oracle takes no cfg; pass cfg with method='hhl'")
 
 
 def _components(g: Graph) -> np.ndarray:
@@ -677,14 +694,13 @@ def effective_resistance(
     The oracle path evaluates (delta_i - delta_j)^T L+ (delta_i - delta_j)
     with a dense pseudo-inverse.  The hhl path pads the Laplacian to a
     power-of-two order, runs the simulator, and reads the resistance off a
-    probe overlap; ``cfg=None`` takes ``graph_config(g)``, whose evolution
-    time comes from the row bound (twice the largest weighted degree), so
-    ill conditioned graphs may need a caller-supplied config with a tighter C.
+    probe overlap; only it takes a ``cfg``, None taking ``graph_config(g)``,
+    whose evolution time comes from the row bound (twice the largest weighted
+    degree), so ill conditioned graphs may need a config with a tighter C.
     The input b sums to zero, hence is orthogonal to the all-ones null
     vector of a connected Laplacian.
     """
-    if method not in ("oracle", "hhl"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method, cfg)
     if method == "hhl":
         return hhl_resistance(g, i, j, cfg)[0]
     rhs = _resistance_rhs(g, i, j)
@@ -738,14 +754,13 @@ def traffic_flow(
     so a vehicle stream entering the network at u and leaving at w is
     c = -delta_u + delta_w.  Balance is required; c with a component
     outside the column space of B (in particular, nonzero total) is
-    rejected.  The hhl path runs ``hhl_solve`` on the Hermitian dilation
-    [[0, B], [B^T, 0]], padded to a power-of-two order, in signed clock mode
-    (``cfg=None`` takes ``graph_config(g)``) and reads y off the edge block.
+    rejected.  The hhl path, the only one to take a ``cfg`` (None takes
+    ``graph_config(g)``), runs ``hhl_solve`` on the padded Hermitian dilation
+    [[0, B], [B^T, 0]] in signed clock mode and reads y off the edge block.
     Negative flow entries are physically suspect (lane counts are
     nonnegative) and are reported, not rejected.
     """
-    if method not in ("oracle", "hhl"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method, cfg)
     if not g.directed:
         raise ValueError("traffic flow is defined for directed graphs")
     c = np.asarray(injections, dtype=float)

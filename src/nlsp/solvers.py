@@ -91,7 +91,9 @@ for _k in (1, 2, 3):
 
 def get_solver(name: str) -> SolverModel:
     """Look up a quantum solver by name; accepts CKS1/cks(1) style variants.
-    An unknown name raises ``ValueError``."""
+    An unknown name, or one that is not a str, raises ``ValueError``."""
+    if not isinstance(name, str):
+        raise ValueError(f"a solver name must be a string, got {name!r}")
     key = name.strip().upper().replace("-", "_")
     if key in SOLVERS:
         return SOLVERS[key]

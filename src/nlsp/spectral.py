@@ -130,14 +130,18 @@ def extreme_eigs(m: SymmetricMatrix, *, dense_limit: Optional[int] = None) -> Ex
     λmax, within _FACTOR_FREE_MATVECS products; past them it falls back to
     the pseudo-inverse.  An m whose row sums are not zero to within
     order·ε·R is refused, R = 2·max mᵢᵢ the row bound of a Laplacian (read
-    off the diagonal, as abs(m) would copy m), and so is an m without edges,
-    every vertex its own component, which has no nonzero eigenvalue."""
+    off the diagonal, as abs(m) would copy m), as is an m with a positive
+    off-diagonal entry, and so is an m without edges, every vertex its own
+    component, which has no nonzero eigenvalue."""
+    diagonal = m.csr.diagonal()
     sums = m.csr @ np.ones(m.order)
     row = int(np.argmax(np.abs(sums)))
-    if abs(sums[row]) > m.order * np.finfo(float).eps * 2.0 * m.csr.diagonal().max():
+    if abs(sums[row]) > m.order * np.finfo(float).eps * 2.0 * diagonal.max():
         raise ValueError(
             f"row {row} sums to {sums[row]:.6g}, not 0: a Laplacian or B·Bᵀ has zero row sums"
         )
+    if np.count_nonzero(m.csr.data > 0) > np.count_nonzero(diagonal > 0):
+        raise ValueError("positive off-diagonal entry: a Laplacian or B·Bᵀ has none")
     # m's pattern is symmetric, so its strong components are its components;
     # "strong" skips the symmetrized copy that an undirected count makes.
     kernel, labels = connected_components(m.csr, directed=True, connection="strong")

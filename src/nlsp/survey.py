@@ -153,6 +153,8 @@ def _reject_unknown_keys(doc: Mapping, allowed: Sequence[str], where: str) -> No
 def config_from_dict(data: Mapping) -> SurveyConfig:
     """Build a validated config from the JSON document format, which holds
     exactly the keys ``config_to_dict`` writes; any other key is an error."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"the config must be an object, got {type(data).__name__}")
     _reject_unknown_keys(data, _CONFIG_KEYS, "the config")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {data.get('schema')!r}")

@@ -276,6 +276,7 @@ class TestSurveyCommands:
             ("seed", True, "seed must be a non-negative int or None, got True"),
             ("seed", -3, "seed must be a non-negative int or None, got -3"),
             ("solvers", ["FOO"], f"unknown solver 'FOO'; choices: {', '.join(SOLVERS)}"),
+            ("solvers", [1], "a solver name must be a string, got 1"),
         ],
     )
     def test_run_non_integer_sizes(self, tmp_path, key, value, message, capsys):
@@ -286,6 +287,15 @@ class TestSurveyCommands:
         path.write_text(json.dumps(doc))
         assert main(["survey", "run", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: bad config: {message}\n"
+
+    @pytest.mark.parametrize("output_dir", [None, "out"])
+    def test_run_a_config_that_is_no_object(self, tmp_path, output_dir, capsys):
+        # --output-dir is written into the document only when it is an object
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        extra = [] if output_dir is None else ["--output-dir", str(tmp_path / output_dir)]
+        assert main(["survey", "run", str(path), *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: bad config: the config must be an object, got list\n"
 
     def test_fit_with_too_few_records(self, tmp_path, capsys):
         rows = [

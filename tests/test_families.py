@@ -476,13 +476,12 @@ def assert_same_graph(g: Graph, ref: Graph) -> None:
     for seed in ((None, 1, 2) if CATALOG[f].random else (None,))
 ])
 def test_native_family_matches_networkx(family_id, seed):
-    entry = CATALOG[family_id]
     twin, points = NETWORKX_TWINS[family_id]
     spec = make_spec(family_id, schedule=points, seed=seed)
     for n in points:
         inst = generate(spec, n)
         rng = None if inst.seed is None else _rng(inst.seed)
-        assert_same_graph(inst.graph, _from_nx(twin(n, rng), entry.directed))
+        assert_same_graph(inst.graph, _from_nx(twin(n, rng)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,13 +491,13 @@ def test_native_random_family_matches_networkx_on_any_stream(family_id, n, seed)
     entry = CATALOG[family_id]
     twin, _ = NETWORKX_TWINS[family_id]
     g = entry.build(n, entry.default_params, _rng(seed))
-    assert_same_graph(g, _from_nx(twin(n, _rng(seed)), entry.directed))
+    assert_same_graph(g, _from_nx(twin(n, _rng(seed))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12))
 def test_grid_matches_networkx_at_any_shape(rows, cols):
-    ref = _from_nx(nx.grid_2d_graph(rows, cols), directed=False)
+    ref = _from_nx(nx.grid_2d_graph(rows, cols))
     assert_same_graph(_grid_2d(rows, cols), ref)
 
 

@@ -19,6 +19,7 @@ from nlsp.graphs import (
     incidence_matrix,
     laplacian,
     pad_to_power_of_two,
+    system_matrix,
 )
 from nlsp.hhl import (
     HhlConfig,
@@ -29,17 +30,16 @@ from nlsp.hhl import (
     _graph_solve,
     _qpe,
     _ritz_pairs,
-    abs_row_bound,
     augment_for_aqf,
     check_aqf,
     default_config,
     detect_fixed_clock_qubits,
     effective_resistance,
     extract_overlap,
-    graph_system,
     hhl_solve,
     one_qubit_effective_resistance,
     one_qubit_hhl,
+    simulator_system,
     traffic_flow,
     zero_tolerance,
 )
@@ -538,7 +538,7 @@ class TestTrafficFlow:
         for method in ("oracle", "hhl"):
             with pytest.raises(ValueError, match="imbalanced"):
                 traffic_flow(g, [-1.0, 0.0, 1.0, 0.0], method)
-            cfg = default_config(10, 2.0, signed=True)
+            cfg = default_config(10, 2.0, signed=True) if method == "hhl" else None
             got = traffic_flow(g, [-1.0, 1.0, 2.0, -2.0], method, cfg)
             assert got.flow == pytest.approx([1.0, 2.0], abs=2e-3)
 
@@ -569,6 +569,36 @@ class TestTrafficFlow:
         got = traffic_flow(directed_cycle4(), [-1.0, 1.0, 0.0, 0.0], "hhl", cfg)
         assert np.abs(got.flow - oracle.flow).max() < 2e-3
         assert got.negative_lanes == (1, 2, 3)
+
+
+def test_the_oracle_refuses_a_cfg():
+    # a cfg goes with the simulator; the oracle used to drop it without a word
+    cfg = HhlConfig(n_r=4, t=100.0, C=5.0)
+    with pytest.raises(ValueError, match="^the oracle takes no cfg"):
+        effective_resistance(cycle4(), 0, 1, cfg=cfg)
+    with pytest.raises(ValueError, match="^the oracle takes no cfg"):
+        traffic_flow(directed_cycle4(), [-1.0, 0.0, 0.0, 1.0], cfg=cfg)
+
+
+def test_simulator_system_reads_the_system_off_the_matrix_type():
+    # B is solved as its dilation in the signed window, a symmetric matrix
+    # as it is; both are padded with their absolute row bound
+    b = incidence_matrix(directed_cycle4())
+    padded, bound, signed, vec = simulator_system(b, np.array([-1.0, 1.0, 0.0, 0.0]))
+    assert (padded.order, bound, signed) == (8, 2.0, True)
+    assert np.array_equal(padded.to_dense(), hermitian_dilation(b).to_dense())
+    assert vec.tolist() == [-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert simulator_system(b, np.ones(8))[3].tolist() == [1.0] * 8
+    p3 = laplacian(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    padded, bound, signed, vec = simulator_system(p3)
+    assert (padded.order, bound, signed, vec) == (4, 4.0, False, None)
+    assert padded.to_dense()[3, 3] == 4.0
+    with pytest.raises(ValueError, match="^b must have length 4 or 8$"):
+        simulator_system(b, np.ones(5))
+    with pytest.raises(ValueError, match="^b must have length 3$"):
+        simulator_system(p3, np.ones(4))
+    with pytest.raises(ValueError, match="^zero matrix has no invertible part$"):
+        simulator_system(SymmetricMatrix(np.zeros((2, 2))))
 
 
 def fourier_clock_weights(phase: np.ndarray, n_r: int) -> np.ndarray:
@@ -737,19 +767,15 @@ def mode_shapes(eig) -> list[tuple[int, int]]:
 
 
 def graph_eigensystem(g: Graph, rhs: np.ndarray):
-    """The eigensystem the simulator builds for graph_system(g) padded, the
+    """The eigensystem the simulator builds for g's padded system, the
     padded matrix, its absolute row bound and the unit right-hand side."""
-    system = graph_system(g)
-    bound = abs_row_bound(system)
-    padded = pad_to_power_of_two(system, bound)
-    vec = np.zeros(padded.order)
-    vec[: rhs.size] = rhs
+    padded, bound, _, vec = simulator_system(system_matrix(g), rhs)
     unit = vec / np.linalg.norm(vec)
     return _eigenpairs(padded, unit), padded, bound, unit
 
 
 def assert_matches_reference(g: Graph, rhs: np.ndarray, exact: bool, n_r: int) -> None:
-    """The eigensystem of graph_system(g) padded, and _graph_solve,
+    """The eigensystem of g's padded system, and _graph_solve,
     hhl_solve and the clock histogram on it, against one eigensolve of the
     whole padded matrix."""
     eig, padded, bound, unit = graph_eigensystem(g, rhs)

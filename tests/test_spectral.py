@@ -157,6 +157,11 @@ def test_extreme_eigs_refuses_nonzero_row_sums():
     for m, row_sum in ((shifted, "1"), (dilation, "-1")):
         with pytest.raises(ValueError, match=f"^row 0 sums to {row_sum}, not 0"):
             measure(m)
+    # every vertex of the directed C₄ has in- and out-degree 1: the rows of
+    # its dilation sum to 0, and its +1 entries lie off the diagonal
+    balanced = hermitian_dilation(incidence_matrix(directed_c4()))
+    with pytest.raises(ValueError, match="^positive off-diagonal entry: a Laplacian"):
+        measure(balanced)
 
 
 def test_lanczos_path_counts_the_components():
