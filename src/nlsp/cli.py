@@ -39,6 +39,7 @@ from .survey import (
     _reject_unknown_keys,
     classify_fits,
     config_from_dict,
+    family_id_of_key,
     fit_from_dict,
     fit_growth,
     fit_to_dict,
@@ -96,10 +97,6 @@ def cmd_survey_run(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if any(o.errors for o in result.outcomes) else EXIT_OK
 
 
-def _family_id_of_key(key: str) -> str:
-    return key.split("#")[0].split(":")[0]
-
-
 def cmd_survey_fit(args: argparse.Namespace) -> int:
     rows = read_records_csv(args.records)
     grouped: dict[str, list] = {}
@@ -108,7 +105,7 @@ def cmd_survey_fit(args: argparse.Namespace) -> int:
     families = {}
     failures = 0
     for key, group in grouped.items():
-        family_id = _family_id_of_key(key)
+        family_id = family_id_of_key(key)
         entry = catalog_entry(family_id)
         block: dict = {"family": family_id, "n_records": len(group)}
         families[key] = block
@@ -171,7 +168,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             out["families"][key] = {"error": block.get("error", "fits missing")}
             failures += 1
             continue
-        entry = catalog_entry(_family_id_of_key(key))
+        entry = catalog_entry(family_id_of_key(key))
         if callable(entry.size_growth):  # N(n) needs params the fits file lacks
             out["families"][key] = {
                 "error": f"size growth of {entry.family_id} depends on its params, which "
@@ -292,12 +289,20 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
         raise CliError("problem file needs config.n_r")
     _reject_unknown_keys(raw, ("n_r", "t", "C", "lambda_min", "signed", "shots", "seed"), "config")
     sampling = {"shots": raw.get("shots"), "seed": raw.get("seed")}
+    if "t" in raw or "C" in raw:
+        for key in ("t", "C"):
+            if key not in raw:
+                raise CliError(f"config.t and config.C go together; config.{key} is missing")
+        for key in ("lambda_min", "signed"):
+            if key in raw:
+                raise CliError(f"config.{key} sets the default clock, which config.t and "
+                               "config.C replace")
     try:
-        if "t" in raw or "C" in raw:
+        if "t" in raw:
             return HhlConfig(n_r=raw["n_r"], t=float(raw["t"]), C=float(raw["C"]), **sampling)
         signed = bool(raw.get("signed", signed))
         return default_config(raw["n_r"], bound, raw.get("lambda_min"), signed=signed, **sampling)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad solver config: {exc}") from exc
 
 
@@ -341,19 +346,36 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
 def _load_graph(path: str):
     try:
         with open(path) as f:
-            return read_edge_list(f)
+            g = read_edge_list(f)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load graph: {exc}") from exc
+    if g.directed and (g.w != 1.0).any():  # incidence_matrix writes ±1 whatever the weight
+        k = np.flatnonzero(g.w != 1.0)[0]
+        raise CliError(f"cannot load graph: edge ({g.u[k]},{g.v[k]}) has weight {g.w[k]}, but "
+                       "a digraph's incidence system takes unit weights only")
+    return g
+
+
+def _graph_clock(args: argparse.Namespace, graph, **sampling) -> Optional[HhlConfig]:
+    """graph_config from --n-r and the sampling flags; None with --oracle,
+    which runs no clock and refuses them."""
+    if args.oracle:
+        for name, value in {"n_r": args.n_r, **sampling}.items():
+            if value is not None:
+                raise CliError(f"--oracle runs no clock; drop --{name.replace('_', '-')}")
+        return None
+    n_r = DEFAULT_CLOCK_QUBITS if args.n_r is None else args.n_r
+    return graph_config(graph, n_r, **sampling)
 
 
 def cmd_hhl_reff(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     successes = None
     oracle = effective_resistance(graph, args.i, args.j)
-    if args.oracle:
+    cfg = _graph_clock(args, graph, shots=args.shots, seed=args.seed)
+    if cfg is None:
         value = oracle
     else:
-        cfg = graph_config(graph, args.n_r, shots=args.shots, seed=args.seed)
         value, outcome = hhl_resistance(graph, args.i, args.j, cfg)
         successes = outcome.successes
     _emit(
@@ -385,7 +407,7 @@ def cmd_hhl_traffic(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     injections = _parse_injections(args.injections)
     method = "oracle" if args.oracle else "hhl"
-    cfg = None if args.oracle else graph_config(graph, args.n_r)
+    cfg = _graph_clock(args, graph)
     result = traffic_flow(graph, injections, method, cfg)
     oracle = result if args.oracle else traffic_flow(graph, injections)
     _emit(
@@ -471,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl_p.set_defaults(handler=cmd_superfamily_slice)
 
     hhl = groups.add_parser("hhl", help="statevector solver applications")
+    clock_help = f"clock qubits of the simulator (default {DEFAULT_CLOCK_QUBITS})"
     hhl_sub = hhl.add_subparsers(dest="command")
 
     solve_p = hhl_sub.add_parser("solve", help="solve a problem file")
@@ -482,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     reff_p.add_argument("--i", type=int, required=True)
     reff_p.add_argument("--j", type=int, required=True)
     reff_p.add_argument("--oracle", action="store_true", help="classical path only")
-    reff_p.add_argument("--n-r", dest="n_r", type=int, default=DEFAULT_CLOCK_QUBITS)
+    reff_p.add_argument("--n-r", dest="n_r", type=int, help=clock_help)
     reff_p.add_argument(
         "--shots", type=int,
         help="sampled readout; the default clock post-selects rarely (p_success "
@@ -494,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("graph", help="directed edge-list file")
     tr_p.add_argument("injections", help="JSON file or comma-separated reals")
     tr_p.add_argument("--oracle", action="store_true", help="classical path only")
-    tr_p.add_argument("--n-r", dest="n_r", type=int, default=DEFAULT_CLOCK_QUBITS)
+    tr_p.add_argument("--n-r", dest="n_r", type=int, help=clock_help)
     tr_p.set_defaults(handler=cmd_hhl_traffic)
 
     repro = groups.add_parser("repro", help="reproduce published artifacts")

@@ -10,10 +10,13 @@ Fourteen families are generated natively from numpy arrays and Python loops:
 ``grid_2d_square``, ``complete``, ``turan``, ``gnp``, ``barabasi_albert``,
 ``paley``, ``directed_hypercube``, ``gn``, ``gnr`` and ``gnc``.  Each builds
 the graph, edge for edge, of the networkx generator it replaces; the random
-ones take the same draws from the instance's stream.  The others are built
-by networkx in ``_nx``, which is imported on the first build of one of them:
-a process that builds only native families never loads networkx.
-``CatalogEntry.needs_networkx`` tells the two kinds apart.
+ones take the same draws from the instance's stream.  Each of the others
+holds its networkx call in its own catalog line, as a ``_Networkx`` build;
+networkx is imported on the first such build, so a process that builds only
+native families never loads it.  A random one draws through
+``_StreamRandom``: its graphs are those of the networkx generator called with
+the instance's Generator as ``seed``.  ``CatalogEntry.needs_networkx`` tells
+the two kinds apart.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from itertools import chain
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .graphs import Graph
 from .growth import GrowthClass
@@ -328,6 +332,63 @@ def _paley(q: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# constructions networkx builds
+
+@dataclass(frozen=True)
+class _Networkx:
+    """The build of a family that networkx generates: ``make(nx, n, stream)``
+    returns networkx's graph, or a graph and its warnings.  networkx is
+    imported on the first call.  stream is the instance's Generator as a
+    ``_StreamRandom``, None for a deterministic family."""
+
+    make: Callable
+
+    def __call__(self, n: int, params: Mapping, rng: Optional[np.random.Generator]) -> BuildResult:
+        import networkx as nx
+
+        built = self.make(nx, n, None if rng is None else _StreamRandom(rng))
+        if isinstance(built, tuple):
+            return _from_nx(built[0]), built[1]
+        return _from_nx(built)
+
+
+def _from_nx(g) -> Graph:
+    # Nodes are relabeled by rank in sorted order; edges keep the generator's
+    # emission order, which is deterministic, and g says whether it is directed.
+    idx = {v: i for i, v in enumerate(sorted(g.nodes()))}
+    flat = np.fromiter(map(idx.__getitem__, chain.from_iterable(g.edges())), dtype=np.int64,
+                       count=2 * g.number_of_edges())
+    return _simple_graph(len(idx), flat[0::2], flat[1::2], g.is_directed())
+
+
+EXPANDER_RETRY_LIMIT = 200
+RAMANUJAN_BOUND = 2.0 * math.sqrt(5.0)  # regularity 6
+
+
+def _adjacency_lambda2(nx, g) -> float:
+    a = nx.adjacency_matrix(g, nodelist=sorted(g.nodes())).astype(float)
+    if g.number_of_nodes() <= 400:
+        return float(np.linalg.eigvalsh(a.toarray())[-2])
+    vals = scipy.sparse.linalg.eigsh(a, k=2, which="LA", return_eigenvectors=False)
+    return float(np.sort(vals)[0])
+
+
+def _expander(nx, n, stream):
+    for _ in range(EXPANDER_RETRY_LIMIT):  # one stream across the retries
+        cand = nx.random_regular_graph(6, n, seed=stream)
+        if _adjacency_lambda2(nx, cand) <= RAMANUJAN_BOUND + 1e-9:
+            return cand
+    return cand, (f"no Ramanujan graph within {EXPANDER_RETRY_LIMIT} retries at n={n}",)
+
+
+def _random_lobster(nx, n, stream):
+    # networkx 3.5 renamed random_lobster, keeping the old name as a deprecated
+    # alias; networkx 3.4, the last release for Python 3.10, has only the old one.
+    lobster = getattr(nx, "random_lobster_graph", None) or nx.random_lobster
+    return lobster(n, 0.6, 0.5, seed=stream)
+
+
+# ---------------------------------------------------------------------------
 # source/sink repair
 
 def _draw_from(rng: np.random.Generator, pool: Sequence[int], admissible) -> Optional[int]:
@@ -515,7 +576,7 @@ class CatalogEntry:
     @property
     def needs_networkx(self) -> bool:
         """Whether building the family imports networkx."""
-        return isinstance(self.build, _NetworkxBuild)
+        return isinstance(self.build, _Networkx)
 
     def resolved_size_growth(self, params: Mapping) -> GrowthClass:
         if callable(self.size_growth):
@@ -541,29 +602,6 @@ def _dir(fid, growth, build, schedule, params=None, rand=False):
     return CatalogEntry(fid, "incidence", growth, build, schedule, params or {}, seed)
 
 
-@dataclass(frozen=True)
-class _NetworkxBuild:
-    """The builder of a family that networkx generates: ``_nx.BUILDS[family_id]``,
-    imported with networkx on the first call."""
-
-    family_id: str
-
-    def __call__(self, n: int, params: Mapping, rng: Optional[np.random.Generator]
-                 ) -> BuildResult:
-        from ._nx import BUILDS
-
-        return BUILDS[self.family_id](n, params, rng)
-
-
-def _nx_und(fid, growth, schedule, seed=None):
-    return _und(fid, growth, _NetworkxBuild(fid), schedule, seed=seed)
-
-
-def _nx_dir(fid, growth, schedule):
-    # every directed networkx family is random
-    return _dir(fid, growth, _NetworkxBuild(fid), schedule, rand=True)
-
-
 _CATALOG_ENTRIES = [
     # -- undirected, deterministic ------------------------------------------
     _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15), weightable=True),
@@ -574,38 +612,67 @@ _CATALOG_ENTRIES = [
         range(1, 8), {"a": 2}, None, False,
     ),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110), weightable=True),
-    _nx_und("sudoku", GrowthClass.poly(4), range(2, 15)),
+    _und("sudoku", GrowthClass.poly(4), _Networkx(lambda nx, n, r: nx.sudoku_graph(n)),
+         range(2, 15)),
     _und("grid_2d", _N1, lambda n, p, r: _grid_2d(102, n), range(3, 52)),
     _und("grid_2d_square", GrowthClass.exponential(4), lambda n, p, r: _grid_2d(2**n, 2**n),
          range(2, 9)),
-    _nx_und("hexagonal", _N1, range(1, 31)),
-    _nx_und("triangular", _N1, range(1, 101)),
+    _und("hexagonal", _N1, _Networkx(lambda nx, n, r: nx.hexagonal_lattice_graph(n, 101)),
+         range(1, 31)),
+    _und("triangular", _N1, _Networkx(lambda nx, n, r: nx.triangular_lattice_graph(n, 101)),
+         range(1, 101)),
     _und("complete", _N1, lambda n, p, r: _complete(n), range(2, 5005)),
     _und("turan", _N1, lambda n, p, r: _turan(n), range(5, 5004)),
-    _nx_und("harary_kn", _N1, range(5, 5010)),
-    _nx_und("harary_mn", _N1, range(5, 5010)),
-    _nx_und("ladder", _N1, range(5, 2501)),
-    _nx_und("circular_ladder", _N1, range(5, 2501)),
-    _nx_und("ring_of_cliques", _N1, range(5, 1668)),
-    _nx_und("balanced_binary_tree", _EXP2, range(2, 15)),
-    _nx_und("balanced_ternary_tree", GrowthClass.exponential(3), range(2, 10)),
-    _nx_und("binomial_tree", _EXP2, range(2, 15)),
+    _und("harary_kn", _N1, _Networkx(lambda nx, n, r: nx.hkn_harary_graph(3, n)),
+         range(5, 5010)),
+    _und("harary_mn", _N1, _Networkx(lambda nx, n, r: nx.hnm_harary_graph(n, n + 1)),
+         range(5, 5010)),
+    _und("ladder", _N1, _Networkx(lambda nx, n, r: nx.ladder_graph(n)), range(5, 2501)),
+    _und("circular_ladder", _N1, _Networkx(lambda nx, n, r: nx.circular_ladder_graph(n)),
+         range(5, 2501)),
+    _und("ring_of_cliques", _N1, _Networkx(lambda nx, n, r: nx.ring_of_cliques(n, 3)),
+         range(5, 1668)),
+    _und("balanced_binary_tree", _EXP2, _Networkx(lambda nx, n, r: nx.balanced_tree(2, n)),
+         range(2, 15)),
+    _und("balanced_ternary_tree", GrowthClass.exponential(3),
+         _Networkx(lambda nx, n, r: nx.balanced_tree(3, n)), range(2, 10)),
+    _und("binomial_tree", _EXP2, _Networkx(lambda nx, n, r: nx.binomial_tree(n)), range(2, 15)),
     # -- undirected, random (seed 23 unless noted) --------------------------
-    _nx_und("random_regular_expander", _N1, range(9, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("random_regular_expander", _N1, _Networkx(_expander), range(9, 5010),
+         seed=DEFAULT_UNDIRECTED_SEED),
     _und("barabasi_albert", _N1, lambda n, p, r: _barabasi_albert(n, 3, r),
          range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("newman_watts_strogatz", _N1, range(5, 5006), seed=19),
-    _nx_und("random_regular", _N1, range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("newman_watts_strogatz", _N1,
+         _Networkx(lambda nx, n, r: nx.newman_watts_strogatz_graph(n, 3, 1.0, seed=r)),
+         range(5, 5006), seed=19),
+    _und("random_regular", _N1,
+         _Networkx(lambda nx, n, r: nx.random_regular_graph(4, n, seed=r)),
+         range(5, 5014), seed=DEFAULT_UNDIRECTED_SEED),
     _und("gnp", _N1, lambda n, p, r: _gnp(n, 0.8, r),
          range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("gaussian_random_partition", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("geographical_threshold", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("soft_random_geometric", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("thresholded_random_geometric", _N1, range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("planted_partition", _N1, range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("random_geometric", _N1, range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("uniform_random_intersection", _N1, range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
-    _nx_und("random_lobster", _N1, range(10, 2001), seed=19),
+    _und("gaussian_random_partition", _N1,
+         _Networkx(lambda nx, n, r: nx.gaussian_random_partition_graph(
+             n, 5, 5, 0.5, 0.4, seed=r)),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("geographical_threshold", _N1,
+         _Networkx(lambda nx, n, r: nx.geographical_threshold_graph(n, 10, seed=r)),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("soft_random_geometric", _N1,
+         _Networkx(lambda nx, n, r: nx.soft_random_geometric_graph(n, 1.0, seed=r)),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("thresholded_random_geometric", _N1,
+         _Networkx(lambda nx, n, r: nx.thresholded_random_geometric_graph(n, 1.0, 2.0, seed=r)),
+         range(5, 5010), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("planted_partition", _N1,
+         _Networkx(lambda nx, n, r: nx.planted_partition_graph(2, n, 0.5, 0.4, seed=r)),
+         range(5, 2508), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("random_geometric", _N1,
+         _Networkx(lambda nx, n, r: nx.random_geometric_graph(n, 1.0, seed=r)),
+         range(7, 5009), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("uniform_random_intersection", _N1,
+         _Networkx(lambda nx, n, r: nx.uniform_random_intersection_graph(n, n - 3, 0.6, seed=r)),
+         range(5, 3000), seed=DEFAULT_UNDIRECTED_SEED),
+    _und("random_lobster", _N1, _Networkx(_random_lobster), range(10, 2001), seed=19),
     # -- directed, deterministic --------------------------------------------
     _dir("paley", GrowthClass.poly(3), lambda n, p, r: _paley(n), _primes_3_mod_4(139)),
     _dir("directed_hypercube", _EXP2 * _N1, lambda n, p, r: _hypercube(n, directed=True),
@@ -614,12 +681,28 @@ _CATALOG_ENTRIES = [
     _dir("gn", _N1, lambda n, p, r: _gn(n, r), range(5, 5000), rand=True),
     _dir("gnc", _N2, lambda n, p, r: _gnc(n, r), range(5, 1201), rand=True),
     _dir("gnr", _N1, lambda n, p, r: _gnr(n, 0.5, r), range(5, 5000), rand=True),
-    _nx_dir("gaussian_random_partition_directed", _N2, range(5, 171)),
-    _nx_dir("planted_partition_directed", _N2, range(5, 45)),
-    _nx_dir("navigable_small_world", _N2, range(5, 101)),
-    _nx_dir("gnp_directed", _N2, range(9, 299)),
-    _nx_dir("random_uniform_kout", _N1, range(4, 3651)),
-    _nx_dir("scale_free", _N1, range(5, 3401)),
+    _dir("gaussian_random_partition_directed", _N2,
+         _Networkx(lambda nx, n, r: nx.gaussian_random_partition_graph(
+             n, 5, 5, 0.5, 0.4, directed=True, seed=r)),
+         range(5, 171), rand=True),
+    _dir("planted_partition_directed", _N2,
+         _Networkx(lambda nx, n, r: nx.planted_partition_graph(
+             n, 5, 0.8, 0.4, seed=r, directed=True)),
+         range(5, 45), rand=True),
+    _dir("navigable_small_world", _N2,
+         _Networkx(lambda nx, n, r: nx.navigable_small_world_graph(n, seed=r)),
+         range(5, 101), rand=True),
+    _dir("gnp_directed", _N2,
+         _Networkx(lambda nx, n, r: nx.gnp_random_graph(n, 0.8, seed=r, directed=True)),
+         range(9, 299), rand=True),
+    _dir("random_uniform_kout", _N1,
+         _Networkx(lambda nx, n, r: nx.generators.directed.random_uniform_k_out_graph(
+             n, 2, self_loops=False, with_replacement=False, seed=r)),
+         range(4, 3651), rand=True),
+    _dir("scale_free", _N1,
+         _Networkx(lambda nx, n, r: nx.scale_free_graph(
+             n, alpha=0.41, beta=0.54, gamma=0.05, delta_in=0.2, delta_out=0, seed=r)),
+         range(5, 3401), rand=True),
 ]
 
 CATALOG: dict[str, CatalogEntry] = {e.family_id: e for e in _CATALOG_ENTRIES}

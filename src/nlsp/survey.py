@@ -107,7 +107,8 @@ class SurveyConfig:
                 raise ValueError(f"output_dir {path} is not writable")
 
     def family_keys(self) -> tuple[str, ...]:
-        """Unique report key per spec: family id, weight rule, #i for repeats."""
+        """Unique report key per spec, ``id[:rule][#k]``: the family id, the
+        weight rule unless unit, and #k on the k-th spec of that id and rule."""
         keys: list[str] = []
         seen: dict[str, int] = {}
         for spec in self.families:
@@ -118,6 +119,11 @@ class SurveyConfig:
             seen[base] = count
             keys.append(base if count == 1 else f"{base}#{count}")
         return tuple(keys)
+
+
+def family_id_of_key(key: str) -> str:
+    """The family id of a ``SurveyConfig.family_keys`` key."""
+    return key.split("#")[0].split(":")[0]
 
 
 def config_to_dict(config: SurveyConfig) -> dict:
@@ -555,7 +561,7 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
         # loaded before any instance is timed, so no generate_s carries the
         # import; forked workers inherit it, where each would otherwise
         # import it again on every run
-        from . import _nx  # noqa: F401
+        import networkx  # noqa: F401
     # results run in job order: by family, then by the strictly increasing n
     if workers > 1 and hasattr(os, "fork"):
         results = iter(_measure_forked(config, jobs, workers))

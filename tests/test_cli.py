@@ -15,6 +15,7 @@ import nlsp
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from nlsp.graphs import Graph, laplacian, pad_to_power_of_two, read_edge_list, write_edge_list
 from nlsp.hhl import (
+    DEFAULT_CLOCK_QUBITS,
     abs_row_bound,
     default_config,
     effective_resistance,
@@ -555,12 +556,19 @@ class TestHhlCommands:
              "unknown key 'signed' in matrix"),
             (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 10, "lamda_min": 2.0},
              "unknown key 'lamda_min' in config"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": 0.5}, "config.C is missing"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "C": 0.1}, "config.t is missing"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 8, "t": 0.5, "C": 0.01, "lambda_min": 1},
+             "config.lambda_min sets the default clock"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 8, "t": 0.5, "C": 0.01, "signed": True},
+             "config.signed sets the default clock"),
         ],
         ids=[
             "shots-text", "lambda_min-text", "seed-text", "ragged-dense", "b-text", "b-nan",
             "dense-nan", "n_r-fraction", "n_r-fraction-default",
             "n_r-overflow", "t-nan", "C-nan", "two-matrices", "matrix_kind", "matrix-signed",
-            "config-misspelt",
+            "config-misspelt", "t-without-C", "C-without-t", "clock-and-lambda_min",
+            "clock-and-signed",
         ],
     )
     def test_solve_malformed_problem(self, tmp_path, c4_file, matrix, b, config, message, capsys):
@@ -763,3 +771,36 @@ class TestHhlCommands:
         inj.write_text('[1.0, "x", 0.0, 0.0]')
         assert main(["hhl", "traffic", dc4_file, "--oracle", str(inj)]) == EXIT_CONFIG
         assert "comma-separated reals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("reff", "--n-r", "0"), ("reff", "--shots", "5"), ("reff", "--seed", "3"),
+        ("traffic", "--n-r", "8"),
+    ])
+    def test_oracle_refuses_a_clock_flag(self, c4_file, dc4_file, command, flag, value, capsys):
+        if command == "reff":
+            argv = ["hhl", "reff", c4_file, "--i", "0", "--j", "1"]
+        else:
+            argv = ["hhl", "traffic", dc4_file, "1,-1,0,0"]
+        assert main(argv + ["--oracle", flag, value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --oracle runs no clock; drop {flag}\n"
+
+    @pytest.mark.parametrize("command", ["reff", "traffic"])
+    def test_omitted_n_r_is_the_default_clock(self, c4_file, dc4_file, command, capsys):
+        if command == "reff":
+            argv, tail = ["hhl", "reff", c4_file, "--i", "0", "--j", "2"], []
+        else:
+            argv, tail = ["hhl", "traffic", dc4_file], ["--", "-1,1,0,0"]
+        assert main(argv + tail) == EXIT_OK
+        implicit = capsys.readouterr().out
+        assert main(argv + ["--n-r", str(DEFAULT_CLOCK_QUBITS)] + tail) == EXIT_OK
+        assert capsys.readouterr().out == implicit
+
+    def test_weighted_digraph_is_refused(self, tmp_path, capsys):
+        # B holds ±1 whatever the weight: weights 5 and 0.25 would go unread
+        path = tmp_path / "weighted.edges"
+        path.write_text("directed 4\n0 1 5\n1 2\n2 3\n3 0 0.25\n")
+        assert main(["hhl", "traffic", str(path), "--oracle", "--", "-1,1,0,0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot load graph: edge (0,1) has weight 5.0, but a digraph's incidence "
+            "system takes unit weights only\n"
+        )

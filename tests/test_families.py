@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.utils.misc import PythonRandomViaNumpyBits
 
-from nlsp._nx import _from_nx
 from nlsp.families import (
     CATALOG,
     FamilySpec,
@@ -22,7 +21,7 @@ from nlsp.families import (
     make_spec,
     repair_sources_sinks,
 )
-from nlsp.families import _gn, _grid_2d, _rng, _StreamRandom
+from nlsp.families import _from_nx, _gn, _grid_2d, _rng, _StreamRandom
 from nlsp.graphs import Graph, system_matrix
 from nlsp.growth import GrowthClass
 from nlsp.spectral import measure

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlsp.families import WEIGHT_RULES, FamilySpec, catalog_entry, derive_seed, make_spec
@@ -24,6 +24,7 @@ from nlsp.survey import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    family_id_of_key,
     fit_from_dict,
     fit_growth,
     fit_series,
@@ -172,7 +173,9 @@ class TestConfig:
         assert set(doc["families"][0]) == set(_FAMILY_KEYS)
 
 
-_FAMILIES = ("hypercube", "ladder", "generalized_hypercube", "barabasi_albert", "gnp", "gn")
+_FAMILIES = (
+    "hypercube", "modified_mgg", "ladder", "generalized_hypercube", "barabasi_albert", "gnp", "gn",
+)
 _CONFIG_KEYS = ("schema", "dense_limit", "solvers", "output_dir", "base_seed", "families")
 _FAMILY_KEYS = ("family", "schedule", "seed", "params", "weight_rule")
 _seeds = st.integers(0, 2**32)
@@ -220,6 +223,18 @@ def test_config_document_round_trips_and_admits_no_other_key(config, key, where)
     target[key] = 1
     with pytest.raises(ValueError, match="unknown key"):
         config_from_dict(doc)
+
+
+_RULED = make_spec("hypercube", weight_rule="log_rule")
+
+
+@settings(max_examples=150, deadline=None)
+@given(survey_configs)
+@example(SurveyConfig(families=(_RULED, make_spec("hypercube"), _RULED, make_spec("gn"))))
+def test_each_family_key_parses_back_to_its_family_id(config):
+    keys = config.family_keys()
+    assert len(set(keys)) == len(keys)
+    assert [family_id_of_key(k) for k in keys] == [s.family_id for s in config.families]
 
 
 class TestGeometricScan:
