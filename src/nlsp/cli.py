@@ -135,7 +135,9 @@ def _known_solvers(names: list[str]) -> list[str]:
     return names
 
 
-def _iter_fitted_families(doc: dict, only: Optional[str]):
+def _fitted_families(doc: dict, only: Optional[str], out: dict):
+    """Yield (key, κ fit, s fit) for each family block of a fits file, or
+    only for ``only``; a block that lacks a fit gets its error in ``out``."""
     families = doc.get("families", {}) if isinstance(doc, dict) else None
     if not isinstance(families, dict):
         raise CliError("fits file needs a 'families' object")
@@ -146,43 +148,39 @@ def _iter_fitted_families(doc: dict, only: Optional[str]):
     for key, block in families.items():
         if not isinstance(block, dict):
             raise CliError(f"family {key!r}: fits block must be an object")
-        yield key, block
+        if "kappa_fit" not in block or "s_fit" not in block:
+            out[key] = {"error": block.get("error", "fits missing")}
+            continue
+        try:
+            kappa_fit, s_fit = fit_from_dict(block["kappa_fit"]), fit_from_dict(block["s_fit"])
+        except KeyError as exc:
+            raise CliError(f"family {key!r}: fit lacks field {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise CliError(f"family {key!r}: malformed fit: {exc}") from exc
+        yield key, kappa_fit, s_fit
 
 
-def _read_fits(key: str, block: dict):
-    try:
-        return fit_from_dict(block["kappa_fit"]), fit_from_dict(block["s_fit"])
-    except KeyError as exc:
-        raise CliError(f"family {key!r}: fit lacks field {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise CliError(f"family {key!r}: malformed fit: {exc}") from exc
+def _exit_code(blocks: dict) -> int:
+    return EXIT_PARTIAL if any("error" in block for block in blocks.values()) else EXIT_OK
 
 
 def cmd_survey_classify(args: argparse.Namespace) -> int:
     doc = _load_json(args.fits)
     solvers = _known_solvers(args.solver or list(DEFAULT_SOLVERS))
     out: dict = {"solvers": solvers, "families": {}}
-    failures = 0
-    for key, block in _iter_fitted_families(doc, args.family):
-        if "kappa_fit" not in block or "s_fit" not in block:
-            out["families"][key] = {"error": block.get("error", "fits missing")}
-            failures += 1
-            continue
+    for key, kappa_fit, s_fit in _fitted_families(doc, args.family, out["families"]):
         entry = catalog_entry(family_id_of_key(key))
         if callable(entry.size_growth):  # N(n) needs params the fits file lacks
             out["families"][key] = {
                 "error": f"size growth of {entry.family_id} depends on its params, which "
                 "records.csv does not carry; read the verdicts in the run's report.json"
             }
-            failures += 1
             continue
-        kappa_fit, s_fit = _read_fits(key, block)
         size_growth = entry.size_growth
         try:  # an empty scan: crossovers are the crossover command's job
             kappa_n, s_n, verdicts = classify_fits(kappa_fit, s_fit, size_growth, solvers, ())
         except CompositionError as exc:
             out["families"][key] = {"error": f"composition failed: {exc}"}
-            failures += 1
             continue
         out["families"][key] = {
             "size_growth": str(size_growth),
@@ -191,7 +189,7 @@ def cmd_survey_classify(args: argparse.Namespace) -> int:
             "verdicts": {name: v.as_dict() for name, v in verdicts.items()},
         }
     _emit(out)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return _exit_code(out["families"])
 
 
 def cmd_survey_crossover(args: argparse.Namespace) -> int:
@@ -202,17 +200,11 @@ def cmd_survey_crossover(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"bad --max-N {args.max_n:g}: {exc}") from exc
     out: dict = {"solver": args.solver, "max_N": args.max_n, "families": {}}
-    failures = 0
-    for key, block in _iter_fitted_families(doc, args.family):
-        if "kappa_fit" not in block or "s_fit" not in block:
-            out["families"][key] = {"error": block.get("error", "fits missing")}
-            failures += 1
-            continue
-        kappa_fit, s_fit = _read_fits(key, block)
+    for key, kappa_fit, s_fit in _fitted_families(doc, args.family, out["families"]):
         n_cross = numeric_crossover(args.solver, kappa_fit.predict, s_fit.predict, scan)
         out["families"][key] = {"crossover_N": n_cross}
     _emit(out)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return _exit_code(out["families"])
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +338,9 @@ def cmd_hhl_solve(args: argparse.Namespace) -> int:
 def _load_graph(path: str):
     try:
         with open(path) as f:
-            g = read_edge_list(f)
+            return read_edge_list(f)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load graph: {exc}") from exc
-    if g.directed and (g.w != 1.0).any():  # incidence_matrix writes ±1 whatever the weight
-        k = np.flatnonzero(g.w != 1.0)[0]
-        raise CliError(f"cannot load graph: edge ({g.u[k]},{g.v[k]}) has weight {g.w[k]}, but "
-                       "a digraph's incidence system takes unit weights only")
-    return g
 
 
 def _graph_clock(args: argparse.Namespace, graph, **sampling) -> Optional[HhlConfig]:

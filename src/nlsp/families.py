@@ -17,6 +17,10 @@ native families never loads it.  A random one draws through
 ``_StreamRandom``: its graphs are those of the networkx generator called with
 the instance's Generator as ``seed``.  ``CatalogEntry.needs_networkx`` tells
 the two kinds apart.
+
+The weight rules of ``hypercube`` and ``modified_mgg`` live in their catalog
+entries, as ``CatalogEntry.weights``; every other family, and every digraph
+(whose arcs carry unit weight), is unit-weight only.
 """
 
 from __future__ import annotations
@@ -413,15 +417,16 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
     unchanged.  Idempotent: a clean graph comes back as-is.
 
     Each step is written once, for a vertex that needs an outgoing edge; the
-    incoming case swaps the two ends of every arc (``arc``).  Edges live in a
-    dict for its membership tests and insertion order, the returned order.
+    incoming case swaps the two ends of every arc (``arc``).  Arcs live in a
+    dict's key set for its membership tests and insertion order, the
+    returned order.
     """
     if not g.directed:
         raise ValueError("repair applies to directed graphs")
     n = g.n_vertices
     if n < 3:
         raise ValueError("repair needs at least 3 vertices")
-    edges = dict(zip(zip(g.u.tolist(), g.v.tolist()), g.w.tolist()))
+    edges = dict.fromkeys(zip(g.u.tolist(), g.v.tolist()))
     indeg = [0] * n
     outdeg = [0] * n
     for u, v in edges:
@@ -433,7 +438,7 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
         return (a, b) if out else (b, a)
 
     def add(u: int, v: int) -> None:
-        edges[(u, v)] = 1.0
+        edges[(u, v)] = None
         outdeg[u] += 1
         indeg[v] += 1
 
@@ -492,48 +497,31 @@ def repair_sources_sinks(g: Graph, seed: int) -> Graph:
                         serve(v, pool, out)
 
     uv = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    return Graph(n, uv[:, 0], uv[:, 1], list(edges.values()), directed=True)
+    return _unit(n, uv[:, 0], uv[:, 1], directed=True)
 
 
 # ---------------------------------------------------------------------------
-# weight rules
+# weight rules: each table maps a rule to the weights of an edge's larger
+# endpoint label j (stored as v, since u < v)
 
-def apply_weight_rule(g: Graph, rule: str, family_id: str) -> Graph:
-    """Reweight edges of a hypercube or modified-MGG graph.
+# Hypercube: the rule value log(j+5), j+1 or j^2+1 is the resistance of the
+# edge, so the Laplacian weight is its reciprocal.  High-label edges become
+# weak links and the linear and quadratic rules open a condition-number gap
+# that grows with N; direct weights cannot do that because every hypercube
+# vertex touches a high-label edge.
+_HYPERCUBE_WEIGHTS = {
+    "log_rule": lambda j: 1.0 / _math_log(j + 5),
+    "linear_rule": lambda j: 1.0 / (j + 1),
+    "quadratic_rule": lambda j: 1.0 / (j * j + 1),
+}
 
-    Hypercube: the rule value log(j+5), j+1 or j^2+1 (j the larger endpoint
-    label) is the resistance of the edge, so the Laplacian weight stored here
-    is its reciprocal.  High-label edges become weak links and the linear and
-    quadratic rules open a condition-number gap that grows with N; direct
-    weights cannot do that because every hypercube vertex touches a
-    high-label edge.
-    Modified MGG: with b = larger label + 1 (the rank n*r+s+1 of the
-    lexicographically larger endpoint), the weights log(b)+1, b, b^2 enter
-    the Laplacian directly.
-    """
-    if rule not in WEIGHT_RULES:
-        raise ValueError(f"unknown weight rule {rule!r}")
-    if rule == "unit":
-        return g
-    j = np.maximum(g.u, g.v)
-    if family_id == "hypercube":
-        if rule == "log_rule":
-            w = 1.0 / _math_log(j + 5)
-        elif rule == "linear_rule":
-            w = 1.0 / (j + 1)
-        else:
-            w = 1.0 / (j * j + 1)
-    elif family_id == "modified_mgg":
-        b = j + 1
-        if rule == "log_rule":
-            w = _math_log(b) + 1.0
-        elif rule == "linear_rule":
-            w = b.astype(float)
-        else:
-            w = (b * b).astype(float)
-    else:
-        raise ValueError(f"weight rules are defined for hypercube and modified_mgg, not {family_id}")
-    return Graph(g.n_vertices, g.u, g.v, w, directed=g.directed)
+# Modified MGG: with b = j + 1 (the rank n*r+s+1 of the lexicographically
+# larger endpoint), the weights log(b)+1, b, b^2 enter the Laplacian directly.
+_MGG_WEIGHTS = {
+    "log_rule": lambda j: _math_log(j + 1) + 1.0,
+    "linear_rule": lambda j: (j + 1).astype(float),
+    "quadratic_rule": lambda j: ((j + 1) * (j + 1)).astype(float),
+}
 
 
 def _math_log(x: np.ndarray) -> np.ndarray:
@@ -551,8 +539,9 @@ def _math_log(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One family: directed families solve incidence systems, and random
-    families carry a default seed."""
+    """One family: directed families solve incidence systems, random
+    families carry a default seed, and ``weights`` maps each weight rule
+    other than unit to the family's edge weights."""
 
     family_id: str
     matrix_kind: str  # laplacian | incidence
@@ -563,7 +552,7 @@ class CatalogEntry:
     default_schedule: Sequence[int]
     default_params: Mapping = field(default_factory=dict)
     default_seed: Optional[int] = None
-    weightable: bool = False
+    weights: Mapping[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
     @property
     def directed(self) -> bool:
@@ -593,8 +582,9 @@ _N2 = GrowthClass.poly(2)
 _EXP2 = GrowthClass.exponential(2)
 
 
-def _und(fid, growth, build, schedule, params=None, seed=None, weightable=False):
-    return CatalogEntry(fid, "laplacian", growth, build, schedule, params or {}, seed, weightable)
+def _und(fid, growth, build, schedule, params=None, seed=None, weights=None):
+    return CatalogEntry(fid, "laplacian", growth, build, schedule, params or {}, seed,
+                        weights or {})
 
 
 def _dir(fid, growth, build, schedule, params=None, rand=False):
@@ -604,14 +594,16 @@ def _dir(fid, growth, build, schedule, params=None, rand=False):
 
 _CATALOG_ENTRIES = [
     # -- undirected, deterministic ------------------------------------------
-    _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15), weightable=True),
+    _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15),
+         weights=_HYPERCUBE_WEIGHTS),
     CatalogEntry(
         "generalized_hypercube", "laplacian",
         lambda params: GrowthClass.exponential(int(params["a"])),
         lambda n, p, r: _generalized_hypercube(n, int(p["a"])),
-        range(1, 8), {"a": 2}, None, False,
+        range(1, 8), {"a": 2},
     ),
-    _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110), weightable=True),
+    _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110),
+         weights=_MGG_WEIGHTS),
     _und("sudoku", GrowthClass.poly(4), _Networkx(lambda nx, n, r: nx.sudoku_graph(n)),
          range(2, 15)),
     _und("grid_2d", _N1, lambda n, p, r: _grid_2d(102, n), range(3, 52)),
@@ -752,7 +744,7 @@ class FamilySpec:
             raise ValueError(f"seed must be a non-negative int or None, got {self.seed!r}")
         if self.weight_rule not in WEIGHT_RULES:
             raise ValueError(f"unknown weight rule {self.weight_rule!r}")
-        if self.weight_rule != "unit" and not entry.weightable:
+        if self.weight_rule != "unit" and self.weight_rule not in entry.weights:
             raise ValueError(f"{self.family_id} has no weight rules")
         allowed = set(entry.default_params) | ({"repair"} if entry.directed else set())
         unknown = sorted(set(self.params) - allowed)
@@ -825,5 +817,6 @@ def generate(spec: FamilySpec, n: int) -> FamilyInstance:
     if spec.params.get("repair"):
         graph = repair_sources_sinks(graph, derive_seed(spec.seed, spec.family_id + "/repair", n))
     if spec.weight_rule != "unit":
-        graph = apply_weight_rule(graph, spec.weight_rule, spec.family_id)
+        w = entry.weights[spec.weight_rule](graph.v)
+        graph = Graph(graph.n_vertices, graph.u, graph.v, w, graph.directed)
     return FamilyInstance(spec=spec, n=n, graph=graph, seed=seed, warnings=warnings)

@@ -37,13 +37,14 @@ def _integral(a, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """A simple weighted graph with canonical 0..n-1 vertex labels.
+    """A simple graph with canonical 0..n-1 vertex labels.
 
     Edge k runs from ``u[k]`` to ``v[k]`` with weight ``w[k]``.  Undirected
-    edges are stored with u < v.  No self-loops, no duplicate edges,
-    strictly positive finite weights.  A directed graph may contain both
-    (u, v) and (v, u); families that forbid bi-directed pairs enforce that
-    at generation time.  The arrays are read-only copies.
+    edges are stored with u < v and carry strictly positive finite weights;
+    a digraph's arcs carry unit weight, since its system is the ±1
+    incidence matrix.  No self-loops, no duplicate edges.  A directed graph
+    may contain both (u, v) and (v, u); families that forbid bi-directed
+    pairs enforce that at generation time.  The arrays are read-only copies.
     """
 
     n_vertices: int
@@ -81,6 +82,11 @@ class Graph:
             k = bad[0]
             raise ValueError(f"non-positive weight {w[k]} on edge ({u[k]},{v[k]})")
         if self.directed:
+            bad = np.flatnonzero(w != 1.0)
+            if bad.size:
+                k = bad[0]
+                raise ValueError(f"edge ({u[k]},{v[k]}) has weight {w[k]}, "
+                                 "but a digraph's arcs carry unit weight")
             keys = u * n + v
         else:
             keys = np.minimum(u, v) * n + np.maximum(u, v)
@@ -202,8 +208,9 @@ def laplacian(g: Graph) -> SymmetricMatrix:
 
 
 def incidence_matrix(g: Graph) -> RectMatrix:
-    """Vertex-edge incidence matrix B: -1 at the initial vertex of each edge,
-    +1 at the terminal vertex, columns in stored edge order (directed only)."""
+    """Vertex-edge incidence matrix B: -1 at the initial vertex of each arc,
+    +1 at the terminal vertex, columns in stored arc order (directed only;
+    the arcs carry unit weight, so B is all of the digraph)."""
     if not g.directed:
         raise ValueError("incidence matrix is defined for directed graphs")
     m = g.n_edges

@@ -796,11 +796,12 @@ class TestHhlCommands:
         assert capsys.readouterr().out == implicit
 
     def test_weighted_digraph_is_refused(self, tmp_path, capsys):
-        # B holds ±1 whatever the weight: weights 5 and 0.25 would go unread
+        # a digraph's arcs carry unit weight: B would leave 5 and 0.25 unread
         path = tmp_path / "weighted.edges"
         path.write_text("directed 4\n0 1 5\n1 2\n2 3\n3 0 0.25\n")
         assert main(["hhl", "traffic", str(path), "--oracle", "--", "-1,1,0,0"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "error: cannot load graph: edge (0,1) has weight 5.0, but a digraph's incidence "
-            "system takes unit weights only\n"
+        assert capsys.readouterr() == (
+            "",
+            "error: cannot load graph: edge (0,1) has weight 5.0, but a digraph's arcs carry "
+            "unit weight\n",
         )

@@ -13,7 +13,6 @@ from networkx.utils.misc import PythonRandomViaNumpyBits
 from nlsp.families import (
     CATALOG,
     FamilySpec,
-    apply_weight_rule,
     catalog_entry,
     derive_seed,
     generate,
@@ -272,36 +271,37 @@ def test_directed_families_have_no_bidirected_pairs():
 
 # -- weights -------------------------------------------------------------------
 
+def weighted(family_id: str, rule: str, n: int) -> Graph:
+    return generate(make_spec(family_id, weight_rule=rule), n).graph
+
+
 def test_hypercube_weight_rules():
     # hypercube rule values are resistances: stored weight is the reciprocal
-    g = generate(make_spec("hypercube"), 3).graph
-    logs = {(u, v): w for u, v, w in apply_weight_rule(g, "log_rule", "hypercube").edges}
+    logs = {(u, v): w for u, v, w in weighted("hypercube", "log_rule", 3).edges}
     assert logs[(0, 1)] == pytest.approx(1 / math.log(6))
-    lin = {(u, v): w for u, v, w in apply_weight_rule(g, "linear_rule", "hypercube").edges}
+    lin = {(u, v): w for u, v, w in weighted("hypercube", "linear_rule", 3).edges}
     assert lin[(2, 3)] == 0.25
-    quad = {(u, v): w for u, v, w in apply_weight_rule(g, "quadratic_rule", "hypercube").edges}
+    quad = {(u, v): w for u, v, w in weighted("hypercube", "quadratic_rule", 3).edges}
     assert quad[(2, 3)] == 0.1
-    assert apply_weight_rule(g, "unit", "hypercube") is g
 
 
 def test_mgg_weight_rules():
     g = generate(make_spec("modified_mgg"), 5).graph
     u, v, _ = g.edges[0]
     b = max(u, v) + 1
-    logs = apply_weight_rule(g, "log_rule", "modified_mgg")
+    logs = weighted("modified_mgg", "log_rule", 5)
     assert logs.edges[0][2] == pytest.approx(math.log(b) + 1)
-    lin = apply_weight_rule(g, "linear_rule", "modified_mgg")
+    lin = weighted("modified_mgg", "linear_rule", 5)
     assert lin.edges[0][2] == float(b)
-    quad = apply_weight_rule(g, "quadratic_rule", "modified_mgg")
+    quad = weighted("modified_mgg", "quadratic_rule", 5)
     assert quad.edges[0][2] == float(b * b)
 
 
 def test_weight_rule_family_mismatch():
-    g = generate(make_spec("complete"), 4).graph
-    with pytest.raises(ValueError):
-        apply_weight_rule(g, "log_rule", "complete")
-    with pytest.raises(ValueError):
-        apply_weight_rule(g, "cubic_rule", "hypercube")
+    with pytest.raises(ValueError, match="complete has no weight rules"):
+        make_spec("complete", weight_rule="log_rule")
+    with pytest.raises(ValueError, match="unknown weight rule 'cubic_rule'"):
+        make_spec("hypercube", weight_rule="cubic_rule")
 
 
 def test_weighted_spec_flows_through_generate():

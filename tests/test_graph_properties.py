@@ -5,7 +5,9 @@ entry by entry from the edge list, and must be in canonical CSR form.  The
 measured κ is compared with a numpy eigensolve or SVD of that build.
 """
 
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from nlsp.graphs import (
     laplacian,
     next_power_of_two,
     pad_to_power_of_two,
+    read_edge_list,
     system_matrix,
+    write_edge_list,
 )
 from nlsp.spectral import measure, sparsity
 
@@ -33,7 +37,8 @@ tiny_weights = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False, allow_i
 
 @st.composite
 def graphs(draw, directed=None, weights=weights):
-    """Random simple graph; undirected input rows come in either orientation."""
+    """Random simple graph; undirected input rows come in either orientation
+    and carry drawn weights, a digraph's arcs carry unit weight."""
     if directed is None:
         directed = draw(st.booleans())
     n = draw(st.integers(1, 10))
@@ -43,7 +48,7 @@ def graphs(draw, directed=None, weights=weights):
     for a, b in chosen:
         if not directed and draw(st.booleans()):
             a, b = b, a
-        rows.append((a, b, draw(weights)))
+        rows.append((a, b, 1.0 if directed else draw(weights)))
     return Graph.from_edges(n, rows, directed)
 
 
@@ -194,7 +199,7 @@ def sparse_multicomponent_graphs(draw):
     for u, v in sorted(pairs):
         if directed and draw(st.booleans()):
             u, v = v, u
-        rows.append((u, v, draw(st.floats(0.5, 2.0))))
+        rows.append((u, v, 1.0 if directed else draw(st.floats(0.5, 2.0))))
     return Graph.from_edges(base, rows, directed), len(sizes)
 
 
@@ -248,7 +253,7 @@ def forests_and_banded_graphs(draw):
         u, v = labels[u], labels[v]
         if directed and draw(st.booleans()):
             u, v = v, u
-        rows.append((u, v, draw(st.floats(0.5, 2.0))))
+        rows.append((u, v, 1.0 if directed else draw(st.floats(0.5, 2.0))))
     return Graph.from_edges(n, rows, directed)
 
 
@@ -320,4 +325,42 @@ def test_graph_rejects_invalid_edges(g, data):
                 build(u + [v[k]], v + [u[k]], w + [1.0])
             with pytest.raises(ValueError, match="u < v"):
                 build(u[:k] + [v[k]] + u[k + 1:], v[:k] + [u[k]] + v[k + 1:], w)
+        else:
+            heavy = data.draw(weights.filter(lambda x: x != 1.0))
+            with pytest.raises(ValueError, match=rf"edge \({u[k]},{v[k]}\) has weight"):
+                build(u, v, w[:k] + [heavy] + w[k + 1:])
     assert build(u, v, w) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(directed=True).filter(lambda g: g.n_edges), st.data())
+def test_digraph_with_a_weighted_arc_is_refused(g, data):
+    # every way in: the arrays, the rows and the edge-list file
+    k = data.draw(st.integers(0, g.n_edges - 1))
+    heavy = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+                      .filter(lambda x: x != 1.0))
+    w = g.w.tolist()
+    w[k] = heavy
+    rows = list(zip(g.u.tolist(), g.v.tolist(), w))
+    text = f"directed {g.n_vertices}\n" + "".join(f"{a} {b} {x!r}\n" for a, b, x in rows)
+    named = re.escape(f"edge ({g.u[k]},{g.v[k]}) has weight {heavy!r}, "
+                      "but a digraph's arcs carry unit weight")
+    for build in (
+        lambda: Graph(g.n_vertices, g.u, g.v, w, directed=True),
+        lambda: Graph.from_edges(g.n_vertices, rows, directed=True),
+        lambda: read_edge_list(io.StringIO(text)),
+    ):
+        with pytest.raises(ValueError, match=named):
+            build()
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(directed=True))
+def test_unit_digraph_edge_list_round_trips(g):
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == f"directed {g.n_vertices}"
+    assert [line.split()[2] for line in lines[1:]] == ["1.0"] * g.n_edges
+    buf.seek(0)
+    assert read_edge_list(buf) == g

@@ -217,15 +217,15 @@ def test_weight_scaling_preserves_kappa_and_sparsity():
 
 
 def test_edge_list_round_trip():
-    g = Graph.from_edges(5, [(0, 1, 1.5), (2, 4), (1, 3, 0.25)], directed=True)
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    buf.seek(0)
-    back = read_edge_list(buf)
-    assert back == g
-    text = buf.getvalue().splitlines()
-    assert text[0] == "directed 5"
-    assert text[1] == "0 1 1.5"
+    for g, head in (
+        (Graph.from_edges(5, [(0, 1), (2, 4), (3, 1)], directed=True), ["directed 5", "0 1 1.0"]),
+        (Graph.from_edges(5, [(0, 1, 1.5), (2, 4), (3, 1, 0.25)]), ["undirected 5", "0 1 1.5"]),
+    ):
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        buf.seek(0)
+        assert read_edge_list(buf) == g
+        assert buf.getvalue().splitlines()[:2] == head
     bad = io.StringIO("mixed 4\n0 1 1\n")
     with pytest.raises(ValueError):
         read_edge_list(bad)

@@ -43,6 +43,7 @@ from nlsp.hhl import (
     traffic_flow,
     zero_tolerance,
 )
+from nlsp.spectral import measure
 
 
 def complete_graph(n: int) -> Graph:
@@ -523,6 +524,16 @@ class TestTrafficFlow:
         assert res.negative_lanes == (1, 2, 3)
         # min-norm: no circulation component
         assert float(np.sum(res.flow)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_weighted_cycle_is_refused(self):
+        # B holds ±1, so weights 5 and 0.25 would go unread: the unit flow
+        # [0.75, -0.25, -0.25, -0.25] and the unit κ would come back
+        rows = [(0, 1, 5.0), (1, 2), (2, 3), (3, 0, 0.25)]
+        named = r"edge \(0,1\) has weight 5\.0, but a digraph's arcs carry unit weight"
+        with pytest.raises(ValueError, match=named):
+            traffic_flow(Graph.from_edges(4, rows, directed=True), [-1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=named):
+            measure(system_matrix(Graph.from_edges(4, rows, directed=True)))
 
     def test_zero_injections_zero_flow(self):
         res = traffic_flow(directed_cycle4(), [0.0, 0.0, 0.0, 0.0])

@@ -195,7 +195,7 @@ def family_specs(draw):
         schedule=sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=8))),
         seed=draw(_seeds) if entry.random else draw(st.none() | _seeds),
         params=params,
-        weight_rule=draw(st.sampled_from(WEIGHT_RULES)) if entry.weightable else "unit",
+        weight_rule=draw(st.sampled_from(WEIGHT_RULES)) if entry.weights else "unit",
     )
 
 
