@@ -25,13 +25,17 @@ thousands of products.  λmax is the largest eigenvalue of (σI - G)⁻¹, σ
 just above the row bound, through one sparse LU; λmin is found through the
 pseudo-inverse G⁺ (below).
 
-Any other G takes one Lanczos call for λmax on G, then one or two for λmin.
-The first is factor-free: λmin is the smallest eigenvalue of
+Any other G takes one Lanczos call for λmax on G, then up to three runs
+for λmin.  The first is factor-free: λmin is the smallest eigenvalue of
 x ↦ G·x + λmax·Πx, Π the projector onto the component indicators, which
 sends G's kernel to λmax.  It converges in a few dozen products on
 well-conditioned G, and may take at most _FACTOR_FREE_MATVECS of them.
-Past that budget, or when ARPACK does not converge, λmin is found through
-G⁺ as on the factored route.
+Past that budget, or when ARPACK does not converge, the second is
+preconditioned: LOBPCG on G off its kernel with the Jacobi preconditioner
+diag(G)⁻¹, within as many products.  A weight rule or a scale-free hub
+that stalls Lanczos spreads G's diagonal, which the preconditioner evens
+out.  Past its budget too, λmin is found through G⁺ as on the factored
+route.
 
 1/λmin is the largest eigenvalue of G⁺.  G⁺ is applied by grounding one
 vertex per component, solving with the rest of G (factored once by sparse
@@ -66,8 +70,9 @@ _SPARSE_FILL = 16
 # which spans the Laplacian kernel) keeps every eigenvector reachable.
 _START_SEED = 2025
 # Products with G the factor-free Lanczos run for λmin may take before the
-# grounded pseudo-inverse takes over.  Well-conditioned graphs (hypercubes,
-# G_a^m, expanders) need 20 to about 220; a grid or a tree-like graph needs
+# preconditioned run takes over, which may take as many before the grounded
+# pseudo-inverse does.  Well-conditioned graphs (hypercubes, G_a^m,
+# expanders) need 20 to about 220; a grid or a tree-like graph needs
 # thousands, and its run gives up after these 250 sparse products.
 _FACTOR_FREE_MATVECS = 250
 # Relative margin of the factored route's shift σ above the row bound
@@ -75,6 +80,20 @@ _FACTOR_FREE_MATVECS = 250
 # component), and, near √ε, keeps σ - λmax small against the gaps at the top
 # of G's spectrum.
 _SHIFT_MARGIN = 2.0**-26
+# Relative residual ‖G·x - θx‖/θ at which the preconditioned run accepts θ.
+# A Rayleigh quotient's error is at most ‖r‖²/gap, a relative 1e-14·θ/gap,
+# gap the distance to the next eigenvalue: on barabasi_albert 300 to 2200
+# (seeds 1 to 3) θ lay within 5.1e-14 relative of eigvalsh.  At 1e-6 the
+# bound reaches the dense path's 1e3·ε·κ on small G whose two smallest
+# nonzero eigenvalues lie in different components, 8 % apart.  On
+# barabasi_albert 400 to 2200, 1e-8 took 116 to 238 products, close to the
+# budget; 1e-7 takes 101 to 206.
+_PRECONDITIONED_TOL = 1e-7
+# The preconditioned run drops its last step p when less than this share of
+# p lies outside span{x, P·D⁻¹r}: G·p is carried, not recomputed, and
+# dividing by a smaller remainder would magnify its rounding.  p is 0 once
+# a step leaves x in place.
+_DEPENDENT = 1e-4
 
 
 def dense_limit() -> int:
@@ -93,9 +112,9 @@ class SpectralRecord:
     kappa: float
     sparsity: int
     matrix_kind: str
-    # the path that found the eigenvalues ("dense", "factor-free", "grounded"
-    # or "factored", see measure) and the kernel dimension c, G's component
-    # count
+    # the path that found the eigenvalues ("dense", "factor-free",
+    # "preconditioned", "grounded" or "factored", see measure) and the
+    # kernel dimension c, G's component count
     eigensolver: str
     kernel: int
 
@@ -108,8 +127,8 @@ class SpectralRecord:
 
 class Extremes(NamedTuple):
     """G's smallest nonzero and largest eigenvalue, the path that found them
-    ("dense", "factored", "factor-free" or "grounded", see measure) and its
-    kernel dimension, the component count."""
+    ("dense", "factored", "factor-free", "preconditioned" or "grounded", see
+    measure) and its kernel dimension, the component count."""
 
     lam_min: float
     lam_max: float
@@ -127,8 +146,9 @@ def extreme_eigs(m: SymmetricMatrix, *, dense_limit: Optional[int] = None) -> Ex
     takes one sparse LU for λmax by shift-invert and one of m grounded for
     λmin through its pseudo-inverse.  Any other m takes Lanczos on m for
     λmax, then seeks λmin factor-free, on m with its kernel shifted to
-    λmax, within _FACTOR_FREE_MATVECS products; past them it falls back to
-    the pseudo-inverse.  An m whose row sums are not zero to within
+    λmax, within _FACTOR_FREE_MATVECS products; past them, by Jacobi-
+    preconditioned LOBPCG within as many; past those, through the
+    pseudo-inverse.  An m whose row sums are not zero to within
     order·ε·R is refused, R = 2·max mᵢᵢ the row bound of a Laplacian (read
     off the diagonal, as abs(m) would copy m), as is an m with a positive
     off-diagonal entry, and so is an m without edges, every vertex its own
@@ -180,6 +200,10 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     try:
         return _smallest_deflated(a, means, lam_max, v0), lam_max, "factor-free"
     except (_OverBudget, spla.ArpackNoConvergence):
+        pass
+    try:
+        return _smallest_preconditioned(a, means, v0), lam_max, "preconditioned"
+    except _OverBudget:
         pass
     return _smallest_grounded(a, labels, means, v0), lam_max, "grounded"
 
@@ -290,6 +314,58 @@ def _smallest_deflated(a, means, lam_max: float, v0: np.ndarray) -> float:
     )[0])
 
 
+def _smallest_preconditioned(a, means, v0: np.ndarray) -> float:
+    """λmin, the smallest eigenvalue of a off its kernel, by single-vector
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with the Jacobi
+    preconditioner D⁻¹, D = diag(a).  Each step takes the Rayleigh–Ritz
+    minimum of a over span{x, P·D⁻¹r, p}, r = a·x - θx the residual and p
+    the last step, P = I - ``means`` keeping every vector off the kernel.
+    The basis is orthonormalised, and p dropped when little of it lies
+    outside span{x, P·D⁻¹r}.  Each step makes one product with a, for the
+    new direction; a·x and a·p follow from the Ritz vector.  An isolated
+    vertex, a component of its own, has a zero diagonal entry and a D⁻¹
+    entry of 0.  θ is accepted when ‖r‖ ≤ _PRECONDITIONED_TOL·θ; raises
+    _OverBudget past _FACTOR_FREE_MATVECS products."""
+    diagonal = a.diagonal()
+    inv_d = np.divide(1.0, diagonal, out=np.zeros_like(diagonal), where=diagonal > 0)
+    spent = 0
+
+    def product(x: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        spent += 1
+        if spent > _FACTOR_FREE_MATVECS:
+            raise _OverBudget
+        return a @ x
+
+    x = v0 - means(v0)
+    x /= np.linalg.norm(x)
+    ax, p, ap = product(x), None, None
+    while True:
+        theta = float(x @ ax)
+        r = ax - theta * x
+        if np.linalg.norm(r) <= _PRECONDITIONED_TOL * theta:
+            return theta
+        w = inv_d * r
+        w -= means(w)
+        w -= (x @ w) * x
+        w /= np.linalg.norm(w)
+        basis, images = [x, w], [ax, product(w)]
+        if p is not None:
+            along = np.array([x @ p, w @ p])
+            rest, a_rest = p - along @ basis, ap - along @ images
+            size = np.linalg.norm(rest)
+            if size > _DEPENDENT * np.linalg.norm(p):
+                basis.append(rest / size)
+                images.append(a_rest / size)
+        basis, images = np.array(basis), np.array(images)
+        gram = basis @ images.T
+        ritz = np.linalg.eigh((gram + gram.T) / 2.0)[1][:, 0]
+        p, ap = ritz[1:] @ basis[1:], ritz[1:] @ images[1:]
+        x, ax = ritz[0] * x + p, ritz[0] * ax + ap
+        size = np.linalg.norm(x)
+        x, ax = x / size, ax / size
+
+
 def sparsity(m: RectMatrix) -> int:
     """Maximum number of structurally nonzero entries in any row of the
     Hermitian system: m itself when symmetric, else its dilation
@@ -310,8 +386,9 @@ def measure(m: RectMatrix, *, dense_limit: Optional[int] = None) -> SpectralReco
     the path that ran: "dense" (``eigvalsh``), "factored" (G factors cheaply:
     λmax by shift-invert, λmin through the grounded pseudo-inverse),
     "factor-free" (Lanczos on G alone, also when λmax is G's only nonzero
-    eigenvalue) or "grounded" (λmax on G, λmin through the grounded
-    pseudo-inverse after the factor-free run gave up)."""
+    eigenvalue), "preconditioned" (λmax on G, λmin by Jacobi-preconditioned
+    LOBPCG after the factor-free run gave up) or "grounded" (λmax on G,
+    λmin through the grounded pseudo-inverse after both runs gave up)."""
     if isinstance(m, SymmetricMatrix):
         kind, g, size = "laplacian", m, m.order
     else:

@@ -545,18 +545,24 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     """Measure, fit, and classify every configured family.
 
     Instances are measured by ``max_workers`` forked worker processes, at
-    least 1; None takes min(4, cores).  Each worker holds its own instance
-    in memory.  One worker, one job, or a platform without the fork start
-    method measures in this process instead.  Fits and all file writes
-    happen in this process in canonical (family, n) order, so re-running an
-    identical config reproduces records.csv byte for byte, whatever the
-    worker count.  A worker that dies fails every instance still
-    unmeasured; the run goes on with the rest.
+    least 1; None takes min(4, cores), counting the cores this process may
+    run on (its affinity mask, where the platform has one, as under
+    ``taskset``).  Each worker holds its own instance in memory.  One
+    worker, one job, or a platform without the fork start method measures
+    in this process instead.  Fits and all file writes happen in this
+    process in canonical (family, n) order, so re-running an identical
+    config reproduces records.csv byte for byte, whatever the worker count.
+    A worker that dies fails every instance still unmeasured; the run goes
+    on with the rest.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     jobs = [(index, n) for index, spec in enumerate(config.families) for n in spec.schedule]
-    workers = min(max_workers or min(4, os.cpu_count() or 1), len(jobs))
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(max_workers or min(4, cores), len(jobs))
     if any(catalog_entry(spec.family_id).needs_networkx for spec in config.families):
         # loaded before any instance is timed, so no generate_s carries the
         # import; forked workers inherit it, where each would otherwise

@@ -182,10 +182,12 @@ def system_and_kappa(g: Graph, c: int):
 @st.composite
 def sparse_multicomponent_graphs(draw):
     """Disjoint union of 2 to 4 connected graphs, each a random tree plus a
-    few chords, the first with at least 3 vertices; undirected or with
-    each edge randomly oriented."""
+    few chords, the first with at least 3 vertices, and 1 to 3 isolated
+    vertices; undirected with drawn weights, or with each edge randomly
+    oriented."""
     directed = draw(st.booleans())
     sizes = [draw(st.integers(3, 40))] + draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    sizes += [1] * draw(st.integers(1, 3))
     pairs, base = set(), 0
     for size in sizes:
         for v in range(1, size):
@@ -203,33 +205,55 @@ def sparse_multicomponent_graphs(draw):
     return Graph.from_edges(base, rows, directed), len(sizes)
 
 
+def _gives_up(*args):
+    raise spectral._OverBudget
+
+
+# Each iterative λmin route, forced with the factored route closed: a
+# budget of 10⁴ products lets the factor-free run finish, a factor-free run
+# that gives up leaves λmin to LOBPCG, and a budget of 0 makes both give up.
+FORCED_ROUTES = {
+    "factor-free": {"_FACTOR_FREE_MATVECS": 10**4},
+    "preconditioned": {"_FACTOR_FREE_MATVECS": 10**4, "_smallest_deflated": _gives_up},
+    "grounded": {"_FACTOR_FREE_MATVECS": 0},
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_multicomponent_graphs())
 def test_factor_free_and_grounded_lanczos_match_eigvalsh(case):
-    # Lanczos with its matvec budget (factored on nearly all of these, whose
-    # envelope is small), and with a budget of 0, which leaves the factored
-    # route to forests and forces the grounded pseudo-inverse on the rest.
+    # Lanczos as routed (factored on nearly all of these, whose envelope is
+    # small), then each route of FORCED_ROUTES in turn
     g, c = case
-    n = g.n_vertices
     m, want = system_and_kappa(g, c)
+    # as in test_measured_kappa_equals_numpy_reference; the factor-free
+    # path also meets 1e-12 relative on these well-conditioned graphs
+    rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)
+    lus = {"factor-free": 0, "preconditioned": 0, "grounded": 1, "factored": 2}
     factors = []
     with pytest.MonkeyPatch.context() as mp:
         real_splu = spectral.spla.splu
         mp.setattr(spectral.spla, "splu", lambda *a, **k: factors.append(1) or real_splu(*a, **k))
-        budgeted = measure(m, dense_limit=1)
-        mp.setattr(spectral, "_FACTOR_FREE_MATVECS", 0)
-        grounded = measure(m, dense_limit=1)
-    # the vertex pairs are distinct, so G's pattern is a forest exactly when
-    # edges = order - components
-    assert grounded.eigensolver == ("factored" if g.n_edges == n - c else "grounded")
-    lus = {"factor-free": 0, "grounded": 1, "factored": 2}
-    assert len(factors) == lus[budgeted.eigensolver] + lus[grounded.eigensolver]
-    factor_free = budgeted.eigensolver == "factor-free"
-    # as in test_measured_kappa_equals_numpy_reference; the factor-free
-    # path also meets 1e-12 relative on these well-conditioned graphs
-    rtol = 1e3 * np.finfo(float).eps * (want**2 if g.directed else want)
-    assert abs(grounded.kappa - want) <= rtol * want
-    assert abs(budgeted.kappa - want) <= (min(rtol, 1e-12) if factor_free else rtol) * want
+        routed = measure(m, dense_limit=1)
+        records = {routed.eigensolver: routed}
+        assert len(factors) == lus[routed.eigensolver]
+        # the vertex pairs are distinct, so G's pattern is a forest exactly
+        # when edges = order - components
+        if g.n_edges == g.n_vertices - c:
+            assert routed.eigensolver == "factored"
+        mp.setattr(spectral, "_factors_cheaply", lambda a, components: False)
+        for route, patches in FORCED_ROUTES.items():
+            with pytest.MonkeyPatch.context() as forced:
+                for name, value in patches.items():
+                    forced.setattr(spectral, name, value)
+                factors.clear()
+                records[route] = measure(m, dense_limit=1)
+                assert records[route].eigensolver == route
+                assert len(factors) == lus[route]
+                assert measure(m, dense_limit=1) == records[route]
+    for route, rec in records.items():
+        tol = min(rtol, 1e-12) if route == "factor-free" else rtol
+        assert abs(rec.kappa - want) <= tol * want, route
 
 
 @st.composite

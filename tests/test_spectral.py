@@ -115,6 +115,10 @@ def test_measure_records_the_kernel_and_the_path(monkeypatch):
         (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1, "factor-free", 1),
         (
             lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)),
+            "laplacian", 1, "preconditioned", 1,
+        ),
+        (
+            lambda: laplacian(family_graph("newman_watts_strogatz", 1672)),
             "laplacian", 1, "grounded", 1,
         ),
     ]
@@ -295,30 +299,32 @@ def generalized_hypercube(a: int, m: int) -> Graph:
 
 @pytest.fixture
 def lanczos_path(monkeypatch):
-    """The path the last measure took: "factor-free", "grounded" (the
-    pseudo-inverse through one LU, after the factor-free run gave up),
-    "factored" (G factors cheaply: one LU for the pseudo-inverse, one for
-    λmax by shift-invert, and no factor-free run) or "lambda-max" (λmax is
-    the only nonzero eigenvalue)."""
-    calls = {"deflated": 0, "splu": 0}
-    real_deflated, real_splu = spectral._smallest_deflated, spectral.spla.splu
+    """The path the last measure took: "factor-free", "preconditioned"
+    (LOBPCG, after the factor-free run gave up), "grounded" (the
+    pseudo-inverse through one LU, after both runs gave up), "factored" (G
+    factors cheaply: one LU for the pseudo-inverse, one for λmax by
+    shift-invert, and no factor-free run) or "lambda-max" (λmax is the only
+    nonzero eigenvalue)."""
+    calls = {"deflated": 0, "preconditioned": 0, "splu": 0}
 
-    def deflated(*args):
-        calls["deflated"] += 1
-        return real_deflated(*args)
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
 
-    def splu(*args, **kwargs):
-        calls["splu"] += 1
-        return real_splu(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(spectral, "_smallest_deflated", deflated)
-    monkeypatch.setattr(spectral.spla, "splu", splu)
+    for name in ("deflated", "preconditioned"):
+        attr = f"_smallest_{name}"
+        monkeypatch.setattr(spectral, attr, counted(name, getattr(spectral, attr)))
+    monkeypatch.setattr(spectral.spla, "splu", counted("splu", spectral.spla.splu))
 
     def path() -> str:
-        taken = (calls["deflated"], calls["splu"])
-        calls.update(deflated=0, splu=0)
+        taken = (calls["deflated"], calls["preconditioned"], calls["splu"])
+        calls.update(deflated=0, preconditioned=0, splu=0)
         return {
-            (1, 0): "factor-free", (1, 1): "grounded", (0, 2): "factored", (0, 0): "lambda-max",
+            (1, 0, 0): "factor-free", (1, 1, 0): "preconditioned", (1, 1, 1): "grounded",
+            (0, 0, 2): "factored", (0, 0, 0): "lambda-max",
         }[taken]
 
     return path
@@ -335,10 +341,15 @@ def lanczos_path(monkeypatch):
         (lambda: incidence_matrix(directed_path(1200)), "incidence", 1e-7, "factored"),
         # kernel dimension 19 = order - 1: λmax is the only nonzero eigenvalue
         (lambda: laplacian(Graph.from_edges(20, [(0, 1)])), "laplacian", 1e-7, "lambda-max"),
-        # a scale-free graph and an expander: a column ordering that ignores
-        # the symmetric pattern fills the factor of the grounded G
+        # a scale-free graph: its hubs spread G's diagonal, which stalls
+        # Lanczos and which the Jacobi preconditioner evens out
         (
             lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)),
+            "laplacian", 1e-10, "preconditioned",
+        ),
+        # a ring with shortcuts, where LOBPCG too spends its budget
+        (
+            lambda: laplacian(family_graph("newman_watts_strogatz", 1672)),
             "laplacian", 1e-10, "grounded",
         ),
         (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-12, "factor-free"),
@@ -346,7 +357,7 @@ def lanczos_path(monkeypatch):
         # λ₂ far below λmax: 7.55e-7 on order 2048, and 1.0e-5 on order 2091
         (
             lambda: laplacian(family_graph("hypercube", 11, weight_rule="quadratic_rule")),
-            "laplacian", 1e-8, "grounded",
+            "laplacian", 1e-8, "preconditioned",
         ),
         (lambda: laplacian(family_graph("random_lobster", 300)), "laplacian", 1e-8, "factored"),
         # too large for the dense reference, so the closed forms stand in:
@@ -356,8 +367,9 @@ def lanczos_path(monkeypatch):
     ],
     ids=[
         "two-ladders", "path-cycle-point", "directed-path-1200", "one-edge-of-20",
-        "barabasi-albert-600", "modified-mgg-20", "gn-400", "hypercube-quadratic-11",
-        "random-lobster-300", "hypercube-13", "generalized-hypercube-3-8",
+        "barabasi-albert-600", "newman-watts-strogatz-1672", "modified-mgg-20", "gn-400",
+        "hypercube-quadratic-11", "random-lobster-300", "hypercube-13",
+        "generalized-hypercube-3-8",
     ],
 )
 def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
@@ -384,7 +396,8 @@ def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
 
 def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
     # modified_mgg n=20 takes 61 products; a budget one short of them makes
-    # the run give up, and the grounded pseudo-inverse finds the same λmin
+    # the run give up.  LOBPCG would take 63 there, so it gives up too, and
+    # the grounded pseudo-inverse finds the same λmin
     m = laplacian(family_graph("modified_mgg", 20))
     free = measure(m, dense_limit=1)
     assert lanczos_path() == "factor-free"
@@ -398,16 +411,41 @@ def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
     assert lanczos_path() == "factor-free"
 
 
+def test_preconditioned_budget_counts_products(monkeypatch):
+    # with the factor-free run giving up at once, LOBPCG takes 63 products
+    # on modified_mgg n=20: one short of them, it spends its budget and
+    # falls through to the grounded LU, whose κ is unchanged; with them, θ
+    # lies within the bound its residual sets
+    def gives_up(*args):
+        raise spectral._OverBudget
+
+    m = laplacian(family_graph("modified_mgg", 20))
+    free = measure(m, dense_limit=1)
+    monkeypatch.setattr(spectral, "_smallest_deflated", gives_up)
+    monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 62)
+    grounded = measure(m, dense_limit=1)
+    assert grounded.eigensolver == "grounded"
+    assert grounded.kappa == pytest.approx(free.kappa, rel=1e-12)
+    monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 63)
+    preconditioned = measure(m, dense_limit=1)
+    assert preconditioned.eigensolver == "preconditioned"
+    assert preconditioned.kappa == pytest.approx(free.kappa, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "system, path",
     [
         (lambda: laplacian(family_graph("modified_mgg", 20)), "factor-free"),
-        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "grounded"),
-        (lambda: incidence_matrix(family_graph("scale_free", 400)), "grounded"),
+        (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "preconditioned"),
+        (lambda: incidence_matrix(family_graph("scale_free", 400)), "preconditioned"),
+        (lambda: laplacian(family_graph("newman_watts_strogatz", 1672)), "grounded"),
         (lambda: laplacian(family_graph("random_lobster", 300)), "factored"),
         (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "factored"),
     ],
-    ids=["factor-free", "grounded", "grounded-incidence", "factored", "factored-incidence"],
+    ids=[
+        "factor-free", "preconditioned", "preconditioned-incidence", "grounded", "factored",
+        "factored-incidence",
+    ],
 )
 def test_lanczos_is_deterministic(system, path):
     m = system()
@@ -485,7 +523,8 @@ def test_factored_route_spends_few_solves(monkeypatch):
 def test_lanczos_factor_keeps_fill_low(monkeypatch):
     # Under minimum degree on Aᵀ + A the LU of the grounded G (one row and
     # column deleted) holds about 22k entries on this order-600 Laplacian;
-    # under scipy's default COLAMD, about 153k.
+    # under scipy's default COLAMD, about 153k.  The preconditioned run,
+    # held to a residual of 0, gives up and leaves λmin to that LU.
     factors, real_splu = [], spectral.spla.splu
 
     def splu(*args, **kwargs):
@@ -493,8 +532,9 @@ def test_lanczos_factor_keeps_fill_low(monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spectral, "_PRECONDITIONED_TOL", 0.0)
     m = laplacian(family_graph("barabasi_albert", 600, seed=3))
-    measure(m, dense_limit=1)
+    assert measure(m, dense_limit=1).eigensolver == "grounded"
     assert len(factors) == 1
     assert factors[0].L.nnz + factors[0].U.nnz < 0.1 * m.order**2
 

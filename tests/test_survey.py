@@ -597,6 +597,8 @@ class TestWorkers:
             make_spec("random_lobster", schedule=(30, 60, 90, 120, 150)),
             make_spec("directed_hypercube", schedule=range(2, 7)),
             make_spec("hypercube", schedule=range(6, 10), weight_rule="quadratic_rule"),
+            # LOBPCG spends its budget on this one, and the grounded LU runs
+            make_spec("barabasi_albert", schedule=(300,), seed=3),
         ),
         dense_limit=40,
         solvers=("HHL", "DREAM"),
@@ -613,7 +615,7 @@ class TestWorkers:
             paths[count] = [e["eigensolver"] for e in result.manifest_dict()["entries"]]
         assert outputs[workers] == outputs[1]
         assert paths[workers] == paths[1]
-        assert set(paths[1]) == {"dense", "factor-free", "grounded", "factored"}
+        assert set(paths[1]) == {"dense", "factor-free", "preconditioned", "grounded", "factored"}
         assert multiprocessing.active_children() == []
 
     @FORK
@@ -643,6 +645,19 @@ class TestWorkers:
         monkeypatch.setattr(FamilySpec, "__reduce_ex__", unpicklable)
         result = run_survey(SurveyConfig(**self.CONFIG), max_workers=2)
         assert not any(o.errors for o in result.outcomes)
+
+    def test_default_count_follows_the_affinity_mask(self, monkeypatch):
+        # under `taskset -c 0` on two cores, os.cpu_count() still says 2
+        import nlsp.survey as survey_mod
+
+        def forked(*args):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(survey_mod, "_measure_forked", forked)
+        config = SurveyConfig(families=(make_spec("hypercube", schedule=range(2, 6)),))
+        assert len(run_survey(config).outcomes[0].records) == 4
 
     @pytest.mark.parametrize("platform", ["one worker", "no fork"])
     def test_runs_in_process_without_a_pool(self, monkeypatch, platform):
