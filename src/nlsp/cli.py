@@ -255,7 +255,9 @@ def _dense_to_symmetric(rows: list) -> SymmetricMatrix:
         raise CliError("dense matrix must be square")
     if not np.isfinite(arr).all():
         raise CliError("dense matrix must be finite")
-    if not np.allclose(arr, arr.T, atol=1e-12):
+    # Relative to the largest entry: allclose's default rtol of 1e-5 would
+    # take a pair -1, -1.00001 as symmetric.
+    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * float(np.abs(arr).max())):
         raise CliError("dense matrix must be symmetric")
     upper = np.triu(arr)  # the upper triangle wins within the tolerance
     return SymmetricMatrix(upper + np.triu(upper, 1).T)

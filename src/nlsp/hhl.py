@@ -48,6 +48,7 @@ from .graphs import (
     Graph,
     RectMatrix,
     SymmetricMatrix,
+    _integral,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
@@ -676,10 +677,39 @@ def _check_method(method: str, cfg: HhlConfig | None) -> None:
         raise ValueError("the oracle takes no cfg; pass cfg with method='hhl'")
 
 
-def _components(g: Graph) -> np.ndarray:
-    """Component label of each vertex, arcs read as undirected edges."""
-    adj = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_vertices,) * 2)
-    return connected_components(adj, directed=False)[1]
+def _rhs(g: Graph, pair: tuple[int, int] | None = None, injections=None) -> np.ndarray:
+    """The right-hand side b of g's system, delta_i - delta_j (L x = b) for a
+    ``pair`` of an undirected g or the ``injections`` (B y = b) of a digraph,
+    once it lies in range(L) = range(B): its residual off that range,
+    sqrt(sum_C (sum_{v in C} b_v)^2 / |C|) over components C (arcs read as
+    edges), must stay within the rounding of those sums, n eps |b|_1."""
+    n = g.n_vertices
+    if pair is not None:
+        if g.directed:
+            raise ValueError("effective resistance is defined for undirected graphs")
+        for k in pair:  # before the int64 cast, which 2**70 or 1e20 would overflow
+            if not 0 <= k < n:
+                raise ValueError(f"vertex {k} out of range")
+        i, j = _integral(pair, "vertex").tolist()
+        if i == j:
+            raise ValueError("need two distinct vertices")
+        b = np.bincount((i, j), (1.0, -1.0), minlength=n)  # delta_i - delta_j
+        refusal = f"vertices {i} and {j} are disconnected: effective resistance undefined"
+    else:
+        if not g.directed:
+            raise ValueError("traffic flow is defined for directed graphs")
+        b = np.asarray(injections, dtype=float)
+        if b.shape != (n,):
+            raise ValueError(f"injections must have length {n}")
+        if not np.isfinite(b).all():
+            raise ValueError("injections must be finite")
+        refusal = "imbalanced injections: no exact flow satisfies them"
+    adj = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(n, n))
+    labels = connected_components(adj, directed=False)[1]
+    residual = math.hypot(*np.bincount(labels, b) / np.sqrt(np.bincount(labels)))
+    if residual > n * np.finfo(float).eps * float(np.abs(b).sum()):
+        raise ValueError(refusal)
+    return b
 
 
 def effective_resistance(
@@ -697,13 +727,12 @@ def effective_resistance(
     probe overlap; only it takes a ``cfg``, None taking ``graph_config(g)``,
     whose evolution time comes from the row bound (twice the largest weighted
     degree), so ill conditioned graphs may need a config with a tighter C.
-    The input b sums to zero, hence is orthogonal to the all-ones null
-    vector of a connected Laplacian.
+    Both need i and j in one component, where delta_i - delta_j is in range(L).
     """
     _check_method(method, cfg)
     if method == "hhl":
         return hhl_resistance(g, i, j, cfg)[0]
-    rhs = _resistance_rhs(g, i, j)
+    rhs = _rhs(g, (i, j))
     return float(rhs @ np.linalg.pinv(laplacian(g).to_dense()) @ rhs)
 
 
@@ -713,25 +742,9 @@ def hhl_resistance(
     """``effective_resistance(g, i, j, "hhl", cfg)`` with the simulator
     outcome it is read from, whose ``successes`` counts the post-selections
     in shot mode."""
-    outcome, vec = _graph_solve(g, _resistance_rhs(g, i, j), cfg)
+    outcome, vec = _graph_solve(g, _rhs(g, (i, j)), cfg)
     # r = b^T L+ b with |b|^2 = 2 and the normalized b as probe.
     return 2.0 * extract_overlap(outcome, vec / math.sqrt(2.0)), outcome
-
-
-def _resistance_rhs(g: Graph, i: int, j: int) -> np.ndarray:
-    """delta_i - delta_j, after checking that it has a resistance on g."""
-    if g.directed:
-        raise ValueError("effective resistance is defined for undirected graphs")
-    if i == j:
-        raise ValueError("need two distinct vertices")
-    for k in (i, j):
-        if not 0 <= k < g.n_vertices:
-            raise ValueError(f"vertex {k} out of range")
-    if _components(g).max() > 0:
-        raise ValueError("disconnected graph: effective resistance undefined")
-    rhs = np.zeros(g.n_vertices)
-    rhs[i], rhs[j] = 1.0, -1.0
-    return rhs
 
 
 class TrafficFlowResult(NamedTuple):
@@ -752,31 +765,18 @@ def traffic_flow(
     ``injections`` is the signed right-hand side in the incidence-row
     convention: each edge contributes -1 at its tail and +1 at its head,
     so a vehicle stream entering the network at u and leaving at w is
-    c = -delta_u + delta_w.  Balance is required; c with a component
-    outside the column space of B (in particular, nonzero total) is
-    rejected.  The hhl path, the only one to take a ``cfg`` (None takes
-    ``graph_config(g)``), runs ``hhl_solve`` on the padded Hermitian dilation
-    [[0, B], [B^T, 0]] in signed clock mode and reads y off the edge block.
-    Negative flow entries are physically suspect (lane counts are
-    nonnegative) and are reported, not rejected.
+    c = -delta_u + delta_w.  c must sum to zero on each weakly connected
+    component, to a relative tolerance: its residual off range(B) may be at
+    most n eps |c|_1, n the vertex count.  The hhl path, the only one to
+    take a ``cfg`` (None takes ``graph_config(g)``), runs ``hhl_solve`` on
+    the padded dilation [[0, B], [B^T, 0]] in signed clock mode and reads y
+    off the edge block.  Negative flow entries are physically suspect (lane
+    counts are nonnegative) and are reported, not rejected.
     """
     _check_method(method, cfg)
-    if not g.directed:
-        raise ValueError("traffic flow is defined for directed graphs")
-    c = np.asarray(injections, dtype=float)
-    if c.shape != (g.n_vertices,):
-        raise ValueError(f"injections must have length {g.n_vertices}")
-    if not np.isfinite(c).all():
-        raise ValueError("injections must be finite")
-    if float(np.linalg.norm(c)) == 0.0:
+    c = _rhs(g, injections=injections)
+    if not c.any():
         return TrafficFlowResult(flow=np.zeros(g.n_edges), negative_lanes=())
-    # The column space of B holds the vectors that sum to zero on each weakly
-    # connected component C, so the least-squares residual of B y = c is
-    # sqrt(sum_C (sum_{v in C} c_v)^2 / |C|).
-    labels = _components(g)
-    residual = math.sqrt(float(np.sum(np.bincount(labels, c) ** 2 / np.bincount(labels))))
-    if residual > 1e-8:
-        raise ValueError("imbalanced injections: no exact flow satisfies them")
     if method == "oracle":
         y = np.linalg.lstsq(incidence_matrix(g).to_dense(), c, rcond=None)[0][: g.n_edges]
     else:

@@ -13,7 +13,14 @@ import pytest
 
 import nlsp
 from nlsp.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
-from nlsp.graphs import Graph, laplacian, pad_to_power_of_two, read_edge_list, write_edge_list
+from nlsp.graphs import (
+    Graph,
+    SymmetricMatrix,
+    laplacian,
+    pad_to_power_of_two,
+    read_edge_list,
+    write_edge_list,
+)
 from nlsp.hhl import (
     DEFAULT_CLOCK_QUBITS,
     abs_row_bound,
@@ -525,6 +532,27 @@ class TestHhlCommands:
         path.write_text(json.dumps(problem))
         assert main(["hhl", "solve", str(path)]) == EXIT_OK
         assert read_json(capsys)["oracle_delta"] < 1e-10
+
+    @pytest.mark.parametrize("lower, code", [(-1.00001, EXIT_CONFIG), (-1.0 - 2e-15, EXIT_OK)])
+    def test_solve_dense_symmetry_is_relative_to_the_largest_entry(
+        self, tmp_path, lower, code, capsys
+    ):
+        # a relative gap of 1e-5 is an asymmetric matrix; one of 1e-15 is
+        # rounding, and the upper triangle is solved
+        dense = [[2.0, -1.0, 0.0, 0.0], [lower, 2.0, -1.0, 0.0],
+                 [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 2.0]]
+        problem = {"matrix": {"dense": dense}, "b": [1.0, 0.0, 0.0, -1.0], "config": {"n_r": 8}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["hhl", "solve", str(path)]) == code
+        out = capsys.readouterr()
+        if code == EXIT_CONFIG:
+            assert out.err.startswith("error: dense matrix must be symmetric")
+            return
+        upper = np.triu(np.array(dense))
+        matrix = SymmetricMatrix(upper + np.triu(upper, 1).T)
+        want = hhl_solve(matrix, [1.0, 0.0, 0.0, -1.0], default_config(8, abs_row_bound(matrix)))
+        assert json.loads(out.out)["p_success"] == want.p_success
 
     @pytest.mark.parametrize(
         "matrix, b, config, message",

@@ -1,12 +1,14 @@
 """HHL simulator: exactness, convergence, fixing shortcuts, applications."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -488,6 +490,25 @@ class TestEffectiveResistance:
         with pytest.raises(ValueError, match="C out of range"):
             detect_fixed_clock_qubits(lap, b, default_config(n_r, 4.0))
 
+    def test_pair_in_one_component_of_a_disconnected_graph(self):
+        # P_3 and K_2: delta_0 - delta_2 sums to zero on both components
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        assert effective_resistance(g, 0, 2) == pytest.approx(2.0, abs=1e-12)
+        cfg = HhlConfig(n_r=6, t=2.0 * math.pi / 8.0, C=1.0 / 8.0)
+        assert effective_resistance(g, 0, 2, "hhl", cfg) == pytest.approx(2.0, abs=1e-10)
+        for method in ("oracle", "hhl"):
+            with pytest.raises(ValueError, match="^vertices 0 and 3 are disconnected"):
+                effective_resistance(g, 0, 3, method)
+
+    def test_integral_vertices(self):
+        assert effective_resistance(cycle4(), 1.0, np.int64(0)) == pytest.approx(0.75, abs=1e-12)
+        for i, j in ((0.5, 1), (0, 2.5)):
+            with pytest.raises(ValueError, match="non-integral vertex"):
+                effective_resistance(cycle4(), i, j)
+        for i in (-1, 2**70, 1e20, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {i} out of range")):
+                effective_resistance(cycle4(), i, 1)
+
     def test_validation(self):
         two = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="disconnected"):
@@ -543,6 +564,25 @@ class TestTrafficFlow:
     def test_imbalanced_rejected(self):
         with pytest.raises(ValueError, match="imbalanced"):
             traffic_flow(directed_cycle4(), [1.0, 0.0, 0.0, 0.0])
+
+    def test_balance_is_relative_to_the_injections(self):
+        # injections of order 1e9 on the 50-cycle round their sum to about
+        # 1e-7, so the bound on the residual must grow with |c|_1
+        g = Graph.from_edges(50, [(k, (k + 1) % 50) for k in range(50)], directed=True)
+        dense = incidence_matrix(g).to_dense()
+        for seed in range(20):
+            c = np.random.default_rng(seed).normal(size=50) * 1e9
+            c[-1] = -c[:-1].sum()
+            flow = traffic_flow(g, c).flow
+            assert np.linalg.norm(dense @ flow - c) <= 1e-12 * np.linalg.norm(c)
+            c[0] += 1.0
+            with pytest.raises(ValueError, match="imbalanced"):
+                traffic_flow(g, c)
+        # no square of a component sum overflows at 1e200
+        c = np.random.default_rng(0).normal(size=50) * 1e200
+        c[-1] = -c[:-1].sum()
+        flow = traffic_flow(g, c).flow
+        assert np.abs(dense @ flow - c).max() <= 1e-12 * np.abs(c).max()
 
     def test_balance_is_per_weakly_connected_component(self):
         g = Graph.from_edges(4, [(0, 1), (3, 2)], directed=True)
@@ -682,9 +722,9 @@ def complete(a, w=1.0):
 
 
 @st.composite
-def exact_laplacians(draw, size=st.integers(1, 4)):
+def exact_laplacians(draw, size=st.integers(1, 4), min_blocks=1):
     """Unions of complete graphs K_a with integer weight w: spectrum {0, a w}."""
-    sizes = draw(st.lists(size, min_size=1, max_size=4).filter(lambda s: max(s) > 1))
+    sizes = draw(st.lists(size, min_size=min_blocks, max_size=4).filter(lambda s: max(s) > 1))
     return union(draw, [complete(a, draw(st.integers(1, 3))) for a in sizes], False)
 
 
@@ -1075,3 +1115,67 @@ class TestKrylovSpectrum:
         m = SymmetricMatrix(scipy.linalg.block_diag(block, 2.0 * np.eye(62)))
         b = np.eye(64)[5]
         assert hhl_solve(m, b, default_config(6, 2.0 + 1e-13, 1.0)).p_success > 0.0
+
+
+def component_labels(g: Graph) -> np.ndarray:
+    adjacency = sp.coo_array((np.ones(g.n_edges), (g.u, g.v)), shape=(g.n_vertices,) * 2)
+    return connected_components(adjacency, directed=False)[1]
+
+
+@st.composite
+def digraph_unions(draw):
+    """Disjoint unions of 2 to 4 random digraphs, each perhaps disconnected."""
+    shapes = draw(st.lists(st.sampled_from([(2, 1), (3, 2), (3, 3), (4, 3), (4, 5)]),
+                           min_size=2, max_size=4))
+    blocks = [draw(random_digraphs(n, m)) for n, m in shapes]
+    return union(draw, [(b.n_vertices, list(zip(b.u, b.v, b.w))) for b in blocks], True)
+
+
+class TestRightHandSideRule:
+    """Both applications solve exactly when the right-hand side sums to zero
+    on every component, and refuse it otherwise, whichever the method."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=exact_laplacians(min_blocks=2), data=st.data())
+    def test_resistance_needs_a_pair_in_one_component(self, g, data):
+        vertices = st.integers(0, g.n_vertices - 1)
+        i, j = data.draw(st.lists(vertices, min_size=2, max_size=2, unique=True))
+        labels = component_labels(g)
+        if labels[i] != labels[j]:
+            for method in ("oracle", "hhl"):
+                with pytest.raises(ValueError, match="disconnected"):
+                    effective_resistance(g, i, j, method)
+            return
+        b = pair_rhs(g.n_vertices, i, j)
+        oracle = effective_resistance(g, i, j)
+        assert oracle == pytest.approx(float(b @ np.linalg.pinv(laplacian(g).to_dense()) @ b),
+                                       abs=1e-12)
+        _, bound, _, _ = simulator_system(laplacian(g))
+        lam = np.linalg.eigvalsh(laplacian(g).to_dense())
+        lam_min = round(float(lam[lam > zero_tolerance(lam, lam.size)].min()))
+        cfg = bin_exact_config(lam_min, bound, False, 6)
+        assert effective_resistance(g, i, j, "hhl", cfg) == pytest.approx(oracle, abs=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=digraph_unions(), seed=rhs_seeds, data=st.data())
+    def test_injections_balance_to_a_relative_tolerance(self, g, seed, data):
+        labels = component_labels(g)
+        c = np.random.default_rng(seed).standard_normal(g.n_vertices)
+        for label in np.unique(labels):
+            rows = np.flatnonzero(labels == label)
+            c[rows[-1]] = -c[rows[:-1]].sum()
+        padded, bound, _, _ = simulator_system(incidence_matrix(g))
+        lam = np.abs(np.linalg.eigvalsh(padded.to_dense()))
+        cfg = default_config(7, bound, float(lam[lam > zero_tolerance(lam, lam.size)].min()),
+                             signed=True)
+        dense = incidence_matrix(g).to_dense()
+        v = data.draw(st.integers(0, g.n_vertices - 1))
+        for k in (0, 3, 6, 9, 12):
+            scaled = c * 10.0**k
+            flow = traffic_flow(g, scaled).flow
+            assert np.linalg.norm(dense @ flow - scaled) <= 1e-12 * np.linalg.norm(scaled)
+            traffic_flow(g, scaled, "hhl", cfg)
+            scaled[v] += 10.0 ** (k - 6)
+            for method, clock in (("oracle", None), ("hhl", cfg)):
+                with pytest.raises(ValueError, match="imbalanced"):
+                    traffic_flow(g, scaled, method, clock)
