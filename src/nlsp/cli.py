@@ -32,7 +32,7 @@ from .hhl import (
     traffic_flow,
 )
 from .solvers import crossover as numeric_crossover, get_solver
-from .superfamily import SLICE_KINDS, SLICES, slice_verdict, tableau, write_tableau_csv
+from .superfamily import SLICES, slice_verdict, tableau, write_tableau_csv
 from .survey import (
     DEFAULT_SOLVERS,
     SCHEMA_VERSION,
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab_p.set_defaults(handler=cmd_superfamily_tableau)
 
     sl_p = superf_sub.add_parser("slice", help="classify one tableau slice")
-    sl_p.add_argument("--kind", required=True, choices=SLICE_KINDS)
+    sl_p.add_argument("--kind", required=True, choices=SLICES)
     sl_p.add_argument("--a", type=int)
     sl_p.add_argument("--m", type=int)
     sl_p.add_argument("--d", type=int, help="diagonal offset D")

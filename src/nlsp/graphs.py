@@ -25,13 +25,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _integral(a, what: str) -> np.ndarray:
-    """a as a new int64 array, refusing, not truncating, a non-integral entry."""
+    """a as a new int64 array, refusing, not truncating or wrapping, a
+    non-integral entry or one outside int64."""
     a = np.asarray(a)
     if a.dtype.kind not in "biu":
         f = a.astype(float).reshape(-1)
         bad = np.flatnonzero(~np.isfinite(f) | (f != np.trunc(f)))
         if bad.size:
             raise ValueError(f"non-integral {what} {float(f[bad[0]])!r}")
+        bad = np.flatnonzero((f < -2.0**63) | (f >= 2.0**63))
+        if bad.size:
+            raise ValueError(f"{what} {a.reshape(-1)[bad[0]]} lies outside int64")
     return a.astype(np.int64)
 
 

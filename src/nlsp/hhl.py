@@ -278,9 +278,13 @@ def _unit_rhs(order: int, b: Sequence[float], cfg: HhlConfig) -> tuple[np.ndarra
         raise ValueError(f"b must be a vector of length {order}")
     if not np.isfinite(vec).all():
         raise ValueError("b must be finite")
-    b_norm = float(np.linalg.norm(vec))
-    if b_norm == 0.0:
+    peak = float(np.abs(vec).max())
+    if peak == 0.0:
         raise ValueError("b must be nonzero")
+    # |b| of b scaled by a power of two, exactly, to near 1: its squares
+    # then neither overflow (|b| ~ 1e170) nor underflow (1e-170)
+    shift = math.frexp(peak)[1]
+    b_norm = math.ldexp(float(np.linalg.norm(np.ldexp(vec, -shift))), shift)
     return vec / b_norm, b_norm
 
 
@@ -639,7 +643,7 @@ def simulator_system(m: RectMatrix, rhs=None) -> tuple[SymmetricMatrix, float, b
     if rhs is not None and np.shape(rhs) not in ((m.rows,), (system.order,)):
         lengths = " or ".join(str(k) for k in sorted({m.rows, system.order}))
         raise ValueError(f"b must have length {lengths}")
-    bound = abs_row_bound(system)
+    bound = abs_row_bound(m)
     if bound <= 0:
         raise ValueError("zero matrix has no invertible part")
     padded = pad_to_power_of_two(system, bound)
@@ -656,8 +660,8 @@ def graph_config(
 ) -> HhlConfig:
     """The default clock for ``simulator_system(system_matrix(g))``:
     ``default_config`` at its row bound, signed for a digraph's dilation."""
-    _, bound, signed, _ = simulator_system(system_matrix(g))
-    return default_config(n_r, bound, signed=signed, shots=shots, seed=seed)
+    bound = abs_row_bound(system_matrix(g))
+    return default_config(n_r, bound, signed=g.directed, shots=shots, seed=seed)
 
 
 def _graph_solve(g: Graph, rhs: np.ndarray, cfg: HhlConfig | None) -> tuple[HhlOutcome, np.ndarray]:
@@ -687,7 +691,7 @@ def _rhs(g: Graph, pair: tuple[int, int] | None = None, injections=None) -> np.n
     if pair is not None:
         if g.directed:
             raise ValueError("effective resistance is defined for undirected graphs")
-        for k in pair:  # before the int64 cast, which 2**70 or 1e20 would overflow
+        for k in pair:  # before the int64 cast, so that 2**70 or 1e20 is out of range
             if not 0 <= k < n:
                 raise ValueError(f"vertex {k} out of range")
         i, j = _integral(pair, "vertex").tolist()

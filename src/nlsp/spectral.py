@@ -281,11 +281,16 @@ def _largest_shifted(m: SymmetricMatrix, v0: np.ndarray) -> float:
     return sigma - 1.0 / float(inv_gap)
 
 
-def abs_row_bound(m: SymmetricMatrix) -> float:
-    """Gershgorin-style bound max_i sum_j |m_ij| on eigenvalue magnitudes."""
+def abs_row_bound(m: RectMatrix) -> float:
+    """Gershgorin-style bound max_i sum_j |h_ij| on the eigenvalue magnitudes
+    of the Hermitian system h: m itself when symmetric, else its dilation
+    [[0, m], [mᵀ, 0]].  Either way h's rows are m's rows and columns."""
     # The CSR mat-vec adds each row's entries left to right in column order,
-    # a fixed summation order.
-    return float((abs(m.csr) @ np.ones(m.order)).max())
+    # and bincount each column's in row order: h's order, so the bound is
+    # h's own bit for bit.
+    a = abs(m.csr)
+    rows = float((a @ np.ones(m.cols)).max())
+    return max(rows, float(np.bincount(a.indices, a.data, minlength=m.cols).max()))
 
 
 class _OverBudget(Exception):

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, TextIO
+from typing import Optional, TextIO
 
 from .families import generate, make_spec
 from .graphs import system_matrix
 from .growth import GrowthClass
 from .solvers import AdvantageVerdict, evaluate_advantage
-from .spectral import measure
+from .spectral import SpectralRecord, measure
 
 KAPPA_TOL = 1e-9
 
@@ -48,16 +48,8 @@ class TableauCell:
         return self.a * self.m - self.m + 1
 
 
-class CellMeasurements(NamedTuple):
-    """Measured kappa and sparsity of one cell, with its vertex count."""
-
-    kappa: float
-    sparsity: int
-    n_vertices: int
-
-
-def cell_measurements(a: int, m: int) -> CellMeasurements:
-    """Measure kappa and s of the G_a^m Laplacian, asserting the predictions.
+def cell_measurements(a: int, m: int) -> SpectralRecord:
+    """Measure the G_a^m Laplacian, asserting kappa = m and s = a*m - m + 1.
 
     Every cell is eigensolved: G_a^m is well conditioned, so cells beyond
     the dense limit take factor-free Lanczos (G_3^8, 6561 vertices, in
@@ -65,15 +57,14 @@ def cell_measurements(a: int, m: int) -> CellMeasurements:
     """
     cell = TableauCell(a, m)
     spec = make_spec("generalized_hypercube", params={"a": a}, schedule=(m,))
-    inst = generate(spec, m)
-    rec = measure(system_matrix(inst.graph))
+    rec = measure(system_matrix(generate(spec, m).graph))
     if rec.sparsity != cell.sparsity_predicted:
         raise ValueError(
             f"G_{a}^{m}: measured sparsity {rec.sparsity} != {cell.sparsity_predicted}"
         )
     if not math.isclose(rec.kappa, cell.kappa_predicted, rel_tol=KAPPA_TOL):
         raise ValueError(f"G_{a}^{m}: measured kappa {rec.kappa} != {cell.kappa_predicted}")
-    return CellMeasurements(rec.kappa, rec.sparsity, cell.n_vertices)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -81,86 +72,88 @@ def cell_measurements(a: int, m: int) -> CellMeasurements:
 
 @dataclass(frozen=True)
 class TableauSlice:
-    """An ordered selection of tableau cells forming one graph family.
+    """An ordered selection of tableau cells forming one graph family, with
+    the (N, kappa, s) growth classes along its parameter that classify it.
 
-    kind is one of row (m fixed), column (a fixed), main_diagonal (a = m),
-    super_diagonal / sub_diagonal (m = a -/+ D, constrained to D <= a), or
-    iso_s (constant sparsity).  parameter holds m, a, D, or s respectively
-    (absent for the main diagonal).
+    Each kind is written once, in its constructor in SLICES, which gives
+    the cells, the parameter (m, a, D or s; absent for the main diagonal)
+    and the growths.  A slice needs at least one cell, so a constructor's
+    empty range is refused here.
     """
 
     kind: str
     parameter: Optional[int]
     cells: tuple[TableauCell, ...]
+    growths: tuple[GrowthClass, GrowthClass, GrowthClass]
 
     def __post_init__(self) -> None:
-        if self.kind not in SLICE_KINDS:
+        if self.kind not in SLICES:
             raise ValueError(f"unknown slice kind {self.kind!r}")
         if not self.cells:
             raise ValueError("slice has no cells")
-        p = self.parameter
-        for c in self.cells:
-            if self.kind == "row" and c.m != p:
-                raise ValueError("row cells must share m")
-            if self.kind == "column" and c.a != p:
-                raise ValueError("column cells must share a")
-            if self.kind == "main_diagonal" and c.a != c.m:
-                raise ValueError("main diagonal cells need a = m")
-            if self.kind == "super_diagonal":
-                if c.m != c.a - p:
-                    raise ValueError("super-diagonal cells need m = a - D")
-                if p > c.a:
-                    raise ValueError(f"offset D={p} exceeds a={c.a}")
-            if self.kind == "sub_diagonal":
-                if c.m != c.a + p:
-                    raise ValueError("sub-diagonal cells need m = a + D")
-                if p > c.a:
-                    raise ValueError(f"offset D={p} exceeds a={c.a}")
-            if self.kind == "iso_s" and c.sparsity_predicted != p:
-                raise ValueError("iso-s cells must share a*m - m + 1")
+
+
+# A diagonal's system size a^(a -/+ D) outgrows every fixed-base exponential;
+# 2^a is a certified lower bound, and as each quantum solver is
+# polylogarithmic in system size, the substitution cannot change the
+# category.  kappa = m grows as a, and s = a*m - m + 1 as a^2.
+_DIAGONAL_GROWTHS = (GrowthClass.exponential(2), GrowthClass.poly(1), GrowthClass.poly(2))
 
 
 def row_slice(m: int, a_max: int) -> TableauSlice:
-    return TableauSlice("row", m, tuple(TableauCell(a, m) for a in range(2, a_max + 1)))
+    """Cells (a, m) for a = 2..a_max.  Along a, N = a^m is a degree-m
+    polynomial, kappa = m is constant and s is taken constant: the
+    simplification under which the published ratio a^m loglog(a) / log^2(a)
+    arises.  The first row (m = 1) is the complete graph family, excluded."""
+    if m == 1:
+        raise ValueError("first row is the complete graph family, excluded")
+    cells = tuple(TableauCell(a, m) for a in range(2, a_max + 1))
+    return TableauSlice("row", m, cells,
+                        (GrowthClass.poly(m), GrowthClass.constant(), GrowthClass.constant()))
 
 
 def column_slice(a: int, m_max: int) -> TableauSlice:
-    return TableauSlice("column", a, tuple(TableauCell(a, m) for m in range(1, m_max + 1)))
+    """Cells (a, m) for m = 1..m_max.  Along m, N = a^m, kappa = m and
+    s = (a - 1) m + 1 grow as a^m, m and m."""
+    cells = tuple(TableauCell(a, m) for m in range(1, m_max + 1))
+    return TableauSlice("column", a, cells,
+                        (GrowthClass.exponential(a), GrowthClass.poly(1), GrowthClass.poly(1)))
 
 
 def main_diagonal_slice(a_max: int) -> TableauSlice:
-    return TableauSlice(
-        "main_diagonal", None, tuple(TableauCell(a, a) for a in range(2, a_max + 1))
-    )
+    """Cells (a, a) for a = 2..a_max, with the _DIAGONAL_GROWTHS."""
+    cells = tuple(TableauCell(a, a) for a in range(2, a_max + 1))
+    return TableauSlice("main_diagonal", None, cells, _DIAGONAL_GROWTHS)
 
 
 def super_diagonal_slice(d: int, a_max: int) -> TableauSlice:
-    """Cells (a, a - D).  The first tableau row is discarded, so the slice
-    starts at a = D + 2; slices with no admissible cell are rejected."""
+    """Cells (a, a - D), with the _DIAGONAL_GROWTHS.  The first tableau row
+    is discarded, so the slice starts at a = D + 2; slices with no
+    admissible cell are rejected."""
     if d < 1:
         raise ValueError("offset D must be >= 1")
     cells = tuple(TableauCell(a, a - d) for a in range(d + 2, a_max + 1))
-    return TableauSlice("super_diagonal", d, cells)
+    return TableauSlice("super_diagonal", d, cells, _DIAGONAL_GROWTHS)
 
 
 def sub_diagonal_slice(d: int, a_max: int) -> TableauSlice:
+    """Cells (a, a + D) for a = max(2, D)..a_max, with the _DIAGONAL_GROWTHS."""
     if d < 1:
         raise ValueError("offset D must be >= 1")
     cells = tuple(TableauCell(a, a + d) for a in range(max(2, d), a_max + 1))
-    return TableauSlice("sub_diagonal", d, cells)
+    return TableauSlice("sub_diagonal", d, cells, _DIAGONAL_GROWTHS)
 
 
 def iso_s_slice(s: int) -> TableauSlice:
     """Cells of constant sparsity s: a = d + 1, m = (s-1)/d over divisors d
     of s - 1, kept only when d / log(d+1) < s - 1.  s = 1 is the trivial
-    curve (a = 1 or m = 0) and is excluded."""
+    curve (a = 1 or m = 0) and is excluded.  The curve is finite, so N,
+    kappa and s are all bounded: constant growths."""
     if s < 2:
         raise ValueError("iso-s curves need s >= 2")
-    cells = []
-    for d in range(1, s):
-        if (s - 1) % d == 0 and d / math.log(d + 1) < s - 1:
-            cells.append(TableauCell(d + 1, (s - 1) // d))
-    return TableauSlice("iso_s", s, tuple(cells))
+    cells = tuple(TableauCell(d + 1, (s - 1) // d) for d in range(1, s)
+                  if (s - 1) % d == 0 and d / math.log(d + 1) < s - 1)
+    return TableauSlice("iso_s", s, cells, (GrowthClass.constant(),) * 3)
 
 
 # Each slice kind's constructor; its parameter names are the CLI flags.
@@ -172,52 +165,26 @@ SLICES = {
     "sub_diagonal": sub_diagonal_slice,
     "iso_s": iso_s_slice,
 }
-SLICE_KINDS = tuple(SLICES)
 
 
 def slice_verdict(sl: TableauSlice, solver: str = "HHL") -> AdvantageVerdict:
-    """Classify one tableau slice as a graph family under a quantum solver.
-
-    Growth descriptors run along the slice parameter (a for rows and
-    diagonals, m for columns).  Rows use the constant-kappa, constant-s
-    simplification under which the published ratio a^m loglog(a)/log^2(a)
-    arises.  Diagonal system sizes a^(a -/+ D) outgrow every fixed-base
-    exponential; 2^a is a certified lower bound, and as each quantum solver
-    is polylogarithmic in system size, the substitution cannot change the
-    category.  Iso-s families are finite, so every descriptor is bounded.
-    """
-    if sl.kind == "row":
-        if sl.parameter == 1:
-            raise ValueError("first row is the complete graph family, excluded")
-        growths = (GrowthClass.poly(sl.parameter), GrowthClass.constant(), GrowthClass.constant())
-    elif sl.kind == "column":
-        growths = (
-            GrowthClass.exponential(sl.parameter),
-            GrowthClass.poly(1),
-            GrowthClass.poly(1),
-        )
-    elif sl.kind in ("main_diagonal", "super_diagonal", "sub_diagonal"):
-        growths = (GrowthClass.exponential(2), GrowthClass.poly(1), GrowthClass.poly(2))
-    else:
-        growths = (GrowthClass.constant(), GrowthClass.constant(), GrowthClass.constant())
-    return evaluate_advantage(solver, *growths)
+    """Classify one tableau slice as a graph family under a quantum solver,
+    from the growths its constructor gives."""
+    return evaluate_advantage(solver, *sl.growths)
 
 
 # ---------------------------------------------------------------------------
 # export
 
-def tableau(a_max: int, m_max: int) -> list[tuple[TableauCell, CellMeasurements]]:
+def tableau(a_max: int, m_max: int) -> list[tuple[TableauCell, SpectralRecord]]:
     """Measure every cell with a in 2..a_max, m in 1..m_max (row-major)."""
     if a_max < 2 or m_max < 1:
         raise ValueError("tableau needs a_max >= 2 and m_max >= 1")
-    out = []
-    for m in range(1, m_max + 1):
-        for a in range(2, a_max + 1):
-            out.append((TableauCell(a, m), cell_measurements(a, m)))
-    return out
+    return [(TableauCell(a, m), cell_measurements(a, m))
+            for m in range(1, m_max + 1) for a in range(2, a_max + 1)]
 
 
-def write_tableau_csv(f: TextIO, cells: list[tuple[TableauCell, CellMeasurements]]) -> None:
+def write_tableau_csv(f: TextIO, cells: list[tuple[TableauCell, SpectralRecord]]) -> None:
     writer = csv.writer(f)
     writer.writerow(["a", "m", "N", "kappa_pred", "kappa_meas", "s_pred", "s_meas"])
     for cell, meas in cells:

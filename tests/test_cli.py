@@ -823,6 +823,34 @@ class TestHhlCommands:
         assert main(argv + ["--n-r", str(DEFAULT_CLOCK_QUBITS)] + tail) == EXIT_OK
         assert capsys.readouterr().out == implicit
 
+    @pytest.mark.parametrize("command", ["reff", "traffic"])
+    def test_the_simulated_system_is_built_once(
+        self, c4_file, dc4_file, command, monkeypatch, capsys
+    ):
+        # the default clock reads its bound off the system matrix, so only
+        # the solve pads
+        calls = []
+
+        def counted(m, fill):
+            calls.append(m.order)
+            return pad_to_power_of_two(m, fill)
+
+        monkeypatch.setattr(nlsp.hhl, "pad_to_power_of_two", counted)
+        if command == "reff":
+            argv = ["hhl", "reff", c4_file, "--i", "0", "--j", "2"]
+        else:
+            argv = ["hhl", "traffic", dc4_file, "--", "-1,1,0,0"]
+        assert main(argv) == EXIT_OK
+        assert calls == [4 if command == "reff" else 8]
+
+    def test_vertex_count_outside_int64_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "huge.edges"
+        path.write_text("undirected 1180591620717411303424\n0 1\n")
+        assert main(["hhl", "reff", str(path), "--i", "0", "--j", "1", "--oracle"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cannot load graph: vertex count 1180591620717411303424 lies outside int64\n"
+        )
+
     def test_weighted_digraph_is_refused(self, tmp_path, capsys):
         # a digraph's arcs carry unit weight: B would leave 5 and 0.25 unread
         path = tmp_path / "weighted.edges"

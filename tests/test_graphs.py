@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ def test_graph_refuses_non_integral_vertices():
     g = Graph.from_edges(3.0, [(0.0, 1.0), (2.0, 1.0, 0.5)])
     assert g == Graph.from_edges(3, [(0, 1), (1, 2, 0.5)])
     assert g.u.dtype == np.int64 and type(g.n_vertices) is int
+
+
+def test_graph_refuses_vertices_outside_int64():
+    # the int64 cast named vertex -2**63 for each of these, after a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^vertex 1\.1805916207174113e\+21 lies outside int64$"):
+            Graph.from_edges(3, [(0, 2**70)])
+        with pytest.raises(ValueError, match=r"^vertex 1e\+20 lies outside int64$"):
+            Graph.from_edges(3, [(0, 1e20)])
+        with pytest.raises(ValueError, match="^vertex count 1180591620717411303424 lies outside"):
+            read_edge_list(io.StringIO("undirected 1180591620717411303424\n0 1\n"))
+    # -2**63 is an int64, and is refused as out of range
+    with pytest.raises(ValueError, match="out of range for 3 vertices"):
+        Graph.from_edges(3, [(0, -2.0**63)])
 
 
 def test_laplacian_off_diagonal_is_minus_weight():

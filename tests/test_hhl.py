@@ -16,6 +16,7 @@ from nlsp import hhl
 from nlsp.families import generate, make_spec
 from nlsp.graphs import (
     Graph,
+    RectMatrix,
     SymmetricMatrix,
     hermitian_dilation,
     incidence_matrix,
@@ -45,7 +46,7 @@ from nlsp.hhl import (
     traffic_flow,
     zero_tolerance,
 )
-from nlsp.spectral import measure
+from nlsp.spectral import abs_row_bound, measure
 
 
 def complete_graph(n: int) -> Graph:
@@ -546,6 +547,17 @@ class TestTrafficFlow:
         # min-norm: no circulation component
         assert float(np.sum(res.flow)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e170, 1e200, 1e-170, 1e-200])
+    def test_simulated_flow_scales_with_extreme_injections(self, scale):
+        # |c|² overflows to inf at 1e170 and underflows to 0 at 1e-170; |c|
+        # is taken of c scaled by a power of two instead
+        g = Graph.from_edges(8, [(k, (k + 1) % 8) for k in range(8)], directed=True)
+        c = np.random.default_rng(0).normal(size=8)
+        c[-1] = -c[:-1].sum()
+        want = scale * traffic_flow(g, c, "hhl").flow
+        flow = traffic_flow(g, scale * c, "hhl").flow
+        assert np.abs(flow - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_weighted_cycle_is_refused(self):
         # B holds ±1, so weights 5 and 0.25 would go unread: the unit flow
         # [0.75, -0.25, -0.25, -0.25] and the unit κ would come back
@@ -775,6 +787,23 @@ def random_digraphs(draw, n, m):
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True))
     return Graph.from_edges(n, chosen, directed=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7))
+def test_row_bound_of_b_is_the_dilations(data, n):
+    # graph_config reads the clock's bound off B, without the dilation
+    b = incidence_matrix(data.draw(random_digraphs(n, data.draw(st.integers(1, n * (n - 1))))))
+    assert abs_row_bound(b) == abs_row_bound(hermitian_dilation(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+def test_row_bound_of_a_real_matrix_is_the_dilations_bit_for_bit(data, rows, cols):
+    entry = st.floats(-1e6, 1e6) | st.just(0.0)
+    m = RectMatrix(np.reshape(data.draw(st.lists(entry, min_size=rows * cols,
+                                                 max_size=rows * cols)), (rows, cols)))
+    assert abs_row_bound(m) == abs_row_bound(hermitian_dilation(m))
 
 
 def residual_tol(a: np.ndarray) -> float:

@@ -5,12 +5,14 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsp.growth import GrowthClass
+from nlsp.spectral import SpectralRecord
 from nlsp.superfamily import (
-    CellMeasurements,
+    SLICES,
     TableauCell,
-    TableauSlice,
     cell_measurements,
     column_slice,
     iso_s_slice,
@@ -36,7 +38,7 @@ def test_cell_field_validation():
 def test_hypercube_column_cells():
     for m in range(1, 7):
         meas = cell_measurements(2, m)
-        assert meas.n_vertices == 2**m
+        assert meas.system_size == 2**m
         assert meas.kappa == pytest.approx(m, rel=1e-12)
         assert meas.sparsity == m + 1
 
@@ -57,7 +59,7 @@ def test_cell_3_2_against_dense_oracle():
     kappa_oracle = nz[-1] / nz[0]
     s_oracle = int(max(np.count_nonzero(row) for row in lap))
     meas = cell_measurements(3, 2)
-    assert meas.n_vertices == 9
+    assert meas.system_size == 9
     assert meas.kappa == pytest.approx(kappa_oracle, rel=1e-12)
     assert meas.kappa == pytest.approx(2.0, rel=1e-9)
     assert meas.sparsity == s_oracle == 5
@@ -80,8 +82,8 @@ def test_over_limit_cell_is_measured():
     # measures it, and cell_measurements checks the closed forms
     meas = cell_measurements(2, 12)
     assert meas.kappa == pytest.approx(12.0, rel=1e-12)
-    assert (meas.sparsity, meas.n_vertices) == (13, 4096)
-    assert isinstance(meas, CellMeasurements)
+    assert (meas.sparsity, meas.system_size) == (13, 4096)
+    assert isinstance(meas, SpectralRecord)
 
 
 def test_slice_constructors():
@@ -102,9 +104,57 @@ def test_diagonal_offset_constraint():
     with pytest.raises(ValueError):
         sub_diagonal_slice(7, 5)  # no cell has a >= D
     with pytest.raises(ValueError):
-        TableauSlice("sub_diagonal", 3, (TableauCell(2, 5),))
-    with pytest.raises(ValueError):
         super_diagonal_slice(4, 5)  # only the discarded first row qualifies
+
+
+def _offset_params(first_a):
+    """D and an a_max that leaves the offset diagonal at least one cell."""
+    return st.integers(1, 6).flatmap(lambda d: st.fixed_dictionaries(
+        {"d": st.just(d), "a_max": st.integers(first_a(d), first_a(d) + 10)}))
+
+
+DIAGONAL = (GrowthClass.exponential(2), GrowthClass.poly(1), GrowthClass.poly(2))
+CONSTANT = (GrowthClass.constant(),) * 3
+# kind: (valid constructor arguments, the rule every cell obeys with the
+# slice parameter p, and the (N, kappa, s) growths its docstring states)
+SLICE_RULES = {
+    "row": (
+        st.fixed_dictionaries({"m": st.integers(2, 12), "a_max": st.integers(2, 12)}),
+        lambda c, p: c.m == p,
+        lambda p: (GrowthClass.poly(p), GrowthClass.constant(), GrowthClass.constant()),
+    ),
+    "column": (
+        st.fixed_dictionaries({"a": st.integers(2, 12), "m_max": st.integers(1, 12)}),
+        lambda c, p: c.a == p,
+        lambda p: (GrowthClass.exponential(p), GrowthClass.poly(1), GrowthClass.poly(1)),
+    ),
+    "main_diagonal": (
+        st.fixed_dictionaries({"a_max": st.integers(2, 12)}),
+        lambda c, p: c.a == c.m,
+        lambda p: DIAGONAL,
+    ),
+    "super_diagonal": (_offset_params(lambda d: d + 2), lambda c, p: c.m == c.a - p,
+                       lambda p: DIAGONAL),
+    "sub_diagonal": (_offset_params(lambda d: max(2, d)), lambda c, p: c.m == c.a + p,
+                     lambda p: DIAGONAL),
+    "iso_s": (
+        st.fixed_dictionaries({"s": st.integers(3, 400)}),
+        lambda c, p: c.a * c.m - c.m + 1 == p,
+        lambda p: CONSTANT,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SLICES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_slice_constructor_cells_obey_the_kind_rule(kind, data):
+    params, rule, growths = SLICE_RULES[kind]
+    sl = SLICES[kind](**data.draw(params))
+    assert sl.kind == kind and sl.cells
+    assert all(rule(c, sl.parameter) for c in sl.cells), sl
+    assert len(set(sl.cells)) == len(sl.cells)
+    assert sl.growths == growths(sl.parameter)
 
 
 def test_iso_s_enumeration():
