@@ -293,8 +293,8 @@ def _problem_config(doc: dict, bound: float, signed: bool) -> HhlConfig:
                                "config.C replace")
     try:
         if "t" in raw:
-            return HhlConfig(n_r=raw["n_r"], t=float(raw["t"]), C=float(raw["C"]), **sampling)
-        signed = bool(raw.get("signed", signed))
+            return HhlConfig(n_r=raw["n_r"], t=raw["t"], C=raw["C"], **sampling)
+        signed = raw.get("signed", signed)
         return default_config(raw["n_r"], bound, raw.get("lambda_min"), signed=signed, **sampling)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"bad solver config: {exc}") from exc

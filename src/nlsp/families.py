@@ -29,7 +29,6 @@ import ctypes
 import hashlib
 import logging
 import math
-import numbers
 import random
 from dataclasses import dataclass, field
 from itertools import chain
@@ -38,7 +37,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse.linalg
 
-from .graphs import Graph
+from .graphs import Graph, flag, whole_number
 from .growth import GrowthClass
 
 log = logging.getLogger(__name__)
@@ -283,8 +282,7 @@ def _hypercube(n: int, directed: bool = False) -> Graph:
 def _generalized_hypercube(m: int, a: int) -> Graph:
     """Vertices are m-tuples over {0..a-1}; edges join tuples differing in
     exactly one coordinate.  Labels are base-a integer encodings."""
-    if a < 2 or m < 1:
-        raise ValueError("generalized hypercube needs a >= 2, m >= 1")
+    whole_number(m, "m", 1)
     size = a**m
     # candidates (v, pos, other) in row-major order; keep other > digit
     v = np.arange(size)[:, None, None]
@@ -596,12 +594,9 @@ _CATALOG_ENTRIES = [
     # -- undirected, deterministic ------------------------------------------
     _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15),
          weights=_HYPERCUBE_WEIGHTS),
-    CatalogEntry(
-        "generalized_hypercube", "laplacian",
-        lambda params: GrowthClass.exponential(int(params["a"])),
-        lambda n, p, r: _generalized_hypercube(n, int(p["a"])),
-        range(1, 8), {"a": 2},
-    ),
+    _und("generalized_hypercube",
+         lambda params: GrowthClass.exponential(whole_number(params.get("a"), "a", 2)),
+         lambda n, p, r: _generalized_hypercube(n, p["a"]), range(1, 8), {"a": 2}),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110),
          weights=_MGG_WEIGHTS),
     _und("sudoku", GrowthClass.poly(4), _Networkx(lambda nx, n, r: nx.sudoku_graph(n)),
@@ -714,34 +709,28 @@ def list_families() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # specs and generation
 
-def is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is no size."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family's schedule, params, base seed and weight rule.  Its matrix
-    kind and size growth N(n) are read from the catalog entry and params.
-    A repair spec needs a seed, since the rewiring draws from one."""
+    """A family's schedule, params, base seed and weight rule.  The catalog
+    entry gives its matrix kind, and with the params its size growth N(n),
+    resolved when the spec is built.  A repair spec needs a seed to draw from."""
 
     family_id: str
     params: Mapping
     seed: Optional[int]
     schedule: tuple[int, ...]
     weight_rule: str = "unit"
+    size_growth: GrowthClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entry = catalog_entry(self.family_id)
-        bad = [n for n in self.schedule if not is_integer(n)]
-        if bad:
-            raise ValueError(f"schedule entries must be integers, got {bad[0]!r}")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
+        schedule = tuple(whole_number(n, "schedule entry") for n in self.schedule)
+        object.__setattr__(self, "schedule", schedule)
+        if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be strictly increasing")
         if entry.random and self.seed is None:
             raise ValueError(f"{self.family_id} is random and requires a seed")
-        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative int or None, got {self.seed!r}")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0, or_none=True))
         if self.weight_rule not in WEIGHT_RULES:
             raise ValueError(f"unknown weight rule {self.weight_rule!r}")
         if self.weight_rule != "unit" and self.weight_rule not in entry.weights:
@@ -750,16 +739,13 @@ class FamilySpec:
         unknown = sorted(set(self.params) - allowed)
         if unknown:
             raise ValueError(f"{self.family_id} has no params {unknown}; it takes {sorted(allowed)}")
-        if self.params.get("repair") and self.seed is None:
+        if flag(self.params.get("repair", False), "repair") and self.seed is None:
             raise ValueError("repair requires a seed")
+        object.__setattr__(self, "size_growth", entry.resolved_size_growth(self.params))
 
     @property
     def matrix_kind(self) -> str:
         return catalog_entry(self.family_id).matrix_kind
-
-    @property
-    def size_growth(self) -> GrowthClass:
-        return catalog_entry(self.family_id).resolved_size_growth(self.params)
 
 
 @dataclass(frozen=True)
@@ -809,11 +795,7 @@ def generate(spec: FamilySpec, n: int) -> FamilyInstance:
     entry = catalog_entry(spec.family_id)
     seed = derive_seed(spec.seed, spec.family_id, n) if entry.random else None
     built = entry.build(n, spec.params, None if seed is None else _rng(seed))
-    warnings: tuple[str, ...] = ()
-    if isinstance(built, tuple):
-        graph, warnings = built
-    else:
-        graph = built
+    graph, warnings = built if isinstance(built, tuple) else (built, ())
     if spec.params.get("repair"):
         graph = repair_sources_sinks(graph, derive_seed(spec.seed, spec.family_id + "/repair", n))
     if spec.weight_rule != "unit":

@@ -9,9 +9,10 @@ numpy conversion happens only at the eigensolver boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,15 +29,52 @@ def _integral(a, what: str) -> np.ndarray:
     """a as a new int64 array, refusing, not truncating or wrapping, a
     non-integral entry or one outside int64."""
     a = np.asarray(a)
-    if a.dtype.kind not in "biu":
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64)
+    f = a.reshape(-1)  # a uint64 past int64 would wrap
+    if a.dtype.kind != "u":
         f = a.astype(float).reshape(-1)
         bad = np.flatnonzero(~np.isfinite(f) | (f != np.trunc(f)))
         if bad.size:
             raise ValueError(f"non-integral {what} {float(f[bad[0]])!r}")
-        bad = np.flatnonzero((f < -2.0**63) | (f >= 2.0**63))
-        if bad.size:
-            raise ValueError(f"{what} {a.reshape(-1)[bad[0]]} lies outside int64")
+    bad = np.flatnonzero((f < -2**63) | (f >= 2**63))
+    if bad.size:
+        raise ValueError(f"{what} {a.reshape(-1)[bad[0]]} lies outside int64")
     return a.astype(np.int64)
+
+
+# One rule per kind of setting: each refuses, naming it, a value of another kind or out of range.
+
+def whole_number(value, name: str, least=None, or_none=False) -> Optional[int]:
+    """An int or numpy integer, never a bool, float or string, and at least
+    ``least``; or None, if ``or_none``."""
+    if value is None and or_none:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        kind = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def real_number(value, name: str, at_most=math.inf) -> float:
+    """An int or float, Python or numpy, never a bool or string, in
+    (0, at_most] and finite as a float."""
+    # a numpy float is widened, not the bound narrowed to its dtype; an int compares exactly
+    x = float(value) if isinstance(value, (float, np.floating)) else value
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0 < x <= min(at_most, float(np.finfo(float).max))):
+        kind = "> 0" if at_most == math.inf else f"in (0, {at_most}]"
+        raise ValueError(f"{name} must be a finite number {kind}, got {value!r}")
+    return float(value)
+
+
+def flag(value, name: str) -> bool:
+    """A bool, Python or numpy."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +104,7 @@ class Graph:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "directed", flag(self.directed, "directed"))
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         if not u.size == v.size == w.size:

@@ -49,11 +49,14 @@ from .graphs import (
     RectMatrix,
     SymmetricMatrix,
     _integral,
+    flag,
     hermitian_dilation,
     incidence_matrix,
     laplacian,
     pad_to_power_of_two,
+    real_number,
     system_matrix,
+    whole_number,
 )
 from .spectral import _START_SEED, abs_row_bound
 
@@ -80,11 +83,6 @@ _KRYLOV_SHARE = 1 / 16
 _KRYLOV_MIN_STEPS = 3
 
 
-def _check_clock_qubits(n_r: int) -> None:
-    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)) or n_r < 1:
-        raise ValueError(f"n_r must be an int >= 1, got {n_r!r}")
-
-
 @dataclass(frozen=True)
 class HhlConfig:
     """Clock-register size, evolution time, rotation constant, shot count.
@@ -101,17 +99,11 @@ class HhlConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_clock_qubits(self.n_r)
-        for name, value in (("evolution time t", self.t), ("rotation constant C", self.C)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be a positive count")
-        if self.seed is not None and (
-            isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
-            raise ValueError(f"seed must be a non-negative int or None, got {self.seed!r}")
+        object.__setattr__(self, "n_r", whole_number(self.n_r, "n_r", 1))
+        object.__setattr__(self, "t", real_number(self.t, "t"))
+        object.__setattr__(self, "C", real_number(self.C, "C"))
+        object.__setattr__(self, "shots", whole_number(self.shots, "shots", 1, or_none=True))
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", 0, or_none=True))
 
     @property
     def n_bins(self) -> int:
@@ -140,11 +132,11 @@ def default_config(
     register.  C defaults to 0.9 of the smallest scaled eigenvalue when a
     lower bound is supplied, else to 0.9 of the clock grid floor 2^-n_r.
     """
-    _check_clock_qubits(n_r)
-    if lambda_max <= 0:
-        raise ValueError("lambda_max bound must be positive")
-    if lambda_min is not None and not 0 < lambda_min <= lambda_max:
-        raise ValueError("lambda_min must lie in (0, lambda_max]")
+    n_r = whole_number(n_r, "n_r", 1)
+    lambda_max = real_number(lambda_max, "lambda_max")
+    if lambda_min is not None:
+        lambda_min = real_number(lambda_min, "lambda_min", at_most=lambda_max)
+    signed = flag(signed, "signed")
     tbins = 2 ** n_r
     t = 2.0 * math.pi * (1.0 - 1.0 / tbins) / lambda_max
     if signed:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from .families import generate, make_spec
-from .graphs import system_matrix
+from .graphs import system_matrix, whole_number
 from .growth import GrowthClass
 from .solvers import AdvantageVerdict, evaluate_advantage
 from .spectral import SpectralRecord, measure
@@ -30,10 +30,8 @@ class TableauCell:
     m: int
 
     def __post_init__(self) -> None:
-        if self.a < 2:
-            raise ValueError(f"a must be >= 2, got {self.a}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "a", whole_number(self.a, "a", 2))
+        object.__setattr__(self, "m", whole_number(self.m, "m", 1))
 
     @property
     def n_vertices(self) -> int:
@@ -130,16 +128,14 @@ def super_diagonal_slice(d: int, a_max: int) -> TableauSlice:
     """Cells (a, a - D), with the _DIAGONAL_GROWTHS.  The first tableau row
     is discarded, so the slice starts at a = D + 2; slices with no
     admissible cell are rejected."""
-    if d < 1:
-        raise ValueError("offset D must be >= 1")
+    whole_number(d, "offset D", 1)
     cells = tuple(TableauCell(a, a - d) for a in range(d + 2, a_max + 1))
     return TableauSlice("super_diagonal", d, cells, _DIAGONAL_GROWTHS)
 
 
 def sub_diagonal_slice(d: int, a_max: int) -> TableauSlice:
     """Cells (a, a + D) for a = max(2, D)..a_max, with the _DIAGONAL_GROWTHS."""
-    if d < 1:
-        raise ValueError("offset D must be >= 1")
+    whole_number(d, "offset D", 1)
     cells = tuple(TableauCell(a, a + d) for a in range(max(2, d), a_max + 1))
     return TableauSlice("sub_diagonal", d, cells, _DIAGONAL_GROWTHS)
 
@@ -149,8 +145,7 @@ def iso_s_slice(s: int) -> TableauSlice:
     of s - 1, kept only when d / log(d+1) < s - 1.  s = 1 is the trivial
     curve (a = 1 or m = 0) and is excluded.  The curve is finite, so N,
     kappa and s are all bounded: constant growths."""
-    if s < 2:
-        raise ValueError("iso-s curves need s >= 2")
+    whole_number(s, "iso-s curve s", 2)
     cells = tuple(TableauCell(d + 1, (s - 1) // d) for d in range(1, s)
                   if (s - 1) % d == 0 and d / math.log(d + 1) < s - 1)
     return TableauSlice("iso_s", s, cells, (GrowthClass.constant(),) * 3)
@@ -178,8 +173,8 @@ def slice_verdict(sl: TableauSlice, solver: str = "HHL") -> AdvantageVerdict:
 
 def tableau(a_max: int, m_max: int) -> list[tuple[TableauCell, SpectralRecord]]:
     """Measure every cell with a in 2..a_max, m in 1..m_max (row-major)."""
-    if a_max < 2 or m_max < 1:
-        raise ValueError("tableau needs a_max >= 2 and m_max >= 1")
+    whole_number(a_max, "a_max", 2)
+    whole_number(m_max, "m_max", 1)
     return [(TableauCell(a, m), cell_measurements(a, m))
             for m in range(1, m_max + 1) for a in range(2, a_max + 1)]
 

@@ -31,9 +31,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
-from .families import FamilySpec, catalog_entry, generate, is_integer, make_spec
+from .families import FamilySpec, catalog_entry, generate, make_spec
 from .fitting import FitResult, fit_series, upper_envelope
-from .graphs import system_matrix
+from .graphs import system_matrix, whole_number
 from .growth import CompositionError, GrowthClass, compose
 from .solvers import AdvantageVerdict, crossover, evaluate_advantage, get_solver, ratio_R
 from .spectral import SpectralRecord, measure
@@ -89,17 +89,12 @@ class SurveyConfig:
         for spec in self.families:
             if not isinstance(spec, FamilySpec):
                 raise ValueError("families must be FamilySpec instances")
-        if self.dense_limit is not None and not (
-            is_integer(self.dense_limit) and self.dense_limit >= 1
-        ):
-            raise ValueError(f"dense_limit must be a positive integer, got {self.dense_limit!r}")
         if not self.solvers:
             raise ValueError("solvers must be nonempty")
         for name in self.solvers:
             get_solver(name)  # raises ValueError on unknown names
-        seed = self.base_seed
-        if seed is not None and not (is_integer(seed) and seed >= 0):
-            raise ValueError(f"base_seed must be a non-negative int or None, got {seed!r}")
+        for key, low in (("dense_limit", 1), ("base_seed", 0)):
+            object.__setattr__(self, key, whole_number(getattr(self, key), key, low, or_none=True))
         if self.output_dir is not None:
             path = Path(self.output_dir)
             path.mkdir(parents=True, exist_ok=True)
@@ -185,10 +180,8 @@ def config_from_dict(data: Mapping) -> SurveyConfig:
                 weight_rule=entry.get("weight_rule", "unit"),
             )
         )
-    kwargs = {}
-    for key in ("dense_limit", "solvers", "output_dir"):
-        if data.get(key) is not None:
-            kwargs[key] = data[key]
+    kwargs = {key: data[key] for key in ("dense_limit", "solvers", "output_dir")
+              if data.get(key) is not None}
     return SurveyConfig(families=tuple(specs), base_seed=base_seed, **kwargs)
 
 
@@ -555,8 +548,7 @@ def run_survey(config: SurveyConfig, max_workers: Optional[int] = None) -> Surve
     A worker that dies fails every instance still unmeasured; the run goes
     on with the rest.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    whole_number(max_workers, "max_workers", 1, or_none=True)
     jobs = [(index, n) for index, spec in enumerate(config.families) for n in spec.schedule]
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
@@ -742,7 +734,7 @@ def seed_sensitivity(config: SurveyConfig, seeds: Sequence[int]) -> SeedSensitiv
     Families whose fits fail under some seed carry None categories there and
     are reported unstable.
     """
-    seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(whole_number(s, "seed", 0) for s in seeds)
     if len(seeds) < 2:
         raise ValueError("seed sensitivity needs at least 2 seeds")
     if len(set(seeds)) != len(seeds):

@@ -278,11 +278,11 @@ class TestSurveyCommands:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("schedule", [2.5, 3, 4, 5], "schedule entries must be integers, got 2.5"),
-            ("schedule", ["4"], "schedule entries must be integers, got '4'"),
+            ("schedule", [2.5, 3, 4, 5], "schedule entry must be an integer, got 2.5"),
+            ("schedule", ["4"], "schedule entry must be an integer, got '4'"),
             ("dense_limit", 2.5, "dense_limit must be a positive integer, got 2.5"),
-            ("seed", True, "seed must be a non-negative int or None, got True"),
-            ("seed", -3, "seed must be a non-negative int or None, got -3"),
+            ("seed", True, "seed must be a non-negative integer, got True"),
+            ("seed", -3, "seed must be a non-negative integer, got -3"),
             ("solvers", ["FOO"], f"unknown solver 'FOO'; choices: {', '.join(SOLVERS)}"),
             ("solvers", [1], "a solver name must be a string, got 1"),
         ],
@@ -364,7 +364,7 @@ class TestSurveyCommands:
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_run_rejects_fewer_than_one_worker(self, config_file, workers, capsys):
         assert main(["survey", "run", str(config_file), "--workers", workers]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: max_workers must be at least 1")
+        assert capsys.readouterr().err.startswith("error: max_workers must be a positive integer")
 
     @pytest.mark.parametrize("max_n", ["2", "nan"])
     def test_crossover_rejects_a_scan_bound_below_its_start(self, tmp_path, max_n, capsys):
@@ -569,13 +569,13 @@ class TestHhlCommands:
             ({"dense": [[math.nan, 0.0], [0.0, 1.0]]}, [1.0, 1.0], {"n_r": 3},
              "dense matrix must be finite"),
             (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5, "t": 0.5, "C": 0.1},
-             "n_r must be an int >= 1"),
-            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5}, "n_r must be an int >= 1"),
+             "n_r must be a positive integer"),
+            (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2.5}, "n_r must be a positive integer"),
             (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 2000}, "bad solver config"),
             (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": math.nan, "C": 0.1},
-             "t must be positive and finite"),
+             "t must be a finite number > 0"),
             (C4, [1.0, -1.0, 0.0, 0.0], {"n_r": 6, "t": 0.5, "C": math.nan},
-             "C must be positive and finite"),
+             "C must be a finite number > 0"),
             ({**C4, "dense": [[1.0]]}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6},
              "matrix needs exactly one of 'dense' and 'edge_list'"),
             ({**C4, "matrix_kind": "laplacian"}, [1.0, -1.0, 0.0, 0.0], {"n_r": 6},

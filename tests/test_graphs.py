@@ -70,6 +70,23 @@ def test_graph_refuses_vertices_outside_int64():
         Graph.from_edges(3, [(0, -2.0**63)])
 
 
+def test_graph_refuses_a_uint64_vertex_past_int64():
+    # the int64 cast wrapped 2**64 - 1 to -1, refused as edge (0,-1)
+    big = np.array([2**64 - 1], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vertex 18446744073709551615 lies outside int64$"):
+            Graph(3, np.array([0], dtype=np.uint64), big, [1.0])
+        with pytest.raises(ValueError, match="^vertex count 18446744073709551615 lies outside"):
+            Graph(big, [0], [1], [1.0])
+        # 2**63 - 1 is an int64, and is refused as out of range
+        with pytest.raises(ValueError, match="out of range for 3 vertices"):
+            Graph(3, np.array([0], dtype=np.uint64), np.array([2**63 - 1], dtype=np.uint64), [1.0])
+    g = Graph(np.uint64(3), np.array([0, 1], dtype=np.uint64), np.array([1, 2], dtype=np.uint8),
+              [1.0, 1.0])
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
 def test_laplacian_off_diagonal_is_minus_weight():
     k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     q = laplacian(k3)

@@ -64,21 +64,21 @@ def directed_cycle4() -> Graph:
 class TestConfig:
     def test_field_validation(self):
         for n_r in (0, 2.5, 4.0, True, "4"):
-            with pytest.raises(ValueError, match="n_r must be an int >= 1"):
+            with pytest.raises(ValueError, match="n_r must be a positive integer"):
                 HhlConfig(n_r=n_r, t=1.0, C=0.1)
-            with pytest.raises(ValueError, match="n_r must be an int >= 1"):
+            with pytest.raises(ValueError, match="n_r must be a positive integer"):
                 default_config(n_r, 8.0)
         assert HhlConfig(n_r=np.int64(4), t=1.0, C=0.1).n_bins == 16
         for t in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="t must be positive"):
+            with pytest.raises(ValueError, match="t must be a finite number > 0"):
                 HhlConfig(n_r=4, t=t, C=0.1)
         for c in (0.0, -0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="C must be positive"):
+            with pytest.raises(ValueError, match="C must be a finite number > 0"):
                 HhlConfig(n_r=4, t=1.0, C=c)
         with pytest.raises(ValueError, match="shots"):
             HhlConfig(n_r=4, t=1.0, C=0.1, shots=0)
         for seed in ("3", 3.0, True, -1):
-            with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 HhlConfig(n_r=4, t=1.0, C=0.1, shots=100, seed=seed)
         assert HhlConfig(n_r=4, t=1.0, C=0.1, seed=np.int64(3)).seed == 3
 

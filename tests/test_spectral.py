@@ -15,6 +15,7 @@ from nlsp.graphs import (
     incidence_matrix,
     laplacian,
     pad_to_power_of_two,
+    system_matrix,
 )
 from nlsp.hhl import zero_tolerance
 from nlsp.spectral import extreme_eigs, measure, sparsity
@@ -544,3 +545,25 @@ def test_directed_path_kappa_closed_form():
     rec = measure(incidence_matrix(directed_path(1200)))
     assert rec.kappa == pytest.approx(1 / math.tan(math.pi / 2400), rel=1e-9)
     assert (rec.system_size, rec.sparsity) == (2399, 2)
+
+
+@pytest.mark.parametrize(
+    "family, n, path",
+    [(family, n, path) for family in ("ladder", "circular_ladder")
+     for n, path in ((5, "dense"), (100, "dense"), (1000, "factored"), (2500, "factored"))],
+)
+def test_catalog_ladders_match_their_closed_form_kappa(family, n, path):
+    # The ladder is P_n □ K_2 and the circular ladder C_n □ K_2: a Laplacian
+    # eigenvalue is a path's 2 - 2cos(πk/n) or a cycle's 2 - 2cos(2πk/n),
+    # plus K_2's 0 or 2.  2500 is the catalog's largest n.
+    if family == "ladder":
+        lam_min = 2 - 2 * math.cos(math.pi / n)
+        lam_max = 4 - 2 * math.cos(math.pi * (n - 1) / n)
+    else:
+        lam_min = 2 - 2 * math.cos(2 * math.pi / n)
+        lam_max = 4 - 2 * math.cos(2 * math.pi * (n // 2) / n)  # 6 for even n
+    rec = measure(system_matrix(generate(make_spec(family), n).graph))
+    assert rec.eigensolver == path
+    assert rec.lambda_min_nz == pytest.approx(lam_min, rel=1e-9)
+    assert rec.lambda_max == pytest.approx(lam_max, rel=1e-9)
+    assert rec.kappa == pytest.approx(lam_max / lam_min, rel=1e-9)

@@ -566,7 +566,7 @@ class TestSkips:
     def test_fewer_than_one_worker_rejected(self):
         config = SurveyConfig(families=(make_spec("hypercube", schedule=(2, 3)),))
         for workers in (0, -1):
-            with pytest.raises(ValueError, match="max_workers must be at least 1"):
+            with pytest.raises(ValueError, match="max_workers must be a positive integer"):
                 run_survey(config, max_workers=workers)
 
 

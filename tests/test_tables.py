@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+from nlsp.families import catalog_entry
 from nlsp.growth import GrowthClass
 from nlsp.solvers import SOLVERS, evaluate_advantage, ratio_class
 from nlsp.tables import (
@@ -105,3 +106,11 @@ def test_report_serialization():
     text = report.to_text()
     assert "50/50 rows reproduced" in text
     assert "gnr[yes]" in text
+
+
+def test_each_row_states_its_catalog_family_size_growth():
+    # N(n) is written twice: in each published row and in the family's
+    # catalog entry, which the survey's verdicts read
+    for row in ALL_ROWS:
+        entry = catalog_entry(row.family)
+        assert row.size == entry.resolved_size_growth(entry.default_params), row.row_id
