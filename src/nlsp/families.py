@@ -595,7 +595,7 @@ _CATALOG_ENTRIES = [
     _und("hypercube", _EXP2, lambda n, p, r: _hypercube(n), range(2, 15),
          weights=_HYPERCUBE_WEIGHTS),
     _und("generalized_hypercube",
-         lambda params: GrowthClass.exponential(whole_number(params.get("a"), "a", 2)),
+         lambda params: GrowthClass.exponential(params["a"]),
          lambda n, p, r: _generalized_hypercube(n, p["a"]), range(1, 8), {"a": 2}),
     _und("modified_mgg", _N2, lambda n, p, r: _modified_mgg(n), range(5, 110),
          weights=_MGG_WEIGHTS),
@@ -709,6 +709,14 @@ def list_families() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # specs and generation
 
+# How a spec reads each param it may hold: generalized_hypercube's base a,
+# and a directed family's repair switch.
+_PARAM_RULES = {
+    "a": lambda value: whole_number(value, "a", 2),
+    "repair": lambda value: flag(value, "repair"),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family's schedule, params, base seed and weight rule.  The catalog
@@ -739,9 +747,13 @@ class FamilySpec:
         unknown = sorted(set(self.params) - allowed)
         if unknown:
             raise ValueError(f"{self.family_id} has no params {unknown}; it takes {sorted(allowed)}")
-        if flag(self.params.get("repair", False), "repair") and self.seed is None:
+        # every catalog param, and any given one, stored as its rule reads it
+        params = {key: _PARAM_RULES[key](self.params.get(key))
+                  for key in {**entry.default_params, **self.params}}
+        object.__setattr__(self, "params", params)
+        if params.get("repair") and self.seed is None:
             raise ValueError("repair requires a seed")
-        object.__setattr__(self, "size_growth", entry.resolved_size_growth(self.params))
+        object.__setattr__(self, "size_growth", entry.resolved_size_growth(params))
 
     @property
     def matrix_kind(self) -> str:

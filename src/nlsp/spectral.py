@@ -18,24 +18,23 @@ fixed start vector, on one of two routes chosen from G's pattern alone.
 
 G that factors cheaply takes the factored route: its pattern is a forest,
 which minimum degree factors with no fill, or its envelope work Σwᵢ² after
-reverse Cuthill–McKee is at most what the factor-free run below may spend,
-_FACTOR_FREE_MATVECS products with G.  Such G (grids, ladders, rings,
-trees) have small λ₂ and a clustered top, where Lanczos on G alone takes
-thousands of products.  λmax is the largest eigenvalue of (σI - G)⁻¹, σ
-just above the row bound, through one sparse LU; λmin is found through the
-pseudo-inverse G⁺ (below).
+reverse Cuthill–McKee is at most the work of _ENVELOPE_MATVECS products
+with G.  Such G (grids, ladders, rings, trees) have small λ₂ and a
+clustered top, where Lanczos on G alone takes thousands of products.
+λmax is the largest eigenvalue of (σI - G)⁻¹, σ just above the row bound,
+through one sparse LU; λmin is found through the pseudo-inverse G⁺
+(below).
 
-Any other G takes one Lanczos call for λmax on G, then up to three runs
-for λmin.  The first is factor-free: λmin is the smallest eigenvalue of
-x ↦ G·x + λmax·Πx, Π the projector onto the component indicators, which
-sends G's kernel to λmax.  It converges in a few dozen products on
-well-conditioned G, and may take at most _FACTOR_FREE_MATVECS of them.
-Past that budget, or when ARPACK does not converge, the second is
-preconditioned: LOBPCG on G off its kernel with the Jacobi preconditioner
-diag(G)⁻¹, within as many products.  A weight rule or a scale-free hub
-that stalls Lanczos spreads G's diagonal, which the preconditioner evens
-out.  Past its budget too, λmin is found through G⁺ as on the factored
-route.
+Any other G takes one Lanczos call for λmax on G, then one run for λmin,
+chosen by G's diagonal, which may take at most _FACTOR_FREE_MATVECS
+products with G.  Where the diagonal is narrow (its largest entry at most
+_WIDE times its smallest positive one) the run is factor-free: λmin is the
+smallest eigenvalue of x ↦ G·x + λmax·Πx, Π the projector onto the
+component indicators, which sends G's kernel to λmax.  Where it is wide,
+as a weight rule or a scale-free hub makes it, the run is preconditioned:
+LOBPCG on G off its kernel with the Jacobi preconditioner diag(G)⁻¹, which
+evens the diagonal out.  Past the budget, or when ARPACK does not converge,
+λmin is found through G⁺ as on the factored route.
 
 1/λmin is the largest eigenvalue of G⁺.  G⁺ is applied by grounding one
 vertex per component, solving with the rest of G (factored once by sparse
@@ -69,12 +68,29 @@ _SPARSE_FILL = 16
 # Seed of the Lanczos start vector.  A random start (not the all-ones vector,
 # which spans the Laplacian kernel) keeps every eigenvector reachable.
 _START_SEED = 2025
-# Products with G the factor-free Lanczos run for λmin may take before the
-# preconditioned run takes over, which may take as many before the grounded
-# pseudo-inverse does.  Well-conditioned graphs (hypercubes, G_a^m,
-# expanders) need 20 to about 220; a grid or a tree-like graph needs
-# thousands, and its run gives up after these 250 sparse products.
-_FACTOR_FREE_MATVECS = 250
+# Products with G the one λmin run (factor-free or preconditioned) may take
+# before the grounded pseudo-inverse takes over.  Well-conditioned graphs
+# (hypercubes, G_a^m, expanders) need 20 to about 220 factor-free, and
+# triangular 41 to 56 need 321 to 441; LOBPCG needs up to 435 on clustered
+# barabasi_albert 2100–2200.  A grid or a tree-like graph needs thousands,
+# and its run gives up after these 500 sparse products.
+_FACTOR_FREE_MATVECS = 500
+# The factored route's bound on the envelope work Σwᵢ², in products with G
+# (_factors_cheaply), apart from the λmin run's budget.  At 500 products,
+# triangular 41 (envelope 254·nnz) would take the factored route: medians
+# of 59 and 101 ms in two rounds on a shared 2-core Xeon, against 56 and
+# 57 ms for its factor-free run.
+_ENVELOPE_MATVECS = 250
+# G's diagonal is wide, and its λmin run preconditioned, when its largest
+# entry exceeds _WIDE times its smallest positive one.  Over the catalog at
+# orders 300–3000 on the unfactored iterative path, the spread is at most 5
+# where the factor-free run wins or ties (hypercube, log-rule weights,
+# expanders, random_regular, newman_watts_strogatz, triangular), and at
+# least 16 where LOBPCG wins or ties (barabasi_albert, scale_free, gnc,
+# linear and quadratic rules).  Over seeds 1–10 the lowest wide spread is
+# barabasi_albert 300 at seed 4, 12.7, where LOBPCG takes 68 products
+# against 181.
+_WIDE = 8
 # Relative margin of the factored route's shift σ above the row bound
 # R ≥ λmax.  It keeps σI - G definite where λmax = R (a regular bipartite
 # component), and, near √ε, keeps σ - λmax small against the gaps at the top
@@ -86,8 +102,8 @@ _SHIFT_MARGIN = 2.0**-26
 # (seeds 1 to 3) θ lay within 5.1e-14 relative of eigvalsh.  At 1e-6 the
 # bound reaches the dense path's 1e3·ε·κ on small G whose two smallest
 # nonzero eigenvalues lie in different components, 8 % apart.  On
-# barabasi_albert 400 to 2200, 1e-8 took 116 to 238 products, close to the
-# budget; 1e-7 takes 101 to 206.
+# barabasi_albert 400 to 2200, 1e-8 took 116 to 238 products; 1e-7 takes
+# 101 to 206.
 _PRECONDITIONED_TOL = 1e-7
 # The preconditioned run drops its last step p when less than this share of
 # p lies outside span{x, P·D⁻¹r}: G·p is carried, not recomputed, and
@@ -145,11 +161,12 @@ def extreme_eigs(m: SymmetricMatrix, *, dense_limit: Optional[int] = None) -> Ex
     (a forest pattern, or a small envelope after reverse Cuthill–McKee)
     takes one sparse LU for λmax by shift-invert and one of m grounded for
     λmin through its pseudo-inverse.  Any other m takes Lanczos on m for
-    λmax, then seeks λmin factor-free, on m with its kernel shifted to
-    λmax, within _FACTOR_FREE_MATVECS products; past them, by Jacobi-
-    preconditioned LOBPCG within as many; past those, through the
-    pseudo-inverse.  An m whose row sums are not zero to within
-    order·ε·R is refused, R = 2·max mᵢᵢ the row bound of a Laplacian (read
+    λmax, then one run for λmin within _FACTOR_FREE_MATVECS products:
+    Jacobi-preconditioned LOBPCG when m's diagonal is wide (its largest
+    entry above _WIDE times its smallest positive one), else factor-free
+    Lanczos on m with its kernel shifted to λmax.  Past the budget, λmin is
+    found through the pseudo-inverse.  An m whose row sums are not zero to
+    within order·ε·R is refused, R = 2·max mᵢᵢ the row bound of a Laplacian (read
     off the diagonal, as abs(m) would copy m), as is an m with a positive
     off-diagonal entry, and so is an m without edges, every vertex its own
     component, which has no nonzero eigenvalue."""
@@ -185,9 +202,11 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).uniform(-1.0, 1.0, m.order)
     counts = np.bincount(labels)
 
-    def means(x: np.ndarray) -> np.ndarray:
-        """Πx: each entry replaced by its component's mean."""
-        return (np.bincount(labels, weights=x) / counts)[labels]
+    def means(x: np.ndarray) -> np.ndarray | float:
+        """Πx: each entry replaced by its component's mean, a scalar that
+        broadcasts when G is connected."""
+        per = np.bincount(labels, weights=x) / counts
+        return per[0] if counts.size == 1 else per[labels]
 
     lone = counts.size + 1 == m.order  # λmax is the only nonzero eigenvalue
     if not lone and _factors_cheaply(a, counts.size):
@@ -197,23 +216,22 @@ def _extreme_eigs_iterative(m: SymmetricMatrix, labels: np.ndarray) -> tuple[flo
     )
     if lone:
         return lam_max, lam_max, "factor-free"
+    diagonal = a.diagonal()
     try:
+        if diagonal.max() > _WIDE * diagonal[diagonal > 0].min():
+            return _smallest_preconditioned(a, means, v0), lam_max, "preconditioned"
         return _smallest_deflated(a, means, lam_max, v0), lam_max, "factor-free"
     except (_OverBudget, spla.ArpackNoConvergence):
-        pass
-    try:
-        return _smallest_preconditioned(a, means, v0), lam_max, "preconditioned"
-    except _OverBudget:
         pass
     return _smallest_grounded(a, labels, means, v0), lam_max, "grounded"
 
 
 def _factors_cheaply(a, components: int) -> bool:
     """Whether a sparse LU of a, read off its pattern alone, costs no more
-    than the factor-free run may spend: a's pattern is a forest (edges =
-    order - components), which minimum degree factors with no fill, or its
+    than _ENVELOPE_MATVECS products with a: a's pattern is a forest (edges
+    = order - components), which minimum degree factors with no fill, or its
     envelope work Σwᵢ² after reverse Cuthill–McKee, wᵢ the distance from
-    row i's first entry to the diagonal, is at most _FACTOR_FREE_MATVECS·nnz.
+    row i's first entry to the diagonal, is at most _ENVELOPE_MATVECS·nnz.
     A small envelope means poor expansion, and so a small λ₂ that the
     factor-free run would give up on."""
     order = a.shape[0]
@@ -221,7 +239,7 @@ def _factors_cheaply(a, components: int) -> bool:
     edges = (a.nnz - int(np.count_nonzero(a.diagonal()))) // 2
     if edges == order - components:
         return True
-    budget = _FACTOR_FREE_MATVECS * a.nnz
+    budget = _ENVELOPE_MATVECS * a.nnz
     # Σwᵢ counts each edge at least once, so Σwᵢ² ≥ edges²/order: this
     # rejects dense G without ordering them
     if edges**2 > budget * order:
@@ -294,7 +312,7 @@ def abs_row_bound(m: RectMatrix) -> float:
 
 
 class _OverBudget(Exception):
-    """The factor-free Lanczos run spent its _FACTOR_FREE_MATVECS."""
+    """The λmin run spent its _FACTOR_FREE_MATVECS."""
 
 
 def _smallest_deflated(a, means, lam_max: float, v0: np.ndarray) -> float:
@@ -390,10 +408,11 @@ def measure(m: RectMatrix, *, dense_limit: Optional[int] = None) -> SpectralReco
     above ``dense_limit`` (3000 when None) take Lanczos.  The record names
     the path that ran: "dense" (``eigvalsh``), "factored" (G factors cheaply:
     λmax by shift-invert, λmin through the grounded pseudo-inverse),
-    "factor-free" (Lanczos on G alone, also when λmax is G's only nonzero
-    eigenvalue), "preconditioned" (λmax on G, λmin by Jacobi-preconditioned
-    LOBPCG after the factor-free run gave up) or "grounded" (λmax on G,
-    λmin through the grounded pseudo-inverse after both runs gave up)."""
+    "factor-free" (Lanczos on G alone, G's diagonal narrow, also when λmax
+    is G's only nonzero eigenvalue), "preconditioned" (λmax on G, λmin by
+    Jacobi-preconditioned LOBPCG, G's diagonal wide) or "grounded" (λmax on
+    G, λmin through the grounded pseudo-inverse after the λmin run gave
+    up)."""
     if isinstance(m, SymmetricMatrix):
         kind, g, size = "laplacian", m, m.order
     else:

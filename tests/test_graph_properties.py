@@ -205,16 +205,13 @@ def sparse_multicomponent_graphs(draw):
     return Graph.from_edges(base, rows, directed), len(sizes)
 
 
-def _gives_up(*args):
-    raise spectral._OverBudget
-
-
-# Each iterative λmin route, forced with the factored route closed: a
-# budget of 10⁴ products lets the factor-free run finish, a factor-free run
-# that gives up leaves λmin to LOBPCG, and a budget of 0 makes both give up.
+# Each iterative λmin route, forced with the factored route closed: an
+# infinite _WIDE calls every diagonal narrow and a zero one every diagonal
+# wide, a budget of 10⁴ products lets either run finish, and a budget of 0
+# makes it give up.
 FORCED_ROUTES = {
-    "factor-free": {"_FACTOR_FREE_MATVECS": 10**4},
-    "preconditioned": {"_FACTOR_FREE_MATVECS": 10**4, "_smallest_deflated": _gives_up},
+    "factor-free": {"_FACTOR_FREE_MATVECS": 10**4, "_WIDE": math.inf},
+    "preconditioned": {"_FACTOR_FREE_MATVECS": 10**4, "_WIDE": 0.0},
     "grounded": {"_FACTOR_FREE_MATVECS": 0},
 }
 

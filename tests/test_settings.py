@@ -208,3 +208,24 @@ def test_a_numpy_setting_reads_as_the_python_one():
     assert config_hash(as_numpy) == config_hash(as_python)
     assert default_config(np.int16(15), np.float32(8.0)) == default_config(15, 8.0)
     assert HhlConfig(n_r=np.int16(15), t=1.0, C=0.1).n_bins == 2**15
+
+
+def test_a_numpy_param_reads_as_the_python_one(tmp_path):
+    # a spec keeps its params as the rules read them, so a numpy a or repair
+    # hashes as the Python value and a survey writes its documents
+    def config(a, repair, output_dir=None):
+        return SurveyConfig(families=(
+            make_spec("generalized_hypercube", schedule=(1, 2, 3), params={"a": a}),
+            make_spec("gn", schedule=(20, 30, 40), seed=3, params={"repair": repair}),
+        ), output_dir=output_dir)
+
+    as_numpy, as_python = config(np.int64(3), np.True_), config(3, True)
+    assert as_numpy.families[0].params["a"] == 3
+    assert type(as_numpy.families[0].params["a"]) is int
+    assert as_numpy.families[1].params["repair"] is True
+    assert config_hash(as_numpy) == config_hash(as_python)
+    for name, a, repair in (("numpy", np.int64(3), np.True_), ("python", 3, True)):
+        run_survey(config(a, repair, str(tmp_path / name)), max_workers=1)
+    for document in ("records.csv", "report.json"):
+        numpy_bytes = (tmp_path / "numpy" / document).read_bytes()
+        assert numpy_bytes == (tmp_path / "python" / document).read_bytes()

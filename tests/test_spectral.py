@@ -120,7 +120,7 @@ def test_measure_records_the_kernel_and_the_path(monkeypatch):
         ),
         (
             lambda: laplacian(family_graph("newman_watts_strogatz", 1672)),
-            "laplacian", 1, "grounded", 1,
+            "laplacian", 1, "factor-free", 1,
         ),
     ]
     for system, kind, limit, path, kernel in cases:
@@ -300,11 +300,11 @@ def generalized_hypercube(a: int, m: int) -> Graph:
 
 @pytest.fixture
 def lanczos_path(monkeypatch):
-    """The path the last measure took: "factor-free", "preconditioned"
-    (LOBPCG, after the factor-free run gave up), "grounded" (the
-    pseudo-inverse through one LU, after both runs gave up), "factored" (G
-    factors cheaply: one LU for the pseudo-inverse, one for λmax by
-    shift-invert, and no factor-free run) or "lambda-max" (λmax is the only
+    """The path the last measure took: "factor-free" (G's diagonal narrow),
+    "preconditioned" (LOBPCG, G's diagonal wide), "grounded" (the
+    pseudo-inverse through one LU, after the one λmin run gave up),
+    "factored" (G factors cheaply: one LU for the pseudo-inverse, one for
+    λmax by shift-invert, and no λmin run) or "lambda-max" (λmax is the only
     nonzero eigenvalue)."""
     calls = {"deflated": 0, "preconditioned": 0, "splu": 0}
 
@@ -324,8 +324,8 @@ def lanczos_path(monkeypatch):
         taken = (calls["deflated"], calls["preconditioned"], calls["splu"])
         calls.update(deflated=0, preconditioned=0, splu=0)
         return {
-            (1, 0, 0): "factor-free", (1, 1, 0): "preconditioned", (1, 1, 1): "grounded",
-            (0, 0, 2): "factored", (0, 0, 0): "lambda-max",
+            (1, 0, 0): "factor-free", (0, 1, 0): "preconditioned", (1, 0, 1): "grounded",
+            (0, 1, 1): "grounded", (0, 0, 2): "factored", (0, 0, 0): "lambda-max",
         }[taken]
 
     return path
@@ -348,10 +348,10 @@ def lanczos_path(monkeypatch):
             lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)),
             "laplacian", 1e-10, "preconditioned",
         ),
-        # a ring with shortcuts, where LOBPCG too spends its budget
+        # a ring with shortcuts, whose factor-free run takes 311 products
         (
             lambda: laplacian(family_graph("newman_watts_strogatz", 1672)),
-            "laplacian", 1e-10, "grounded",
+            "laplacian", 1e-10, "factor-free",
         ),
         (lambda: laplacian(family_graph("modified_mgg", 20)), "laplacian", 1e-12, "factor-free"),
         (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "incidence", 1e-10, "factored"),
@@ -396,9 +396,9 @@ def test_dense_and_lanczos_agree(system, kind, rtol, path, lanczos_path):
 
 
 def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
-    # modified_mgg n=20 takes 61 products; a budget one short of them makes
-    # the run give up.  LOBPCG would take 63 there, so it gives up too, and
-    # the grounded pseudo-inverse finds the same λmin
+    # modified_mgg n=20 (diagonal spread 2) takes 61 factor-free products; a
+    # budget one short of them makes the run give up, and the grounded
+    # pseudo-inverse finds the same λmin
     m = laplacian(family_graph("modified_mgg", 20))
     free = measure(m, dense_limit=1)
     assert lanczos_path() == "factor-free"
@@ -413,16 +413,13 @@ def test_factor_free_budget_counts_products(monkeypatch, lanczos_path):
 
 
 def test_preconditioned_budget_counts_products(monkeypatch):
-    # with the factor-free run giving up at once, LOBPCG takes 63 products
-    # on modified_mgg n=20: one short of them, it spends its budget and
-    # falls through to the grounded LU, whose κ is unchanged; with them, θ
-    # lies within the bound its residual sets
-    def gives_up(*args):
-        raise spectral._OverBudget
-
+    # routed as wide, modified_mgg n=20 takes 63 LOBPCG products: one short
+    # of them, the run spends its budget and falls through to the grounded
+    # LU, whose κ is unchanged; with them, θ lies within the bound its
+    # residual sets
     m = laplacian(family_graph("modified_mgg", 20))
     free = measure(m, dense_limit=1)
-    monkeypatch.setattr(spectral, "_smallest_deflated", gives_up)
+    monkeypatch.setattr(spectral, "_WIDE", 1)
     monkeypatch.setattr(spectral, "_FACTOR_FREE_MATVECS", 62)
     grounded = measure(m, dense_limit=1)
     assert grounded.eigensolver == "grounded"
@@ -433,13 +430,45 @@ def test_preconditioned_budget_counts_products(monkeypatch):
     assert preconditioned.kappa == pytest.approx(free.kappa, rel=1e-12)
 
 
+def test_a_wide_diagonal_makes_no_factor_free_run(lanczos_path):
+    # the quadratic rule spreads the diagonal of hypercube 9 by 2.3e4, far
+    # past _WIDE: LOBPCG alone finds λmin, in 67 products, where the
+    # factor-free run would spend thousands
+    m = laplacian(family_graph("hypercube", 9, weight_rule="quadratic_rule"))
+    lam_min, lam_max = dense_extremes(m, "laplacian")
+    rec = measure(m)
+    assert lanczos_path() == "preconditioned"  # no _smallest_deflated call
+    assert rec.kappa == pytest.approx(lam_max / lam_min, rel=1e-10)
+
+
+def test_a_narrow_diagonal_within_the_budget_takes_no_lu(lanczos_path):
+    # triangular 41 has diagonal spread 3; its factor-free run takes 321
+    # products, past 250 but within the budget, so nothing is factored
+    rec = measure(laplacian(family_graph("triangular", 41)))
+    assert lanczos_path() == "factor-free"  # no splu call
+    # eigvalsh of the order-2163 Laplacian
+    assert rec.kappa == pytest.approx(1624.1746519469607, rel=1e-12)
+
+
+def test_the_factored_route_keeps_its_envelope_bound(lanczos_path):
+    # ladder 1000's envelope work is about 1·nnz; triangular 41's is
+    # 254·nnz, just past _ENVELOPE_MATVECS = 250 though within the λmin
+    # run's 500 products, so it takes the factor-free run
+    ladder = laplacian(family_graph("ladder", 1000))
+    assert spectral._factors_cheaply(ladder.csr, 1)
+    assert not spectral._factors_cheaply(laplacian(family_graph("triangular", 41)).csr, 1)
+    assert measure(ladder).eigensolver == "factored"
+    assert lanczos_path() == "factored"
+
+
 @pytest.mark.parametrize(
     "system, path",
     [
         (lambda: laplacian(family_graph("modified_mgg", 20)), "factor-free"),
         (lambda: laplacian(family_graph("barabasi_albert", 600, seed=3)), "preconditioned"),
         (lambda: incidence_matrix(family_graph("scale_free", 400)), "preconditioned"),
-        (lambda: laplacian(family_graph("newman_watts_strogatz", 1672)), "grounded"),
+        # LOBPCG needs 546 products here, past the budget
+        (lambda: laplacian(family_graph("barabasi_albert", 300, seed=3)), "grounded"),
         (lambda: laplacian(family_graph("random_lobster", 300)), "factored"),
         (lambda: incidence_matrix(family_graph("gn", 400, seed=19)), "factored"),
     ],

@@ -721,7 +721,7 @@ class TestSeedSensitivity:
         seed_sensitivity(config, (1, 2))
         # orders 20..50 take eigvalsh under the default limit; under 10, each
         # of the 2 x 4 instances takes Lanczos, and at these orders even a
-        # dense G factors for less than the factor-free run may spend
+        # dense G has an envelope within the factored route's bound
         paths = [i.record.eigensolver for r in runs for o in r.outcomes for i in o.instances]
         assert paths == ["factored"] * 8
 
